@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.adders.factory import build_final_adder
@@ -96,9 +96,9 @@ class FlowContext:
     place_report: Optional[object] = None
     #: the cell -> site assignment produced by the place stage
     placement: Optional[object] = None
-    #: per-net added wire delay (ns) from the placement; consumed by the
-    #: timing analysis so post-place critical paths are wire-aware
-    net_delays: Optional[Dict[str, float]] = None
+    #: per-net added wire delay (ns, read-only) from the placement; consumed
+    #: by the timing analysis so post-place critical paths are wire-aware
+    net_delays: Optional[Mapping[str, float]] = None
     #: per-stage and per-analysis artifacts, keyed by stage/analysis name
     artifacts: Dict[str, object] = field(default_factory=dict)
     #: wall time of each executed stage / analysis, in seconds

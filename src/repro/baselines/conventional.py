@@ -256,8 +256,11 @@ def conventional_synthesis(
         spec = signals[variable]
         bus = netlist.add_input_bus(variable, spec.width)
         for index, net in enumerate(bus.nets):
-            net.attributes["arrival"] = spec.arrival_of(index)
-            net.attributes["probability"] = spec.probability_of(index)
+            netlist.annotate(
+                net,
+                arrival=spec.arrival_of(index),
+                probability=spec.probability_of(index),
+            )
         builder.input_buses[variable] = bus
 
     result = builder.build(expression)

@@ -172,8 +172,7 @@ def build_addend_matrix(
         for index, net in enumerate(bus.nets):
             arrival = spec.arrival_of(index)
             probability = spec.probability_of(index)
-            net.attributes["arrival"] = arrival
-            net.attributes["probability"] = probability
+            netlist.annotate(net, arrival=arrival, probability=probability)
             bits.append(BitSignal(net, arrival, probability))
         variable_bits[variable] = bits
 

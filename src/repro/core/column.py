@@ -90,8 +90,8 @@ def allocate_fa(
     )
     sum_net = cell.outputs["s"]
     carry_net = cell.outputs["co"]
-    sum_net.attributes.update({"arrival": sum_arrival, "probability": p_sum})
-    carry_net.attributes.update({"arrival": carry_arrival, "probability": p_carry})
+    netlist.annotate(sum_net, arrival=sum_arrival, probability=p_sum)
+    netlist.annotate(carry_net, arrival=carry_arrival, probability=p_carry)
     sum_addend = Addend(sum_net, column, sum_arrival, p_sum, origin="sum")
     carry_addend = Addend(carry_net, column + 1, carry_arrival, p_carry, origin="carry")
     energy = power_model.fa_switching_energy(p_sum, p_carry)
@@ -114,8 +114,8 @@ def allocate_ha(
     )
     sum_net = cell.outputs["s"]
     carry_net = cell.outputs["co"]
-    sum_net.attributes.update({"arrival": sum_arrival, "probability": p_sum})
-    carry_net.attributes.update({"arrival": carry_arrival, "probability": p_carry})
+    netlist.annotate(sum_net, arrival=sum_arrival, probability=p_sum)
+    netlist.annotate(carry_net, arrival=carry_arrival, probability=p_carry)
     sum_addend = Addend(sum_net, column, sum_arrival, p_sum, origin="sum")
     carry_addend = Addend(carry_net, column + 1, carry_arrival, p_carry, origin="carry")
     energy = power_model.ha_switching_energy(p_sum, p_carry)

@@ -153,6 +153,11 @@ class TechnologyMappingPass(RewritePass):
     def _cover(self, netlist: Netlist) -> int:
         changed = 0
         self.touched_nets = set()
+        basis = self.basis
+        if all(cell.cell_type in basis for cell in netlist.cells.values()):
+            # the fixpoint's confirming sweep: nothing to cover, so no
+            # arrivals to price
+            return 0
         # per-net arrival estimates accumulated along the sweep; only the
         # nets downstream cells can read need an entry (replacement nets,
         # kept-cell outputs) — template-internal nets and retired

@@ -46,7 +46,12 @@ class MapReport:
         return sum(self.template_counts.values())
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-able record for artifacts, cache entries and CLI ``--json``."""
+        """JSON-able record for artifacts, cache entries and CLI ``--json``.
+
+        Deliberately excludes ``elapsed_s``, as
+        :meth:`repro.place.report.PlaceReport.to_dict` does: records must be
+        deterministic bytes; wall time lives in spans and benchmarks.
+        """
         return {
             "target_lib": self.target_lib,
             "objective": self.objective,
@@ -60,7 +65,6 @@ class MapReport:
             "delay_after": self.delay_after,
             "cell_counts_after": dict(self.after.cell_counts) if self.after else None,
             "equivalence_ok": self.equivalence_ok,
-            "elapsed_s": round(self.elapsed_s, 6),
         }
 
     def render(self) -> str:

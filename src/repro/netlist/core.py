@@ -11,7 +11,17 @@ engines (timing, power, simulation) treat them uniformly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import NetlistError
 from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports
@@ -144,9 +154,8 @@ class Netlist:
         self._const_nets: Dict[int, Net] = {}
         self._output_names: set = set()
         self._generation = 0
-        self._topo_cache: Optional[List[Cell]] = None
-        self._topo_index_cache: Optional[Dict[str, int]] = None
-        self._topo_generation = -1
+        self._views: Dict[Hashable, object] = {}
+        self._views_generation = 0
 
     # ----------------------------------------------------------- invalidation
     @property
@@ -154,20 +163,39 @@ class Netlist:
         """Monotonic structural-mutation counter.
 
         Every mutation through the public API (``add_net`` / ``add_cell`` /
-        ``remove_cell`` / ``replace_net_uses`` / ``rebind_input`` / ...)
-        bumps this counter.  Derived structures — the cached topological
-        order below, compiled simulation programs
-        (:mod:`repro.sim.program`), incremental analysis state — record the
-        generation they were built against and treat any mismatch as
-        stale, so cache invalidation is structural rather than a calling
-        convention.
+        ``remove_cell`` / ``replace_net_uses`` / ``rebind_input`` /
+        ``annotate`` / ...) bumps this counter.  Derived structures — the
+        views memoized in :meth:`derived_views`, incremental analysis state —
+        are keyed on the generation they were built against and treat any
+        mismatch as stale, so cache invalidation is structural rather than a
+        calling convention.
         """
         return self._generation
 
     def _bump_generation(self) -> None:
         self._generation += 1
-        self._topo_cache = None
-        self._topo_index_cache = None
+
+    def derived_views(self) -> Dict[Hashable, object]:
+        """The memo of views derived from the current generation.
+
+        One dict per netlist state: the first call after a mutation replaces
+        it with an empty one, so every entry was computed from exactly the
+        structure it is served for.  Producers store each view under their
+        own key — the topological order and index, the compiled sim program
+        (:func:`repro.sim.program.cached_program`), structural stats and
+        per-library area (:func:`repro.netlist.stats.netlist_stats`), full
+        STA results (:func:`repro.timing.arrival.compute_arrival_times`) and
+        the placement pin table (:func:`repro.place.placer.pin_table`).  A
+        key must cover every input of its view beyond the structure; an
+        entry that depends on another object (a library, a net-delay map)
+        holds a reference to it, so the ``id()`` in its key cannot be
+        recycled while the entry lives.  Views are shared, not copied:
+        treat them as read-only.
+        """
+        if self._views_generation != self._generation:
+            self._views = {}
+            self._views_generation = self._generation
+        return self._views
 
     # ------------------------------------------------------------------ views
     @property
@@ -337,6 +365,16 @@ class Netlist:
         return cell
 
     # ------------------------------------------------------------- mutation
+    def annotate(self, net: Net, **attributes: object) -> None:
+        """Set analysis annotations on ``net`` (``arrival``, ``probability``).
+
+        Timing and power read source arrivals and probabilities from these
+        annotations, so writing them is a mutation like any other: it bumps
+        :attr:`generation` and no view derived before it is served after.
+        """
+        net.attributes.update(attributes)
+        self._bump_generation()
+
     def remove_net(self, net: Net) -> None:
         """Delete a fully disconnected internal net.
 
@@ -481,35 +519,32 @@ class Netlist:
     def topological_cells(self) -> List[Cell]:
         """Cells in topological (fanin-before-fanout) order.
 
-        The order is computed once and cached until the next structural
-        mutation (see :attr:`generation`), so analysis engines that sweep an
-        unchanged netlist repeatedly — the packed simulator replaying
-        chunks, per-pass re-analysis at a fixpoint, timing/power/stats in
-        one flow — pay for exactly one sort.  The returned list is the
-        cache itself: treat it as read-only (it is safe to keep iterating a
-        reference across mutations; the snapshot simply goes stale, exactly
-        as the previous recompute-per-call behaviour did).
+        The order is computed once per generation (see
+        :meth:`derived_views`), so analysis engines that sweep an unchanged
+        netlist repeatedly — the packed simulator replaying chunks, per-pass
+        re-analysis at a fixpoint, timing/power/stats in one flow — pay for
+        exactly one sort.  The returned list is the memo entry itself: treat
+        it as read-only (it is safe to keep iterating a reference across
+        mutations; the snapshot simply goes stale).
 
         Raises :class:`NetlistError` if the netlist contains a combinational
         cycle.
         """
-        if self._topo_cache is not None and self._topo_generation == self._generation:
-            return self._topo_cache
-        order = self._topological_sort()
-        self._topo_cache = order
-        self._topo_generation = self._generation
-        return order
+        views = self.derived_views()
+        order = views.get("topological_cells")
+        if order is None:
+            order = views["topological_cells"] = self._topological_sort()
+        return order  # type: ignore[return-value]
 
     def topological_index(self) -> Dict[str, int]:
-        """Cell name to position in :meth:`topological_cells` (cached)."""
-        if (
-            self._topo_index_cache is not None
-            and self._topo_generation == self._generation
-        ):
-            return self._topo_index_cache
-        index = {cell.name: i for i, cell in enumerate(self.topological_cells())}
-        self._topo_index_cache = index
-        return index
+        """Cell name to position in :meth:`topological_cells` (memoized)."""
+        views = self.derived_views()
+        index = views.get("topological_index")
+        if index is None:
+            index = views["topological_index"] = {
+                cell.name: i for i, cell in enumerate(self.topological_cells())
+            }
+        return index  # type: ignore[return-value]
 
     def _topological_sort(self) -> List[Cell]:
         indegree: Dict[str, int] = {}
@@ -564,12 +599,10 @@ class Netlist:
     def copy(self, name: Optional[str] = None) -> "Netlist":
         """Deep structural copy.
 
-        The optimizer snapshots the pre-optimization netlist this way so the
-        original graph stays available for equivalence checking; the copy is
-        built by direct object construction (same names, same creation
+        Built by direct object construction (same names, same creation
         order, same attributes as the serialization round-trip produces, but
         without paying for per-cell port validation on a graph that is
-        already known valid).
+        already known valid).  The copy starts with an empty view memo.
         """
         duplicate = Netlist(self.name if name is None else name)
         nets = duplicate._nets

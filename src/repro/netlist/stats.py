@@ -7,7 +7,7 @@ structural statistics (counts, depth) are library-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
@@ -55,29 +55,52 @@ def logic_depth(netlist: Netlist) -> int:
     return best
 
 
+def _structure(netlist: Netlist) -> Tuple[Dict[str, int], int]:
+    """Cell counts and logic depth, memoized per netlist generation."""
+    views = netlist.derived_views()
+    structure = views.get("structure_stats")
+    if structure is None:
+        counts: Dict[str, int] = {}
+        for cell in netlist.cells.values():
+            counts[cell.cell_type.value] = counts.get(cell.cell_type.value, 0) + 1
+        structure = views["structure_stats"] = (counts, logic_depth(netlist))
+    return structure  # type: ignore[return-value]
+
+
+def _area(netlist: Netlist, library: object) -> float:
+    """Total cell area against ``library``, memoized per generation and library.
+
+    Summed cell by cell in creation order, so the float is the same one a
+    fresh sum would give.  The entry keeps the library alive, so the
+    ``id()`` in its key cannot be reused while it is cached.
+    """
+    views = netlist.derived_views()
+    key = ("area", id(library))
+    entry = views.get(key)
+    if entry is None:
+        area = 0.0
+        for cell in netlist.cells.values():
+            area += library.area(cell.cell_type)  # type: ignore[attr-defined]
+        entry = views[key] = (library, area)
+    return entry[1]  # type: ignore[index]
+
+
 def netlist_stats(netlist: Netlist, library: Optional[object] = None) -> NetlistStats:
     """Compute :class:`NetlistStats` for ``netlist``.
 
     ``library`` may be a :class:`repro.tech.TechLibrary`; when provided, total
-    cell area is included.
+    cell area is included.  Counts, depth and area are memoized views of the
+    netlist (:meth:`Netlist.derived_views`); every call returns a fresh
+    :class:`NetlistStats` with its own ``cell_counts`` dict.
     """
-    counts: Dict[str, int] = {}
-    for cell in netlist.cells.values():
-        counts[cell.cell_type.value] = counts.get(cell.cell_type.value, 0) + 1
-
-    area: Optional[float] = None
-    if library is not None:
-        area = 0.0
-        for cell in netlist.cells.values():
-            area += library.area(cell.cell_type)
-
+    counts, depth = _structure(netlist)
     return NetlistStats(
         name=netlist.name,
-        cell_counts=counts,
+        cell_counts=dict(counts),
         num_cells=len(netlist.cells),
         num_nets=len(netlist.nets),
         num_inputs=len(netlist.primary_inputs),
         num_outputs=len(netlist.primary_outputs),
-        logic_depth=logic_depth(netlist),
-        area=area,
+        logic_depth=depth,
+        area=None if library is None else _area(netlist, library),
     )

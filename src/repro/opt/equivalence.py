@@ -12,17 +12,47 @@ topological re-sorts — are ever materialized.  Up to
 combination, above it a seeded random sample is used.  Vectors are
 processed in power-of-two chunks so exhaustive checks of ~20 input bits
 stay within bounded memory.
+
+The reference side may also be an :class:`EquivalenceReference`: the
+compiled program and interface names of a netlist taken *before* it is
+rewritten in place.  That is how the pass manager checks its pipelines
+without copying the netlist — and the snapshot is the netlist's memoized
+program, so a check right after an earlier one on the same state compiles
+nothing.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple, Union
 
 from repro.errors import OptimizationError
 from repro.netlist.core import Netlist
-from repro.sim.program import cached_program
+from repro.sim.program import SimProgram, cached_program
+
+
+@dataclass(frozen=True)
+class EquivalenceReference:
+    """A netlist's function, frozen: its compiled program and interface.
+
+    A :class:`SimProgram` holds slot indices and net names only, so it
+    keeps describing the netlist it was compiled from after that netlist
+    is rewritten.
+    """
+
+    program: SimProgram
+    inputs: Tuple[str, ...]
+    outputs: Tuple[str, ...]
+
+
+def equivalence_reference(netlist: Netlist) -> EquivalenceReference:
+    """Snapshot ``netlist``'s function for a later equivalence check."""
+    return EquivalenceReference(
+        program=cached_program(netlist),
+        inputs=tuple(net.name for net in netlist.primary_inputs),
+        outputs=tuple(net.name for net in netlist.primary_outputs),
+    )
 
 
 @dataclass
@@ -79,7 +109,7 @@ def _packed_exhaustive_chunk(
 
 
 def check_netlists_equivalent(
-    reference: Netlist,
+    reference: Union[Netlist, EquivalenceReference],
     candidate: Netlist,
     exhaustive_width_limit: int = 18,
     random_vector_count: int = 512,
@@ -89,21 +119,24 @@ def check_netlists_equivalent(
 ) -> NetlistEquivalenceReport:
     """Check that ``candidate`` matches ``reference`` on every primary output.
 
-    Both netlists must expose identical primary input and primary output net
-    names (the optimizer preserves both).  With at most
+    ``reference`` is a netlist or an :class:`EquivalenceReference` snapshot
+    of one.  Both sides must expose identical primary input and primary
+    output net names (the optimizer preserves both).  With at most
     ``exhaustive_width_limit`` primary-input bits every combination is
     checked; otherwise ``random_vector_count`` seeded random vectors are
     used.  Evaluation happens in ``chunk_size`` batches (rounded down to a
     power of two) through the bit-parallel evaluator, with the stimulus
     built directly as packed words.
     """
-    ref_pis = [net.name for net in reference.primary_inputs]
+    if isinstance(reference, Netlist):
+        reference = equivalence_reference(reference)
+    ref_pis = list(reference.inputs)
     cand_pis = {net.name for net in candidate.primary_inputs}
     if set(ref_pis) != cand_pis:
         raise OptimizationError(
             f"primary inputs differ: {sorted(set(ref_pis) ^ cand_pis)}"
         )
-    ref_pos = [net.name for net in reference.primary_outputs]
+    ref_pos = list(reference.outputs)
     cand_pos = {net.name for net in candidate.primary_outputs}
     if set(ref_pos) != cand_pos:
         raise OptimizationError(
@@ -117,8 +150,8 @@ def check_netlists_equivalent(
     chunk_size = 1 << (max(1, chunk_size).bit_length() - 1)
     rng = random.Random(seed)
 
-    # compile both netlists once; every chunk below is a straight replay
-    ref_program = cached_program(reference)
+    # both sides are compiled once; every chunk below is a straight replay
+    ref_program = reference.program
     cand_program = cached_program(candidate)
     ref_po_slots = [ref_program.slot_of[po] for po in ref_pos]
     cand_po_slots = [cand_program.slot_of[po] for po in ref_pos]

@@ -4,8 +4,8 @@
 instances over a netlist until no pass reports a rewrite (or the iteration
 budget runs out), optionally validating structural invariants after every
 pass (debug mode) and checking functional equivalence against a snapshot of
-the pre-optimization netlist — either once at the end or after every single
-pass.
+the pre-optimization netlist's function (its compiled sim program, never a
+netlist copy) — either once at the end or after every single pass.
 
 ``optimize_netlist`` is the front door used by the synthesis flow and the
 CLI: it maps an ``-O`` level to the standard pipeline, runs it and returns
@@ -36,7 +36,11 @@ from repro.opt.cleanup import CleanupPass
 from repro.opt.constant_fold import ConstantFoldPass
 from repro.opt.cse import CommonSubexpressionPass
 from repro.opt.dce import DeadCellEliminationPass
-from repro.opt.equivalence import check_netlists_equivalent
+from repro.opt.equivalence import (
+    EquivalenceReference,
+    check_netlists_equivalent,
+    equivalence_reference,
+)
 from repro.opt.report import OptReport, PassStat
 from repro.opt.strength import StrengthReductionPass
 
@@ -83,8 +87,8 @@ class PassManager:
         Debug mode: run :func:`repro.netlist.validate.validate_netlist`
         after every pass invocation and fail fast on broken invariants.
     check_equivalence:
-        Snapshot the netlist before optimizing and verify functional
-        equivalence on every primary output afterwards.
+        Snapshot the netlist's compiled program before optimizing and verify
+        functional equivalence on every primary output afterwards.
     check_each_pass:
         Also check equivalence after *every* pass invocation (slow; implies
         ``check_equivalence``) — pinpoints the exact pass that broke a
@@ -131,7 +135,9 @@ class PassManager:
         self.seed = seed
         self.opt_level = opt_level
 
-    def _check(self, reference: Netlist, netlist: Netlist, context: str):
+    def _check(
+        self, reference: EquivalenceReference, netlist: Netlist, context: str
+    ):
         report = check_netlists_equivalent(
             reference,
             netlist,
@@ -150,9 +156,9 @@ class PassManager:
         """Optimize ``netlist`` in place and return the report."""
         start = time.perf_counter()
         before = netlist_stats(netlist, self.library)
-        reference: Optional[Netlist] = None
+        reference: Optional[EquivalenceReference] = None
         if self.check_equivalence:
-            reference = netlist.copy(name=f"{netlist.name}_preopt")
+            reference = equivalence_reference(netlist)
 
         timing = None
         if self.timing_library is not None:

@@ -21,12 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.netlist.core import Netlist
-from repro.place.fabric import (
-    CLOCK_BUFFER_DELAY_NS,
-    CLOCK_WIRE_DELAY_NS_PER_SITE,
-    footprint,
-)
-from repro.place.placer import Placement
+from repro.place.fabric import CLOCK_BUFFER_DELAY_NS, CLOCK_WIRE_DELAY_NS_PER_SITE
+from repro.place.placer import Placement, pin_table
 
 #: maximum sinks served directly from one leaf tap
 LEAF_SINKS = 4
@@ -65,67 +61,74 @@ class ClockTree:
         }
 
 
-def _sink_points(
-    netlist: Netlist, placement: Placement
-) -> List[Tuple[str, float, float]]:
-    """Clock entry point of every placed cell: the footprint center."""
-    points = []
-    for name in sorted(placement.origins):
-        row, col = placement.origins[name]
-        width = footprint(netlist.cells[name].cell_type)
-        points.append((name, col + width / 2.0, row + 0.5))
-    return points
-
-
 def build_clock_tree(netlist: Netlist, placement: Placement) -> ClockTree:
-    """Synthesize the H-tree for every placed cell of ``netlist``."""
-    sinks = _sink_points(netlist, placement)
-    tree = ClockTree(sinks=len(sinks))
-    if not sinks:
-        return tree
-    xs = [x for _, x, _ in sinks]
-    ys = [y for _, _, y in sinks]
-    root = ((min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0)
+    """Synthesize the H-tree for every placed cell of ``netlist``.
 
-    def centroid(points: List[Tuple[str, float, float]]) -> Tuple[float, float]:
+    Sinks are numbered like the netlist's :class:`~repro.place.placer.PinTable`
+    (name order).  Each is sorted once per axis, by coordinate and then
+    name; a subtree carries both orders, and splitting one keeps the other
+    as the subsequence of the matching half, so no subtree is re-sorted.
+    """
+    table = pin_table(netlist)
+    rows, cols = table.positions(placement)
+    names = table.cells
+    # clock entry point of every placed cell: the footprint center
+    xs = [col + width / 2.0 for col, width in zip(cols, table.widths)]
+    ys = [row + 0.5 for row in rows]
+    tree = ClockTree(sinks=len(names))
+    if not names:
+        return tree
+    root = ((min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0)
+    sink_ids = range(len(names))
+    by_x = sorted(sink_ids, key=lambda i: (xs[i], names[i]))
+    by_y = sorted(sink_ids, key=lambda i: (ys[i], names[i]))
+
+    def centroid(points: List[int]) -> Tuple[float, float]:
         return (
-            sum(x for _, x, _ in points) / len(points),
-            sum(y for _, _, y in points) / len(points),
+            sum(xs[i] for i in points) / len(points),
+            sum(ys[i] for i in points) / len(points),
         )
 
     def recurse(
         tap: Tuple[float, float],
-        points: List[Tuple[str, float, float]],
+        points: List[int],
+        by_x: List[int],
+        by_y: List[int],
         delay: float,
         depth: int,
     ) -> None:
         tree.levels = max(tree.levels, depth)
         if len(points) <= LEAF_SINKS:
-            for name, x, y in points:
-                stub = abs(x - tap[0]) + abs(y - tap[1])
+            for i in points:
+                stub = abs(xs[i] - tap[0]) + abs(ys[i] - tap[1])
                 tree.total_wire += stub
-                tree.insertion_delays[name] = round(
+                tree.insertion_delays[names[i]] = round(
                     delay + stub * CLOCK_WIRE_DELAY_NS_PER_SITE, 9
                 )
             return
         # bisect at the median of the wider axis (the H-tree alternation
         # emerges naturally: splitting shrinks that axis for the children)
-        span_x = max(x for _, x, _ in points) - min(x for _, x, _ in points)
-        span_y = max(y for _, _, y in points) - min(y for _, _, y in points)
-        axis = 1 if span_x >= span_y else 2
-        ordered = sorted(points, key=lambda p: (p[axis], p[0]))
+        split_x = xs[by_x[-1]] - xs[by_x[0]] >= ys[by_y[-1]] - ys[by_y[0]]
+        ordered, other = (by_x, by_y) if split_x else (by_y, by_x)
         half = len(ordered) // 2
-        for part in (ordered[:half], ordered[half:]):
+        low = set(ordered[:half])
+        halves = (
+            (ordered[:half], [i for i in other if i in low]),
+            (ordered[half:], [i for i in other if i not in low]),
+        )
+        for part, part_other in halves:
             child = centroid(part)
             trunk = abs(child[0] - tap[0]) + abs(child[1] - tap[1])
             tree.total_wire += trunk
             recurse(
                 child,
                 part,
+                part if split_x else part_other,
+                part_other if split_x else part,
                 delay + trunk * CLOCK_WIRE_DELAY_NS_PER_SITE + CLOCK_BUFFER_DELAY_NS,
                 depth + 1,
             )
 
-    recurse(root, sinks, 0.0, 0)
+    recurse(root, list(sink_ids), by_x, by_y, 0.0, 0)
     tree.total_wire = round(tree.total_wire, 6)
     return tree

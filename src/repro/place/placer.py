@@ -12,7 +12,9 @@ placement.
 
 HPWL is evaluated incrementally — a move re-prices only the nets touching
 the moved cells — which keeps a move proposal O(pins of the moved cells)
-and the whole refinement linear in ``place_iters``.
+and the whole refinement linear in ``place_iters``.  Connectivity comes
+from one integer-indexed :class:`PinTable` per netlist state, shared with
+the wire, congestion and clock-tree estimators.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import PlaceError
 from repro.netlist.core import Netlist
@@ -74,18 +76,6 @@ class AnnealStats:
     final_hpwl: float = 0.0
 
 
-def _occupancy(netlist: Netlist, placement: Placement) -> List[List[Optional[str]]]:
-    """Site-occupancy grid of a placement (cell name or ``None`` per site)."""
-    grid: List[List[Optional[str]]] = [
-        [None] * placement.fabric.cols for _ in range(placement.fabric.rows)
-    ]
-    for name, (row, col) in placement.origins.items():
-        width = footprint(netlist.cells[name].cell_type)
-        for offset in range(width):
-            grid[row][col + offset] = name
-    return grid
-
-
 def greedy_initial_placement(netlist: Netlist, fabric: FabricGrid) -> Placement:
     """Row-scan packing in topological order (the annealer's starting point).
 
@@ -113,36 +103,87 @@ def greedy_initial_placement(netlist: Netlist, fabric: FabricGrid) -> Placement:
     return placement
 
 
-def _net_pins(netlist: Netlist) -> Dict[str, List[Tuple[str, float, float]]]:
-    """Per-net placed pins as ``(cell, dx, dy)`` triples (>= 2 pins only).
+@dataclass(frozen=True)
+class PinTable:
+    """The placer's integer-indexed view of a netlist's connectivity.
 
-    Primary inputs/outputs have no site, so a net's wirelength is the
-    half-perimeter over its *cell* pins; nets touching fewer than two cell
-    pins contribute nothing and are dropped here.
+    Cells are numbered in name order; ``widths`` holds each cell's
+    footprint.  ``net_pins`` lists, per net with at least two cell pins, its
+    pins as ``(cell index, dx, dy)`` triples, nets in the order their first
+    pin appears when walking cells in creation order (inputs, then outputs);
+    ``net_names`` names them.  ``cell_nets`` lists, per cell, the indices of
+    its nets in ascending order.  Primary inputs/outputs have no site, so a
+    net's wirelength is the half-perimeter over its *cell* pins, and nets
+    touching fewer than two cell pins are left out.
     """
-    pins: Dict[str, List[Tuple[str, float, float]]] = {}
+
+    cells: Tuple[str, ...]
+    index: Dict[str, int]
+    widths: Tuple[int, ...]
+    net_names: Tuple[str, ...]
+    net_pins: Tuple[Tuple[Tuple[int, float, float], ...], ...]
+    cell_nets: Tuple[Tuple[int, ...], ...]
+
+    def positions(self, placement: Placement) -> Tuple[List[int], List[int]]:
+        """Per-cell origin ``rows`` and ``cols`` of a full placement."""
+        origins = placement.origins
+        sites = [origins[name] for name in self.cells]
+        return [row for row, _ in sites], [col for _, col in sites]
+
+
+def _build_pin_table(netlist: Netlist) -> PinTable:
+    cells = tuple(sorted(netlist.cells))
+    index = {name: i for i, name in enumerate(cells)}
+    offsets_of: Dict[object, Dict[str, Tuple[float, float]]] = {}
+    pins: Dict[str, List[Tuple[int, float, float]]] = {}
     for cell in netlist.cells.values():
-        offsets = pin_offsets(cell.cell_type)
-        for port, net in cell.inputs.items():
-            dx, dy = offsets[port]
-            pins.setdefault(net.name, []).append((cell.name, dx, dy))
-        for port, net in cell.outputs.items():
-            dx, dy = offsets[port]
-            pins.setdefault(net.name, []).append((cell.name, dx, dy))
-    return {name: plist for name, plist in pins.items() if len(plist) >= 2}
+        offsets = offsets_of.get(cell.cell_type)
+        if offsets is None:
+            offsets = offsets_of[cell.cell_type] = pin_offsets(cell.cell_type)
+        i = index[cell.name]
+        for ports in (cell.inputs, cell.outputs):
+            for port, net in ports.items():
+                dx, dy = offsets[port]
+                pins.setdefault(net.name, []).append((i, dx, dy))
+    nets = [(name, tuple(plist)) for name, plist in pins.items() if len(plist) >= 2]
+    cell_nets: List[List[int]] = [[] for _ in cells]
+    for k, (_, plist) in enumerate(nets):
+        for i, _, _ in plist:
+            if not cell_nets[i] or cell_nets[i][-1] != k:
+                cell_nets[i].append(k)
+    return PinTable(
+        cells=cells,
+        index=index,
+        widths=tuple(footprint(netlist.cells[name].cell_type) for name in cells),
+        net_names=tuple(name for name, _ in nets),
+        net_pins=tuple(plist for _, plist in nets),
+        cell_nets=tuple(tuple(k) for k in cell_nets),
+    )
 
 
-def _hpwl(
-    pins: List[Tuple[str, float, float]], origins: Dict[str, Tuple[int, int]]
-) -> float:
-    """Half-perimeter of the bounding box of one net's pins."""
-    first_cell, dx, dy = pins[0]
-    row, col = origins[first_cell]
-    min_x = max_x = col + dx
-    min_y = max_y = row + dy
+def pin_table(netlist: Netlist) -> PinTable:
+    """The netlist's :class:`PinTable`, built once per netlist generation.
+
+    Memoized in :meth:`Netlist.derived_views`, so the annealer, the wire
+    and congestion estimators and the clock-tree builder of one placement
+    share a single build.
+    """
+    views = netlist.derived_views()
+    table = views.get("pin_table")
+    if table is None:
+        table = views["pin_table"] = _build_pin_table(netlist)
+    return table  # type: ignore[return-value]
+
+
+def _bbox(
+    pins: Tuple[Tuple[int, float, float], ...], rows: List[int], cols: List[int]
+) -> Tuple[float, float, float, float]:
+    """``(min_x, max_x, min_y, max_y)`` of one net's placed pins."""
+    first, dx, dy = pins[0]
+    min_x = max_x = cols[first] + dx
+    min_y = max_y = rows[first] + dy
     for cell, dx, dy in pins[1:]:
-        row, col = origins[cell]
-        x, y = col + dx, row + dy
+        x, y = cols[cell] + dx, rows[cell] + dy
         if x < min_x:
             min_x = x
         elif x > max_x:
@@ -151,15 +192,22 @@ def _hpwl(
             min_y = y
         elif y > max_y:
             max_y = y
+    return min_x, max_x, min_y, max_y
+
+
+def _hpwl(
+    pins: Tuple[Tuple[int, float, float], ...], rows: List[int], cols: List[int]
+) -> float:
+    """Half-perimeter of the bounding box of one net's pins."""
+    min_x, max_x, min_y, max_y = _bbox(pins, rows, cols)
     return (max_x - min_x) + (max_y - min_y)
 
 
 def total_hpwl(netlist: Netlist, placement: Placement) -> float:
     """Total half-perimeter wirelength of a placement, in site units."""
-    origins = placement.origins
-    return sum(
-        _hpwl(pins, origins) for pins in _net_pins(netlist).values()
-    )
+    table = pin_table(netlist)
+    rows, cols = table.positions(placement)
+    return sum(_hpwl(pins, rows, cols) for pins in table.net_pins)
 
 
 def anneal(
@@ -168,124 +216,100 @@ def anneal(
     seed: int,
     iters: int,
 ) -> AnnealStats:
-    """Refine ``placement`` in place with ``iters`` seeded annealing moves."""
+    """Refine ``placement`` in place with ``iters`` seeded annealing moves.
+
+    The moves work on per-cell ``rows``/``cols`` arrays indexed like the
+    :class:`PinTable`; the placement's origins are written back at the end.
+    """
     fabric = placement.fabric
     origins = placement.origins
-    occupancy = _occupancy(netlist, placement)
-    net_pins = _net_pins(netlist)
-    cell_nets: Dict[str, List[str]] = {name: [] for name in origins}
-    for net_name, pins in net_pins.items():
-        for cell, _, _ in pins:
-            if net_name not in cell_nets[cell]:
-                cell_nets[cell].append(net_name)
-    net_cost = {name: _hpwl(pins, origins) for name, pins in net_pins.items()}
-    total = sum(net_cost.values())
+    table = pin_table(netlist)
+    rows, cols = table.positions(placement)
+    occupancy = [[-1] * fabric.cols for _ in range(fabric.rows)]
+    for name, (row, col) in origins.items():
+        cell = table.index[name]
+        for offset in range(table.widths[cell]):
+            occupancy[row][col + offset] = cell
+    net_pins = table.net_pins
+    cell_nets = table.cell_nets
+    net_cost = [_hpwl(pins, rows, cols) for pins in net_pins]
+    total = sum(net_cost)
     stats = AnnealStats(initial_hpwl=round(total, 6))
 
-    cells = sorted(origins)
-    widths = {name: footprint(netlist.cells[name].cell_type) for name in cells}
-    by_width: Dict[int, List[str]] = {}
-    for name in cells:
-        by_width.setdefault(widths[name], []).append(name)
+    count = len(table.cells)
+    widths = table.widths
+    by_width: Dict[int, List[int]] = {}
+    for cell in range(count):
+        by_width.setdefault(widths[cell], []).append(cell)
 
     rng = random.Random(seed)
     t_start = max(_T_END, _T_START_SCALE * total / max(1, len(net_pins)))
     decay = (_T_END / t_start) ** (1.0 / max(1, iters))
     temperature = t_start
 
-    def span_free(row: int, col: int, width: int, ignore: str) -> bool:
-        row_sites = occupancy[row]
-        return all(
-            row_sites[col + offset] in (None, ignore) for offset in range(width)
-        )
+    def trial(nets: List[int]) -> Tuple[List[float], float]:
+        """New costs of ``nets`` at the moved positions, and the cost change."""
+        costs = [_hpwl(net_pins[k], rows, cols) for k in nets]
+        return costs, sum(new - net_cost[k] for new, k in zip(costs, nets))
 
     for _ in range(iters):
         stats.moves += 1
-        if len(cells) >= 2 and rng.random() < 0.5:
+        if count >= 2 and rng.random() < 0.5:
             # swap two equal-footprint cells
-            a = cells[rng.randrange(len(cells))]
+            a = rng.randrange(count)
             group = by_width[widths[a]]
             b = group[rng.randrange(len(group))]
             if a == b:
                 temperature *= decay
                 continue
-            old_a, old_b = origins[a], origins[b]
-            origins[a], origins[b] = old_b, old_a
-            delta = _trial_delta(net_pins, cell_nets, net_cost, origins, (a, b))
+            row_a, col_a, row_b, col_b = rows[a], cols[a], rows[b], cols[b]
+            rows[a], cols[a], rows[b], cols[b] = row_b, col_b, row_a, col_a
+            nets_a = cell_nets[a]
+            nets = list(nets_a)
+            nets.extend(k for k in cell_nets[b] if k not in nets_a)
+            costs, delta = trial(nets)
             if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                total += _commit_nets(net_pins, cell_nets, net_cost, origins, (a, b))
-                width = widths[a]
-                for offset in range(width):
-                    occupancy[old_a[0]][old_a[1] + offset] = b
-                    occupancy[old_b[0]][old_b[1] + offset] = a
+                for k, cost in zip(nets, costs):
+                    net_cost[k] = cost
+                for offset in range(widths[a]):
+                    occupancy[row_a][col_a + offset] = b
+                    occupancy[row_b][col_b + offset] = a
                 stats.accepted += 1
                 stats.swaps += 1
             else:
-                origins[a], origins[b] = old_a, old_b
+                rows[a], cols[a], rows[b], cols[b] = row_a, col_a, row_b, col_b
         else:
             # relocate one cell to a random free span
-            cell = cells[rng.randrange(len(cells))]
+            cell = rng.randrange(count)
             width = widths[cell]
             row = rng.randrange(fabric.rows)
             col = rng.randrange(fabric.cols - width + 1)
-            if not span_free(row, col, width, cell):
+            row_sites = occupancy[row]
+            if any(
+                row_sites[col + offset] not in (-1, cell) for offset in range(width)
+            ):
                 temperature *= decay
                 continue
-            old = origins[cell]
-            origins[cell] = (row, col)
-            delta = _trial_delta(net_pins, cell_nets, net_cost, origins, (cell,))
+            old_row, old_col = rows[cell], cols[cell]
+            rows[cell], cols[cell] = row, col
+            nets = cell_nets[cell]
+            costs, delta = trial(nets)
             if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                total += _commit_nets(net_pins, cell_nets, net_cost, origins, (cell,))
+                for k, cost in zip(nets, costs):
+                    net_cost[k] = cost
+                # free the old span before taking the new one: the two
+                # overlap when the cell slides along its own row
                 for offset in range(width):
-                    occupancy[old[0]][old[1] + offset] = None
-                    occupancy[row][col + offset] = cell
+                    occupancy[old_row][old_col + offset] = -1
+                for offset in range(width):
+                    row_sites[col + offset] = cell
                 stats.accepted += 1
                 stats.relocations += 1
             else:
-                origins[cell] = old
+                rows[cell], cols[cell] = old_row, old_col
         temperature *= decay
 
-    stats.final_hpwl = round(sum(net_cost.values()), 6)
+    for cell, name in enumerate(table.cells):
+        origins[name] = (rows[cell], cols[cell])
+    stats.final_hpwl = round(sum(net_cost), 6)
     return stats
-
-
-def _affected_nets(
-    cell_nets: Dict[str, List[str]], moved: Tuple[str, ...]
-) -> List[str]:
-    """Deduplicated nets touching the moved cells, in stable order."""
-    seen: List[str] = []
-    for cell in moved:
-        for net_name in cell_nets[cell]:
-            if net_name not in seen:
-                seen.append(net_name)
-    return seen
-
-
-def _trial_delta(
-    net_pins: Dict[str, List[Tuple[str, float, float]]],
-    cell_nets: Dict[str, List[str]],
-    net_cost: Dict[str, float],
-    origins: Dict[str, Tuple[int, int]],
-    moved: Tuple[str, ...],
-) -> float:
-    """Cost change of a tentative move (origins already mutated)."""
-    return sum(
-        _hpwl(net_pins[name], origins) - net_cost[name]
-        for name in _affected_nets(cell_nets, moved)
-    )
-
-
-def _commit_nets(
-    net_pins: Dict[str, List[Tuple[str, float, float]]],
-    cell_nets: Dict[str, List[str]],
-    net_cost: Dict[str, float],
-    origins: Dict[str, Tuple[int, int]],
-    moved: Tuple[str, ...],
-) -> float:
-    """Refresh the cached cost of the moved cells' nets; returns the delta."""
-    delta = 0.0
-    for name in _affected_nets(cell_nets, moved):
-        new_cost = _hpwl(net_pins[name], origins)
-        delta += new_cost - net_cost[name]
-        net_cost[name] = new_cost
-    return delta

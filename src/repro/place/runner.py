@@ -2,9 +2,9 @@
 
 :func:`place_netlist` glues the subsystem together in the order a real
 backend runs it: size (or accept) the fabric, pack an initial placement,
-refine it with the seeded annealer, hard-validate the result, then derive
-the downstream physical views — per-net wire delays (fed into wire-aware
-static timing), the congestion map and the H-tree clock network.  The
+refine it with the seeded annealer, hard-validate the result (once), then
+derive the downstream physical views — per-net wire delays (fed into
+wire-aware static timing), the congestion map and the H-tree clock network.  The
 returned :class:`PlaceResult` carries the placement object, the wire-delay
 map and the summary :class:`~repro.place.report.PlaceReport`.
 """
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from repro.place.cts import build_clock_tree
 from repro.place.fabric import FabricGrid, auto_size, site_demand
@@ -35,7 +36,8 @@ class PlaceResult:
 
     placement: Placement
     report: PlaceReport
-    net_delays: Dict[str, float]
+    #: per-net added wire delay (ns), read-only
+    net_delays: Mapping[str, float]
     stats: AnnealStats
 
 
@@ -66,9 +68,11 @@ def place_netlist(
         )
     placement = greedy_initial_placement(netlist, fabric)
     stats = anneal(netlist, placement, seed=seed, iters=iters)
-    check_placement(netlist, placement)
+    findings = validate_placement(netlist, placement)
+    check_placement(netlist, placement, findings)
 
-    delays = wire_delays(netlist, placement)
+    # read-only, so wire-aware STA memoizes on it (see compute_arrival_times)
+    delays = MappingProxyType(wire_delays(netlist, placement))
     tree = build_clock_tree(netlist, placement)
     pre_delay = post_delay = None
     if library is not None:
@@ -92,7 +96,7 @@ def place_netlist(
         pre_place_delay_ns=pre_delay,
         post_place_delay_ns=post_delay,
         cts=tree.to_dict(),
-        validation_findings=len(validate_placement(netlist, placement)),
+        validation_findings=len(findings),
         elapsed_s=time.perf_counter() - start,
     )
     return PlaceResult(

@@ -14,7 +14,7 @@ on the first sweep, for use as a hard gate inside the flow stage.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import PlaceError
 from repro.netlist.core import Netlist
@@ -54,9 +54,18 @@ def validate_placement(netlist: Netlist, placement: Placement) -> List[str]:
     return findings
 
 
-def check_placement(netlist: Netlist, placement: Placement) -> None:
-    """Raise :class:`PlaceError` when the placement is structurally broken."""
-    findings = validate_placement(netlist, placement)
+def check_placement(
+    netlist: Netlist,
+    placement: Placement,
+    findings: Optional[List[str]] = None,
+) -> None:
+    """Raise :class:`PlaceError` when the placement is structurally broken.
+
+    ``findings`` gates on an already computed :func:`validate_placement`
+    result instead of validating again.
+    """
+    if findings is None:
+        findings = validate_placement(netlist, placement)
     if findings:
         raise PlaceError(
             f"placement of {netlist.name!r} failed validation "

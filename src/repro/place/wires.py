@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 from repro.netlist.core import Netlist
 from repro.place.fabric import WIRE_DELAY_NS_PER_SITE
-from repro.place.placer import Placement, _hpwl, _net_pins
+from repro.place.placer import Placement, _bbox, _hpwl, pin_table
 
 #: bins per fabric edge in the congestion map (grid is BINS x BINS)
 CONGESTION_BINS = 4
@@ -30,10 +30,11 @@ CONGESTION_HOTSPOTS = 3
 
 def net_lengths(netlist: Netlist, placement: Placement) -> Dict[str, float]:
     """Per-net HPWL in site units (nets with >= 2 placed pins only)."""
-    origins = placement.origins
+    table = pin_table(netlist)
+    rows, cols = table.positions(placement)
     return {
-        name: round(_hpwl(pins, origins), 6)
-        for name, pins in _net_pins(netlist).items()
+        name: round(_hpwl(pins, rows, cols), 6)
+        for name, pins in zip(table.net_names, table.net_pins)
     }
 
 
@@ -66,18 +67,14 @@ def congestion_map(
     row_scale = bins / fabric.rows
     col_scale = bins / fabric.cols
     counts: Dict[Tuple[int, int], int] = {}
-    origins = placement.origins
-    for pins in _net_pins(netlist).values():
-        xs: List[float] = []
-        ys: List[float] = []
-        for cell, dx, dy in pins:
-            row, col = origins[cell]
-            xs.append(col + dx)
-            ys.append(row + dy)
-        lo_rb = min(int(min(ys) * row_scale), bins - 1)
-        hi_rb = min(int(max(ys) * row_scale), bins - 1)
-        lo_cb = min(int(min(xs) * col_scale), bins - 1)
-        hi_cb = min(int(max(xs) * col_scale), bins - 1)
+    table = pin_table(netlist)
+    rows, cols = table.positions(placement)
+    for pins in table.net_pins:
+        min_x, max_x, min_y, max_y = _bbox(pins, rows, cols)
+        lo_rb = min(int(min_y * row_scale), bins - 1)
+        hi_rb = min(int(max_y * row_scale), bins - 1)
+        lo_cb = min(int(min_x * col_scale), bins - 1)
+        hi_cb = min(int(max_x * col_scale), bins - 1)
         for row_bin in range(lo_rb, hi_rb + 1):
             for col_bin in range(lo_cb, hi_cb + 1):
                 counts[(row_bin, col_bin)] = counts.get((row_bin, col_bin), 0) + 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Union
 
 from repro.errors import SimulationError
-from repro.netlist.cells import CellType, evaluate_cell
+from repro.netlist.cells import evaluate_cell
 from repro.netlist.core import Bus, Net, Netlist
 
 ValueMap = Dict[str, int]
@@ -139,54 +139,6 @@ class BatchValues:
                 if (data[k >> 3] >> (k & 7)) & 1:
                     results[k] |= bit
         return results
-
-
-def _evaluate_cell_packed(
-    cell_type: CellType, ins: Mapping[str, int], mask: int
-) -> Dict[str, int]:
-    """Bitwise-parallel equivalent of :func:`evaluate_cell` on packed words.
-
-    ``mask`` has one bit set per vector; inversions are ``mask ^ x`` so the
-    result never carries bits outside the batch.
-    """
-    if cell_type is CellType.FA:
-        a, b, cin = ins["a"], ins["b"], ins["cin"]
-        axb = a ^ b
-        return {"s": axb ^ cin, "co": (a & b) | (cin & axb)}
-    if cell_type is CellType.HA:
-        a, b = ins["a"], ins["b"]
-        return {"s": a ^ b, "co": a & b}
-    if cell_type is CellType.AND2:
-        return {"y": ins["a"] & ins["b"]}
-    if cell_type is CellType.NAND2:
-        return {"y": mask ^ (ins["a"] & ins["b"])}
-    if cell_type is CellType.OR2:
-        return {"y": ins["a"] | ins["b"]}
-    if cell_type is CellType.NOR2:
-        return {"y": mask ^ (ins["a"] | ins["b"])}
-    if cell_type is CellType.XOR2:
-        return {"y": ins["a"] ^ ins["b"]}
-    if cell_type is CellType.XNOR2:
-        return {"y": mask ^ (ins["a"] ^ ins["b"])}
-    if cell_type is CellType.NOT:
-        return {"y": mask ^ ins["a"]}
-    if cell_type is CellType.BUF:
-        return {"y": ins["a"]}
-    if cell_type is CellType.MUX2:
-        sel = ins["sel"]
-        return {"y": (ins["b"] & sel) | (ins["a"] & (mask ^ sel))}
-    if cell_type is CellType.AOI21:
-        return {"y": mask ^ ((ins["a"] & ins["b"]) | ins["c"])}
-    if cell_type is CellType.OAI21:
-        return {"y": mask ^ ((ins["a"] | ins["b"]) & ins["c"])}
-    if cell_type is CellType.AOI22:
-        return {"y": mask ^ ((ins["a"] & ins["b"]) | (ins["c"] & ins["d"]))}
-    if cell_type is CellType.XOR3:
-        return {"y": ins["a"] ^ ins["b"] ^ ins["c"]}
-    if cell_type is CellType.MAJ3:
-        a, b, c = ins["a"], ins["b"], ins["c"]
-        return {"y": (a & b) | (c & (a | b))}
-    raise SimulationError(f"unknown cell type {cell_type!r}")
 
 
 def evaluate_vectors(

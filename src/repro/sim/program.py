@@ -4,8 +4,7 @@
 into a flat straight-line program over an integer value array: every net is
 assigned a slot, and every cell becomes one instruction — ``(cell type,
 input slots, output slots)`` — paired with a closure that applies the
-cell's packed boolean semantics (the same word-parallel expressions as
-``_evaluate_cell_packed``) directly to the array.  The program is built
+cell's packed boolean semantics directly to the array.  The program is built
 once per netlist *generation* and replayed for every chunk of an
 equivalence check or every batch of an empirical-switching run,
 eliminating the per-chunk topological re-sort, per-cell port-dict lookups,
@@ -16,9 +15,12 @@ replaying within a few percent — single-replay callers (one random-stimulus
 chunk) stay fast, multi-chunk callers amortize either way.
 
 Cache correctness is structural, not conventional: :func:`cached_program`
-keys the memo on :attr:`Netlist.generation`, which every structural
-mutation bumps, so a stale program can never be replayed against a
-rewritten netlist.
+memoizes the program in :meth:`Netlist.derived_views`, which is keyed on
+:attr:`Netlist.generation`; every structural mutation bumps it, so a stale
+program can never be replayed against a rewritten netlist.  A program holds
+only slot indices and names, never net objects, so it stays a valid
+snapshot of the netlist it was compiled from after that netlist changes —
+the equivalence checker uses it as its pre-rewrite reference.
 """
 
 from __future__ import annotations
@@ -335,17 +337,17 @@ def compile_netlist_program(netlist: Netlist) -> SimProgram:
 def cached_program(netlist: Netlist) -> SimProgram:
     """The netlist's compiled program, recompiling only after mutations.
 
-    The program is memoized on the netlist object and keyed by its
-    :attr:`~Netlist.generation`; any structural mutation bumps the counter
-    and forces a fresh compile on next use.  Emits ``sim.program_cache_hits``
-    / ``sim.program_compiles`` obs counters so benchmarks can assert the
-    compile cost is amortized across replays.
+    The program is one of the netlist's :meth:`~Netlist.derived_views`;
+    any structural mutation bumps the generation and forces a fresh compile
+    on next use.  Emits ``sim.program_cache_hits`` / ``sim.program_compiles``
+    obs counters so benchmarks can assert the compile cost is amortized
+    across replays.
     """
-    program = getattr(netlist, "_sim_program", None)
-    if program is not None and program.generation == netlist.generation:
+    views = netlist.derived_views()
+    program = views.get("sim_program")
+    if program is not None:
         obs.counter("sim.program_cache_hits")
-        return program
-    program = compile_netlist_program(netlist)
-    netlist._sim_program = program
+        return program  # type: ignore[return-value]
+    program = views["sim_program"] = compile_netlist_program(netlist)
     obs.counter("sim.program_compiles")
     return program

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Set, Union
 
 from repro import obs
@@ -187,7 +188,30 @@ def compute_arrival_times(
     full sweep remains the sign-off reference; a fuzz property pins
     incremental ≡ full exactly (identical float operations per net, so
     equality is bitwise, not approximate).
+
+    **Memo.**  A full sweep with no ``input_arrivals``, a zero
+    ``default_input_arrival`` and net-attribute arrivals on — the sign-off
+    call every flow stage makes — is one of the netlist's
+    :meth:`~repro.netlist.core.Netlist.derived_views`, keyed on the library
+    and on the net-delay map.  Only a read-only map
+    (:class:`types.MappingProxyType`, as the placer returns) is keyed, by
+    identity; a plain dict could change under the key and is never
+    memoized.  The shared :class:`TimingResult` must be treated as
+    read-only.
     """
+    memo_key = None
+    if (
+        previous is None
+        and input_arrivals is None
+        and default_input_arrival == 0.0
+        and use_net_attributes
+        and (net_delays is None or isinstance(net_delays, MappingProxyType))
+    ):
+        memo_key = ("sta", id(library), id(net_delays))
+        entry = netlist.derived_views().get(memo_key)
+        if entry is not None:
+            return entry[2]  # type: ignore[index]
+
     explicit = _normalize_input_arrivals(netlist, input_arrivals)
     wire = net_delays or {}
 
@@ -217,7 +241,11 @@ def compute_arrival_times(
                 cell, out_port, out_name, arrivals, library, wire
             )
 
-    return _finalize(netlist, arrivals)
+    result = _finalize(netlist, arrivals)
+    if memo_key is not None:
+        # the entry holds the library and the map, so their ids stay unique
+        netlist.derived_views()[memo_key] = (library, net_delays, result)
+    return result
 
 
 def _incremental_arrival_times(

@@ -1,6 +1,8 @@
 """Tests for the technology-mapping subsystem (`repro.map`)."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,11 @@ from repro.tech import generic_035
 from repro.tech.target_libs import TARGET_LIBRARY_NAMES
 
 CONCRETE_TARGETS = tuple(name for name in TARGET_NAMES if name != "generic")
+
+#: MapReport records (plus per-pass rewrite counts) of -O2 mapped flows
+MAP_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "map_reports.json").read_text()
+)
 
 
 def _synth(design="x2_plus_x_plus_y", **kwargs):
@@ -270,6 +277,49 @@ class TestFlowIntegration:
         assert mapped["config"]["target_lib"] == "lowpower_035"
         unmapped = _synth("x2").to_dict()
         assert unmapped["map_report"] is None
+
+    def test_report_to_dict_has_no_wall_time(self):
+        # records must be deterministic bytes, as PlaceReport's already are
+        result = _synth("x2", target_lib="aoi_rich")
+        assert "elapsed_s" not in result.map_report.to_dict()
+        assert result.map_report.elapsed_s > 0
+        again = _synth("x2", target_lib="aoi_rich")
+        assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
+            again.to_dict(), sort_keys=True
+        )
+
+    def test_confirming_sweep_prices_nothing(self, monkeypatch):
+        # once every cell is in the basis the fixpoint's second tech-map
+        # sweep returns 0 without walking the netlist for arrivals
+        priced = []
+        original = TechnologyMappingPass._input_arrival
+
+        def counting(self, net, arrivals):
+            priced.append(net.name)
+            return original(self, net, arrivals)
+
+        monkeypatch.setattr(TechnologyMappingPass, "_input_arrival", counting)
+        netlist = _synth("x2", target_lib="generic").netlist
+        mapping = TechnologyMappingPass(resolve_target_library("aoi_rich"))
+        assert mapping.run(netlist) > 0
+        priced.clear()
+        assert mapping.run(netlist) == 0
+        assert priced == [] and mapping.touched_nets == set()
+
+    @pytest.mark.parametrize("key", sorted(MAP_GOLDEN))
+    def test_map_report_matches_golden(self, key):
+        # the reports and per-pass rewrite counts of the mapper before the
+        # confirming sweep returned early, byte for byte
+        design, target, objective = key.split("/")
+        report = _synth(
+            design, opt_level=2, target_lib=target, map_objective=objective
+        ).map_report
+        record = report.to_dict()
+        record["passes"] = [
+            [p.pass_name, p.iteration, p.rewrites, p.cells_before, p.cells_after]
+            for p in report.opt_report.passes
+        ]
+        assert json.loads(json.dumps(record)) == MAP_GOLDEN[key]
 
     def test_mapped_verilog_uses_only_basis_constructs(self):
         result = _synth("x2", target_lib="aoi_rich")

@@ -114,6 +114,15 @@ class TestPlacer:
         assert placement.origins == seed_origins
         assert stats.moves == 0 and stats.accepted == 0
 
+    @pytest.mark.parametrize("seed", [16, 20, 25])
+    def test_sliding_a_cell_along_its_row_keeps_its_sites(self, x2_netlist, seed):
+        # a relocation overlapping the cell's own old span used to free a
+        # site the cell still covered; a later move then stacked another
+        # cell on it and the placement failed validation (these seeds)
+        placement = greedy_initial_placement(x2_netlist, auto_size(x2_netlist))
+        anneal(x2_netlist, placement, seed=seed, iters=2000)
+        assert validate_placement(x2_netlist, placement) == []
+
     def test_incremental_cost_matches_full_recompute(self, x2_netlist):
         # the annealer prices moves incrementally; the invariant is that its
         # running total agrees with a from-scratch HPWL sum at the end
