@@ -18,9 +18,13 @@ from repro.netlist.core import Net
 _addend_ids = count()
 
 
-@dataclass
+@dataclass(eq=False)
 class Addend:
     """A single-bit addend of the matrix.
+
+    Addends compare and hash by identity: each one is a distinct operand
+    (its ``sequence`` is unique), and the column reducer removes chosen
+    addends from its working list without a field-by-field comparison.
 
     Attributes
     ----------

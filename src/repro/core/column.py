@@ -22,7 +22,9 @@ algorithm from per-column-isolated reduction (Figure 2(b) vs 2(c)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.bitmatrix.addend import Addend
 from repro.core.delay_model import FADelayModel
@@ -149,6 +151,12 @@ def reduce_column(
         FA/HA formation as long as enough other candidates exist.  Passing
         ``frozenset({"carry"})`` yields the column-isolation baseline of
         Figure 2(b).
+
+    A ranked policy (one with a :attr:`~SelectionPolicy.sort_key`) keeps the
+    working set in a heap, so each FA/HA step costs O(log n) and each key is
+    computed once; any other policy is asked to select from the working list
+    at every step.  Both give the cells, their port order and the order of
+    ``remaining`` that sorting the list at every step would give.
     """
     if ha_style not in _VALID_HA_STYLES:
         raise AllocationError(
@@ -168,48 +176,109 @@ def reduce_column(
         )
         working.append(pseudo)
 
-    def candidate_pool(minimum: int) -> List[Addend]:
-        if not exclude_origins:
-            return working
-        preferred = [a for a in working if a.origin not in exclude_origins]
-        return preferred if len(preferred) >= minimum else working
-
-    while len(working) >= 3:
+    def allocate(chosen: List[Addend]) -> Addend:
+        """Add the FA or HA over ``chosen``; return its sum addend."""
         if ha_style == HA_STYLE_PSEUDO_ZERO:
-            chosen = policy.select(candidate_pool(3), 3)
-            pseudo_inputs = [a for a in chosen if a.origin == "pseudo_zero"]
-            if pseudo_inputs:
-                real_inputs = [a for a in chosen if a.origin != "pseudo_zero"]
-                sum_addend, carry_addend, cell, energy = allocate_ha(
-                    netlist, real_inputs, column, delay_model, power_model
-                )
-                reduction.ha_cells.append(cell)
-            else:
-                sum_addend, carry_addend, cell, energy = allocate_fa(
-                    netlist, chosen, column, delay_model, power_model
-                )
-                reduction.fa_cells.append(cell)
+            # an FA that consumes the pseudo logic-0 is realised as an HA
+            inputs = [a for a in chosen if a.origin != "pseudo_zero"]
         else:
-            if len(working) > 3:
-                chosen = policy.select(candidate_pool(3), 3)
-                sum_addend, carry_addend, cell, energy = allocate_fa(
-                    netlist, chosen, column, delay_model, power_model
-                )
-                reduction.fa_cells.append(cell)
-            else:
-                chosen = policy.select(candidate_pool(2), 2)
-                sum_addend, carry_addend, cell, energy = allocate_ha(
-                    netlist, chosen, column, delay_model, power_model
-                )
-                reduction.ha_cells.append(cell)
+            inputs = chosen
+        if len(inputs) == 3:
+            sum_addend, carry_addend, cell, energy = allocate_fa(
+                netlist, inputs, column, delay_model, power_model
+            )
+            reduction.fa_cells.append(cell)
+        else:
+            sum_addend, carry_addend, cell, energy = allocate_ha(
+                netlist, inputs, column, delay_model, power_model
+            )
+            reduction.ha_cells.append(cell)
+        reduction.carries.append(carry_addend)
+        reduction.switching_energy += energy
+        return sum_addend
 
+    # SC_T ends a column of three with an HA on two of them
+    pair_at_three = ha_style == HA_STYLE_LAST_PAIR
+    if policy.sort_key is None:
+        remaining = _reduce_listed(working, policy, exclude_origins, allocate, pair_at_three)
+    else:
+        remaining = _reduce_ranked(
+            working, policy.sort_key, exclude_origins, allocate, pair_at_three
+        )
+    # A pseudo logic-0 that was never consumed must not leak into the final
+    # rows: it carries no value and would only waste a final-adder input.
+    reduction.remaining = [a for a in remaining if a.origin != "pseudo_zero"]
+    return reduction
+
+
+def _reduce_ranked(
+    working: List[Addend],
+    sort_key: Callable[[Addend], Tuple],
+    exclude_origins: Optional[FrozenSet[str]],
+    allocate: Callable[[List[Addend]], Addend],
+    pair_at_three: bool,
+) -> List[Addend]:
+    """Heap reduction for a ranked policy; returns what is left, in list order.
+
+    Entries are ``(key, insertion index, addend)``: keys are unique, so the
+    heaps pop in exactly the order ``sorted(..., key=sort_key)`` gives, and
+    the insertion index restores the list order a sort-and-remove reducer
+    leaves behind (inputs first, then sums in creation order).  Addends of an
+    excluded origin wait in their own heap, which is drawn from only when
+    the preferred heap holds too few for a step.
+    """
+    preferred: List[Tuple] = []
+    excluded: List[Tuple] = []
+    for index, addend in enumerate(working):
+        heap = excluded if exclude_origins and addend.origin in exclude_origins else preferred
+        heap.append((sort_key(addend), index, addend))
+    heapify(preferred)
+    heapify(excluded)
+
+    size = next_index = len(working)
+    while size >= 3:
+        count = 2 if pair_at_three and size == 3 else 3
+        if len(preferred) >= count:
+            chosen = [heappop(preferred)[2] for _ in range(count)]
+        else:
+            chosen = [
+                heappop(
+                    excluded if excluded and (not preferred or excluded[0] < preferred[0])
+                    else preferred
+                )[2]
+                for _ in range(count)
+            ]
+        sum_addend = allocate(chosen)
+        heap = excluded if exclude_origins and sum_addend.origin in exclude_origins else preferred
+        heappush(heap, (sort_key(sum_addend), next_index, sum_addend))
+        next_index += 1
+        size -= count - 1
+    return [entry[2] for entry in sorted(preferred + excluded, key=itemgetter(1))]
+
+
+def _reduce_listed(
+    working: List[Addend],
+    policy: SelectionPolicy,
+    exclude_origins: Optional[FrozenSet[str]],
+    allocate: Callable[[List[Addend]], Addend],
+    pair_at_three: bool,
+) -> List[Addend]:
+    """List reduction for an order-dependent policy; returns what is left.
+
+    ``RandomPolicy`` draws by list position, so Table 2's ``fa_random``
+    depends on this exact list discipline: chosen addends are removed in
+    place and each sum is appended at the end.
+    """
+    while len(working) >= 3:
+        count = 2 if pair_at_three and len(working) == 3 else 3
+        pool = working
+        if exclude_origins:
+            preferred = [a for a in working if a.origin not in exclude_origins]
+            if len(preferred) >= count:
+                pool = preferred
+        chosen = policy.select(pool, count)
+        sum_addend = allocate(chosen)
         for used in chosen:
             working.remove(used)
         working.append(sum_addend)
-        reduction.carries.append(carry_addend)
-        reduction.switching_energy += energy
-
-    # A pseudo logic-0 that was never consumed must not leak into the final
-    # rows: it carries no value and would only waste a final-adder input.
-    reduction.remaining = [a for a in working if a.origin != "pseudo_zero"]
-    return reduction
+    return working

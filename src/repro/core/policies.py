@@ -16,22 +16,34 @@ paper's algorithms differ from the classic Wallace scheme and from each other:
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.bitmatrix.addend import Addend
 from repro.errors import AllocationError
 
 
-class SelectionPolicy(ABC):
-    """Strategy object choosing FA/HA inputs from a column's working set."""
+class SelectionPolicy:
+    """Strategy object choosing FA/HA inputs from a column's working set.
+
+    A ranked policy defines :attr:`sort_key`; an order-dependent one leaves
+    it ``None`` and overrides :meth:`select`.
+    """
 
     #: short identifier used in reports and result records
     name = "abstract"
 
-    @abstractmethod
+    #: static per-addend ranking key of a ranked policy, which selects the
+    #: ``count`` addends with the smallest keys.  Every key ends in the
+    #: unique ``sequence``, so it is a total order and the column reducer
+    #: may keep its working set in a heap, computing each key once.  ``None``
+    #: marks an order-dependent policy: the reducer then hands it the whole
+    #: working list, in list order, at every step.
+    sort_key: Optional[Callable[[Addend], Tuple]] = None
+
     def select(self, candidates: Sequence[Addend], count: int) -> List[Addend]:
         """Return ``count`` addends chosen from ``candidates`` (no repeats)."""
+        self._check(candidates, count)
+        return sorted(candidates, key=self.sort_key)[:count]
 
     def _check(self, candidates: Sequence[Addend], count: int) -> None:
         if count <= 0:
@@ -56,13 +68,9 @@ class EarliestArrivalPolicy(SelectionPolicy):
 
     name = "earliest_arrival"
 
-    def select(self, candidates: Sequence[Addend], count: int) -> List[Addend]:
-        self._check(candidates, count)
-        ranked = sorted(
-            candidates,
-            key=lambda a: (a.arrival, -abs(a.q_value), a.sequence),
-        )
-        return ranked[:count]
+    @staticmethod
+    def sort_key(addend: Addend) -> Tuple[float, float, int]:
+        return (addend.arrival, -abs(addend.q_value), addend.sequence)
 
 
 class LargestQPolicy(SelectionPolicy):
@@ -74,13 +82,9 @@ class LargestQPolicy(SelectionPolicy):
 
     name = "largest_q"
 
-    def select(self, candidates: Sequence[Addend], count: int) -> List[Addend]:
-        self._check(candidates, count)
-        ranked = sorted(
-            candidates,
-            key=lambda a: (-abs(a.q_value), a.arrival, a.sequence),
-        )
-        return ranked[:count]
+    @staticmethod
+    def sort_key(addend: Addend) -> Tuple[float, float, int]:
+        return (-abs(addend.q_value), addend.arrival, addend.sequence)
 
 
 class RandomPolicy(SelectionPolicy):
@@ -88,11 +92,16 @@ class RandomPolicy(SelectionPolicy):
 
     name = "random"
 
+    #: ``rng.sample`` draws by position, so the result depends on list order
+    sort_key = None
+
     def __init__(self, seed: Optional[int] = None, rng: Optional[random.Random] = None) -> None:
         if rng is not None:
             self.rng = rng
         else:
-            self.rng = random.Random(seed)
+            # ``None`` is a seed of its own, not OS entropy: a config with
+            # ``seed=None`` has one cache identity, so it must have one result
+            self.rng = random.Random("unseeded" if seed is None else seed)
 
     def select(self, candidates: Sequence[Addend], count: int) -> List[Addend]:
         self._check(candidates, count)
@@ -109,7 +118,6 @@ class RowOrderPolicy(SelectionPolicy):
 
     name = "row_order"
 
-    def select(self, candidates: Sequence[Addend], count: int) -> List[Addend]:
-        self._check(candidates, count)
-        ranked = sorted(candidates, key=lambda a: a.sequence)
-        return ranked[:count]
+    @staticmethod
+    def sort_key(addend: Addend) -> Tuple[int]:
+        return (addend.sequence,)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import (
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     Iterator,
@@ -130,6 +131,18 @@ class Bus:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bus({self.name!r}, width={self.width})"
+
+
+#: per cell type: input ports, their set, output ports, cell-name prefix
+_PORT_TABLES: Dict[CellType, Tuple[Tuple[str, ...], FrozenSet[str], Tuple[str, ...], str]] = {
+    cell_type: (
+        cell_input_ports(cell_type),
+        frozenset(cell_input_ports(cell_type)),
+        cell_output_ports(cell_type),
+        f"{cell_type.value.lower()}_",
+    )
+    for cell_type in CellType
+}
 
 
 class Netlist:
@@ -301,11 +314,14 @@ class Netlist:
         the optimization passes use this to re-drive a primary-output net
         after its original driver has been removed.
         """
-        expected = cell_input_ports(cell_type)
+        table = _PORT_TABLES.get(cell_type)
+        if table is None:
+            raise NetlistError(f"unknown cell type {cell_type!r}")
+        expected, expected_set, output_ports, cell_prefix = table
         nets = self._nets
-        if len(inputs) != len(expected) or any(p not in inputs for p in expected):
+        if inputs.keys() != expected_set:
             missing = [p for p in expected if p not in inputs]
-            extra = [p for p in inputs if p not in expected]
+            extra = [p for p in inputs if p not in expected_set]
             raise NetlistError(
                 f"bad port binding for {cell_type}: missing={missing}, unexpected={extra}"
             )
@@ -322,7 +338,7 @@ class Netlist:
                     f"the same net is bound to multiple output ports of {cell_type}"
                 )
             for port, net in bound_outputs.items():
-                if port not in cell_output_ports(cell_type):
+                if port not in output_ports:
                     raise NetlistError(f"{cell_type} has no output port {port!r}")
                 if nets.get(net.name) is not net:
                     raise NetlistError(
@@ -340,21 +356,20 @@ class Netlist:
                     )
 
         if name is None:
-            name = self._unique_cell_name(f"{cell_type.value.lower()}_")
+            name = self._unique_cell_name(cell_prefix)
         elif name in self._cells:
             raise NetlistError(f"cell name {name!r} already exists in netlist {self.name!r}")
 
+        # fresh output nets are created here, not through add_net, so the
+        # whole cell is one mutation: one generation bump
         prefix = output_prefix or f"{name}_"
-        if bound_outputs:
-            all_outputs = {
-                port: bound_outputs.get(port) or self.add_net(prefix=f"{prefix}{port}_")
-                for port in cell_output_ports(cell_type)
-            }
-        else:
-            all_outputs = {
-                port: self.add_net(prefix=f"{prefix}{port}_")
-                for port in cell_output_ports(cell_type)
-            }
+        all_outputs: Dict[str, Net] = {}
+        for port in output_ports:
+            net = bound_outputs.get(port)
+            if net is None:
+                net_name = self._unique_net_name(f"{prefix}{port}_")
+                net = nets[net_name] = Net(net_name)
+            all_outputs[port] = net
         cell = Cell(name, cell_type, inputs, all_outputs)
         self._cells[name] = cell
         for port, net in inputs.items():

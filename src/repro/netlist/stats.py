@@ -60,9 +60,10 @@ def _structure(netlist: Netlist) -> Tuple[Dict[str, int], int]:
     views = netlist.derived_views()
     structure = views.get("structure_stats")
     if structure is None:
-        counts: Dict[str, int] = {}
+        by_member: Dict[CellType, int] = {}
         for cell in netlist.cells.values():
-            counts[cell.cell_type.value] = counts.get(cell.cell_type.value, 0) + 1
+            by_member[cell.cell_type] = by_member.get(cell.cell_type, 0) + 1
+        counts = {cell_type.value: n for cell_type, n in by_member.items()}
         structure = views["structure_stats"] = (counts, logic_depth(netlist))
     return structure  # type: ignore[return-value]
 

@@ -77,15 +77,19 @@ def estimate_power(
 
     total = 0.0
     total_switching = 0.0
-    by_type: Dict[str, float] = {}
+    # tallied per enum member and named once at the end: the per-type sums
+    # and their first-seen order are those of a by-name tally
+    by_member: Dict[CellType, float] = {}
     for cell in netlist.cells.values():
+        cell_type = cell.cell_type
         cell_energy = 0.0
-        for port in cell_output_ports(cell.cell_type):
+        for port in cell_output_ports(cell_type):
             activity = probabilities.switching_of(cell.outputs[port])
             total_switching += activity
-            cell_energy += activity * library.energy(cell.cell_type, port)
+            cell_energy += activity * library.energy(cell_type, port)
         total += cell_energy
-        by_type[cell.cell_type.value] = by_type.get(cell.cell_type.value, 0.0) + cell_energy
+        by_member[cell_type] = by_member.get(cell_type, 0.0) + cell_energy
+    by_type = {cell_type.value: energy for cell_type, energy in by_member.items()}
 
     tree_cells = [
         cell

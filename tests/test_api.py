@@ -203,6 +203,14 @@ class TestStagedFlow:
         seeded = Flow(FlowConfig(method="fa_alp", random_probabilities=True)).run("x2")
         assert unseeded.tree_energy != seeded.tree_energy
 
+    def test_unseeded_fa_random_is_one_draw(self):
+        # seed=None has one cache identity, so every run must give one result
+        config = FlowConfig(method="fa_random", seed=None)
+        records = {
+            json.dumps(Flow(config).run("iir").to_dict(), sort_keys=True) for _ in range(3)
+        }
+        assert len(records) == 1
+
     def test_random_probabilities_protocol_matches_legacy(self):
         from repro.designs.registry import with_random_probabilities
 

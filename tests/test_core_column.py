@@ -1,19 +1,30 @@
 """Tests for single-column reduction (SC_T / SC_LP building block)."""
 
+import random
+
 import pytest
 
 from repro.bitmatrix.addend import Addend
 from repro.core.column import (
     HA_STYLE_LAST_PAIR,
     HA_STYLE_PSEUDO_ZERO,
+    ColumnReduction,
+    allocate_fa,
+    allocate_ha,
     reduce_column,
 )
 from repro.core.delay_model import FADelayModel
-from repro.core.policies import EarliestArrivalPolicy, LargestQPolicy
+from repro.core.policies import (
+    EarliestArrivalPolicy,
+    LargestQPolicy,
+    RandomPolicy,
+    RowOrderPolicy,
+)
 from repro.core.power_model import FAPowerModel
 from repro.core.sc_lp import sc_lp
 from repro.core.sc_t import sc_t
-from repro.errors import AllocationError
+from repro.errors import AllocationError, NetlistError
+from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
 
 
@@ -176,3 +187,168 @@ class TestReduceColumnOptions:
         )
         assert len(reduction.remaining) == 2
         assert reduction.ha_count == 1
+
+
+def _sort_and_remove(netlist, addends, column, policy, ha_style, exclude_origins):
+    """Reference reducer: ask the policy to select from the whole list every step."""
+    delay_model, power_model = FADelayModel(), FAPowerModel()
+    working = list(addends)
+    reduction = ColumnReduction(column=column, remaining=[], carries=[])
+    if ha_style == HA_STYLE_PSEUDO_ZERO and len(working) >= 3 and len(working) % 2 == 1:
+        working.append(
+            Addend(netlist.const(0), column, 0.0, 0.0, origin="pseudo_zero")
+        )
+    while len(working) >= 3:
+        count = 2 if ha_style == HA_STYLE_LAST_PAIR and len(working) == 3 else 3
+        pool = working
+        if exclude_origins:
+            preferred = [a for a in working if a.origin not in exclude_origins]
+            pool = preferred if len(preferred) >= count else working
+        chosen = policy.select(pool, count)
+        inputs = [a for a in chosen if a.origin != "pseudo_zero"]
+        if len(inputs) == 3:
+            total, carry, cell, energy = allocate_fa(
+                netlist, inputs, column, delay_model, power_model
+            )
+            reduction.fa_cells.append(cell)
+        else:
+            total, carry, cell, energy = allocate_ha(
+                netlist, inputs, column, delay_model, power_model
+            )
+            reduction.ha_cells.append(cell)
+        for used in chosen:
+            working.remove(used)
+        working.append(total)
+        reduction.carries.append(carry)
+        reduction.switching_energy += energy
+    reduction.remaining = [a for a in working if a.origin != "pseudo_zero"]
+    return reduction
+
+
+def _random_column(seed):
+    """A netlist and a column with many tied arrivals and tied ``|q|``."""
+    rng = random.Random(seed)
+    netlist = Netlist("diff")
+    addends = [
+        Addend(
+            netlist.add_net(),
+            3,
+            rng.choice((0.0, 0.0, 1.0, 2.5)),
+            rng.choice((0.5, 0.2, 0.8, 0.3, 0.7)),
+            origin=rng.choice(("input", "pp", "carry", "carry")),
+        )
+        for _ in range(rng.randrange(0, 14))
+    ]
+    return netlist, addends
+
+
+def _shape(netlist, reduction):
+    def cells(found):
+        return [
+            (
+                cell.name,
+                cell.cell_type,
+                [(port, net.name) for port, net in cell.inputs.items()],
+                [(port, net.name) for port, net in cell.outputs.items()],
+            )
+            for cell in found
+        ]
+
+    return (
+        [cell.name for cell in netlist.cells.values()],
+        cells(reduction.fa_cells),
+        cells(reduction.ha_cells),
+        [(a.net.name, a.arrival, a.probability) for a in reduction.remaining],
+        [(a.net.name, a.column, a.arrival, a.probability) for a in reduction.carries],
+        reduction.switching_energy,
+    )
+
+
+POLICIES = {
+    "earliest_arrival": EarliestArrivalPolicy,
+    "largest_q": LargestQPolicy,
+    "row_order": RowOrderPolicy,
+    "random": lambda: RandomPolicy(seed=11),
+}
+
+
+class TestHeapReducerMatchesSortAndRemove:
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    @pytest.mark.parametrize("ha_style", [HA_STYLE_LAST_PAIR, HA_STYLE_PSEUDO_ZERO])
+    @pytest.mark.parametrize("exclude_origins", [None, frozenset({"carry"})])
+    def test_same_cells_ports_and_remaining_order(self, policy_name, ha_style, exclude_origins):
+        make_policy = POLICIES[policy_name]
+        reference_policy, policy = make_policy(), make_policy()
+        for seed in range(100):
+            reference_netlist, reference_column = _random_column(seed)
+            expected = _sort_and_remove(
+                reference_netlist, reference_column, 3, reference_policy, ha_style,
+                exclude_origins,
+            )
+            netlist, column = _random_column(seed)
+            actual = reduce_column(
+                netlist, column, 3, policy, FADelayModel(), FAPowerModel(),
+                ha_style=ha_style, exclude_origins=exclude_origins,
+            )
+            assert _shape(netlist, actual) == _shape(reference_netlist, expected), seed
+
+    @pytest.mark.parametrize("ha_style", [HA_STYLE_LAST_PAIR, HA_STYLE_PSEUDO_ZERO])
+    def test_sort_key_runs_once_per_addend_entering_the_heap(self, ha_style):
+        keyed = []
+        policy = LargestQPolicy()
+        policy.sort_key = lambda addend: keyed.append(addend) or LargestQPolicy.sort_key(addend)
+        for seed in range(30):
+            netlist, column = _random_column(seed)
+            keyed.clear()
+            reduction = reduce_column(
+                netlist, column, 3, policy, FADelayModel(), FAPowerModel(),
+                ha_style=ha_style, exclude_origins=frozenset({"carry"}),
+            )
+            pseudo = int(ha_style == HA_STYLE_PSEUDO_ZERO and len(column) >= 3 and len(column) % 2)
+            sums = reduction.fa_count + reduction.ha_count
+            assert len(keyed) == len(column) + pseudo + sums
+            assert len({id(addend) for addend in keyed}) == len(keyed)
+
+    def test_order_dependent_policy_has_no_sort_key(self):
+        assert RandomPolicy(seed=1).sort_key is None
+        for policy in (EarliestArrivalPolicy(), LargestQPolicy(), RowOrderPolicy()):
+            assert policy.sort_key is not None
+
+
+class TestAddendIdentity:
+    def test_addends_hash_and_compare_by_identity(self):
+        netlist = Netlist("t")
+        net = netlist.add_net()
+        first = Addend(net, 0, 1.0, 0.5, sequence=5)
+        twin = Addend(net, 0, 1.0, 0.5, sequence=5)
+        assert first == first
+        assert first != twin
+        assert hash(first) == hash(first)
+        assert len({first, twin, first}) == 2
+        assert [first, twin].index(twin) == 1
+
+
+class TestCellConstruction:
+    def test_foreign_net_rejected_even_when_its_name_exists_here(self):
+        netlist, other = Netlist("here"), Netlist("there")
+        a, b = netlist.add_net("a"), netlist.add_net("b")
+        foreign = other.add_net("a")
+        with pytest.raises(NetlistError, match="does not belong"):
+            netlist.add_cell(CellType.AND2, {"a": foreign, "b": b})
+        assert not netlist.cells
+        netlist.add_cell(CellType.AND2, {"a": a, "b": b})
+
+    def test_one_generation_bump_per_cell(self):
+        netlist = Netlist("t")
+        a, b, c = (netlist.add_net() for _ in range(3))
+        before = netlist.generation
+        cell = netlist.add_cell(CellType.FA, {"a": a, "b": b, "cin": c})
+        assert netlist.generation == before + 1
+        assert [net.name for net in cell.output_nets()] == ["fa_1_s_4", "fa_1_co_5"]
+        assert all(netlist.nets[net.name] is net for net in cell.output_nets())
+
+    def test_bad_port_binding_names_missing_and_extra_ports(self):
+        netlist = Netlist("t")
+        a, b = netlist.add_net(), netlist.add_net()
+        with pytest.raises(NetlistError, match=r"missing=\['b'\], unexpected=\['x'\]"):
+            netlist.add_cell(CellType.AND2, {"a": a, "x": b})
