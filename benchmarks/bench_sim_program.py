@@ -23,7 +23,7 @@ from repro import obs
 from repro.designs.registry import get_design
 from repro.flows.synthesis import synthesize
 from repro.netlist.cells import cell_input_ports, cell_output_ports
-from repro.sim.program import _OP_FACTORIES, cached_program
+from repro.sim.program import OP_FACTORIES, cached_program
 from repro.sim.vectors import random_vectors
 from repro.utils.tables import TextTable
 
@@ -56,7 +56,7 @@ def _interpreted_sweep(netlist, packed, mask):
     for cell in netlist.topological_cells():
         ins = tuple(cell.inputs[p].name for p in cell_input_ports(cell.cell_type))
         outs = tuple(cell.outputs[p].name for p in cell_output_ports(cell.cell_type))
-        _OP_FACTORIES[cell.cell_type](ins, outs)(values, mask)
+        OP_FACTORIES[cell.cell_type](ins, outs)(values, mask)
     return values
 
 

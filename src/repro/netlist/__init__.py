@@ -8,11 +8,12 @@ emitter.
 """
 
 from repro.netlist.cells import (
+    CELL_DEFS,
+    CellDef,
     CellType,
     cell_input_ports,
     cell_output_ports,
     evaluate_cell,
-    is_combinational,
 )
 from repro.netlist.core import Bus, Cell, Net, Netlist
 from repro.netlist.serialize import netlist_from_dict, netlist_to_dict
@@ -21,11 +22,12 @@ from repro.netlist.validate import validate_netlist
 from repro.netlist.verilog import to_verilog
 
 __all__ = [
+    "CELL_DEFS",
+    "CellDef",
     "CellType",
     "cell_input_ports",
     "cell_output_ports",
     "evaluate_cell",
-    "is_combinational",
     "Bus",
     "Cell",
     "Net",

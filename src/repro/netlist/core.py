@@ -25,7 +25,7 @@ from typing import (
 )
 
 from repro.errors import NetlistError
-from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports
+from repro.netlist.cells import CELL_DEFS, CellType, cell_input_ports, cell_output_ports
 
 
 class Net:
@@ -135,13 +135,8 @@ class Bus:
 
 #: per cell type: input ports, their set, output ports, cell-name prefix
 _PORT_TABLES: Dict[CellType, Tuple[Tuple[str, ...], FrozenSet[str], Tuple[str, ...], str]] = {
-    cell_type: (
-        cell_input_ports(cell_type),
-        frozenset(cell_input_ports(cell_type)),
-        cell_output_ports(cell_type),
-        f"{cell_type.value.lower()}_",
-    )
-    for cell_type in CellType
+    cell_type: (d.inputs, frozenset(d.inputs), d.outputs, f"{cell_type.value.lower()}_")
+    for cell_type, d in CELL_DEFS.items()
 }
 
 

@@ -3,105 +3,90 @@
 The paper's flow emits the allocated FA-tree as a Verilog netlist which is
 then fed to a commercial logic synthesizer.  This module reproduces that
 interface: it turns a :class:`~repro.netlist.core.Netlist` into a
-self-contained structural Verilog file.  Primitive gates are emitted as
-Verilog primitives (``and``, ``or``, ...); full and half adders are emitted as
-instances of ``REPRO_FA`` / ``REPRO_HA`` modules whose gate-level definitions
-are appended to the output, so the file elaborates without an external
-library.
+self-contained structural Verilog file.  Single-gate cell types are emitted
+as Verilog primitives (``and``, ``nor``, ...); the others as ``REPRO_<type>``
+instances whose module bodies, rendered from the cells' expression trees,
+are appended so the file elaborates without an external library.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports
+from repro.netlist.cells import (
+    CELL_DEFS,
+    CellDef,
+    CellType,
+    Expr,
+    Function,
+    cell_input_ports,
+    cell_output_ports,
+)
 from repro.netlist.core import Net, Netlist
 
-_FA_MODULE = """
-module REPRO_FA(input a, input b, input cin, output s, output co);
-  assign s  = a ^ b ^ cin;
-  assign co = (a & b) | (a & cin) | (b & cin);
-endmodule
-""".strip()
+#: Verilog operator template of each node kind
+_VERILOG_RULES = {
+    "AND": "{0} & {1}",
+    "OR": "{0} | {1}",
+    "XOR": "{0} ^ {1}",
+    "NOT": "~{0}",
+    "MUX": "{0} ? {2} : {1}",
+    "MAJ": "({0} & {1}) | ({0} & {2}) | ({1} & {2})",
+}
 
-_HA_MODULE = """
-module REPRO_HA(input a, input b, output s, output co);
-  assign s  = a ^ b;
-  assign co = a & b;
-endmodule
-""".strip()
 
-_MUX_MODULE = """
-module REPRO_MUX2(input a, input b, input sel, output y);
-  assign y = sel ? b : a;
-endmodule
-""".strip()
+def _expression(expr: Function, parent: Optional[str] = None) -> str:
+    """Verilog text of ``expr``, parenthesized unless it chains its parent's operator."""
+    if isinstance(expr, str):
+        return expr
+    text = _VERILOG_RULES[expr.kind].format(
+        *(_expression(arg, expr.kind) for arg in expr.args)
+    )
+    chained = parent == expr.kind and expr.kind in ("AND", "OR", "XOR")
+    return text if parent is None or chained else f"({text})"
 
-_AOI_MODULE = """
-module REPRO_AOI21(input a, input b, input c, output y);
-  assign y = ~((a & b) | c);
-endmodule
-""".strip()
 
-_OAI_MODULE = """
-module REPRO_OAI21(input a, input b, input c, output y);
-  assign y = ~((a | b) & c);
-endmodule
-""".strip()
+#: Verilog gate primitives over input ports: node kind -> (plain, negated);
+#: a bare port is a buffer
+_GATE_PRIMITIVES = {"AND": ("and", "nand"), "OR": ("or", "nor"), "XOR": ("xor", "xnor")}
 
-_AOI22_MODULE = """
-module REPRO_AOI22(input a, input b, input c, input d, output y);
-  assign y = ~((a & b) | (c & d));
-endmodule
-""".strip()
 
-_XOR3_MODULE = """
-module REPRO_XOR3(input a, input b, input c, output y);
-  assign y = a ^ b ^ c;
-endmodule
-""".strip()
+def _primitive(definition: CellDef) -> Optional[str]:
+    """The gate primitive computing a cell whose function is one node, if any."""
+    if len(definition.functions) != 1:
+        return None
+    function, negated = definition.functions[0], False
+    if isinstance(function, Expr) and function.kind == "NOT":
+        function, negated = function.args[0], True
+    if isinstance(function, str):
+        return ("buf", "not")[negated]
+    if function.kind in _GATE_PRIMITIVES and all(isinstance(a, str) for a in function.args):
+        return _GATE_PRIMITIVES[function.kind][negated]
+    return None
 
-_MAJ3_MODULE = """
-module REPRO_MAJ3(input a, input b, input c, output y);
-  assign y = (a & b) | (a & c) | (b & c);
-endmodule
-""".strip()
+
+def _module_text(cell_type: CellType, definition: CellDef) -> str:
+    """Gate-level definition of the helper module implementing ``cell_type``."""
+    ports = [f"input {p}" for p in definition.inputs]
+    ports += [f"output {p}" for p in definition.outputs]
+    width = max(map(len, definition.outputs))
+    lines = [f"module REPRO_{cell_type.value}({', '.join(ports)});"]
+    for port, function in zip(definition.outputs, definition.functions):
+        lines.append(f"  assign {port.ljust(width)} = {_expression(function)};")
+    lines.append("endmodule")
+    return "\n".join(lines)
+
 
 #: cell types emitted as Verilog gate primitives: type -> primitive name
-_PRIMITIVES: Dict[CellType, str] = {
-    CellType.AND2: "and",
-    CellType.NAND2: "nand",
-    CellType.OR2: "or",
-    CellType.NOR2: "nor",
-    CellType.XOR2: "xor",
-    CellType.XNOR2: "xnor",
-    CellType.NOT: "not",
-    CellType.BUF: "buf",
+_PRIMITIVE_OF: Dict[CellType, str] = {
+    t: _primitive(d) for t, d in CELL_DEFS.items() if _primitive(d)  # type: ignore[misc]
 }
 
-#: cell types emitted as helper-module instances: type -> module name
-_MODULES: Dict[CellType, str] = {
-    CellType.FA: "REPRO_FA",
-    CellType.HA: "REPRO_HA",
-    CellType.MUX2: "REPRO_MUX2",
-    CellType.AOI21: "REPRO_AOI21",
-    CellType.OAI21: "REPRO_OAI21",
-    CellType.AOI22: "REPRO_AOI22",
-    CellType.XOR3: "REPRO_XOR3",
-    CellType.MAJ3: "REPRO_MAJ3",
-}
-
-#: gate-level definition text of each helper module, in emission order
-_MODULE_TEXTS: Dict[CellType, str] = {
-    CellType.FA: _FA_MODULE,
-    CellType.HA: _HA_MODULE,
-    CellType.MUX2: _MUX_MODULE,
-    CellType.AOI21: _AOI_MODULE,
-    CellType.OAI21: _OAI_MODULE,
-    CellType.AOI22: _AOI22_MODULE,
-    CellType.XOR3: _XOR3_MODULE,
-    CellType.MAJ3: _MAJ3_MODULE,
+#: the other cell types, emitted as ``REPRO_<type>`` instances: type ->
+#: helper-module text, in emission order
+_HELPER_MODULES: Dict[CellType, str] = {
+    t: _module_text(t, d) for t, d in CELL_DEFS.items() if t not in _PRIMITIVE_OF
 }
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -125,8 +110,8 @@ def to_verilog(netlist: Netlist, module_name: str = None) -> str:
     """Render ``netlist`` as a structural Verilog description.
 
     The top module exposes every primary input and output as a scalar port
-    (bit ``name[i]`` becomes port ``name_i``); helper modules for FA/HA/MUX
-    cells are appended after the top module when used.
+    (bit ``name[i]`` becomes port ``name_i``); the helper module of each
+    non-primitive cell type used is appended after the top module.
     """
     module_name = module_name or netlist.name or "top"
     port_names: Dict[str, str] = {}
@@ -178,26 +163,23 @@ def to_verilog(netlist: Netlist, module_name: str = None) -> str:
     for cell in netlist.topological_cells():
         ctype = cell.cell_type
         instance = _escape(cell.name)
-        if ctype in _PRIMITIVES:
-            primitive = _PRIMITIVES[ctype]
+        if ctype in _PRIMITIVE_OF:
+            primitive = _PRIMITIVE_OF[ctype]
             out_net = cell.outputs[cell_output_ports(ctype)[0]]
             in_refs = ", ".join(_net_ref(cell.inputs[p]) for p in cell_input_ports(ctype))
             lines.append(f"  {primitive} {instance}({_net_ref(out_net)}, {in_refs});")
-        elif ctype in _MODULES:
+        else:
             used_modules.add(ctype)
-            module = _MODULES[ctype]
             bindings = []
             for port in cell_input_ports(ctype):
                 bindings.append(f".{port}({_net_ref(cell.inputs[port])})")
             for port in cell_output_ports(ctype):
                 bindings.append(f".{port}({_net_ref(cell.outputs[port])})")
-            lines.append(f"  {module} {instance}({', '.join(bindings)});")
-        else:  # pragma: no cover - defensive; all cell types are covered above
-            raise ValueError(f"no Verilog mapping for cell type {ctype}")
+            lines.append(f"  REPRO_{ctype.value} {instance}({', '.join(bindings)});")
 
     lines.append("endmodule")
 
-    for cell_type, text in _MODULE_TEXTS.items():
+    for cell_type, text in _HELPER_MODULES.items():
         if cell_type in used_modules:
             lines.append("")
             lines.append(text)

@@ -7,47 +7,51 @@ later duplicate is retired in favour of the first occurrence.  Because
 merges rewire fanout *before* downstream cells are visited, one sweep merges
 whole equivalent cones, not just single cells.
 
-Signatures are canonicalized for commutativity: the two-input gates, HA and
-FA (symmetric in all three inputs) sort their input nets, AOI21 sorts its
-AND-side pair, and MUX2 is order-sensitive.
+Signatures are canonicalized for commutativity: a cell's input nets are
+put in the least order reachable through a permutation that preserves its
+type's truth table (derived from :data:`repro.netlist.cells.CELL_DEFS`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import itertools
+from typing import Dict, Optional, Tuple
 
-from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports
+from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports, evaluate_cell
 from repro.netlist.core import Cell, Netlist
 from repro.opt.base import RewritePass, retire_cell
 
-#: cell types whose inputs are fully interchangeable
-_COMMUTATIVE = frozenset(
-    {
-        CellType.AND2,
-        CellType.NAND2,
-        CellType.OR2,
-        CellType.NOR2,
-        CellType.XOR2,
-        CellType.XNOR2,
-        CellType.HA,
-        CellType.FA,
-        CellType.XOR3,
-        CellType.MAJ3,
-    }
-)
+
+def _symmetries(cell_type: CellType) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """Input permutations (``perm[k]`` read at position ``k``) that leave
+    the cell's truth table unchanged, identity first; ``None`` when every
+    permutation does (the least input order is then the sorted one)."""
+    ports = cell_input_ports(cell_type)
+    rows = list(itertools.product((0, 1), repeat=len(ports)))
+    perms = list(itertools.permutations(range(len(ports))))
+
+    def table(perm: Tuple[int, ...]) -> list:
+        return [
+            evaluate_cell(cell_type, dict(zip(ports, map(bits.__getitem__, perm))))
+            for bits in rows
+        ]
+
+    identity = table(perms[0])
+    group = tuple(perm for perm in perms if table(perm) == identity)
+    return None if len(group) == len(perms) else group
+
+
+_SYMMETRIES = {cell_type: _symmetries(cell_type) for cell_type in CellType}
 
 
 def _signature(cell: Cell) -> Tuple:
     """Canonical structural signature of a cell (type + input net names)."""
     names = [cell.inputs[p].name for p in cell_input_ports(cell.cell_type)]
-    if cell.cell_type in _COMMUTATIVE:
-        names = sorted(names)
-    elif cell.cell_type in (CellType.AOI21, CellType.OAI21):
-        names = sorted(names[:2]) + names[2:]
-    elif cell.cell_type is CellType.AOI22:
-        # (a&b)|(c&d): each pair commutes, and the two pairs commute
-        names = sorted([sorted(names[:2]), sorted(names[2:])])
-        names = names[0] + names[1]
+    symmetries = _SYMMETRIES[cell.cell_type]
+    if symmetries is None:
+        names.sort()
+    elif len(symmetries) > 1:
+        names = min([names[p] for p in perm] for perm in symmetries)
     return (cell.cell_type.value, tuple(names))
 
 

@@ -26,30 +26,12 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import PlaceError
-from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports
+from repro.netlist.cells import CELL_DEFS, CellType, cell_input_ports, cell_output_ports
 from repro.netlist.core import Netlist
 
-#: sites occupied by one cell of each type (1 row tall, N sites wide) —
-#: roughly proportional to the cell's transistor count: full adders are the
-#: widest, simple gates and buffers take a single site
-SITE_FOOTPRINTS: Dict[CellType, int] = {
-    CellType.FA: 4,
-    CellType.HA: 3,
-    CellType.AND2: 1,
-    CellType.NAND2: 1,
-    CellType.OR2: 1,
-    CellType.NOR2: 1,
-    CellType.XOR2: 2,
-    CellType.XNOR2: 2,
-    CellType.NOT: 1,
-    CellType.BUF: 1,
-    CellType.MUX2: 2,
-    CellType.AOI21: 2,
-    CellType.OAI21: 2,
-    CellType.AOI22: 2,
-    CellType.XOR3: 3,
-    CellType.MAJ3: 3,
-}
+#: sites occupied by one cell of each type (1 row tall, N sites wide), from
+#: the cell records
+SITE_FOOTPRINTS: Dict[CellType, int] = {t: d.footprint for t, d in CELL_DEFS.items()}
 
 #: added net delay per site pitch of half-perimeter wirelength, in ns —
 #: the linear wire model (see :mod:`repro.place.wires`)

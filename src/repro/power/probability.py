@@ -13,13 +13,13 @@ empirical counterpart used in tests.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
-from repro.core.power_model import fa_output_probabilities, ha_output_probabilities
 from repro.errors import NetlistError
-from repro.netlist.cells import CellType
-from repro.netlist.core import Cell, Net, Netlist
+from repro.netlist.cells import CELL_DEFS, CellDef, define, straight_line
+from repro.netlist.core import Net, Netlist
 
 ProbabilityMap = Mapping[Union[str, Net], float]
 
@@ -44,52 +44,35 @@ class ProbabilityResult:
         return probability * (1.0 - probability)
 
 
-def _cell_output_probabilities(cell: Cell, p: Dict[str, float]) -> Dict[str, float]:
-    """Output probabilities of one cell given its input probabilities."""
-    cell_type = cell.cell_type
-    get = lambda port: p[cell.inputs[port].name]  # noqa: E731 - tiny local accessor
+#: probability of each node kind's output given independent children
+_PROBABILITY_RULES = {
+    "AND": "{0} * {1}",
+    "OR": "{0} + {1} - {0} * {1}",
+    "XOR": "{0} + {1} - 2.0 * {0} * {1}",
+    "NOT": "1.0 - {0}",
+    "MUX": "(1.0 - {0}) * {1} + {0} * {2}",
+    "MAJ": "{0} * {1} + {0} * {2} + {1} * {2} - 2.0 * {0} * {1} * {2}",
+}
 
-    if cell_type is CellType.FA:
-        ps, pc = fa_output_probabilities(get("a"), get("b"), get("cin"))
-        return {"s": ps, "co": pc}
-    if cell_type is CellType.HA:
-        ps, pc = ha_output_probabilities(get("a"), get("b"))
-        return {"s": ps, "co": pc}
-    if cell_type is CellType.AND2:
-        return {"y": get("a") * get("b")}
-    if cell_type is CellType.NAND2:
-        return {"y": 1.0 - get("a") * get("b")}
-    if cell_type is CellType.OR2:
-        return {"y": get("a") + get("b") - get("a") * get("b")}
-    if cell_type is CellType.NOR2:
-        return {"y": 1.0 - (get("a") + get("b") - get("a") * get("b"))}
-    if cell_type is CellType.XOR2:
-        return {"y": get("a") + get("b") - 2.0 * get("a") * get("b")}
-    if cell_type is CellType.XNOR2:
-        return {"y": 1.0 - (get("a") + get("b") - 2.0 * get("a") * get("b"))}
-    if cell_type is CellType.NOT:
-        return {"y": 1.0 - get("a")}
-    if cell_type is CellType.BUF:
-        return {"y": get("a")}
-    if cell_type is CellType.MUX2:
-        sel = get("sel")
-        return {"y": (1.0 - sel) * get("a") + sel * get("b")}
-    if cell_type is CellType.AOI21:
-        inner = get("a") * get("b")
-        return {"y": 1.0 - (inner + get("c") - inner * get("c"))}
-    if cell_type is CellType.OAI21:
-        inner = get("a") + get("b") - get("a") * get("b")
-        return {"y": 1.0 - inner * get("c")}
-    if cell_type is CellType.AOI22:
-        left, right = get("a") * get("b"), get("c") * get("d")
-        return {"y": 1.0 - (left + right - left * right)}
-    if cell_type is CellType.XOR3:
-        p_ab = get("a") + get("b") - 2.0 * get("a") * get("b")
-        return {"y": p_ab + get("c") - 2.0 * p_ab * get("c")}
-    if cell_type is CellType.MAJ3:
-        pa, pb, pc = get("a"), get("b"), get("c")
-        return {"y": pa * pb + pa * pc + pb * pc - 2.0 * pa * pb * pc}
-    raise NetlistError(f"no probability model for cell type {cell_type}")  # pragma: no cover
+
+def _probability_function(definition: CellDef) -> Callable[..., Tuple[float, ...]]:
+    """Output probabilities from input probabilities, both in port order.
+
+    Composing the node rules is exact because every cell function reads
+    each input once; a record's named closed form takes precedence.
+    """
+    if definition.probability is not None:
+        module, name = definition.probability.split(":")
+        return getattr(importlib.import_module(module), name)
+    body, results = straight_line(definition.functions, _PROBABILITY_RULES)
+    body.append(f"return ({', '.join(results)},)")
+    return define("probability", ", ".join(definition.inputs), body)
+
+
+#: per cell type: probability function, input ports, output ports
+_CELL_PROBABILITY = {
+    t: (_probability_function(d), d.inputs, d.outputs) for t, d in CELL_DEFS.items()
+}
 
 
 def propagate_probabilities(
@@ -128,8 +111,10 @@ def propagate_probabilities(
                 probabilities[net.name] = default_probability
 
     for cell in netlist.topological_cells():
-        outputs = _cell_output_probabilities(cell, probabilities)
-        for port, value in outputs.items():
-            probabilities[cell.outputs[port].name] = min(1.0, max(0.0, value))
+        function, in_ports, out_ports = _CELL_PROBABILITY[cell.cell_type]
+        inputs, outputs = cell.inputs, cell.outputs
+        values = function(*[probabilities[inputs[port].name] for port in in_ports])
+        for port, value in zip(out_ports, values):
+            probabilities[outputs[port].name] = min(1.0, max(0.0, value))
 
     return ProbabilityResult(netlist_name=netlist.name, probabilities=probabilities)

@@ -9,10 +9,13 @@ once per netlist *generation* and replayed for every chunk of an
 equivalence check or every batch of an empirical-switching run,
 eliminating the per-chunk topological re-sort, per-cell port-dict lookups,
 and 16-way type dispatch that used to dominate the packed evaluator.
-Threaded closures are used instead of ``exec``-generated source because
-building them is ~50x cheaper than compiling equivalent Python text while
-replaying within a few percent — single-replay callers (one random-stimulus
-chunk) stay fast, multi-chunk callers amortize either way.
+Threaded closures are used instead of ``exec``-generated per-netlist source
+because building them is ~50x cheaper than compiling equivalent Python text
+while replaying within a few percent — single-replay callers (one
+random-stimulus chunk) stay fast, multi-chunk callers amortize either way.
+Only the closure *factories* (:data:`OP_FACTORIES`) are generated code:
+once per cell type, at import, from its
+:class:`~repro.netlist.cells.CellDef` expression trees.
 
 Cache correctness is structural, not conventional: :func:`cached_program`
 memoizes the program in :meth:`Netlist.derived_views`, which is keyed on
@@ -30,181 +33,66 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports
+from repro.netlist.cells import (
+    AND,
+    CELL_DEFS,
+    NOT,
+    OR,
+    XOR,
+    CellDef,
+    CellType,
+    Expr,
+    Function,
+    cell_input_ports,
+    cell_output_ports,
+    define,
+    straight_line,
+)
 from repro.netlist.core import Netlist
 
 _OpFn = Callable[[List[int], int], None]
 
-
-def _op_fa(ins: Tuple[int, ...], outs: Tuple[int, ...]) -> _OpFn:
-    a, b, cin = ins
-    s, co = outs
-
-    def op(v: List[int], m: int) -> None:
-        t = v[a] ^ v[b]
-        v[s] = t ^ v[cin]
-        v[co] = (v[a] & v[b]) | (v[cin] & t)
-
-    return op
-
-
-def _op_ha(ins: Tuple[int, ...], outs: Tuple[int, ...]) -> _OpFn:
-    a, b = ins
-    s, co = outs
-
-    def op(v: List[int], m: int) -> None:
-        v[s] = v[a] ^ v[b]
-        v[co] = v[a] & v[b]
-
-    return op
-
-
-def _op_and2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = v[a] & v[b]
-
-    return op
-
-
-def _op_nand2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ (v[a] & v[b])
-
-    return op
-
-
-def _op_or2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = v[a] | v[b]
-
-    return op
-
-
-def _op_nor2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ (v[a] | v[b])
-
-    return op
-
-
-def _op_xor2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = v[a] ^ v[b]
-
-    return op
-
-
-def _op_xnor2(ins, outs):
-    (a, b), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ (v[a] ^ v[b])
-
-    return op
-
-
-def _op_not(ins, outs):
-    (a,), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ v[a]
-
-    return op
-
-
-def _op_buf(ins, outs):
-    (a,), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = v[a]
-
-    return op
-
-
-def _op_mux2(ins, outs):
-    (a, b, sel), (y,) = ins, outs
-
-    def op(v, m):
-        s = v[sel]
-        v[y] = (v[b] & s) | (v[a] & (m ^ s))
-
-    return op
-
-
-def _op_aoi21(ins, outs):
-    (a, b, c), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ ((v[a] & v[b]) | v[c])
-
-    return op
-
-
-def _op_oai21(ins, outs):
-    (a, b, c), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ ((v[a] | v[b]) & v[c])
-
-    return op
-
-
-def _op_aoi22(ins, outs):
-    (a, b, c, d), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = m ^ ((v[a] & v[b]) | (v[c] & v[d]))
-
-    return op
-
-
-def _op_xor3(ins, outs):
-    (a, b, c), (y,) = ins, outs
-
-    def op(v, m):
-        v[y] = v[a] ^ v[b] ^ v[c]
-
-    return op
-
-
-def _op_maj3(ins, outs):
-    (a, b, c), (y,) = ins, outs
-
-    def op(v, m):
-        va, vb = v[a], v[b]
-        v[y] = (va & vb) | (v[c] & (va | vb))
-
-    return op
-
-
-#: per cell type: closure factory binding slot indices into a packed op
-_OP_FACTORIES: Dict[CellType, Callable[..., _OpFn]] = {
-    CellType.FA: _op_fa,
-    CellType.HA: _op_ha,
-    CellType.AND2: _op_and2,
-    CellType.NAND2: _op_nand2,
-    CellType.OR2: _op_or2,
-    CellType.NOR2: _op_nor2,
-    CellType.XOR2: _op_xor2,
-    CellType.XNOR2: _op_xnor2,
-    CellType.NOT: _op_not,
-    CellType.BUF: _op_buf,
-    CellType.MUX2: _op_mux2,
-    CellType.AOI21: _op_aoi21,
-    CellType.OAI21: _op_oai21,
-    CellType.AOI22: _op_aoi22,
-    CellType.XOR3: _op_xor3,
-    CellType.MAJ3: _op_maj3,
+#: MUX and MAJ lowered onto AND/OR/XOR/NOT for word-wide evaluation; MAJ
+#: reuses ``x ^ y`` so an FA shares that subterm with its sum output
+_LOWERINGS = {
+    "MUX": lambda s, a, b: OR(AND(b, s), AND(a, NOT(s))),
+    "MAJ": lambda x, y, z: OR(AND(x, y), AND(z, XOR(x, y))),
+}
+
+#: word-wide operator of each lowered node kind; ``m`` is the all-ones mask
+_PACKED_RULES = {"AND": "{0} & {1}", "OR": "{0} | {1}", "XOR": "{0} ^ {1}", "NOT": "m ^ {0}"}
+
+
+def _lower(expr: Function) -> Function:
+    if isinstance(expr, str):
+        return expr
+    args = tuple(_lower(arg) for arg in expr.args)
+    lowering = _LOWERINGS.get(expr.kind)
+    return Expr(expr.kind, args) if lowering is None else lowering(*args)
+
+
+def _op_factory(definition: CellDef) -> Callable[..., _OpFn]:
+    """``make(ins, outs)``: binds slot indices into a straight-line packed op."""
+    functions = tuple(_lower(f) for f in definition.functions)
+    body, results = straight_line(functions, _PACKED_RULES, "v[_{}]")
+    body += [f"v[_{port}] = {t}" for port, t in zip(definition.outputs, results)]
+    return define(
+        "make",
+        "ins, outs",
+        [
+            "".join(f"_{port}, " for port in definition.inputs) + "= ins",
+            "".join(f"_{port}, " for port in definition.outputs) + "= outs",
+            "def op(v, m):",
+            *(f"    {line}" for line in body),
+            "return op",
+        ],
+    )
+
+
+#: per cell type: closure factory binding slot indices into a packed op,
+#: generated from the cell's expression trees
+OP_FACTORIES: Dict[CellType, Callable[..., _OpFn]] = {
+    cell_type: _op_factory(definition) for cell_type, definition in CELL_DEFS.items()
 }
 
 
@@ -321,7 +209,7 @@ def compile_netlist_program(netlist: Netlist) -> SimProgram:
             out_slots.append(slot_of[net.name])
         ins, outs = tuple(in_slots), tuple(out_slots)
         instructions.append((cell.cell_type.value, ins, outs))
-        ops.append(_OP_FACTORIES[cell.cell_type](ins, outs))
+        ops.append(OP_FACTORIES[cell.cell_type](ins, outs))
 
     return SimProgram(
         netlist_name=netlist.name,

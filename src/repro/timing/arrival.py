@@ -34,6 +34,8 @@ class TimingResult:
     worst_net: Optional[str] = None
     worst_arrival: float = 0.0
     input_arrivals: Dict[str, float] = field(default_factory=dict)
+    #: the per-net wire delays the arrivals were computed under
+    net_delays: Mapping[str, float] = field(default_factory=dict)
 
     def arrival_of(self, net: Union[str, Net]) -> float:
         """Arrival time of a net (by name or object)."""
@@ -121,7 +123,9 @@ def _cell_output_arrival(
     return (0.0 if worst is None else worst) + wire.get(out_name, 0.0)
 
 
-def _finalize(netlist: Netlist, arrivals: Dict[str, float]) -> TimingResult:
+def _finalize(
+    netlist: Netlist, arrivals: Dict[str, float], wire: Mapping[str, float]
+) -> TimingResult:
     """Fold an arrival map into a :class:`TimingResult`."""
     worst_net = None
     worst_arrival = 0.0
@@ -148,6 +152,7 @@ def _finalize(netlist: Netlist, arrivals: Dict[str, float]) -> TimingResult:
             for net in netlist.primary_inputs
             if net.name in arrivals
         },
+        net_delays=wire,
     )
 
 
@@ -241,7 +246,7 @@ def compute_arrival_times(
                 cell, out_port, out_name, arrivals, library, wire
             )
 
-    result = _finalize(netlist, arrivals)
+    result = _finalize(netlist, arrivals, wire)
     if memo_key is not None:
         # the entry holds the library and the map, so their ids stay unique
         netlist.derived_views()[memo_key] = (library, net_delays, result)
@@ -325,4 +330,4 @@ def _incremental_arrival_times(
                     _schedule(load_cell)
 
     obs.counter("timing.incremental_nets", recomputed)
-    return _finalize(netlist, arrivals)
+    return _finalize(netlist, arrivals, wire)

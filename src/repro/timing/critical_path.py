@@ -41,7 +41,9 @@ def extract_critical_path(
     """Trace the worst path ending at ``target`` (default: the worst output).
 
     The returned list is ordered from the launching primary input (or
-    constant) to the target net.
+    constant) to the target net.  Each hop is matched as input arrival +
+    library arc + the output net's wire delay, under the wire map
+    ``timing`` was computed with.
     """
     if target is None:
         target_name = timing.worst_output_net or timing.worst_net
@@ -61,22 +63,25 @@ def extract_critical_path(
             steps.append(PathStep(net_name=current.name, arrival=arrival))
             break
         cell, out_port = current.driver
-        best_port = None
-        best_net = None
-        for in_port in cell_input_ports(cell.cell_type):
-            in_net = cell.inputs[in_port]
-            in_arrival = timing.arrivals.get(in_net.name, 0.0)
-            edge = library.delay(cell.cell_type, in_port, out_port)
-            if abs(in_arrival + edge - arrival) <= epsilon:
-                best_port, best_net = in_port, in_net
-                break
-        if best_net is None:
+        ports = cell_input_ports(cell.cell_type)
+        wire = timing.net_delays.get(current.name, 0.0)
+        # STA's own arc reproduces the arrival exactly (same float ops)
+        miss = {
+            port: abs(
+                timing.arrivals.get(cell.inputs[port].name, 0.0)
+                + library.delay(cell.cell_type, port, out_port)
+                + wire
+                - arrival
+            )
+            for port in ports
+        }
+        best_port = min(ports, key=miss.__getitem__)
+        if miss[best_port] > epsilon:
             # Numerical fallback: follow the slowest input.
             best_port = max(
-                cell_input_ports(cell.cell_type),
-                key=lambda p: timing.arrivals.get(cell.inputs[p].name, 0.0),
+                ports, key=lambda p: timing.arrivals.get(cell.inputs[p].name, 0.0)
             )
-            best_net = cell.inputs[best_port]
+        best_net = cell.inputs[best_port]
         steps.append(
             PathStep(
                 net_name=current.name,

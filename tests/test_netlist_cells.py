@@ -1,17 +1,25 @@
-"""Tests for cell definitions and boolean semantics."""
+"""Tests for cell definitions, boolean semantics and the views derived from them."""
 
 import itertools
+import math
+import random
+import re
 
 import pytest
 
 from repro.errors import NetlistError
 from repro.netlist.cells import (
+    CELL_DEFS,
     CellType,
     cell_input_ports,
     cell_output_ports,
     evaluate_cell,
-    is_combinational,
 )
+from repro.netlist.core import Netlist
+from repro.netlist.verilog import to_verilog
+from repro.opt.cse import _signature
+from repro.power.probability import propagate_probabilities
+from repro.sim.program import OP_FACTORIES
 
 
 class TestPortDefinitions:
@@ -19,7 +27,6 @@ class TestPortDefinitions:
         for cell_type in CellType:
             assert cell_input_ports(cell_type)
             assert cell_output_ports(cell_type)
-            assert is_combinational(cell_type)
 
     def test_fa_ports(self):
         assert cell_input_ports(CellType.FA) == ("a", "b", "cin")
@@ -78,3 +85,97 @@ class TestEvaluate:
     def test_non_binary_rejected(self):
         with pytest.raises(NetlistError):
             evaluate_cell(CellType.NOT, {"a": 2})
+
+
+def _rows(cell_type):
+    return list(itertools.product((0, 1), repeat=len(cell_input_ports(cell_type))))
+
+
+def _one_cell(cell_type):
+    """A netlist of one ``cell_type`` cell reading inputs ``n0``, ``n1``, ..."""
+    definition = CELL_DEFS[cell_type]
+    netlist = Netlist("one")
+    nets = [netlist.add_input(f"n{k}") for k in range(len(definition.inputs))]
+    cell = netlist.add_cell(cell_type, dict(zip(definition.inputs, nets)), name="u0")
+    for port in definition.outputs:
+        netlist.set_output(cell.outputs[port])
+    return netlist, cell
+
+
+@pytest.mark.parametrize("cell_type", list(CellType))
+class TestDerivedViews:
+    """Every view derived from a :class:`CellDef` agrees with the scalar one."""
+
+    def test_packed_op_matches_scalar_evaluator(self, cell_type):
+        definition = CELL_DEFS[cell_type]
+        rows, n = _rows(cell_type), len(definition.inputs)
+        values = [sum(bits[k] << j for j, bits in enumerate(rows)) for k in range(n)]
+        values += [0] * len(definition.outputs)
+        outs = tuple(range(n, len(values)))
+        OP_FACTORIES[cell_type](tuple(range(n)), outs)(values, (1 << len(rows)) - 1)
+        assert all(values[slot] >> len(rows) == 0 for slot in outs)  # stays in the mask
+        for j, bits in enumerate(rows):
+            expected = evaluate_cell(cell_type, dict(zip(definition.inputs, bits)))
+            for slot, port in zip(outs, definition.outputs):
+                assert (values[slot] >> j) & 1 == expected[port], (bits, port)
+
+    def test_probability_is_the_minterm_sum(self, cell_type):
+        definition = CELL_DEFS[cell_type]
+        netlist, cell = _one_cell(cell_type)
+        names = [f"n{k}" for k in range(len(definition.inputs))]
+        rows = _rows(cell_type)
+        truth = [evaluate_cell(cell_type, dict(zip(definition.inputs, bits))) for bits in rows]
+        rng = random.Random(len(rows) * 100 + list(CellType).index(cell_type))
+        for _ in range(50):
+            ps = [rng.random() for _ in names]
+            result = propagate_probabilities(netlist, dict(zip(names, ps)))
+            for port in definition.outputs:
+                expected = sum(
+                    math.prod(p if bit else 1.0 - p for p, bit in zip(ps, bits))
+                    for bits, out in zip(rows, truth)
+                    if out[port]
+                )
+                got = result.probability_of(cell.outputs[port])
+                assert got == pytest.approx(expected, rel=0, abs=1e-12), port
+        for bits, out in zip(rows, truth):
+            result = propagate_probabilities(netlist, dict(zip(names, map(float, bits))))
+            for port in definition.outputs:
+                assert result.probability_of(cell.outputs[port]) == float(out[port])
+
+    def test_cse_signature_invariant_exactly_under_symmetries(self, cell_type):
+        ports = cell_input_ports(cell_type)
+        rows = _rows(cell_type)
+
+        def table(perm):
+            return [
+                evaluate_cell(cell_type, {port: bits[p] for port, p in zip(ports, perm)})
+                for bits in rows
+            ]
+
+        netlist = Netlist("sym")
+        nets = [netlist.add_input(f"n{k}") for k in range(len(ports))]
+        identity = tuple(range(len(ports)))
+        reference = _signature(netlist.add_cell(cell_type, dict(zip(ports, nets))))
+        for perm in itertools.permutations(identity):
+            cell = netlist.add_cell(cell_type, {port: nets[p] for port, p in zip(ports, perm)})
+            preserves = table(perm) == table(identity)
+            assert (_signature(cell) == reference) == preserves, perm
+
+    def test_verilog_ports_match_record(self, cell_type):
+        definition = CELL_DEFS[cell_type]
+        netlist, cell = _one_cell(cell_type)
+        text = to_verilog(netlist)
+        instance = next(line for line in text.splitlines() if " u0(" in line)
+        header = re.search(rf"module REPRO_{cell_type.value}\((.*)\);", text)
+        if header is None:  # a gate primitive: the output net, then the inputs
+            nets = instance.split("(", 1)[1].rstrip(");").split(", ")
+            assert len(definition.outputs) == 1
+            assert nets == [cell.outputs["y"].name] + [
+                cell.inputs[port].name for port in definition.inputs
+            ]
+        else:
+            assert header.group(1).split(", ") == [
+                f"input {port}" for port in definition.inputs
+            ] + [f"output {port}" for port in definition.outputs]
+            bound = re.findall(r"\.(\w+)\(", instance)
+            assert bound == list(definition.inputs + definition.outputs)

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.adders.factory import build_final_adder
+from repro.api import Flow, FlowConfig
 from repro.bitmatrix.builder import build_addend_matrix
 from repro.core.delay_model import FADelayModel
 from repro.core.fa_aot import fa_aot
+from repro.designs.registry import list_designs
 from repro.errors import NetlistError
 from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
+from repro.tech.default_libs import resolve_library
 from repro.timing.arrival import compute_arrival_times
 from repro.timing.critical_path import extract_critical_path
 from repro.timing.report import timing_report
@@ -145,3 +148,22 @@ class TestCriticalPath:
         text = timing_report(netlist, unit_lib, timing)
         assert "design delay" in text
         assert "critical path" in text
+
+
+@pytest.mark.parametrize("place", [False, True])
+@pytest.mark.parametrize("design", list_designs())
+def test_critical_path_hops_match_wire_aware_arrivals(design, place):
+    """Every hop is an exact arc, wire delay included, ending at the design delay."""
+    result = Flow(FlowConfig(place=place)).run(design)
+    library = resolve_library(result.library_name)
+    timing = result.timing
+    assert bool(timing.net_delays) == place
+    path = extract_critical_path(result.netlist, library, timing)
+    assert path[0].cell_name is None
+    assert path[-1].arrival == timing.delay
+    for previous, step in zip(path, path[1:]):
+        cell, out_port = result.netlist.nets[step.net_name].driver
+        assert cell.inputs[step.through_port].name == previous.net_name
+        arc = library.delay(cell.cell_type, step.through_port, out_port)
+        wire = timing.net_delays.get(step.net_name, 0.0)
+        assert previous.arrival + arc + wire == step.arrival
