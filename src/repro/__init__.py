@@ -56,6 +56,7 @@ The legacy form still works:
 True
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
 from repro.errors import (
     ReproError,
@@ -87,19 +88,11 @@ __all__ = [
 ]
 
 #: names re-exported lazily (PEP 562) so ``import repro`` stays lightweight
-_LAZY_EXPORTS = {
-    "Flow": ("repro.api", "Flow"),
-    "FlowConfig": ("repro.api", "FlowConfig"),
-    "FlowResult": ("repro.api", "FlowResult"),
-    "synthesize": ("repro.flows.synthesis", "synthesize"),
-}
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.api": ("Flow", "FlowConfig", "FlowResult"),
+        "repro.flows.synthesis": ("synthesize",),
+    },
+)

@@ -8,6 +8,7 @@ from repro.adders.carry_select import carry_select_adder
 from repro.adders.cla import carry_lookahead_adder
 from repro.adders.kogge_stone import kogge_stone_adder
 from repro.adders.ripple import ripple_carry_adder
+from repro.choices import FINAL_ADDER_KINDS
 from repro.errors import NetlistError
 from repro.netlist.core import Bus, Net, Netlist
 
@@ -18,8 +19,9 @@ _BUILDERS: Dict[str, Callable[..., Bus]] = {
     "kogge_stone": kogge_stone_adder,
 }
 
-#: names accepted by :func:`build_final_adder`
-FINAL_ADDER_KINDS = tuple(sorted(_BUILDERS))
+assert tuple(sorted(_BUILDERS)) == FINAL_ADDER_KINDS, (
+    "repro.choices.FINAL_ADDER_KINDS is stale"
+)
 
 
 def build_final_adder(

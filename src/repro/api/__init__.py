@@ -26,32 +26,40 @@ Quickstart::
     assert fast.delay_ns > 0 and fast.power is None
 """
 
-from repro.api.config import (
-    DEFAULT_ANALYSES,
-    MATRIX_METHODS,
-    MULTIPLICATION_STYLES,
-    SYNTHESIS_METHODS,
-    FieldSpec,
-    FlowConfig,
-    config_field,
-    config_fields,
-)
-from repro.api.flow import Flow
-from repro.api.options import (
-    add_flow_options,
-    add_sweep_options,
-    flow_config_from_args,
-    sweep_spec_from_args,
-)
-from repro.api.result import FlowResult, SynthesisResult
-from repro.api.stages import (
-    STAGE_ORDER,
-    FlowContext,
-    analysis_names,
-    register_analysis,
-    register_stage,
-    stage_names,
-    unregister_analysis,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.api.config": (
+            "DEFAULT_ANALYSES",
+            "MATRIX_METHODS",
+            "MULTIPLICATION_STYLES",
+            "SYNTHESIS_METHODS",
+            "FieldSpec",
+            "FlowConfig",
+            "config_field",
+            "config_fields",
+        ),
+        "repro.api.flow": ("Flow",),
+        "repro.api.options": (
+            "add_flow_options",
+            "add_sweep_options",
+            "flow_config_from_args",
+            "sweep_spec_from_args",
+        ),
+        "repro.api.result": ("FlowResult", "SynthesisResult"),
+        "repro.api.stages": (
+            "STAGE_ORDER",
+            "FlowContext",
+            "analysis_names",
+            "register_analysis",
+            "register_stage",
+            "stage_names",
+            "unregister_analysis",
+        ),
+    },
 )
 
 __all__ = [

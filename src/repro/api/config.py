@@ -23,23 +23,23 @@ A config is frozen, validates itself on construction (raising
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.adders.factory import FINAL_ADDER_KINDS
-from repro.baselines.multipliers import MULTIPLIER_STYLES
-from repro.errors import ConfigError
-from repro.map.targets import (
+from repro.choices import (
+    FINAL_ADDER_KINDS,
     GENERIC_TARGET,
-    MAP_OBJECTIVES,
+    LIBRARY_NAMES,
     MAP_OBJECTIVE_HELP,
+    MAP_OBJECTIVES,
+    MULTIPLIER_STYLES,
+    OPT_LEVEL_HELP,
+    OPT_LEVELS,
     TARGET_LIB_HELP,
     TARGET_NAMES,
 )
-from repro.opt.manager import OPT_LEVELS, OPT_LEVEL_HELP
-from repro.tech.default_libs import LIBRARY_NAMES
+from repro.errors import ConfigError
 
 #: methods that go through the addend matrix + compressor tree pipeline
 MATRIX_METHODS = (
@@ -503,6 +503,8 @@ class FlowConfig:
 
     def cache_digest(self) -> str:
         """Short hex digest of :meth:`cache_key`."""
+        import hashlib
+
         return hashlib.sha256(self.cache_key().encode("utf-8")).hexdigest()[:32]
 
 

@@ -1,11 +1,12 @@
 """argparse option generation from the :class:`FlowConfig` field schema.
 
 The CLI never hand-declares a flow knob: ``synth``/``compare`` call
-:func:`add_flow_options` (one flag per config field) and ``explore`` calls
+:func:`add_flow_options` (one flag per config field), ``explore`` calls
 :func:`add_sweep_options` (one multi-value axis flag per sweepable field,
-plus the per-sweep scalar flags).  Adding a field to :class:`FlowConfig`
-therefore adds the CLI surface, the sweep axis and the cache-key entry in
-one place.
+plus the per-sweep scalar flags) and ``verify`` calls
+:func:`add_domain_options` (one fuzz-domain restriction per sampled
+field).  Adding a field to :class:`FlowConfig` therefore adds the CLI
+surface, the sweep axis and the cache-key entry in one place.
 
 Boolean axes are exposed with the ``off`` / ``on`` / ``both`` convention
 (``--csd both`` sweeps the coefficient recoding on and off).
@@ -14,16 +15,23 @@ Boolean axes are exposed with the ``off`` / ``on`` / ``both`` convention
 from __future__ import annotations
 
 import argparse
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.api.config import FieldSpec, FlowConfig, config_fields
 
-#: tri-state values accepted by boolean sweep axes
-_BOOL_AXIS_VALUES: Dict[str, Sequence[bool]] = {
+#: tri-state values accepted by boolean sweep axes and fuzz-domain flags
+BOOL_AXIS_VALUES: Dict[str, Tuple[bool, ...]] = {
     "off": (False,),
     "on": (True,),
     "both": (False, True),
 }
+
+#: config fields the verifier's fuzzer pins instead of sampling: ``analyses``
+#: is exercised by the metamorphic properties (skipping passes must not
+#: change the netlist), ``opt_validate`` / ``map_validate`` are always on so
+#: every case also checks the structural invariants after each rewrite/map
+#: pass
+FUZZ_PINNED_FIELDS = ("analyses", "opt_validate", "map_validate")
 
 
 def _selected(
@@ -131,7 +139,7 @@ def add_sweep_options(
             parser.add_argument(
                 spec.axis_flag,
                 dest=spec.axis,
-                choices=tuple(_BOOL_AXIS_VALUES),
+                choices=tuple(BOOL_AXIS_VALUES),
                 default="off",
                 help=f"sweep: {spec.help}",
             )
@@ -146,6 +154,57 @@ def add_sweep_options(
             metavar=spec.name.upper(),
             help=f"sweep: {spec.help}",
         )
+
+
+def add_domain_options(parser: argparse.ArgumentParser) -> None:
+    """Add schema-generated domain-restriction flags to the verify parser.
+
+    Every sampled config field gets a flag reusing its sweep-axis spelling
+    (``--methods``, ``--opt-levels``, tri-state ``--csd`` defaulting to
+    ``both``...); the default is always the *full* domain.  Destinations are
+    prefixed ``domain_`` so they never collide with the fuzzer's own
+    ``--seed`` / ``--n`` options; :func:`repro.verify.fuzz.domain_from_args`
+    reads them back.
+    """
+    for spec in config_fields():
+        if spec.name in FUZZ_PINNED_FIELDS:
+            continue
+        flag = spec.axis_flag or spec.flag
+        dest = f"domain_{spec.name}"
+        if spec.kind == "bool":
+            parser.add_argument(
+                flag,
+                dest=dest,
+                choices=tuple(BOOL_AXIS_VALUES),
+                default="both",
+                help=f"fuzz domain: {spec.help}",
+            )
+        elif spec.choices is not None:
+            parser.add_argument(
+                flag,
+                dest=dest,
+                nargs="+",
+                type=int if spec.kind in ("int", "optional_int") else str,
+                choices=spec.choices,
+                default=list(spec.choices),
+                metavar=spec.name.upper(),
+                help=f"fuzz domain: {spec.help}",
+            )
+        else:
+            default_text = (
+                f"default: {spec.fuzz}"
+                if spec.fuzz is not None
+                else "default: drawn from the fuzzer rng"
+            )
+            parser.add_argument(
+                flag,
+                dest=dest,
+                nargs="+",
+                type=int,
+                default=None,
+                metavar=spec.name.upper(),
+                help=f"fuzz domain: {spec.help} ({default_text})",
+            )
 
 
 def add_observability_options(parser: argparse.ArgumentParser) -> None:
@@ -244,7 +303,7 @@ def sweep_spec_from_args(
         if spec.axis is not None and hasattr(args, spec.axis):
             values = getattr(args, spec.axis)
             if spec.kind == "bool" and isinstance(values, str):
-                values = _BOOL_AXIS_VALUES[values]
+                values = BOOL_AXIS_VALUES[values]
             kwargs[spec.axis] = tuple(values)
         elif spec.axis is None and hasattr(args, spec.name):
             value = getattr(args, spec.name)

@@ -15,17 +15,19 @@ pass was skipped via ``FlowConfig.analyses``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.bitmatrix.builder import MatrixBuildResult
 from repro.core.result import CompressionResult
 from repro.netlist.core import Bus, Netlist
 from repro.netlist.stats import NetlistStats
-from repro.opt.report import OptReport
 from repro.power.probability import ProbabilityResult
 from repro.power.switching import PowerResult
 from repro.timing.arrival import TimingResult
 from repro.utils.metrics import summary_line
+
+if TYPE_CHECKING:  # only annotations name it; -O0 flows never load repro.opt
+    from repro.opt.report import OptReport
 
 
 @dataclass

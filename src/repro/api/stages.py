@@ -33,6 +33,10 @@ A flow run is a sequence of *stages* operating on one mutable
     measurable per-point speedup in large sweeps (see
     ``benchmarks/bench_api.py``).
 
+Each stage imports the layer it runs (``repro.baselines``, ``repro.opt``,
+``repro.map``, ``repro.place``) only when it runs, so a flow at ``-O0`` on
+the generic target never loads them.
+
 Both registries are open: :func:`register_stage` replaces or adds pipeline
 steps, :func:`register_analysis` adds analysis passes (which immediately
 become valid ``analyses`` values, CLI choices and sweep options, because
@@ -47,11 +51,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.adders.factory import build_final_adder
-from repro.baselines.conventional import conventional_synthesis
-from repro.baselines.csa_opt import csa_opt_reduce
-from repro.baselines.dadda import dadda_reduce
-from repro.baselines.wallace import wallace_reduce
 from repro.bitmatrix.builder import MatrixBuildResult, build_addend_matrix
+from repro.choices import GENERIC_TARGET
 from repro.core.delay_model import FADelayModel
 from repro.core.fa_alp import fa_alp
 from repro.core.fa_aot import fa_aot
@@ -60,13 +61,9 @@ from repro.core.power_model import FAPowerModel
 from repro.core.result import CompressionResult
 from repro.designs.base import DatapathDesign
 from repro.errors import ConfigError
-from repro.map.mapper import map_netlist
-from repro.map.targets import GENERIC_TARGET
 from repro.netlist.cells import CellType
 from repro.netlist.core import Bus, Netlist
 from repro.netlist.stats import netlist_stats
-from repro.opt.manager import optimize_netlist
-from repro.place.runner import place_netlist
 from repro.power.probability import propagate_probabilities
 from repro.power.switching import estimate_power
 from repro.tech.library import TechLibrary
@@ -206,10 +203,16 @@ def _reduce_matrix(context: FlowContext) -> CompressionResult:
     if method == "fa_random":
         return fa_random(netlist, matrix, delay_model, power_model, seed=config.seed)
     if method == "wallace":
+        from repro.baselines.wallace import wallace_reduce
+
         return wallace_reduce(netlist, matrix, delay_model, power_model)
     if method == "dadda":
+        from repro.baselines.dadda import dadda_reduce
+
         return dadda_reduce(netlist, matrix, delay_model, power_model)
     if method == "csa_opt":
+        from repro.baselines.csa_opt import csa_opt_reduce
+
         return csa_opt_reduce(netlist, matrix, delay_model, power_model)
     if method == "column_isolation":
         return fa_aot(netlist, matrix, delay_model, power_model, column_interaction=False)
@@ -221,6 +224,8 @@ def frontend_stage(context: FlowContext) -> None:
     """Lower the design: addend matrix, or full netlist for ``conventional``."""
     config, design = context.config, context.design
     if config.method == "conventional":
+        from repro.baselines.conventional import conventional_synthesis
+
         conventional = conventional_synthesis(
             design.expression,
             design.signals,
@@ -294,6 +299,8 @@ def optimize_stage(context: FlowContext) -> None:
     config = context.config
     if config.opt_level <= 0:
         return
+    from repro.opt.manager import optimize_netlist
+
     report = optimize_netlist(
         context.netlist,
         opt_level=config.opt_level,
@@ -320,6 +327,8 @@ def map_stage(context: FlowContext) -> None:
     config = context.config
     if config.target_lib == GENERIC_TARGET:
         return
+    from repro.map.mapper import map_netlist
+
     report = map_netlist(
         context.netlist,
         target=config.target_lib,
@@ -349,6 +358,8 @@ def place_stage(context: FlowContext) -> None:
     config = context.config
     if not config.place:
         return
+    from repro.place.runner import place_netlist
+
     result = place_netlist(
         context.netlist,
         library=context.library,

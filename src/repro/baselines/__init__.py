@@ -11,11 +11,22 @@
   output, arranged in a balanced operator tree.
 """
 
-from repro.baselines.wallace import wallace_reduce
-from repro.baselines.dadda import dadda_reduce
-from repro.baselines.csa_opt import csa_opt_reduce
-from repro.baselines.multipliers import unsigned_multiplier
-from repro.baselines.conventional import ConventionalResult, conventional_synthesis
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.baselines.wallace": ("wallace_reduce",),
+        "repro.baselines.dadda": ("dadda_reduce",),
+        "repro.baselines.csa_opt": ("csa_opt_reduce",),
+        "repro.baselines.multipliers": ("unsigned_multiplier",),
+        "repro.baselines.conventional": (
+            "ConventionalResult",
+            "conventional_synthesis",
+        ),
+    },
+)
 
 __all__ = [
     "wallace_reduce",

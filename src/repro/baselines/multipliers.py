@@ -21,14 +21,12 @@ from repro.adders.ripple import ripple_carry_adder
 from repro.bitmatrix.addend import Addend
 from repro.bitmatrix.matrix import AddendMatrix
 from repro.baselines.wallace import wallace_reduce
+from repro.choices import MULTIPLIER_STYLES
 from repro.core.delay_model import FADelayModel
 from repro.core.power_model import FAPowerModel
 from repro.errors import NetlistError
 from repro.netlist.cells import CellType
 from repro.netlist.core import Bus, Net, Netlist
-
-MULTIPLIER_STYLES = ("wallace_cpa", "array")
-
 
 def _partial_product_net(netlist: Netlist, bit_a: Net, bit_b: Net) -> Net:
     """AND of two bits with constant folding."""

@@ -31,12 +31,16 @@ Usage examples::
 
 Every flow knob flag on ``synth`` / ``compare``, every sweep-axis flag on
 ``explore`` and every fuzz-domain flag on ``verify`` is **generated from
-the ``repro.api.FlowConfig`` field metadata** (see :mod:`repro.api.options`
-and :func:`repro.verify.fuzz.add_domain_options`) — the CLI has no
-hand-maintained copy of the knob list.  ``table1`` / ``table2``,
-``explore`` and ``verify`` all run on the :mod:`repro.explore` sweep
-engine, so they share the worker pool (``--jobs``); the table presets and
-``explore`` also share the on-disk result cache (``--cache-dir``).
+the ``repro.api.FlowConfig`` field metadata** (see :mod:`repro.api.options`)
+— the CLI has no hand-maintained copy of the knob list.  ``table1`` /
+``table2``, ``explore`` and ``verify`` all run on the :mod:`repro.explore`
+sweep engine, so they share the worker pool (``--jobs``); the table presets
+and ``explore`` also share the on-disk result cache (``--cache-dir``).
+
+Building the parser needs only the config schema and the design names.
+Each ``_cmd_*`` handler imports the layers it runs, so ``list-designs``
+never loads the flow and ``synth`` never loads the sweep engine, the
+verifier or (unless asked) the optimizer, mapper and placer.
 """
 
 from __future__ import annotations
@@ -46,17 +50,16 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
 from repro._version import __version__
-from repro.api.flow import Flow
 from repro.api.options import (
+    add_domain_options,
     add_flow_options,
     add_observability_options,
     add_sweep_options,
     flow_config_from_args,
-    sweep_spec_from_args,
 )
 from repro.designs.registry import (
     TABLE1_DESIGN_NAMES,
@@ -65,23 +68,10 @@ from repro.designs.registry import (
     list_designs,
 )
 from repro.errors import ReproError
-from repro.explore.engine import PointOutcome, SweepResult, run_sweep
-from repro.explore.io import sweep_report, write_csv, write_json
-from repro.explore.spec import SweepSpec, table1_spec, table2_spec
-from repro.flows.compare import compare_methods
-from repro.netlist.verilog import to_verilog
-from repro.power.report import power_report
-from repro.report.tables import table1_from_records, table2_from_records
-from repro.tech.default_libs import resolve_library
-from repro.timing.report import timing_report
-from repro.verify import (
-    DEFAULT_GOLDEN_PATH,
-    add_domain_options,
-    domain_from_args,
-    run_self_test,
-    run_verify,
-    write_report,
-)
+
+if TYPE_CHECKING:
+    from repro.explore.engine import PointOutcome, SweepResult
+    from repro.explore.spec import SweepSpec
 
 #: default method set for `compare` and `explore` (the paper's headline trio)
 _DEFAULT_COMPARE_METHODS = ("conventional", "csa_opt", "fa_aot")
@@ -120,14 +110,18 @@ def _cmd_list_designs(_: argparse.Namespace) -> int:
     return 0
 
 
-def _record_result(metrics: Optional[Dict[str, object]], key: Optional[str]) -> None:
-    """Feed one synthesized design into the active run recorder (if any)."""
+def _record_result(result, design: str) -> None:
+    """Feed one synthesized design into the active run recorder (if any).
+
+    Its history key is ``<design>:<config digest>``; a run without a
+    recorder computes neither the key nor the metrics.
+    """
     recorder = obs.current_recorder()
     if recorder is None:
         return
-    if key is not None:
-        recorder.add_key(key)
-    recorder.add_qor(metrics)
+    if result.config is not None:
+        recorder.add_key(f"{design}:{result.config.cache_digest()}")
+    recorder.add_qor(result.to_dict())
 
 
 def _record_sweep(sweep: SweepResult) -> None:
@@ -144,10 +138,16 @@ def _record_sweep(sweep: SweepResult) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from repro.api.flow import Flow
+    from repro.netlist.verilog import to_verilog
+    from repro.power.report import power_report
+    from repro.tech.default_libs import resolve_library
+    from repro.timing.report import timing_report
+
     config = flow_config_from_args(args)
     library = resolve_library(config.library)
     result = Flow(config).run(args.design, library=library)
-    _record_result(result.to_dict(), f"{args.design}:{config.cache_digest()}")
+    _record_result(result, args.design)
     print(result.summary())
     if result.opt_report is not None:
         print()
@@ -183,6 +183,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.flows.compare import compare_methods
+    from repro.tech.default_libs import resolve_library
+
     design = get_design(args.design)
     config = flow_config_from_args(args, method=args.methods[0])
     row = compare_methods(
@@ -190,12 +193,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     for method in args.methods:
         result = row.results[method]
-        _record_result(
-            result.to_dict(),
-            f"{design.name}:{result.config.cache_digest()}"
-            if result.config is not None
-            else None,
-        )
+        _record_result(result, design.name)
         print(result.summary())
     if args.json:
         payload = {
@@ -216,6 +214,8 @@ def _stall_factor_from_args(args: argparse.Namespace):
 
 def _run_table_sweep(spec: SweepSpec, args: argparse.Namespace) -> SweepResult:
     """Run a paper-table preset sweep, mirroring the legacy progress lines."""
+    from repro.explore.engine import run_sweep
+
     announced = set()
 
     def progress(outcome: PointOutcome, _done: int, _total: int) -> None:
@@ -245,6 +245,9 @@ def _run_table_sweep(spec: SweepSpec, args: argparse.Namespace) -> SweepResult:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.explore.spec import table1_spec
+    from repro.report.tables import table1_from_records
+
     names = args.designs or TABLE1_DESIGN_NAMES
     spec = table1_spec(names, library=args.library, final_adder=args.final_adder)
     sweep = _run_table_sweep(spec, args)
@@ -253,6 +256,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.explore.spec import table2_spec
+    from repro.report.tables import table2_from_records
+
     names = args.designs or TABLE2_DESIGN_NAMES
     spec = table2_spec(
         names, seed=args.seed, library=args.library, final_adder=args.final_adder
@@ -263,6 +269,10 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from repro.api.options import sweep_spec_from_args
+    from repro.explore.engine import run_sweep
+    from repro.explore.io import sweep_report, write_csv, write_json
+
     spec = sweep_spec_from_args(args, designs=args.designs or TABLE1_DESIGN_NAMES)
 
     def progress(outcome: PointOutcome, done: int, total: int) -> None:
@@ -292,6 +302,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.verify import (
+        DEFAULT_GOLDEN_PATH,
+        domain_from_args,
+        run_self_test,
+        run_verify,
+        write_report,
+    )
+
     if args.bless and args.no_golden:
         raise SystemExit(
             "--bless and --no-golden contradict each other: blessing rewrites "
@@ -334,7 +352,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             seed=args.seed,
             jobs=args.jobs,
             domain=domain_from_args(args),
-            golden_path=None if args.no_golden else args.golden,
+            golden_path=None if args.no_golden else (args.golden or DEFAULT_GOLDEN_PATH),
             bless=args.bless,
             smoke=args.smoke,
             progress=progress,
@@ -376,39 +394,39 @@ def _obs_store(args: argparse.Namespace) -> obs.HistoryStore:
     return obs.HistoryStore(history_dir)
 
 
+#: the :class:`repro.obs.Thresholds` fields the threshold flags set
+_THRESHOLD_FIELDS = ("qor_rel_tol", "wall_rel_tol", "min_wall_s", "counter_rel_tol", "last_n")
+
+
 def _thresholds_from_args(args: argparse.Namespace) -> obs.Thresholds:
-    return obs.Thresholds(
-        qor_rel_tol=args.qor_tol,
-        wall_rel_tol=args.wall_tol,
-        min_wall_s=args.min_wall,
-        counter_rel_tol=args.counter_tol,
-        last_n=args.last_n,
-    )
+    """The flags given; an omitted flag keeps the :class:`Thresholds` default."""
+    given = {name: getattr(args, name) for name in _THRESHOLD_FIELDS}
+    return obs.Thresholds(**{name: value for name, value in given.items() if value is not None})
 
 
 def _add_threshold_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("thresholds")
     group.add_argument(
-        "--qor-tol", type=float, default=obs.Thresholds.qor_rel_tol,
+        "--qor-tol", dest="qor_rel_tol", type=float, default=None,
         metavar="REL", help="relative tolerance for float QoR metrics",
     )
     group.add_argument(
-        "--wall-tol", type=float, default=obs.Thresholds.wall_rel_tol,
+        "--wall-tol", dest="wall_rel_tol", type=float, default=None,
         metavar="REL",
         help="relative wall-time tolerance after host-speed normalization",
     )
     group.add_argument(
-        "--min-wall", type=float, default=obs.Thresholds.min_wall_s,
+        "--min-wall", dest="min_wall_s", type=float, default=None,
         metavar="SECONDS",
         help="ignore spans below this duration; a drift must also exceed "
         "it in absolute seconds",
     )
     group.add_argument(
-        "--counter-tol", type=float, default=obs.Thresholds.counter_rel_tol,
+        "--counter-tol", dest="counter_rel_tol", type=float, default=None,
         metavar="REL", help="relative tolerance for counter totals",
     )
     group.add_argument(
-        "--last-n", type=int, default=obs.Thresholds.last_n,
+        "--last-n", type=int, default=None,
         metavar="N", help="baseline = median over the last N ok runs",
     )
 
@@ -842,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", help="write the verification report to this JSON file"
     )
     verify.add_argument(
-        "--golden", default=DEFAULT_GOLDEN_PATH,
+        "--golden", default=None,
         help="golden metric snapshot to compare against",
     )
     verify.add_argument(

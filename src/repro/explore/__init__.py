@@ -27,24 +27,42 @@ Quick example::
     front = pareto_front(sweep.records)
 """
 
-from repro.explore.analysis import (
-    DEFAULT_OBJECTIVES,
-    best_per_design,
-    improvement_matrix,
-    pareto_front,
-    pareto_front_by_design,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.explore.analysis": (
+            "DEFAULT_OBJECTIVES",
+            "best_per_design",
+            "improvement_matrix",
+            "pareto_front",
+            "pareto_front_by_design",
+        ),
+        "repro.explore.cache": ("CACHE_SCHEMA_VERSION", "ResultCache"),
+        "repro.explore.engine": (
+            "PointOutcome",
+            "SweepResult",
+            "execute_point",
+            "parallel_map",
+            "run_sweep",
+        ),
+        "repro.explore.io": (
+            "sweep_report",
+            "sweep_to_json_obj",
+            "write_csv",
+            "write_json",
+        ),
+        "repro.explore.records": ("PointMetrics",),
+        "repro.explore.spec": (
+            "SweepPoint",
+            "SweepSpec",
+            "table1_spec",
+            "table2_spec",
+        ),
+    },
 )
-from repro.explore.cache import CACHE_SCHEMA_VERSION, ResultCache
-from repro.explore.engine import (
-    PointOutcome,
-    SweepResult,
-    execute_point,
-    parallel_map,
-    run_sweep,
-)
-from repro.explore.io import sweep_report, sweep_to_json_obj, write_csv, write_json
-from repro.explore.records import PointMetrics
-from repro.explore.spec import SweepPoint, SweepSpec, table1_spec, table2_spec
 
 __all__ = [
     "DEFAULT_OBJECTIVES",

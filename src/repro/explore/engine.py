@@ -61,6 +61,7 @@ from repro.api.result import FlowResult
 from repro.designs.base import DatapathDesign
 from repro.explore.cache import ResultCache
 from repro.explore.spec import SweepPoint, SweepSpec
+from repro.obs.events import point_heartbeat, worker_bus
 from repro.obs.logbridge import get_logger
 from repro.obs.manifest import peak_rss_bytes
 from repro.tech.library import TechLibrary
@@ -142,13 +143,13 @@ def _run_one(
         heartbeat_s = events.get("heartbeat_s") or 0.0
         path = events.get("path")
         if path and os.getpid() != events.get("parent_pid"):
-            bus = obs.worker_bus(path, events["run_id"])
+            bus = worker_bus(path, events["run_id"])
         else:
             bus = obs.current_bus()
     tracer = obs.Tracer() if trace else None
     telemetry: Optional[Dict] = None
     try:
-        with obs.point_heartbeat(
+        with point_heartbeat(
             bus, heartbeat_s, point=point.label(), attempt=attempt
         ):
             if hang_s > 0 and attempt == 0:

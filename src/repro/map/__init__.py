@@ -18,21 +18,29 @@ See :mod:`repro.map.templates` for the equivalence-checked decomposition
 templates and :mod:`repro.map.mapper` for the covering pass.
 """
 
-from repro.map.mapper import TechnologyMappingPass, map_netlist
-from repro.map.report import MapReport
-from repro.map.targets import (
-    GENERIC_TARGET,
-    MAP_OBJECTIVES,
-    TARGET_NAMES,
-    basis_of,
-    resolve_target_library,
-)
-from repro.map.templates import (
-    MapTemplate,
-    TemplateNode,
-    register_template,
-    templates_for,
-    verify_template,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.map.mapper": ("TechnologyMappingPass", "map_netlist"),
+        "repro.map.report": ("MapReport",),
+        "repro.map.targets": (
+            "GENERIC_TARGET",
+            "MAP_OBJECTIVES",
+            "TARGET_NAMES",
+            "basis_of",
+            "resolve_target_library",
+        ),
+        "repro.map.templates": (
+            "MapTemplate",
+            "TemplateNode",
+            "register_template",
+            "templates_for",
+            "verify_template",
+        ),
+    },
 )
 
 __all__ = [

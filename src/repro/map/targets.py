@@ -21,27 +21,18 @@ The *objective* steers template selection in the covering pass:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+from typing import FrozenSet
 
+from repro.choices import (
+    GENERIC_TARGET,
+    MAP_OBJECTIVE_HELP,
+    MAP_OBJECTIVES,
+    TARGET_LIB_HELP,
+    TARGET_NAMES,
+)
 from repro.netlist.cells import CellType
 from repro.tech.library import TechLibrary
-from repro.tech.target_libs import TARGET_LIBRARY_NAMES, resolve_target_library
-
-#: the identity target: keep the generic primitives, skip mapping entirely
-GENERIC_TARGET = "generic"
-
-#: every value accepted by the ``target_lib`` config field
-TARGET_NAMES: Tuple[str, ...] = (GENERIC_TARGET,) + TARGET_LIBRARY_NAMES
-
-#: every value accepted by the ``map_objective`` config field
-MAP_OBJECTIVES: Tuple[str, ...] = ("area", "delay", "balanced")
-
-#: shared help strings (config field metadata and CLI flags derive from them)
-TARGET_LIB_HELP = (
-    "technology-mapping target cell basis "
-    "('generic' = keep the FA/HA primitives unmapped, the paper protocol)"
-)
-MAP_OBJECTIVE_HELP = "template-selection objective for technology mapping"
+from repro.tech.target_libs import resolve_target_library
 
 
 def basis_of(library: TechLibrary) -> FrozenSet[CellType]:

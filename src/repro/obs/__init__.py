@@ -20,71 +20,91 @@ When no tracer is installed (the default) these are near-free no-ops, so
 the instrumentation lives permanently in the hot paths; ``--trace FILE``
 on the CLI (or :func:`tracing` around any API call) turns one run into a
 merged, cross-process timeline.
+
+Only the tracer helpers (and the recorder / event-bus slots beside them)
+are imported with the package; every other name loads its module on first
+access (PEP 562), so instrumented layers pay nothing for the exporters,
+the history store or the event bus they do not use.
 """
 
-from repro.obs.chrome import (
-    trace_events,
-    trace_obj,
-    validate_trace_obj,
-    write_chrome_trace,
-)
-from repro.obs.events import (
-    EVENT_KINDS,
-    EVENT_SCHEMA,
-    EVENT_SCHEMA_VERSION,
-    EVENTS_FILENAME,
-    EventBus,
-    check_event_stream,
-    current_bus,
-    emit_event,
-    eventing,
-    load_events,
-    new_run_id,
-    point_heartbeat,
-    validate_event_obj,
-    worker_bus,
-)
-from repro.obs.history import (
-    HISTORY_ENV,
-    HistoryStore,
-    RunRecorder,
-    Thresholds,
-    build_record,
-    check_history,
-    current_recorder,
-    diff_records,
-    gating_findings,
-    recording,
-    render_findings,
-    select_baseline,
-    validate_record,
-)
-from repro.obs.logbridge import LOG_LEVELS, configure_logging, get_logger
-from repro.obs.manifest import (
-    git_provenance,
-    peak_rss_bytes,
-    run_manifest,
-    write_manifest,
-)
-from repro.obs.profile import profile_rows, render_profile
-from repro.obs.progress import ProgressRenderer
-from repro.obs.report import (
-    collapsed_stacks,
-    render_dashboard,
-    spans_from_trace_obj,
-    write_dashboard,
-    write_flamegraph,
-)
-from repro.obs.resource import ResourceSampler, cpu_seconds, rss_bytes, sample_resources
+from repro._lazy import lazy_exports
 from repro.obs.tracer import (
+    HISTORY_ENV,
     Tracer,
     aggregate_spans,
     counter,
+    current_bus,
+    current_recorder,
     current_tracer,
     disabled,
+    emit_event,
+    eventing,
     gauge,
+    recording,
     span,
     tracing,
+)
+
+#: everything else loads on first use: a run without ``--trace``,
+#: ``--history`` or ``--events`` never imports the modules behind it
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.obs.chrome": (
+            "trace_events",
+            "trace_obj",
+            "validate_trace_obj",
+            "write_chrome_trace",
+        ),
+        "repro.obs.events": (
+            "EVENT_KINDS",
+            "EVENT_SCHEMA",
+            "EVENT_SCHEMA_VERSION",
+            "EVENTS_FILENAME",
+            "EventBus",
+            "check_event_stream",
+            "load_events",
+            "new_run_id",
+            "point_heartbeat",
+            "validate_event_obj",
+            "worker_bus",
+        ),
+        "repro.obs.history": (
+            "HistoryStore",
+            "RunRecorder",
+            "Thresholds",
+            "build_record",
+            "check_history",
+            "diff_records",
+            "gating_findings",
+            "render_findings",
+            "select_baseline",
+            "validate_record",
+        ),
+        "repro.obs.logbridge": ("LOG_LEVELS", "configure_logging", "get_logger"),
+        "repro.obs.manifest": (
+            "git_provenance",
+            "peak_rss_bytes",
+            "run_manifest",
+            "write_manifest",
+        ),
+        "repro.obs.profile": ("profile_rows", "render_profile"),
+        "repro.obs.progress": ("ProgressRenderer",),
+        "repro.obs.report": (
+            "collapsed_stacks",
+            "render_dashboard",
+            "spans_from_trace_obj",
+            "write_dashboard",
+            "write_flamegraph",
+        ),
+        "repro.obs.resource": (
+            "ResourceSampler",
+            "cpu_seconds",
+            "rss_bytes",
+            "sample_resources",
+        ),
+    },
 )
 
 __all__ = [

@@ -53,6 +53,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from repro.obs.logbridge import get_logger
 from repro.obs.resource import sample_resources
+from repro.obs.tracer import current_bus, emit_event, eventing  # noqa: F401  (re-exported)
 
 EVENT_SCHEMA = "repro.obs.events"
 EVENT_SCHEMA_VERSION = 1
@@ -203,43 +204,6 @@ class EventBus:
                 with contextlib.suppress(OSError):
                     os.close(self._fd)
                 self._fd = None
-
-
-# -- active-bus global (mirrors tracer._ACTIVE) -----------------------
-
-_ACTIVE_BUS: Optional[EventBus] = None
-
-
-def current_bus() -> Optional[EventBus]:
-    """The installed bus, or ``None`` when telemetry is off."""
-    return _ACTIVE_BUS
-
-
-@contextlib.contextmanager
-def eventing(bus: Optional[EventBus]):
-    """Install ``bus`` as the active event bus for the duration.
-
-    ``eventing(None)`` is a no-op passthrough, so call sites can write
-    ``with eventing(maybe_bus):`` unconditionally.
-    """
-    global _ACTIVE_BUS
-    if bus is None:
-        yield None
-        return
-    previous = _ACTIVE_BUS
-    _ACTIVE_BUS = bus
-    try:
-        yield bus
-    finally:
-        _ACTIVE_BUS = previous
-
-
-def emit_event(kind: str, **attrs) -> Optional[dict]:
-    """Emit on the active bus; near-free no-op when telemetry is off."""
-    bus = _ACTIVE_BUS
-    if bus is None:
-        return None
-    return bus.emit(kind, **attrs)
 
 
 # -- worker-side bus --------------------------------------------------

@@ -32,12 +32,12 @@ import json
 import os
 import statistics
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.logbridge import get_logger
+from repro.obs.tracer import HISTORY_ENV, current_recorder, recording  # noqa: F401  (re-exported)
 
 log = get_logger("obs.history")
 
@@ -46,9 +46,6 @@ RECORD_SCHEMA = "repro.obs.history.record"
 RECORD_SCHEMA_VERSION = 1
 INDEX_SCHEMA = "repro.obs.history.index"
 INDEX_SCHEMA_VERSION = 1
-
-#: environment variable consulted when ``--history`` is not given
-HISTORY_ENV = "REPRO_HISTORY"
 
 #: QoR metrics carried per design entry: counts compare exactly, floats
 #: within the tolerance band (mirrors the golden-metric harness)
@@ -515,30 +512,6 @@ class RunRecorder:
             manifest=manifest,
             extra=self.extra,
         )
-
-
-#: the process-wide active recorder (None = no history collection)
-_RECORDER: Optional[RunRecorder] = None
-
-
-def current_recorder() -> Optional[RunRecorder]:
-    """The active :class:`RunRecorder`, or ``None`` when history is off."""
-    return _RECORDER
-
-
-@contextmanager
-def recording(recorder: Optional[RunRecorder]):
-    """Install ``recorder`` for the ``with`` body (``None`` = no-op)."""
-    global _RECORDER
-    if recorder is None:
-        yield _RECORDER
-        return
-    previous = _RECORDER
-    _RECORDER = recorder
-    try:
-        yield recorder
-    finally:
-        _RECORDER = previous
 
 
 # ------------------------------------------------------------- sentinel

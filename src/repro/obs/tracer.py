@@ -34,7 +34,11 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+
+if TYPE_CHECKING:
+    from repro.obs.events import EventBus
+    from repro.obs.history import RunRecorder
 
 #: the process-wide active tracer (None = tracing disabled, helpers no-op)
 _ACTIVE: Optional["Tracer"] = None
@@ -272,3 +276,72 @@ def aggregate_spans(
     for entry in summary.values():
         entry["total_s"] = round(float(entry["total_s"]), 6)
     return dict(sorted(summary.items()))
+
+
+# -- the run-recorder and event-bus slots -------------------------------
+#
+# The history recorder (:mod:`repro.obs.history`) and the live event bus
+# (:mod:`repro.obs.events`) follow the same active-global pattern as the
+# tracer.  Their slots live here so that a run which installs neither --
+# the default -- never imports the modules that implement them.
+
+#: environment variable consulted when ``--history`` is not given
+HISTORY_ENV = "REPRO_HISTORY"
+
+#: the process-wide active recorder (None = no history collection)
+_RECORDER: Optional[RunRecorder] = None
+
+#: the process-wide active event bus (None = telemetry off)
+_BUS: Optional[EventBus] = None
+
+
+def current_recorder() -> Optional[RunRecorder]:
+    """The active :class:`~repro.obs.history.RunRecorder`, or ``None`` when history is off."""
+    return _RECORDER
+
+
+@contextmanager
+def recording(recorder: Optional[RunRecorder]):
+    """Install ``recorder`` for the ``with`` body (``None`` = no-op)."""
+    global _RECORDER
+    if recorder is None:
+        yield _RECORDER
+        return
+    previous = _RECORDER
+    _RECORDER = recorder
+    try:
+        yield recorder
+    finally:
+        _RECORDER = previous
+
+
+def current_bus() -> Optional[EventBus]:
+    """The installed :class:`~repro.obs.events.EventBus`, or ``None`` when telemetry is off."""
+    return _BUS
+
+
+@contextmanager
+def eventing(bus: Optional[EventBus]):
+    """Install ``bus`` as the active event bus for the duration.
+
+    ``eventing(None)`` is a no-op passthrough, so call sites can write
+    ``with eventing(maybe_bus):`` unconditionally.
+    """
+    global _BUS
+    if bus is None:
+        yield None
+        return
+    previous = _BUS
+    _BUS = bus
+    try:
+        yield bus
+    finally:
+        _BUS = previous
+
+
+def emit_event(kind: str, **attrs) -> Optional[dict]:
+    """Emit on the active bus; near-free no-op when telemetry is off."""
+    bus = _BUS
+    if bus is None:
+        return None
+    return bus.emit(kind, **attrs)

@@ -19,15 +19,31 @@ after every pass.  The synthesis flow exposes the pipeline as ``-O`` levels
 (``opt_level`` 0/1/2) and ``repro.explore`` sweeps over them.
 """
 
-from repro.opt.base import RewritePass, retire_cell
-from repro.opt.cleanup import CleanupPass
-from repro.opt.constant_fold import ConstantFoldPass
-from repro.opt.cse import CommonSubexpressionPass
-from repro.opt.dce import DeadCellEliminationPass
-from repro.opt.equivalence import NetlistEquivalenceReport, check_netlists_equivalent
-from repro.opt.manager import OPT_LEVELS, PassManager, default_pipeline, optimize_netlist
-from repro.opt.report import OptReport, PassStat
-from repro.opt.strength import StrengthReductionPass
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.opt.base": ("RewritePass", "retire_cell"),
+        "repro.opt.cleanup": ("CleanupPass",),
+        "repro.opt.constant_fold": ("ConstantFoldPass",),
+        "repro.opt.cse": ("CommonSubexpressionPass",),
+        "repro.opt.dce": ("DeadCellEliminationPass",),
+        "repro.opt.equivalence": (
+            "NetlistEquivalenceReport",
+            "check_netlists_equivalent",
+        ),
+        "repro.opt.manager": (
+            "OPT_LEVELS",
+            "PassManager",
+            "default_pipeline",
+            "optimize_netlist",
+        ),
+        "repro.opt.report": ("OptReport", "PassStat"),
+        "repro.opt.strength": ("StrengthReductionPass",),
+    },
+)
 
 __all__ = [
     "OPT_LEVELS",

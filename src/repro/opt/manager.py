@@ -27,6 +27,7 @@ import time
 from typing import List, Optional, Sequence, Set
 
 from repro import obs
+from repro.choices import OPT_LEVEL_HELP, OPT_LEVELS  # noqa: F401  (re-exported)
 from repro.errors import OptimizationError
 from repro.netlist.core import Netlist
 from repro.netlist.stats import netlist_stats
@@ -43,16 +44,6 @@ from repro.opt.equivalence import (
 )
 from repro.opt.report import OptReport, PassStat
 from repro.opt.strength import StrengthReductionPass
-
-#: the supported ``-O`` levels
-OPT_LEVELS = (0, 1, 2)
-
-#: one-line description of the levels, shared by the CLI flag help and the
-#: :class:`repro.api.FlowConfig` field metadata (single source of truth)
-OPT_LEVEL_HELP = (
-    "netlist optimization level: 0 = as built (paper protocol), "
-    "1 = safe cleanups, 2 = full pipeline (always equivalence-checked)"
-)
 
 
 def default_pipeline(opt_level: int) -> List[RewritePass]:

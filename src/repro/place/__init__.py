@@ -17,34 +17,42 @@ back into the metrics the rest of the stack tracks:
   the flow's ``place`` stage uses.
 """
 
-from repro.place.cts import ClockTree, build_clock_tree
-from repro.place.fabric import (
-    CLOCK_BUFFER_DELAY_NS,
-    CLOCK_WIRE_DELAY_NS_PER_SITE,
-    FabricGrid,
-    SITE_FOOTPRINTS,
-    WIRE_DELAY_NS_PER_SITE,
-    auto_size,
-    footprint,
-    pin_offsets,
-    site_demand,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.place.cts": ("ClockTree", "build_clock_tree"),
+        "repro.place.fabric": (
+            "CLOCK_BUFFER_DELAY_NS",
+            "CLOCK_WIRE_DELAY_NS_PER_SITE",
+            "FabricGrid",
+            "SITE_FOOTPRINTS",
+            "WIRE_DELAY_NS_PER_SITE",
+            "auto_size",
+            "footprint",
+            "pin_offsets",
+            "site_demand",
+        ),
+        "repro.place.placer": (
+            "AnnealStats",
+            "Placement",
+            "anneal",
+            "greedy_initial_placement",
+            "total_hpwl",
+        ),
+        "repro.place.report": ("PlaceReport",),
+        "repro.place.runner": (
+            "DEFAULT_PLACE_ITERS",
+            "DEFAULT_PLACE_SEED",
+            "PlaceResult",
+            "place_netlist",
+        ),
+        "repro.place.validate": ("check_placement", "validate_placement"),
+        "repro.place.wires": ("congestion_map", "net_lengths", "wire_delays"),
+    },
 )
-from repro.place.placer import (
-    AnnealStats,
-    Placement,
-    anneal,
-    greedy_initial_placement,
-    total_hpwl,
-)
-from repro.place.report import PlaceReport
-from repro.place.runner import (
-    DEFAULT_PLACE_ITERS,
-    DEFAULT_PLACE_SEED,
-    PlaceResult,
-    place_netlist,
-)
-from repro.place.validate import check_placement, validate_placement
-from repro.place.wires import congestion_map, net_lengths, wire_delays
 
 __all__ = [
     "AnnealStats",

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.choices import LIBRARY_NAMES
+from repro.errors import LibraryError
 from repro.netlist.cells import CellType, cell_input_ports
 from repro.tech.library import CellSpec, TechLibrary
 
@@ -214,8 +216,10 @@ def scaled_library(
     return TechLibrary(label, cells)
 
 
-#: names accepted by :func:`resolve_library` (the CLI / sweep library axis)
-LIBRARY_NAMES = ("generic_035", "unit")
+#: builders of every default library, keyed by the names in
+#: :data:`repro.choices.LIBRARY_NAMES`
+_LIBRARY_BUILDERS = {"generic_035": generic_035, "unit": unit_library}
+assert tuple(_LIBRARY_BUILDERS) == LIBRARY_NAMES, "repro.choices.LIBRARY_NAMES is stale"
 
 
 def resolve_library(name: str) -> TechLibrary:
@@ -225,12 +229,10 @@ def resolve_library(name: str) -> TechLibrary:
     reference a library by name (names are picklable and hashable, library
     objects are rebuilt inside worker processes).
     """
-    if name == "generic_035":
-        return generic_035()
-    if name == "unit":
-        return unit_library()
-    from repro.errors import LibraryError
-
-    raise LibraryError(
-        f"unknown library {name!r} (choices: {', '.join(LIBRARY_NAMES)})"
-    )
+    try:
+        builder = _LIBRARY_BUILDERS[name]
+    except KeyError:
+        raise LibraryError(
+            f"unknown library {name!r} (choices: {', '.join(LIBRARY_NAMES)})"
+        ) from None
+    return builder()

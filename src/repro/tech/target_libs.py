@@ -30,8 +30,9 @@ nanoseconds, areas in library units, energies per output transition).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
+from repro.choices import TARGET_LIBRARY_NAMES
 from repro.errors import LibraryError
 from repro.netlist.cells import CellType
 from repro.tech.default_libs import _uniform_delays
@@ -106,9 +107,9 @@ _TARGET_BUILDERS: Dict[str, object] = {
     "lowpower_035": lowpower_035,
 }
 
-#: names accepted by :func:`resolve_target_library` (the mapping basis axis,
-#: excluding the identity target ``"generic"`` which maps nothing)
-TARGET_LIBRARY_NAMES: Tuple[str, ...] = tuple(_TARGET_BUILDERS)
+assert tuple(_TARGET_BUILDERS) == TARGET_LIBRARY_NAMES, (
+    "repro.choices.TARGET_LIBRARY_NAMES is stale"
+)
 
 
 def resolve_target_library(name: str) -> TechLibrary:

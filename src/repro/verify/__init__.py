@@ -25,35 +25,43 @@ must be flagged as non-equivalent, or the whole verification stack is
 considered broken.
 """
 
-from repro.verify.fuzz import (
-    add_domain_options,
-    case_seed,
-    check_point,
-    default_domain,
-    domain_from_args,
-    run_fuzz,
-    sample_config,
-    sample_points,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.api.options": ("add_domain_options",),
+        "repro.verify.fuzz": (
+            "case_seed",
+            "check_point",
+            "default_domain",
+            "domain_from_args",
+            "run_fuzz",
+            "sample_config",
+            "sample_points",
+        ),
+        "repro.verify.golden": (
+            "DEFAULT_GOLDEN_PATH",
+            "bless_golden",
+            "compare_to_golden",
+            "golden_points",
+            "load_golden",
+            "run_golden",
+            "run_golden_points",
+        ),
+        "repro.verify.metamorphic": (
+            "METAMORPHIC_PROPERTIES",
+            "check_property",
+            "metamorphic_property",
+            "property_names",
+            "run_metamorphic",
+        ),
+        "repro.verify.mutation": ("BrokenAndToOrPass", "BrokenDropCarryPass"),
+        "repro.verify.report": ("VerifyReport", "write_report"),
+        "repro.verify.runner": ("run_self_test", "run_verify"),
+    },
 )
-from repro.verify.golden import (
-    DEFAULT_GOLDEN_PATH,
-    bless_golden,
-    compare_to_golden,
-    golden_points,
-    load_golden,
-    run_golden,
-    run_golden_points,
-)
-from repro.verify.metamorphic import (
-    METAMORPHIC_PROPERTIES,
-    check_property,
-    metamorphic_property,
-    property_names,
-    run_metamorphic,
-)
-from repro.verify.mutation import BrokenAndToOrPass, BrokenDropCarryPass
-from repro.verify.report import VerifyReport, write_report
-from repro.verify.runner import run_self_test, run_verify
 
 __all__ = [
     "BrokenAndToOrPass",

@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.api.config import FlowConfig, config_fields
 from repro.api.flow import Flow
+from repro.api.options import BOOL_AXIS_VALUES, FUZZ_PINNED_FIELDS
 from repro.designs.registry import get_design, list_designs
 from repro.explore.engine import parallel_map
 from repro.explore.spec import SweepPoint
@@ -42,19 +43,6 @@ from repro.sim.equivalence import check_equivalence
 
 #: config seeds are drawn from this range when the domain leaves them free
 SEED_DRAW_RANGE = 1 << 16
-
-#: tri-state values accepted by boolean domain flags (mirrors the sweep CLI)
-_BOOL_DOMAIN_VALUES: Dict[str, Tuple[bool, ...]] = {
-    "off": (False,),
-    "on": (True,),
-    "both": (False, True),
-}
-
-#: config fields the fuzzer pins instead of sampling: ``analyses`` is
-#: exercised by the metamorphic properties (skipping passes must not change
-#: the netlist), ``opt_validate`` / ``map_validate`` are always on so every
-#: case also checks the structural invariants after each rewrite/map pass
-_PINNED_FIELDS = ("analyses", "opt_validate", "map_validate")
 
 #: a fuzz domain: config field name -> candidate values (None = draw an
 #: integer from the rng, used for the free-form ``seed`` field)
@@ -70,11 +58,11 @@ def default_domain() -> Domain:
     domain through the schema's ``fuzz`` metadata — the fabric dimensions
     fuzz at ``None`` (auto-size) because a random site count is either
     invalid or absurdly large, and ``place_iters`` fuzzes at small move
-    budgets to keep cases cheap.  :data:`_PINNED_FIELDS` are excluded.
+    budgets to keep cases cheap.  :data:`FUZZ_PINNED_FIELDS` are excluded.
     """
     domain: Domain = {}
     for spec in config_fields():
-        if spec.name in _PINNED_FIELDS:
+        if spec.name in FUZZ_PINNED_FIELDS:
             continue
         if spec.fuzz is not None:
             domain[spec.name] = tuple(spec.fuzz)
@@ -295,56 +283,6 @@ def run_fuzz(
 # ---------------------------------------------------------------- CLI glue
 
 
-def add_domain_options(parser: argparse.ArgumentParser) -> None:
-    """Add schema-generated domain-restriction flags to the verify parser.
-
-    Every sampled config field gets a flag reusing its sweep-axis spelling
-    (``--methods``, ``--opt-levels``, tri-state ``--csd`` defaulting to
-    ``both``...); the default is always the *full* domain.  Destinations are
-    prefixed ``domain_`` so they never collide with the fuzzer's own
-    ``--seed`` / ``--n`` options.
-    """
-    for spec in config_fields():
-        if spec.name in _PINNED_FIELDS:
-            continue
-        flag = spec.axis_flag or spec.flag
-        dest = f"domain_{spec.name}"
-        if spec.kind == "bool":
-            parser.add_argument(
-                flag,
-                dest=dest,
-                choices=tuple(_BOOL_DOMAIN_VALUES),
-                default="both",
-                help=f"fuzz domain: {spec.help}",
-            )
-        elif spec.choices is not None:
-            parser.add_argument(
-                flag,
-                dest=dest,
-                nargs="+",
-                type=int if spec.kind in ("int", "optional_int") else str,
-                choices=spec.choices,
-                default=list(spec.choices),
-                metavar=spec.name.upper(),
-                help=f"fuzz domain: {spec.help}",
-            )
-        else:
-            default_text = (
-                f"default: {spec.fuzz}"
-                if spec.fuzz is not None
-                else "default: drawn from the fuzzer rng"
-            )
-            parser.add_argument(
-                flag,
-                dest=dest,
-                nargs="+",
-                type=int,
-                default=None,
-                metavar=spec.name.upper(),
-                help=f"fuzz domain: {spec.help} ({default_text})",
-            )
-
-
 def domain_from_args(args: argparse.Namespace) -> Domain:
     """Build the sampling domain from parsed domain-restriction flags."""
     domain = default_domain()
@@ -353,7 +291,7 @@ def domain_from_args(args: argparse.Namespace) -> Domain:
         if value is None:
             continue
         if isinstance(value, str):
-            domain[name] = _BOOL_DOMAIN_VALUES[value]
+            domain[name] = BOOL_AXIS_VALUES[value]
         else:
             domain[name] = tuple(value)
     return domain
