@@ -1,8 +1,8 @@
 """Kogge-Stone parallel-prefix final adder.
 
 The fastest (logarithmic-depth) final adder provided; used by the final-adder
-ablation benchmark to show how much of the end-to-end delay is attributable to
-the carry-propagate stage versus the compressor tree.
+ablation to show how much of the end-to-end delay is attributable to the
+carry-propagate stage versus the compressor tree.
 """
 
 from __future__ import annotations

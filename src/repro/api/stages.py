@@ -29,9 +29,8 @@ A flow run is a sequence of *stages* operating on one mutable
 ``analyze``
     Run the *analysis passes* selected by ``config.analyses``.  Analyses are
     individually registrable and skippable — ``analyses=("timing",)`` skips
-    probability propagation and power estimation entirely, which is a
-    measurable per-point speedup in large sweeps (see
-    ``benchmarks/bench_api.py``).
+    probability propagation and power estimation entirely, which saves
+    work on every point of a large sweep.
 
 Each stage imports the layer it runs (``repro.baselines``, ``repro.opt``,
 ``repro.map``, ``repro.place``) only when it runs, so a flow at ``-O0`` on

@@ -1,7 +1,7 @@
 """Design registry: all benchmark designs, addressable by name.
 
 ``TABLE1_DESIGN_NAMES`` and ``TABLE2_DESIGN_NAMES`` list the designs in the
-order the paper's tables report them, so the benchmark harnesses can print
+order the paper's tables report them, so ``repro table1`` / ``table2`` print
 rows that line up with the published tables.
 """
 

@@ -29,9 +29,8 @@ def merge_span_summaries(
 
     This is the accumulation step of the shared span-summary schema (see
     :func:`repro.obs.aggregate_spans`): per-point summaries from a traced
-    sweep, cache telemetry entries and ``python -m benchmarks`` JSON lines
-    all merge with the same function.  ``None`` entries (untraced points)
-    are skipped.
+    sweep and cache telemetry entries merge with the same function.
+    ``None`` entries (untraced points) are skipped.
     """
     merged: Dict[str, Dict[str, object]] = {}
     for summary in summaries:

@@ -36,7 +36,6 @@ from repro.obs.tracer import (
     current_bus,
     current_recorder,
     current_tracer,
-    disabled,
     emit_event,
     eventing,
     gauge,
@@ -133,7 +132,6 @@ __all__ = [
     "current_recorder",
     "current_tracer",
     "diff_records",
-    "disabled",
     "emit_event",
     "eventing",
     "gating_findings",

@@ -10,8 +10,8 @@ deterministic records.
 
 On top of the store sits the **regression sentinel**: :func:`diff_records`
 compares one run against a baseline built by :func:`select_baseline`
-(median over the last N matching-key runs, the same damping idea as the
-bench ratchet) and emits *typed findings* — QoR drift, wall-time drift
+(median over the last N matching-key runs, which damps one-off
+jitter) and emits *typed findings* — QoR drift, wall-time drift
 (host-speed normalized by the total-runtime ratio, so a uniformly slower
 machine trips nothing), new/missing spans and counter anomalies — with
 configurable :class:`Thresholds`.  :func:`check_history` is the CLI-facing
@@ -566,8 +566,7 @@ def select_baseline(
 
     QoR values, span totals/counts, counters and the overall wall time are
     each the per-entry median over the selected runs, which damps one-off
-    jitter the way the bench ratchet's trajectory does.  Returns ``None``
-    when no ``ok`` record is available.
+    jitter.  Returns ``None`` when no ``ok`` record is available.
     """
     usable = [r for r in records if r.get("status") == "ok"][-max(1, last_n):]
     if not usable:

@@ -19,8 +19,8 @@ value wins).  It is installed as the process-wide active tracer with
 
 When no tracer is active the helpers are near-free no-ops — a single
 module-global read plus one function call — so instrumentation can stay in
-hot paths permanently (``benchmarks/bench_obs.py`` asserts the disabled
-overhead stays under 2% of a full sweep).
+hot paths permanently (``tests/test_obs.py`` asserts that an untraced flow
+and sweep never reach a tracer or an event bus).
 
 Cross-process story: ``perf_counter`` clocks are not comparable between
 processes, so every span carries an epoch (``time.time``) start stamp and
@@ -111,9 +111,6 @@ class Tracer:
         self.spans: List[Dict[str, object]] = []
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        #: how many times :meth:`counter` was called (the *event* count, as
-        #: opposed to the accumulated values) — what overhead math needs
-        self.counter_events = 0
         self._next_id = 0
         self._stack: List[Dict[str, object]] = []
 
@@ -145,7 +142,6 @@ class Tracer:
 
     def counter(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to the named accumulator."""
-        self.counter_events += 1
         self.counters[name] = self.counters.get(name, 0.0) + value
 
     def gauge(self, name: str, value: float) -> None:
@@ -239,32 +235,14 @@ def tracing(tracer: Optional[Tracer]):
         _ACTIVE = previous
 
 
-@contextmanager
-def disabled():
-    """Force-disable tracing for the ``with`` body.
-
-    The inverse of :func:`tracing`: whatever tracer is active is stashed
-    and restored afterwards.  Used by overhead probes (and tests) that
-    must measure the disabled fast path even when an ambient tracer — for
-    example the benchmark session tracer — is installed.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = None
-    try:
-        yield
-    finally:
-        _ACTIVE = previous
-
-
 def aggregate_spans(
     spans: Iterable[Dict[str, object]],
 ) -> Dict[str, Dict[str, object]]:
     """Aggregate span dicts by name: ``{name: {count, total_s}}``.
 
-    This is the one span-summary schema shared by sweep artifacts, explore
-    cache telemetry and the ``python -m benchmarks`` JSON lines, so perf
-    data accumulated anywhere can be compared anywhere.
+    This is the one span-summary schema shared by sweep artifacts and
+    explore cache telemetry, so perf data accumulated anywhere can be
+    compared anywhere.
     """
     summary: Dict[str, Dict[str, object]] = {}
     for record in spans:

@@ -1,11 +1,10 @@
 """The numbers published in the paper's Tables 1 and 2.
 
-These are used by the benchmark harnesses and EXPERIMENTS.md to print the
-published results next to the reproduced ones.  Absolute values cannot be
-expected to match (the paper used Synopsys Design Compiler with the LSI
-lcbg10pv 0.35 um library); the quantities that should reproduce are the
-*orderings* (FA_AOT fastest, conventional slowest; FA_ALP below FA_random) and
-the rough magnitude of the improvement percentages.
+``repro table1`` / ``table2`` print them next to the reproduced results.
+Absolute values cannot be expected to match (the paper used Synopsys Design
+Compiler with the LSI lcbg10pv 0.35 um library); the quantities that should
+reproduce are the *orderings* (FA_AOT fastest, conventional slowest; FA_ALP
+below FA_random) and the rough magnitude of the improvement percentages.
 """
 
 from __future__ import annotations

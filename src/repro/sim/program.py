@@ -228,7 +228,7 @@ def cached_program(netlist: Netlist) -> SimProgram:
     The program is one of the netlist's :meth:`~Netlist.derived_views`;
     any structural mutation bumps the generation and forces a fresh compile
     on next use.  Emits ``sim.program_cache_hits`` / ``sim.program_compiles``
-    obs counters so benchmarks can assert the compile cost is amortized
+    obs counters, so a test can count how far one compile is amortized
     across replays.
     """
     views = netlist.derived_views()

@@ -13,8 +13,8 @@ is proprietary); the values below were chosen so that
 
 Because every synthesis method is evaluated against the *same* library, the
 relative comparisons (the shape of Tables 1 and 2) do not depend on these
-absolute choices; the ablation benchmark ``bench_ablation_delay_params``
-sweeps the FA parameters to demonstrate that.
+absolute choices; ``tests/test_paper_claims.py`` sweeps the FA parameters
+to demonstrate that.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def scaled_library(
 ) -> TechLibrary:
     """Clone a library with overridden FA sum/carry delays.
 
-    Used by the Ds/Dc-sensitivity ablation benchmark.  Only the FA cell's arcs
+    Used by the Ds/Dc-sensitivity ablation.  Only the FA cell's arcs
     are changed; everything else is shared with ``base`` (default
     :func:`generic_035`).
     """

@@ -17,7 +17,7 @@ from repro.api import (
     register_analysis,
     unregister_analysis,
 )
-from repro.designs.registry import get_design
+from repro.designs.registry import get_design, list_designs
 from repro.errors import ConfigError, DesignError
 from repro.explore.cache import CACHE_SCHEMA_VERSION, ResultCache
 from repro.explore.records import PointMetrics
@@ -263,14 +263,20 @@ class TestSchemaDrivenSweep:
     def test_timing_only_sweep_records(self, tmp_path):
         from repro.explore.engine import run_sweep
 
-        spec = SweepSpec(designs=("x2",), methods=("fa_aot",), analyses=("timing",))
+        designs = tuple(list_designs())
+        spec = SweepSpec(designs=designs, methods=("fa_aot",), analyses=("timing",))
         sweep = run_sweep(spec, cache=tmp_path)
         assert sweep.ok
-        record = sweep.records[0]
-        assert record["delay_ns"] > 0 and record["total_energy"] is None
-        # cached round-trip preserves the record exactly
+        full = run_sweep(SweepSpec(designs=designs, methods=("fa_aot",)))
+        assert full.ok
+        # skipping analyses never changes the netlist, so delays are equal
+        delays = [(r["design_name"], r["delay_ns"]) for r in sweep.records]
+        assert delays == [(r["design_name"], r["delay_ns"]) for r in full.records]
+        assert all(r["delay_ns"] > 0 and r["total_energy"] is None for r in sweep.records)
+        assert all(r["total_energy"] is not None for r in full.records)
+        # cached round-trip preserves the records exactly
         again = run_sweep(spec, cache=tmp_path)
-        assert again.cache_hits == 1 and again.records == sweep.records
+        assert again.cache_hits == len(designs) and again.records == sweep.records
 
     def test_old_schema_cache_entries_are_ignored(self, tmp_path):
         cache = ResultCache(tmp_path)

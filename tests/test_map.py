@@ -225,22 +225,27 @@ class TestMapNetlist:
         assert data["cells_mapped"] > 0
         assert data["equivalence_ok"] is True
 
-    def test_acceptance_all_registry_designs_nand2_delay(self):
-        # the PR's acceptance bar: every registry design maps onto the NAND
-        # basis under the delay objective, bit-equivalent to the unmapped
-        # netlist (checked inside the map stage) and basis-pure
-        basis = basis_of(resolve_target_library("nand2_basis"))
+    @pytest.mark.parametrize(
+        "target, objective",
+        [("nand2_basis", "delay")] + [(t, "balanced") for t in CONCRETE_TARGETS],
+    )
+    def test_every_registry_design_maps_basis_pure_and_equivalent(self, target, objective):
+        # every registry design maps onto every target basis, bit-equivalent
+        # to the unmapped netlist (checked inside the map stage) and
+        # basis-pure
+        basis = basis_of(resolve_target_library(target))
         for name in list_designs():
             result = Flow(
                 FlowConfig(
-                    target_lib="nand2_basis",
-                    map_objective="delay",
+                    target_lib=target,
+                    map_objective=objective,
                     analyses=("stats",),
                 )
             ).run(name)
             assert all(
                 cell.cell_type in basis for cell in result.netlist.cells.values()
             ), name
+            assert result.map_report.equivalence_ok is True, name
             equivalence = result.map_report.opt_report.equivalence
             assert equivalence is not None and equivalence.equivalent, name
 

@@ -26,6 +26,7 @@ from repro.explore.records import merge_span_summaries
 from repro.explore.spec import SweepSpec
 from repro.obs import (
     LOG_LEVELS,
+    EventBus,
     Tracer,
     aggregate_spans,
     configure_logging,
@@ -117,7 +118,6 @@ class TestTracer:
             obs.gauge("depth", 4)
             obs.gauge("depth", 7)
         assert tracer.counters == {"opt.rewrites": 5.0, "map.cells_covered": 1.0}
-        assert tracer.counter_events == 3
         assert tracer.gauges == {"depth": 7.0}
 
     def test_aggregate_spans_schema(self):
@@ -259,6 +259,47 @@ class TestGoldenSpanNames:
         names = set(tracer.span_names())
         for stage in stage_names():
             assert f"flow.{stage}" in names
+        assert any(name.startswith("opt.") for name in names), sorted(names)
+        roots = [s for s in tracer.spans if s["parent"] is None]
+        assert [s["name"] for s in roots] == ["flow.run"]
+
+
+class TestDisabledPathWorkCount:
+    """With nothing installed, instrumented code never reaches a tracer or bus.
+
+    The ``obs`` helpers stay in the hot paths permanently; they cost almost
+    nothing when off because each returns before touching a
+    :class:`Tracer` or an :class:`~repro.obs.events.EventBus`, and no layer
+    builds one of its own.  Counting those calls is deterministic where
+    timing the no-op path is not.
+    """
+
+    def test_untraced_flow_and_sweep_make_no_obs_calls(self, monkeypatch):
+        calls = []
+
+        def forbidden(name):
+            def method(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} reached with nothing installed")
+
+            return method
+
+        for owner, name in (
+            (Tracer, "__init__"),
+            (Tracer, "span"),
+            (Tracer, "counter"),
+            (Tracer, "gauge"),
+            (EventBus, "__init__"),
+            (EventBus, "emit"),
+        ):
+            monkeypatch.setattr(owner, name, forbidden(f"{owner.__name__}.{name}"))
+
+        Flow(FlowConfig(opt_level=2, target_lib="aoi_rich", place=True)).run("iir")
+        spec = SweepSpec(designs=("iir",), methods=("fa_aot", "wallace"))
+        sweep = run_sweep(spec, jobs=1)
+        assert calls == []
+        assert sweep.ok, [o.error for o in sweep.failures]
+        assert obs.current_tracer() is None and obs.current_bus() is None
 
 
 class TestFlowAccounting:

@@ -737,30 +737,6 @@ class TestWorkerTelemetryHardening:
         assert "telemetry" in record
 
 
-class TestBenchmarksHistory:
-    def test_append_history_record(self, tmp_path):
-        sys.path.insert(0, str(REPO_ROOT))
-        try:
-            from benchmarks.__main__ import append_history
-        finally:
-            sys.path.remove(str(REPO_ROOT))
-        records = [
-            {"bench": "bench_opt", "ok": True, "elapsed_s": 3.2,
-             "span_summary": {"flow.run": {"count": 10, "total_s": 2.5}}},
-            {"bench": "bench_map", "ok": True, "elapsed_s": 4.1,
-             "span_summary": None},
-        ]
-        append_history(tmp_path / "h", records, 0, 7.3, [])
-        store = obs.HistoryStore(tmp_path / "h")
-        stored = store.records()
-        assert len(stored) == 1
-        assert stored[0]["key"] == "benchmarks:bench_map,bench_opt"
-        summary = stored[0]["span_summary"]
-        assert summary["bench.bench_opt"]["total_s"] == pytest.approx(3.2)
-        assert summary["flow.run"]["total_s"] == pytest.approx(2.5)
-        assert store.check() == []
-
-
 class TestRecordHelpers:
     def test_qor_entry_and_label(self):
         metrics = {

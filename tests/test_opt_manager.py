@@ -1,7 +1,10 @@
 """Tests for the pass manager, optimization levels and equivalence checker."""
 
+import functools
+
 import pytest
 
+from repro.api import Flow, FlowConfig
 from repro.errors import OptimizationError
 from repro.flows.synthesis import synthesize
 from repro.netlist.cells import CellType
@@ -9,6 +12,29 @@ from repro.netlist.core import Netlist
 from repro.opt.base import RewritePass
 from repro.opt.equivalence import check_netlists_equivalent
 from repro.opt.manager import OPT_LEVELS, PassManager, default_pipeline, optimize_netlist
+
+
+#: representative registry designs and methods for the whole -O2 pipeline
+REGISTRY_CASES = (
+    ("x2_plus_x_plus_y", "fa_aot"),
+    ("square_of_sum", "fa_aot"),
+    ("iir", "fa_aot"),
+    ("iir", "conventional"),
+    ("kalman", "fa_aot"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _optimized(design_name, method):
+    """The ``-O2`` report of one registry design, memoized across tests."""
+    config = FlowConfig(method=method, opt_level=2, analyses=("stats",))
+    return Flow(config).run(design_name).opt_report
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _release_reports():
+    yield
+    _optimized.cache_clear()
 
 
 class TestDefaultPipeline:
@@ -54,6 +80,20 @@ class TestPassManager:
             for stat in report.passes
             if stat.iteration == last_iter
         )
+
+    @pytest.mark.parametrize("design_name, method", REGISTRY_CASES)
+    def test_registry_design_stays_equivalent_and_converges(self, design_name, method):
+        report = _optimized(design_name, method)
+        assert report.equivalence is not None and report.equivalence.equivalent
+        assert report.converged
+        assert report.area_delta is not None and report.area_delta >= 0
+
+    def test_most_registry_designs_shrink(self):
+        # FA strength reduction may trade one FA for two cheaper gates, so
+        # the cell count need not fall on every design; area never grows
+        reports = {case: _optimized(*case) for case in REGISTRY_CASES}
+        shrunk = [c for c, r in reports.items() if r.after.num_cells < r.before.num_cells]
+        assert len(shrunk) >= 3, shrunk
 
     def test_opt_level_zero_is_noop(self, small_design):
         result = synthesize(small_design, method="fa_aot")

@@ -98,9 +98,10 @@ class TestFigure2:
 
 
 class TestFigure3:
-    def test_six_addends_reduce_to_two_plus_carry_column(self):
+    @pytest.mark.parametrize("arrivals", [(0.0,) * 6, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)])
+    def test_six_addends_reduce_to_two_plus_carry_column(self, arrivals):
         netlist = Netlist("fig3")
-        addends = [Addend(netlist.add_net(), 0, 0.0) for _ in range(6)]
+        addends = [Addend(netlist.add_net(), 0, arrival) for arrival in arrivals]
         reduction = sc_t(netlist, addends, delay_model=PAPER_MODEL)
         assert len(reduction.remaining) == 2
         assert len(reduction.carries) == 2

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api.config import FlowConfig
 from repro.api.flow import Flow
+from repro.designs.registry import list_designs
 from repro.errors import ConfigError, PlaceError
 from repro.explore.spec import SweepPoint
 from repro.netlist.cells import CellType
@@ -223,8 +224,9 @@ class TestClockTree:
 
 
 class TestFlowIntegration:
-    def test_place_stage_populates_report_and_metrics(self):
-        result = Flow(FlowConfig(place=True)).run("x2")
+    @pytest.mark.parametrize("design_name", list_designs())
+    def test_place_stage_populates_report_and_metrics(self, design_name):
+        result = Flow(FlowConfig(place=True)).run(design_name)
         report = result.place_report
         assert report is not None
         assert report.validation_findings == 0

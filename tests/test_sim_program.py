@@ -128,6 +128,16 @@ class TestProgramCache:
         assert tracer.counters["sim.program_compiles"] == 2.0
         assert tracer.counters["sim.program_cache_hits"] == 1.0
 
+    def test_one_compile_amortized_over_many_replays(self):
+        replays = 120
+        netlist = synthesize(get_design("iir"), method="fa_aot").netlist
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            programs = {id(cached_program(netlist)) for _ in range(replays)}
+        assert len(programs) == 1
+        assert tracer.counters["sim.program_compiles"] == 1.0
+        assert tracer.counters["sim.program_cache_hits"] == replays - 1
+
     def test_recompile_after_mutation_is_byte_exact_vs_fresh(self):
         # determinism pin: a program recompiled after a real optimization
         # sequence must be identical to one compiled from scratch on an
