@@ -5,7 +5,7 @@ This drives the ``repro.explore`` subsystem end to end:
 
 1. declare a sweep over two designs, three allocation methods and two final
    adders, with a constraint filter;
-2. run it on a worker pool with an on-disk result cache (run the script
+2. run it on two worker processes with an on-disk result cache (run the script
    twice — the second run is answered from the cache);
 3. extract the Pareto front over (delay, area, tree energy), the fastest
    point per design and the delay-improvement matrix vs Wallace;

@@ -34,7 +34,7 @@ Every flow knob flag on ``synth`` / ``compare``, every sweep-axis flag on
 the ``repro.api.FlowConfig`` field metadata** (see :mod:`repro.api.options`)
 — the CLI has no hand-maintained copy of the knob list.  ``table1`` /
 ``table2``, ``explore`` and ``verify`` all run on the :mod:`repro.explore`
-sweep engine, so they share the worker pool (``--jobs``); the table presets
+sweep engine, so they share its worker processes (``--jobs``); the table presets
 and ``explore`` also share the on-disk result cache (``--cache-dir``).
 
 Building the parser needs only the config schema and the design names.

@@ -6,8 +6,8 @@ that sweep a first-class object:
 
 * :class:`SweepSpec` / :class:`SweepPoint` (:mod:`repro.explore.spec`)
   declare a cartesian grid with constraint filters;
-* :func:`run_sweep` (:mod:`repro.explore.engine`) executes the points on a
-  process pool with per-point error capture and an on-disk JSON result
+* :func:`run_sweep` (:mod:`repro.explore.engine`) executes the points on
+  worker processes forked per sweep, with per-point error capture and an on-disk JSON result
   cache (:mod:`repro.explore.cache`);
 * :mod:`repro.explore.analysis` extracts Pareto fronts, per-design winners
   and improvement matrices from the resulting metric records;
@@ -44,6 +44,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.explore.engine": (
             "PointOutcome",
             "SweepResult",
+            "WorkerFailure",
             "execute_point",
             "parallel_map",
             "run_sweep",
@@ -73,6 +74,7 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
+    "WorkerFailure",
     "best_per_design",
     "execute_point",
     "improvement_matrix",

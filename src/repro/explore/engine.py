@@ -5,9 +5,8 @@ point list) into :class:`PointOutcome` records:
 
 * cached points are answered from the :class:`~repro.explore.cache.ResultCache`
   without synthesizing anything;
-* the remaining points run through :func:`execute_point` either serially or
-  on a ``ProcessPoolExecutor`` worker pool (``jobs > 1``), falling back to
-  serial execution when the platform cannot spawn worker processes;
+* the remaining points run through :func:`execute_point`, in the caller
+  (``jobs <= 1``) or on ``jobs`` worker processes forked for this sweep;
 * a point that raises is captured as a per-point error record instead of
   aborting the sweep.
 
@@ -18,40 +17,44 @@ metric dict, so no netlist ever crosses a process boundary.
 :func:`repro.flows.compare.compare_methods` runs on, which keeps the paper's
 table harnesses and ad-hoc sweeps on the same code path.
 
-The pool machinery itself is exposed as :func:`parallel_map`, a generic
-fan-out over any picklable worker function with the same serial-fallback
-semantics — this is what the verification subsystem (:mod:`repro.verify`)
-runs its fuzz cases and metamorphic checks on.  A pool whose worker
-*process* dies (``BrokenProcessPool``) is rebuilt and the in-flight
-items are re-dispatched (only the point that was alone in flight is
-charged with the crash; co-resident siblings are requeued unpenalized),
-so a single crashed worker no longer degrades the whole fan-out to a
-serial re-run.
+One dispatcher serves both :func:`run_sweep` and :func:`parallel_map`, the
+generic fan-out the verification subsystem (:mod:`repro.verify`) runs its
+fuzz cases and metamorphic checks on.  Each worker is a
+:class:`multiprocessing.Process` fed one item at a time over its own pipe,
+so a worker that dies names the item it was running: only that worker is
+respawned, and the item is retried up to ``max_retries`` times, then
+recorded as a :class:`WorkerFailure`.  An item whose worker function raises
+fails at once, with no retry.  Only when a worker cannot be started does
+the rest run serially in the caller (``used_fallback``); an item that
+crashed a worker never runs there.
 
-Observability: when a :mod:`repro.obs` tracer is active in the parent,
-every point runs under its own child tracer (in the worker process for
-parallel sweeps) and ships its spans back with the metric record; the
-parent adopts them, so one ``--trace`` file renders the whole sweep as a
-merged multi-process timeline.  When an :class:`repro.obs.EventBus` is
-active (``--events`` / ``--live``), the dispatcher additionally streams
-``point_start``/``point_end``/``stall``/``retry`` events, workers run a
-daemon heartbeat thread appending ``heartbeat``/``resource`` gauges to
-the shared JSONL stream, and the dispatcher watches in-flight points: one
-exceeding ``stall_factor x`` the rolling median is flagged as a
-straggler, and one exceeding the hard ``point_timeout`` is abandoned,
-re-dispatched up to ``max_retries`` times, then recorded as errored —
-a hung worker can no longer hang the sweep.  ``REPRO_POINT_HANG`` plants
-such a hang for tests and CI, symmetric to ``REPRO_STAGE_DELAY``.
+Observability: when a :mod:`repro.obs` tracer is active in the parent, the
+dispatcher runs every item under its own child tracer (in the worker for
+parallel runs) and ships its spans back with the result; the parent adopts
+them, so one ``--trace`` file renders the whole sweep as a merged
+multi-process timeline.  When an :class:`repro.obs.EventBus` is active
+(``--events`` / ``--live``), the sweep streams
+``point_start``/``point_end``/``stall``/``retry`` events, each worker opens
+its own bus on the shared JSONL stream and heartbeats while a point runs,
+and the dispatcher watches in-flight points: one exceeding
+``stall_factor x`` the rolling median is flagged as a straggler, and one
+exceeding the hard ``point_timeout`` has its worker terminated and
+respawned, and is retried like a crash — a hung worker can no longer hang
+the sweep.  ``REPRO_POINT_HANG`` plants such a hang for tests and CI,
+symmetric to ``REPRO_STAGE_DELAY``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
 import statistics
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -61,7 +64,7 @@ from repro.api.result import FlowResult
 from repro.designs.base import DatapathDesign
 from repro.explore.cache import ResultCache
 from repro.explore.spec import SweepPoint, SweepSpec
-from repro.obs.events import point_heartbeat, worker_bus
+from repro.obs.events import EventBus, point_heartbeat
 from repro.obs.logbridge import get_logger
 from repro.obs.manifest import peak_rss_bytes
 from repro.tech.library import TechLibrary
@@ -75,10 +78,6 @@ log = get_logger("explore")
 #: The retry attempt skips the sleep and completes.  Malformed entries
 #: are ignored with a warning.
 POINT_HANG_ENV = "REPRO_POINT_HANG"
-
-#: a point whose worker process crashes this many times is recorded as an
-#: error result instead of being re-dispatched again
-_MAX_CRASHES_PER_POINT = 2
 
 
 def _point_hangs() -> Dict[int, float]:
@@ -107,67 +106,37 @@ def execute_point(
     (see ``SweepPoint.config()``), so this is just one staged
     :class:`repro.api.Flow` run.  ``design`` / ``library`` may be passed to
     reuse already-built objects (the comparison harness does); otherwise
-    they are rebuilt from the point's registry names, which is what pool
+    they are rebuilt from the point's registry names, which is what sweep
     workers do.
     """
     flow = Flow(point.config())
     return flow.run(design if design is not None else point.design, library=library)
 
 
-def _run_one(
-    point: SweepPoint,
-    attempt: int = 0,
-    hang_s: float = 0.0,
-    trace: bool = False,
-    events: Optional[Dict] = None,
-) -> Tuple[Optional[Dict], Optional[str], float, Optional[Dict]]:
-    """Worker body: (metrics, error, elapsed_s, telemetry). Never raises.
+def _run_one(task: Tuple[SweepPoint, float], attempt: int, heartbeat_s: float) -> Dict:
+    """Worker body of one sweep point ``(point, planted hang seconds)``.
 
-    With ``trace=True`` the point runs under its own :class:`repro.obs`
-    tracer (this is the trace context propagated across the process pool)
-    and the picklable telemetry dict carries the serialized spans and
-    counters back to the parent, which adopts them into its tracer.
-
-    ``events`` is the picklable telemetry-bus config
-    (``{path, run_id, heartbeat_s, parent_pid}``): inside a pool worker it
-    opens a per-process file bus on the shared JSONL stream, in the parent
-    (serial sweeps, serial fallback) it reuses the active bus.  While the
-    point runs, a daemon thread emits ``heartbeat``/``resource`` events —
-    a hung-but-alive worker keeps beating, which is exactly how the stream
-    distinguishes *stuck* from *dead*.
+    While the point runs, a daemon thread emits ``heartbeat``/``resource``
+    events on the active bus — a hung-but-alive worker keeps beating, which
+    is exactly how the stream distinguishes *stuck* from *dead*.
     """
-    start = time.perf_counter()
-    bus = None
-    heartbeat_s = 0.0
-    if events is not None:
-        heartbeat_s = events.get("heartbeat_s") or 0.0
-        path = events.get("path")
-        if path and os.getpid() != events.get("parent_pid"):
-            bus = worker_bus(path, events["run_id"])
-        else:
-            bus = obs.current_bus()
-    tracer = obs.Tracer() if trace else None
-    telemetry: Optional[Dict] = None
-    try:
-        with point_heartbeat(
-            bus, heartbeat_s, point=point.label(), attempt=attempt
-        ):
-            if hang_s > 0 and attempt == 0:
-                # planted transient straggler (REPRO_POINT_HANG): first
-                # attempt only, so the re-dispatched attempt completes
-                time.sleep(hang_s)
-            with obs.tracing(tracer):
-                with obs.span("explore.point", point=point.label()):
-                    metrics = execute_point(point).to_dict()
-        error = None
-    except Exception as exc:  # per-point capture is the whole point
-        metrics, error = None, f"{type(exc).__name__}: {exc}"
-    if tracer is not None:
-        telemetry = {"spans": tracer.to_dicts(), "counters": dict(tracer.counters)}
-    if bus is not None:
-        telemetry = dict(telemetry or {})
-        telemetry["peak_rss_bytes"] = peak_rss_bytes()
-    return metrics, error, time.perf_counter() - start, telemetry
+    point, hang_s = task
+    label = point.label()
+    with point_heartbeat(obs.current_bus(), heartbeat_s, point=label, attempt=attempt):
+        if hang_s > 0 and attempt == 0:
+            # planted transient straggler (REPRO_POINT_HANG): first
+            # attempt only, so the re-dispatched attempt completes
+            time.sleep(hang_s)
+        with obs.span("explore.point", point=label):
+            return execute_point(point).to_dict()
+
+
+@dataclass(frozen=True)
+class WorkerFailure:
+    """The result of an item that produced none: its worker function
+    raised, or its worker process crashed or timed out."""
+
+    error: str
 
 
 @dataclass
@@ -274,24 +243,25 @@ class SweepResult:
 
 ProgressFn = Callable[[PointOutcome, int, int], None]
 
-#: a picklable worker: one task in, one result out; must capture its own
-#: exceptions and encode failures in its result (a raising worker kills its
-#: process and is handled as a crashed worker: the pool is rebuilt and the
-#: item re-dispatched, then re-run serially if the pool stays unusable)
+#: a :func:`parallel_map` worker: one task in, one result out; an exception
+#: it raises becomes a :class:`WorkerFailure` in that item's result slot
 Worker = Callable[[object], object]
+
+#: what the dispatcher hands back per item: (result, elapsed_s, spans)
+_Report = Callable[[int, object, float, Optional[List[Dict[str, object]]]], None]
 
 
 class _SweepMonitor:
-    """Dispatcher-side telemetry + straggler policy for one sweep.
+    """Dispatcher-side telemetry + straggler policy for one run.
 
-    Owns everything :func:`_run_parallel` must not know about sweeps:
-    per-point attempt counts (which feed the ``REPRO_POINT_HANG``
-    first-attempt-only semantics), the rolling median of fresh point
-    times (stall threshold and ETA source), stall/timeout/retry/crash
-    accounting, and the ``point_*`` event emission on the active bus.
-    A monitor with no bus and no timeout is inert: every hook degrades
-    to a counter update, and the dispatcher keeps its historic
-    submit-everything/blocking-wait behavior.
+    Owns what the dispatcher must not know about sweeps: per-item attempt
+    counts (which feed the ``REPRO_POINT_HANG`` first-attempt-only
+    semantics and the shared crash/timeout retry budget), the rolling
+    median of fresh item times (stall threshold and ETA source),
+    stall/timeout/retry/crash accounting, and the ``point_*`` event
+    emission on the active bus.  A monitor with no bus and no timeout is
+    inactive: the dispatcher then blocks on its workers instead of
+    watching them, and every hook degrades to a counter update.
     """
 
     #: dispatcher wake-up period while watching in-flight points
@@ -301,20 +271,17 @@ class _SweepMonitor:
 
     def __init__(
         self,
-        points: Sequence[SweepPoint],
-        bus,
+        labels: Sequence[str],
+        bus: Optional[EventBus] = None,
         point_timeout: Optional[float] = None,
         stall_factor: Optional[float] = 4.0,
         max_retries: int = 1,
-        heartbeat_s: float = 1.0,
     ) -> None:
-        self.points = points
+        self.labels = labels
         self.bus = bus
         self.point_timeout = point_timeout
         self.stall_factor = stall_factor
         self.max_retries = max(0, int(max_retries))
-        self.heartbeat_s = heartbeat_s
-        self.hangs = _point_hangs()
         self.attempts: Dict[int, int] = {}
         self.durations: List[float] = []
         self.crashes: Dict[int, int] = {}
@@ -322,41 +289,24 @@ class _SweepMonitor:
         self.retries = 0
         self.timeouts = 0
         self.peak_rss_bytes: Optional[int] = None
-        self._started: Set[Tuple[int, int]] = set()
         self._stall_flagged: Set[Tuple[int, int]] = set()
 
     # -- configuration ------------------------------------------------
 
     @property
     def active(self) -> bool:
-        """True when this run should produce an ``events_summary``."""
+        """True when in-flight items are watched and the run produces an
+        ``events_summary``."""
         return self.bus is not None or self.point_timeout is not None
 
-    @property
-    def watching(self) -> bool:
-        """True when the dispatcher must wake up and scan in-flight points."""
-        return self.active
-
-    def worker_events(self, parallel: bool) -> Optional[Dict]:
-        """The picklable bus config handed to ``_run_one`` workers."""
+    def worker_events(self) -> Optional[Dict[str, object]]:
+        """How each worker opens its own bus on this run's stream."""
         if self.bus is None:
             return None
-        path = str(self.bus.path) if self.bus.path is not None else None
-        if parallel and path is None:
-            return None  # an in-memory bus cannot cross the process boundary
-        return {
-            "path": path,
-            "run_id": self.bus.run_id,
-            "heartbeat_s": self.heartbeat_s,
-            "parent_pid": os.getpid(),
-        }
+        return {"path": self.bus.path, "run_id": self.bus.run_id}
 
-    def submit_args(self, index: int) -> Tuple[int, float]:
-        """Extra ``_run_one`` arguments: (attempt, planted hang seconds)."""
-        return (self.attempts.get(index, 0), self.hangs.get(index, 0.0))
-
-    def _label(self, index: int) -> str:
-        return self.points[index].label()
+    def attempt(self, index: int) -> int:
+        return self.attempts.get(index, 0)
 
     def _emit(self, kind: str, **attrs) -> None:
         if self.bus is not None:
@@ -365,57 +315,52 @@ class _SweepMonitor:
     # -- dispatcher hooks ---------------------------------------------
 
     def on_start(self, index: int) -> None:
-        attempt = self.attempts.get(index, 0)
-        key = (index, attempt)
-        if key in self._started:  # re-submission after a pool rebuild
-            return
-        self._started.add(key)
         self._emit(
             "point_start",
             index=index,
-            point=self._label(index),
-            attempt=attempt,
-            total=len(self.points),
+            point=self.labels[index],
+            attempt=self.attempt(index),
+            total=len(self.labels),
             cached=False,
         )
 
     def on_cached(self, index: int) -> None:
-        label = self._label(index)
-        common = dict(index=index, point=label, attempt=0, cached=True)
-        self._emit("point_start", total=len(self.points), **common)
+        common = dict(index=index, point=self.labels[index], attempt=0, cached=True)
+        self._emit("point_start", total=len(self.labels), **common)
         self._emit("point_end", ok=True, elapsed_s=0.0, **common)
 
-    def on_result(self, index: int, raw: object, wall_s: float) -> None:
-        metrics, error, elapsed, telemetry = raw
-        if telemetry:
-            rss = telemetry.get("peak_rss_bytes")
-            if isinstance(rss, int) and (
-                self.peak_rss_bytes is None or rss > self.peak_rss_bytes
-            ):
-                self.peak_rss_bytes = rss
-        if error is None:
+    def on_result(
+        self, index: int, result: object, elapsed: float, telemetry: Optional[Dict]
+    ) -> None:
+        rss = (telemetry or {}).get("peak_rss_bytes")
+        if isinstance(rss, int) and (
+            self.peak_rss_bytes is None or rss > self.peak_rss_bytes
+        ):
+            self.peak_rss_bytes = rss
+        failed = isinstance(result, WorkerFailure)
+        if not failed:
             self.durations.append(elapsed)
         attrs = dict(
             index=index,
-            point=self._label(index),
-            attempt=self.attempts.get(index, 0),
-            ok=error is None,
+            point=self.labels[index],
+            attempt=self.attempt(index),
+            ok=not failed,
             cached=False,
             elapsed_s=round(elapsed, 6),
         )
-        if error is not None:
-            attrs["error"] = error
-        if telemetry and telemetry.get("peak_rss_bytes") is not None:
-            attrs["peak_rss_bytes"] = telemetry["peak_rss_bytes"]
+        if failed:
+            attrs["error"] = result.error
+        if rss is not None:
+            attrs["peak_rss_bytes"] = rss
         self._emit("point_end", **attrs)
 
     def on_retry(self, index: int, reason: str, elapsed_s: float = 0.0) -> None:
-        attempt = self.attempts.get(index, 0) + 1
+        attempt = self.attempt(index) + 1
         self.attempts[index] = attempt
         self.retries += 1
         if reason == "timeout":
             self.timeouts += 1
-        label = self._label(index)
+        label = self.labels[index]
         log.warning(
             "point %s (index %d) re-dispatched after %s (attempt %d)",
             label, index, reason, attempt,
@@ -437,12 +382,12 @@ class _SweepMonitor:
             return
         median = statistics.median(self.durations)
         threshold = max(self.stall_factor * median, self.stall_floor_s)
-        key = (index, self.attempts.get(index, 0))
+        key = (index, self.attempt(index))
         if elapsed <= threshold or key in self._stall_flagged:
             return
         self._stall_flagged.add(key)
         self.stalls += 1
-        label = self._label(index)
+        label = self.labels[index]
         log.warning(
             "point %s (index %d) stalling: %.2fs in flight, %.1fx median %.2fs",
             label, index, elapsed, self.stall_factor, median,
@@ -451,7 +396,7 @@ class _SweepMonitor:
             "stall",
             index=index,
             point=label,
-            attempt=self.attempts.get(index, 0),
+            attempt=self.attempt(index),
             elapsed_s=round(elapsed, 6),
             threshold_s=round(threshold, 6),
         )
@@ -460,28 +405,21 @@ class _SweepMonitor:
         return self.point_timeout is not None and elapsed > self.point_timeout
 
     def can_retry(self, index: int) -> bool:
-        return self.attempts.get(index, 0) < self.max_retries
+        return self.attempt(index) < self.max_retries
 
-    # -- synthesized raw results --------------------------------------
+    # -- synthesized results ------------------------------------------
 
-    def timeout_result(self, index: int, elapsed: float) -> Tuple:
+    def timeout_result(self, index: int) -> WorkerFailure:
         self.timeouts += 1
-        attempts = self.attempts.get(index, 0) + 1
-        return (
-            None,
+        return WorkerFailure(
             f"TimeoutError: point exceeded point_timeout={self.point_timeout}s "
-            f"after {attempts} attempt(s); worker abandoned",
-            elapsed,
-            None,
+            f"after {self.attempt(index) + 1} attempt(s); worker terminated"
         )
 
-    def crash_result(self, index: int) -> Tuple:
-        return (
-            None,
+    def crash_result(self, index: int) -> WorkerFailure:
+        return WorkerFailure(
             f"RuntimeError: worker process crashed "
-            f"{self.crashes.get(index, 0)} time(s) running this point",
-            0.0,
-            None,
+            f"{self.crashes.get(index, 0)} time(s) running this point"
         )
 
     def build_summary(self, result: "SweepResult", effective_jobs: int) -> Dict:
@@ -507,255 +445,192 @@ class _SweepMonitor:
         return summary
 
 
-def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut down a pool that may hold hung or crashed workers, without
-    waiting on them.
+def _call(
+    fn: Callable[[object, int], object], item: object, attempt: int, trace: bool
+) -> Tuple[object, float, Dict[str, object]]:
+    """Run one item: ``(result, elapsed_s, telemetry)``.  Never raises.
 
-    ``shutdown(wait=False, cancel_futures=True)`` drops the queued work;
-    terminating the worker processes (private map, best effort) unsticks
-    a truly hung worker so sweep exit never blocks on an abandoned point.
+    A raising ``fn`` yields a :class:`WorkerFailure`.  With ``trace`` the
+    item runs under its own tracer and ``telemetry`` carries its spans and
+    counters; under an event bus it also carries the process peak RSS.
     """
+    tracer = obs.Tracer() if trace else None
+    start = time.perf_counter()
     try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - already-broken pools may raise
-        pass
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+        with obs.tracing(tracer):
+            result = fn(item, attempt)
+    except Exception as exc:  # per-item capture is the whole point
+        result = WorkerFailure(f"{type(exc).__name__}: {exc}")
+    elapsed = time.perf_counter() - start
+    telemetry: Dict[str, object] = {}
+    if tracer is not None:
+        telemetry.update(spans=tracer.to_dicts(), counters=dict(tracer.counters))
+    if obs.current_bus() is not None:
+        telemetry["peak_rss_bytes"] = peak_rss_bytes()
+    return result, elapsed, telemetry
+
+
+def _serve(fn, conn, trace: bool, events: Optional[Dict[str, object]]) -> None:
+    """Worker process main loop: ``(item, attempt)`` in, :func:`_call` out,
+    until the parent sends ``None``."""
+    bus = EventBus(**events) if events is not None else None
+    with obs.eventing(bus), contextlib.suppress(EOFError):
+        for message in iter(conn.recv, None):
+            conn.send(_call(fn, *message, trace))
+    if bus is not None:
+        bus.close()
+
+
+class _SpawnFailed(Exception):
+    """A worker process could not be started."""
+
+
+class _Worker:
+    """One owned worker process, the parent end of its pipe and the item
+    it is running (``index is None`` while idle)."""
+
+    def __init__(self, fn, trace: bool, events: Optional[Dict[str, object]]) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_serve, args=(fn, child, trace, events)
+        )
         try:
-            process.terminate()
-        except Exception:  # pragma: no cover - racing process exit
-            pass
+            self.process.start()
+        except OSError as exc:
+            self.conn.close()
+            raise _SpawnFailed(exc) from exc
+        finally:
+            # the child's end lives on only in the child, so its death
+            # reads as EOF on ``conn``
+            child.close()
+        self.index: Optional[int] = None
+        self.since = 0.0
 
+    def send(self, index: int, item: object, attempt: int) -> None:
+        self.index, self.since = index, time.perf_counter()
+        self.conn.send((item, attempt))
 
-def _run_serial(
-    worker: Worker,
-    pending: List[Tuple[int, object]],
-    report: Callable[[int, object], None],
-    monitor: Optional[_SweepMonitor] = None,
-) -> None:
-    for index, item in pending:
-        if monitor is not None:
-            monitor.on_start(index)
-            start = time.perf_counter()
-            raw = worker(item, *monitor.submit_args(index))
-            monitor.on_result(index, raw, time.perf_counter() - start)
-            report(index, raw)
+    def stop(self, kill: bool = False) -> None:
+        """Join the process: an idle one exits on request, a busy (or
+        ``kill``-ed) one is terminated, so stopping never waits out a hung
+        item."""
+        if kill or self.index is not None:
+            self.process.terminate()
         else:
-            report(index, worker(item))
+            with contextlib.suppress(OSError):
+                self.conn.send(None)
+        self.index = None
+        self.process.join()
+        self.conn.close()
 
 
-def _run_parallel(
-    worker: Worker,
+def _dispatch(
+    fn: Callable[[object, int], object],
     pending: List[Tuple[int, object]],
     jobs: int,
-    report: Callable[[int, object], None],
-    monitor: Optional[_SweepMonitor] = None,
+    report: _Report,
+    monitor: _SweepMonitor,
 ) -> bool:
-    """Run pending items on a process pool; True if any serial fallback ran.
+    """Run ``fn(item, attempt)`` over ``pending`` ``(index, item)`` pairs;
+    True if the serial fallback ran.
 
-    Results are reported as they complete.  A broken pool (killed worker,
-    ``BrokenProcessPool``) is rebuilt and the in-flight items re-dispatched;
-    a crash only counts against an item when it is attributable (the item
-    was alone in flight at break time) — co-resident siblings are requeued
-    unpenalized and re-run one at a time until the culprit is isolated.
-    With a monitor, an item whose worker crashes twice (attributed) is
-    reported as a synthesized error result, and in-flight points are
-    watched for stalls and ``point_timeout`` overruns (timed-out futures
-    are abandoned and the point re-dispatched or errored).  Only when the
-    pool cannot be (re)built
-    do the unreported items re-run serially and the function return True.
-    An exception raised by ``report`` itself (cache write failure,
-    progress-callback bug) propagates to the caller instead of silently
-    triggering a serial re-run.
+    ``jobs <= 1`` runs in the caller; otherwise on ``jobs`` forked
+    workers.  ``report`` is called once per item, in completion order.  A
+    crashed or timed-out worker is respawned and its item retried up to
+    ``monitor.max_retries`` times, then reported as a
+    :class:`WorkerFailure`.  If a worker cannot be started, the unreported
+    items run in the caller, except those that crashed a worker, which
+    fail.  An exception raised by ``report`` propagates once every worker
+    is stopped.
     """
-    items: Dict[int, object] = dict(pending)
-    order = {index: position for position, (index, _) in enumerate(pending)}
-    queue: List[int] = [index for index, _ in pending]
-    try:
-        pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(max_workers=jobs)
-    except Exception:
-        _run_serial(worker, pending, report, monitor)
-        return True
+    items = dict(pending)
+    queue = deque(index for index, _ in pending)
+    tracer = obs.current_tracer()
 
-    futures: Dict = {}  # future -> (index, dispatch timestamp)
-    abandoned: List = []  # timed-out futures, possibly still running
-    completed: Set[int] = set()
-    crashes = monitor.crashes if monitor is not None else {}
-    # points co-resident with an unattributable pool break: requeued with
-    # no crash strike, then run one at a time (alone in flight) so the
-    # next break can be pinned on the point that actually caused it
-    suspects: Set[int] = set()
-    # unmonitored callers keep the historic rebuild-once budget; monitored
-    # ones may rebuild per crash because the rebuild budget itself bounds
-    # the suspect re-runs and per-point crash caps end attributed crashers
-    rebuilds_left = 1 if monitor is None else 1 + 2 * len(pending)
-    # monitored runs keep at most `jobs` futures in flight so a future's
-    # dispatch timestamp approximates its start time (queue wait must not
-    # count toward point_timeout); otherwise submit everything up front
-    window = jobs if monitor is not None and monitor.watching else len(items)
-    serial_rest = False
+    def finish(index: int, result: object, elapsed: float, telemetry=None) -> None:
+        spans = (telemetry or {}).get("spans")
+        if spans is not None:
+            tracer.adopt(spans, telemetry["counters"])
+        monitor.on_result(index, result, elapsed, telemetry)
+        report(index, result, elapsed, spans)
 
-    def finish(index: int, raw: object, wall_s: float) -> None:
-        suspects.discard(index)
-        if monitor is not None:
-            monitor.on_result(index, raw, wall_s)
-        completed.add(index)
-        report(index, raw)
+    def run_here(index: int) -> None:
+        if monitor.crashes.get(index):
+            finish(index, monitor.crash_result(index), 0.0)
+            return
+        monitor.on_start(index)
+        finish(index, *_call(fn, items[index], monitor.attempt(index), tracer is not None))
 
-    def submit(index: int) -> None:
-        args = (items[index],)
-        if monitor is not None:
-            args += monitor.submit_args(index)
-        future = pool.submit(worker, *args)
-        futures[future] = (index, time.perf_counter())
+    if jobs <= 1:
+        while queue:
+            run_here(queue.popleft())
+        return False
 
-    def handle_crash(index: int, attributed: bool) -> None:
-        """This index's attempt died with the pool: requeue or give up.
+    def settle(index: int, reason: str, elapsed: float) -> None:
+        """``index``'s worker crashed or timed out: retry it or fail it."""
+        if monitor.can_retry(index):
+            monitor.on_retry(index, reason, elapsed)
+            queue.appendleft(index)
+        elif reason == "timeout":
+            finish(index, monitor.timeout_result(index), elapsed)
+        else:
+            finish(index, monitor.crash_result(index), 0.0)
 
-        Only an ``attributed`` crash (the point was alone in flight at
-        break time) earns a strike toward ``_MAX_CRASHES_PER_POINT``;
-        collateral siblings are requeued unpenalized as suspects so a
-        healthy point can never be errored by a crashing neighbor.
-        """
-        if attributed:
-            crashes[index] = crashes.get(index, 0) + 1
-            if monitor is not None and crashes[index] >= _MAX_CRASHES_PER_POINT:
-                log.warning(
-                    "sweep point index %d crashed its worker %d times; "
-                    "recording as error", index, crashes[index],
-                )
-                finish(index, monitor.crash_result(index), 0.0)
-                return
-        # requeue isolated either way: a proven crasher must not smash
-        # fresh siblings, an unattributed one must run alone so the next
-        # break can be attributed
-        suspects.add(index)
-        if monitor is not None:
-            monitor.on_retry(
-                index, reason="worker-crash" if attributed else "pool-break"
-            )
-        queue.insert(0, index)
+    spawn = partial(_Worker, fn, tracer is not None, monitor.worker_events())
+    workers: List[_Worker] = []
 
-    def rebuild_pool() -> bool:
-        nonlocal pool, rebuilds_left
-        if rebuilds_left <= 0:
-            return False
-        rebuilds_left -= 1
-        _abandon_pool(pool)
-        try:
-            pool = ProcessPoolExecutor(max_workers=jobs)
-        except Exception:
-            return False
-        log.warning("worker pool broke; rebuilt, re-dispatching pending points")
-        return True
+    def replace(slot: int) -> None:
+        workers[slot].stop(kill=True)
+        workers[slot] = spawn()
 
     try:
-        while queue or futures:
-            # every worker burning an abandoned task would starve fresh
-            # submissions: recycle the pool, requeue the never-started
-            zombies = sum(1 for f in abandoned if not f.done())
-            if zombies >= jobs:
-                for future, (index, _since) in sorted(
-                    futures.items(),
-                    key=lambda kv: order[kv[1][0]],
-                    reverse=True,
-                ):
-                    queue.insert(0, index)
-                futures.clear()
-                if not rebuild_pool():
-                    serial_rest = True
-                    break
-                abandoned.clear()  # the zombies died with the old pool
-                zombies = 0
-            # remaining zombies still occupy workers: shrink the window
-            # by their count so a fresh future never sits in the pool
-            # queue with its dispatch clock counting toward point_timeout;
-            # while suspects wait at the queue front, run one point at a
-            # time (alone in flight) so the next break is attributable
-            cur_window = 1 if suspects else max(1, window - zombies)
-            # top up the submission window
-            submit_failed: Optional[int] = None
-            while queue and len(futures) < cur_window:
-                index = queue.pop(0)
-                if monitor is not None:
+        for _ in range(jobs):
+            workers.append(spawn())
+        while queue or any(w.index is not None for w in workers):
+            for worker in workers:
+                if worker.index is None and queue:
+                    index = queue.popleft()
                     monitor.on_start(index)
-                try:
-                    submit(index)
-                except Exception:
-                    submit_failed = index
-                    break
-            if submit_failed is not None:
-                queue.insert(0, submit_failed)
-                if not rebuild_pool():
-                    serial_rest = True
-                    break
-                continue
-            if not futures:
-                continue
-            tick = _SweepMonitor.tick_s if (
-                monitor is not None and monitor.watching
-            ) else None
-            finished, _ = wait(
-                set(futures), timeout=tick, return_when=FIRST_COMPLETED
-            )
+                    with contextlib.suppress(OSError):  # a dead worker reads as EOF
+                        worker.send(index, items[index], monitor.attempt(index))
+            busy = [w.conn for w in workers if w.index is not None]
+            ready = wait(busy, monitor.tick_s if monitor.active else None)
             now = time.perf_counter()
-            pool_broke = False
-            crashed: List[int] = []
-            for future in finished:
-                index, since = futures.pop(future)
-                try:
-                    raw = future.result()
-                except Exception:
-                    pool_broke = True
-                    crashed.append(index)
+            for slot, worker in enumerate(workers):
+                index = worker.index
+                if index is None:
                     continue
-                finish(index, raw, now - since)
-            if pool_broke:
-                # a break kills every in-flight sibling along with the
-                # pool, so the crash is attributable to a specific point
-                # only when that point was alone in flight (and no zombie
-                # worker could have been the one that died)
-                in_flight = crashed + [index for index, _ in futures.values()]
-                futures.clear()
-                sole = len(in_flight) == 1 and zombies == 0
-                for index in sorted(
-                    in_flight, key=lambda i: order[i], reverse=True
-                ):
-                    handle_crash(index, attributed=sole)
-                if not rebuild_pool():
-                    serial_rest = True
-                    break
-                continue
-            if monitor is not None and monitor.watching:
-                for future in list(futures):
-                    index, since = futures[future]
-                    elapsed = now - since
-                    monitor.check_stall(index, elapsed)
-                    if not monitor.timed_out(elapsed):
+                if worker.conn in ready:
+                    try:
+                        message = worker.conn.recv()
+                    except (EOFError, OSError):
+                        monitor.crashes[index] = monitor.crashes.get(index, 0) + 1
+                        settle(index, "worker-crash", 0.0)
+                        replace(slot)
                         continue
-                    del futures[future]
-                    future.cancel()  # almost certainly running; best effort
-                    abandoned.append(future)
-                    if monitor.can_retry(index):
-                        monitor.on_retry(index, reason="timeout", elapsed_s=elapsed)
-                        queue.append(index)
-                    else:
-                        finish(index, monitor.timeout_result(index, elapsed), elapsed)
+                    worker.index = None
+                    finish(index, *message)
+                elif monitor.active:
+                    elapsed = now - worker.since
+                    monitor.check_stall(index, elapsed)
+                    if monitor.timed_out(elapsed):
+                        settle(index, "timeout", elapsed)
+                        replace(slot)
+    except _SpawnFailed as exc:
+        log.warning("cannot start a worker process (%s); the rest runs serially", exc)
+        queue.extendleft(w.index for w in reversed(workers) if w.index is not None)
+    else:
+        return False
     finally:
-        if pool is not None:
-            if any(not future.done() for future in abandoned):
-                _abandon_pool(pool)
-            else:
-                pool.shutdown(wait=True)
-    if serial_rest:
-        log.warning("process pool unusable; remaining points run serially")
-        remaining = [
-            (index, items[index])
-            for index in sorted(set(items) - completed, key=lambda i: order[i])
-        ]
-        _run_serial(worker, remaining, report, monitor)
-        return True
-    return False
+        for worker in workers:
+            worker.stop()
+    while queue:
+        run_here(queue.popleft())
+    return True
+
+
+def _item_only(worker: Worker, item: object, _attempt: int) -> object:
+    return worker(item)
 
 
 def parallel_map(
@@ -764,32 +639,33 @@ def parallel_map(
     jobs: int = 1,
     progress: Optional[Callable[[object, int, int], None]] = None,
 ) -> Tuple[List[object], bool]:
-    """Map a picklable ``worker`` over ``items`` on the sweep worker pool.
+    """Map ``worker`` over ``items`` on the sweep dispatcher.
 
     Returns ``(results, used_fallback)`` with results in input order.
-    ``jobs <= 1`` runs serially; otherwise a ``ProcessPoolExecutor`` is used.
-    A crashed worker process no longer aborts the fan-out: the pool is
-    rebuilt once and the in-flight items are re-dispatched; only if it
-    breaks again do the unfinished items re-run serially (where a worker
-    exception propagates).  The worker must never raise — it should capture
-    failures in its result record (see :data:`Worker`).  ``progress`` is
-    invoked as ``(result, done_count, total)`` in completion order.
+    ``jobs <= 1`` runs in the caller; otherwise ``jobs`` worker processes
+    are forked for this call, so ``worker`` must be picklable only where
+    the platform cannot fork.  An item whose ``worker`` raises, or whose
+    worker process crashes twice, gets a :class:`WorkerFailure` in its
+    result slot; the other items are unaffected.  ``used_fallback`` is
+    True when a worker process could not be started and the rest ran in
+    the caller.  ``progress`` is invoked as ``(result, done_count, total)``
+    in completion order.
     """
     results: Dict[int, object] = {}
 
-    def report(index: int, result: object) -> None:
+    def report(index: int, result: object, _elapsed: float, _spans) -> None:
         results[index] = result
         if progress is not None:
             progress(result, len(results), len(items))
 
-    pending = list(enumerate(items))
-    used_fallback = False
-    effective_jobs = max(1, min(jobs, len(pending))) if pending else 1
-    if pending:
-        if effective_jobs > 1:
-            used_fallback = _run_parallel(worker, pending, effective_jobs, report)
-        else:
-            _run_serial(worker, pending, report)
+    monitor = _SweepMonitor([f"item {index}" for index in range(len(items))])
+    used_fallback = _dispatch(
+        partial(_item_only, worker),
+        list(enumerate(items)),
+        max(1, min(jobs, len(items))),
+        report,
+        monitor,
+    )
     return [results[i] for i in range(len(items))], used_fallback
 
 
@@ -804,32 +680,33 @@ def run_sweep(
     max_retries: int = 1,
     heartbeat_s: float = 1.0,
 ) -> SweepResult:
-    """Run every point of ``spec``, honouring the cache and the worker pool.
+    """Run every point of ``spec``, honouring the cache and the workers.
 
     Parameters
     ----------
     spec:
         A :class:`SweepSpec` (expanded here) or an explicit point sequence.
     jobs:
-        Worker processes for uncached points; ``<= 1`` runs serially.
+        Worker processes forked for the uncached points; ``<= 1`` runs
+        them in the caller.
     cache:
         A :class:`ResultCache`, a directory path to open one in, or ``None``
         to disable caching.  Fresh results are written back to the cache.
     progress:
         Optional callback ``(outcome, done_count, total)`` invoked as each
         point resolves (cached points first, then completions in whatever
-        order the pool finishes them).
+        order the workers finish them).
     point_timeout:
         Hard per-point wall-time budget (parallel runs only): a point in
-        flight longer than this is abandoned, re-dispatched up to
-        ``max_retries`` times, then recorded as an error outcome — the
-        sweep always accounts for every point instead of hanging.
+        flight longer than this has its worker terminated and respawned,
+        and is retried like a crash — the sweep always accounts for every
+        point instead of hanging.
     stall_factor:
         Straggler threshold: a point in flight longer than
         ``stall_factor x`` the rolling median of fresh point times emits a
         ``stall`` event and a warning (``None`` disables the check).
     max_retries:
-        Re-dispatch budget per timed-out point.
+        Re-dispatch budget per point whose worker crashed or timed out.
     heartbeat_s:
         Worker heartbeat period for evented runs (``<= 0`` disables).
 
@@ -844,22 +721,18 @@ def run_sweep(
     points = spec.expand() if isinstance(spec, SweepSpec) else [p.canonical() for p in spec]
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
-    tracer = obs.current_tracer()
     bus = obs.current_bus()
     monitor = _SweepMonitor(
-        points,
+        [point.label() for point in points],
         bus,
         point_timeout=point_timeout,
         stall_factor=stall_factor,
         max_retries=max_retries,
-        heartbeat_s=heartbeat_s,
     )
 
     outcomes: Dict[int, PointOutcome] = {}
-    finished = 0
 
     def report(index: int, outcome: PointOutcome) -> None:
-        nonlocal finished
         if cache is not None and outcome.metrics is not None and not outcome.cached:
             telemetry = None
             if outcome.spans is not None:
@@ -869,52 +742,42 @@ def run_sweep(
                 }
             cache.put(outcome.point, outcome.metrics, telemetry=telemetry)
         outcomes[index] = outcome
-        finished += 1
         if progress is not None:
-            progress(outcome, finished, len(points))
+            progress(outcome, len(outcomes), len(points))
 
-    def report_raw(index: int, raw: object) -> None:
-        # the (picklable) _run_one result shape
-        metrics, error, elapsed, telemetry = raw
-        spans = None
-        if telemetry is not None:
-            spans = telemetry.get("spans")
-            if tracer is not None and spans is not None:
-                tracer.adopt(spans, telemetry.get("counters"))
-        report(
-            index, PointOutcome(points[index], metrics, error, False, elapsed, spans)
-        )
+    def report_fresh(index: int, result: object, elapsed: float, spans) -> None:
+        failed = isinstance(result, WorkerFailure)
+        report(index, PointOutcome(
+            points[index],
+            metrics=None if failed else result,
+            error=result.error if failed else None,
+            elapsed_s=elapsed,
+            spans=spans,
+        ))
 
     with obs.span("explore.sweep", points=len(points), jobs=jobs):
-        pending: List[Tuple[int, SweepPoint]] = []
-        hits = 0
+        pending: List[Tuple[int, Tuple[SweepPoint, float]]] = []
+        hangs = _point_hangs()
         for index, point in enumerate(points):
             metrics = cache.get(point) if cache is not None else None
             if metrics is not None:
-                hits += 1
                 monitor.on_cached(index)
                 report(index, PointOutcome(point, metrics, cached=True))
             else:
-                pending.append((index, point))
+                pending.append((index, (point, hangs.get(index, 0.0))))
+        hits = len(points) - len(pending)
         log.debug(
             "sweep: %d point(s), %d cached, %d to run",
             len(points), hits, len(pending),
         )
-
-        used_fallback = False
-        effective_jobs = max(1, min(jobs, len(pending))) if pending else 1
-        worker = partial(
-            _run_one,
-            trace=tracer is not None,
-            events=monitor.worker_events(parallel=effective_jobs > 1),
+        effective_jobs = max(1, min(jobs, len(pending)))
+        used_fallback = _dispatch(
+            partial(_run_one, heartbeat_s=heartbeat_s),
+            pending,
+            effective_jobs,
+            report_fresh,
+            monitor,
         )
-        if pending:
-            if effective_jobs > 1:
-                used_fallback = _run_parallel(
-                    worker, pending, effective_jobs, report_raw, monitor
-                )
-            else:
-                _run_serial(worker, pending, report_raw, monitor)
 
     result = SweepResult(
         outcomes=[outcomes[i] for i in range(len(points))],

@@ -164,7 +164,7 @@ SweepPoint = make_dataclass(
         "label": _point_label,
     },
 )
-SweepPoint.__module__ = __name__  # make instances picklable to pool workers
+SweepPoint.__module__ = __name__  # make instances picklable to sweep workers
 
 
 #: a constraint takes a point and returns True to keep it

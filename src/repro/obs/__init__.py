@@ -67,7 +67,6 @@ __getattr__, __dir__ = lazy_exports(
             "new_run_id",
             "point_heartbeat",
             "validate_event_obj",
-            "worker_bus",
         ),
         "repro.obs.history": (
             "HistoryStore",
@@ -159,7 +158,6 @@ __all__ = [
     "validate_event_obj",
     "validate_record",
     "validate_trace_obj",
-    "worker_bus",
     "write_chrome_trace",
     "write_dashboard",
     "write_flamegraph",

@@ -4,9 +4,9 @@ Where the tracer (:mod:`repro.obs.tracer`) answers *"what happened?"*
 after a run, the event bus answers *"what is happening?"* while it runs.
 An :class:`EventBus` multiplexes small structured events to an
 append-only JSONL file and to in-process subscribers (the live progress
-renderer, tests); sweep workers in other processes append to the same
-file through their own :func:`worker_bus`, so one ``events.jsonl``
-interleaves the whole fleet and ``repro obs tail`` can follow it live.
+renderer, tests); each sweep worker process opens its own bus on the
+same file (same ``run_id``), so one ``events.jsonl`` interleaves the
+whole fleet and ``repro obs tail`` can follow it live.
 
 Schema (``repro.obs.events`` v1) — one JSON object per line::
 
@@ -204,28 +204,6 @@ class EventBus:
                 with contextlib.suppress(OSError):
                     os.close(self._fd)
                 self._fd = None
-
-
-# -- worker-side bus --------------------------------------------------
-
-_WORKER_BUS: Optional[EventBus] = None
-
-
-def worker_bus(path: Union[str, Path], run_id: str) -> EventBus:
-    """The per-process file-only bus used inside pool workers.
-
-    Cached in a module global keyed by ``(path, run_id)`` so a worker
-    process reused for many points keeps one strictly-monotone ``seq``
-    stream; pool rebuilds fork fresh processes and get fresh buses.
-    """
-    global _WORKER_BUS
-    bus = _WORKER_BUS
-    if bus is not None and bus.path == Path(path) and bus.run_id == run_id:
-        return bus
-    if bus is not None:
-        bus.close()
-    _WORKER_BUS = EventBus(path=path, run_id=run_id)
-    return _WORKER_BUS
 
 
 @contextlib.contextmanager

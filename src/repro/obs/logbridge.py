@@ -3,7 +3,7 @@
 Every diagnostic the package emits goes through a logger below the
 ``"repro"`` root obtained from :func:`get_logger`, so one
 :func:`configure_logging` call (wired to ``--log-level`` on every CLI
-subcommand) governs all output uniformly — progress lines, pool-fallback
+subcommand) governs all output uniformly — progress lines, serial-fallback
 warnings, cache diagnostics, verify phase banners.
 
 As a library, ``repro`` never configures handlers on import: an embedding

@@ -10,7 +10,7 @@ The paper's claims rest on two things this package continuously tests:
   tolerance bands pinned by a committed golden snapshot.
 
 Everything is seeded and replayable, fans out over the exploration engine's
-worker pool, and is driven either from ``repro-datapath verify`` or
+worker processes, and is driven either from ``repro-datapath verify`` or
 programmatically::
 
     from repro.verify import run_verify, run_self_test

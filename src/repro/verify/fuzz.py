@@ -14,15 +14,17 @@ Everything is seeded: the case sampler takes one fuzzer seed, and each
 case's stimulus seed is derived from the case's content key, so a failing
 case can be replayed bit-exactly from the report alone.
 
-Cases fan out over the exploration engine's worker pool
+Cases fan out over the exploration engine's dispatcher
 (:func:`repro.explore.engine.parallel_map`); :func:`check_point` never
 raises — failures are captured in the returned record, mirroring the
-per-point error capture of sweeps.
+per-point error capture of sweeps, and a case whose worker process
+crashes gets an error record of the same shape.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import random
 import time
@@ -34,7 +36,7 @@ from repro.api.config import FlowConfig, config_fields
 from repro.api.flow import Flow
 from repro.api.options import BOOL_AXIS_VALUES, FUZZ_PINNED_FIELDS
 from repro.designs.registry import get_design, list_designs
-from repro.explore.engine import parallel_map
+from repro.explore.engine import WorkerFailure, parallel_map
 from repro.explore.spec import SweepPoint
 from repro.netlist.validate import validate_netlist
 from repro.opt.base import RewritePass
@@ -159,8 +161,7 @@ def check_point(
     }
     try:
         # the identity fields live inside the guard too: a point whose
-        # label/serialization raises must yield an error record, not crash
-        # a pool worker (which would drop its telemetry with it)
+        # label/serialization raises must still yield a full error record
         record["label"] = point.label()
         record["point"] = point.to_dict()
         record["stimulus_seed"] = case_seed(point)
@@ -217,33 +218,18 @@ def _check_point_body(
     return record
 
 
-def _fuzz_worker(point: "SweepPoint", trace: bool = False) -> Dict[str, object]:
-    """Picklable pool-worker body (no mutation support across processes).
-
-    When ``trace`` is set the case runs under its own in-process tracer and
-    the record carries the picklable span/counter ``telemetry`` payload, so
-    the parent sweep can :meth:`~repro.obs.Tracer.adopt` it into one merged
-    timeline.
-    """
-    if not trace:
-        return check_point(point)
-    tracer = obs.Tracer()
-    try:
-        with obs.tracing(tracer):
-            record = check_point(point)
-    except Exception as exc:
-        # check_point never raises by contract; if that contract is ever
-        # broken the spans recorded up to the failure must still reach
-        # the parent alongside the error record
-        record = {
-            "label": "?", "point": None, "stimulus_seed": None, "ok": False,
-            "validate_warnings": None, "equivalence": None,
-            "error": f"{type(exc).__name__}: {exc}", "elapsed_s": 0.0,
-        }
-    record["telemetry"] = {
-        "spans": tracer.to_dicts(),
-        "counters": dict(tracer.counters),
+def _as_record(result: object, point: Optional["SweepPoint"] = None) -> Dict[str, object]:
+    """A case's record: a :class:`WorkerFailure` becomes an error record,
+    labelled from ``point`` when it has a label."""
+    if not isinstance(result, WorkerFailure):
+        return result
+    record: Dict[str, object] = {
+        "label": "?", "point": None, "stimulus_seed": None, "ok": False,
+        "validate_warnings": None, "equivalence": None,
+        "error": result.error, "elapsed_s": 0.0,
     }
+    with contextlib.suppress(Exception):
+        record["label"], record["point"] = point.label(), point.to_dict()
     return record
 
 
@@ -253,31 +239,23 @@ def run_fuzz(
     mutation: Optional[RewritePass] = None,
     progress: Optional[Callable[[Dict[str, object], int, int], None]] = None,
 ) -> Tuple[List[Dict[str, object]], bool]:
-    """Check every fuzz case, fanning out over the sweep worker pool.
+    """Check every fuzz case, fanning out over the sweep dispatcher.
 
     Returns ``(records, used_fallback)`` in input order.  A ``mutation``
-    forces serial execution (the injected pass stays in-process, so tests
-    can assert on the very object they handed in).
+    forces ``jobs=1`` (the injected pass stays in-process, so tests can
+    assert on the very object they handed in).
     """
-    if mutation is not None or jobs <= 1:
-        records: List[Dict[str, object]] = []
-        for point in points:
-            records.append(check_point(point, mutation=mutation))
-            if progress is not None:
-                progress(records[-1], len(records), len(points))
-        return records, False
-    tracer = obs.current_tracer()
-    worker = partial(_fuzz_worker, trace=tracer is not None)
+
+    def callback(result: object, done: int, total: int) -> None:
+        progress(_as_record(result), done, total)
+
     results, used_fallback = parallel_map(
-        worker, list(points), jobs=jobs, progress=progress
+        partial(check_point, mutation=mutation),
+        list(points),
+        jobs=1 if mutation is not None else jobs,
+        progress=callback if progress is not None else None,
     )
-    records = list(results)
-    if tracer is not None:
-        for record in records:
-            telemetry = record.pop("telemetry", None)
-            if telemetry:
-                tracer.adopt(telemetry.get("spans", ()), telemetry.get("counters"))
-    return records, used_fallback
+    return [_as_record(r, p) for r, p in zip(results, points)], used_fallback
 
 
 # ---------------------------------------------------------------- CLI glue

@@ -109,10 +109,10 @@ def snapshot_entry(metrics: Dict[str, object]) -> Dict[str, object]:
 def run_golden_points(
     jobs: int = 1,
 ) -> Tuple[Dict[str, Dict[str, object]], bool]:
-    """Synthesize the golden set (on the sweep pool) and snapshot the metrics.
+    """Synthesize the golden set (on the sweep workers) and snapshot the metrics.
 
-    Returns ``(entries, used_fallback)`` — the fallback flag records a
-    broken worker pool, like every other phase.
+    Returns ``(entries, used_fallback)`` — the fallback flag records that
+    no worker process could be started, like every other phase.
     """
     sweep = run_sweep(golden_points(), jobs=jobs)
     if not sweep.ok:

@@ -32,16 +32,16 @@ configurations and asserts the invariant linking their outcomes:
 
 Properties are registered in :data:`METAMORPHIC_PROPERTIES` (open for
 extension, mirroring the flow's analysis registry) and fan out over the
-exploration engine's worker pool as ``(property, point)`` tasks.
+exploration engine's dispatcher as ``(property, point)`` tasks.
 :func:`check_property` never raises — violations and crashes are captured
 in the returned record.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import replace
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -52,7 +52,7 @@ from repro.api.result import FlowResult
 from repro.designs.base import DatapathDesign
 from repro.designs.registry import get_design
 from repro.errors import VerificationError
-from repro.explore.engine import parallel_map
+from repro.explore.engine import WorkerFailure, parallel_map
 from repro.netlist.serialize import netlist_from_dict, netlist_to_dict
 from repro.netlist.validate import validate_netlist
 from repro.sim.evaluator import evaluate_vectors
@@ -284,8 +284,8 @@ def _check_place_preserves_function(
     }
 
 
-#: the properties shipped with this module — guaranteed present in pool
-#: workers regardless of the multiprocessing start method
+#: the properties shipped with this module — guaranteed present in
+#: worker processes regardless of the multiprocessing start method
 _BUILTIN_PROPERTIES = frozenset(METAMORPHIC_PROPERTIES)
 
 
@@ -318,8 +318,7 @@ def check_property(name: str, point: "SweepPoint") -> Dict[str, object]:  # noqa
         return record
     try:
         # identity fields inside the guard: a point whose label or
-        # serialization raises yields an error record instead of crashing
-        # the pool worker and dropping its telemetry
+        # serialization raises still yields a full error record
         record["label"] = point.label()
         record["point"] = point.to_dict()
         with obs.span("verify.property", property=name, case=record["label"]):
@@ -337,33 +336,22 @@ def check_property(name: str, point: "SweepPoint") -> Dict[str, object]:  # noqa
     return record
 
 
-def _meta_worker(
-    task: Tuple[str, "SweepPoint"], trace: bool = False  # noqa: F821
-) -> Dict[str, object]:
-    """Picklable pool-worker body for one (property, point) task.
+def _meta_worker(task: Tuple[str, "SweepPoint"]) -> Dict[str, object]:  # noqa: F821
+    """Picklable worker body for one (property, point) task."""
+    return check_property(task[0], task[1])
 
-    With ``trace`` set the check runs under its own tracer and the record
-    carries the picklable ``telemetry`` payload for the parent to adopt.
-    """
-    if not trace:
-        return check_property(task[0], task[1])
-    tracer = obs.Tracer()
-    try:
-        with obs.tracing(tracer):
-            record = check_property(task[0], task[1])
-    except Exception as exc:
-        # check_property never raises by contract; if that contract is
-        # ever broken the spans recorded up to the failure must still
-        # reach the parent alongside the error record
-        record = {
-            "property": task[0], "label": "?", "point": None, "ok": False,
-            "skipped": False, "detail": None,
-            "error": f"{type(exc).__name__}: {exc}", "elapsed_s": 0.0,
-        }
-    record["telemetry"] = {
-        "spans": tracer.to_dicts(),
-        "counters": dict(tracer.counters),
+
+def _as_record(result: object, task: Tuple[str, object] = ("?", None)) -> Dict[str, object]:
+    """A task's record: a :class:`WorkerFailure` becomes an error record,
+    labelled from the task's point when it has a label."""
+    if not isinstance(result, WorkerFailure):
+        return result
+    record: Dict[str, object] = {
+        "property": task[0], "label": "?", "point": None, "ok": False,
+        "skipped": False, "detail": None, "error": result.error, "elapsed_s": 0.0,
     }
+    with contextlib.suppress(Exception):
+        record["label"], record["point"] = task[1].label(), task[1].to_dict()
     return record
 
 
@@ -373,12 +361,13 @@ def run_metamorphic(
     jobs: int = 1,
     progress: Optional[Callable[[Dict[str, object], int, int], None]] = None,
 ) -> Tuple[List[Dict[str, object]], bool]:
-    """Check every property against every base point, fanning out on the pool.
+    """Check every property against every base point, fanning out on the
+    sweep dispatcher.
 
     Returns ``(records, used_fallback)`` ordered point-major (all properties
     of the first point, then the second, ...).  Custom (non-built-in)
     properties force serial execution: under the ``spawn``/``forkserver``
-    start methods a pool worker re-imports this module and sees only the
+    start methods a worker re-imports this module and sees only the
     built-in registry, so a user-registered property would spuriously fail
     as unknown in the worker.
     """
@@ -386,15 +375,14 @@ def run_metamorphic(
     tasks = [(name, point) for point in points for name in names]
     if not set(names) <= _BUILTIN_PROPERTIES:
         jobs = 1
-    tracer = obs.current_tracer()
-    worker = partial(_meta_worker, trace=tracer is not None and jobs > 1)
+
+    def callback(result: object, done: int, total: int) -> None:
+        progress(_as_record(result), done, total)
+
     results, used_fallback = parallel_map(
-        worker, tasks, jobs=jobs, progress=progress
+        _meta_worker,
+        tasks,
+        jobs=jobs,
+        progress=callback if progress is not None else None,
     )
-    records = list(results)
-    if tracer is not None:
-        for record in records:
-            telemetry = record.pop("telemetry", None)
-            if telemetry:
-                tracer.adopt(telemetry.get("spans", ()), telemetry.get("counters"))
-    return records, used_fallback
+    return [_as_record(r, t) for r, t in zip(results, tasks)], used_fallback

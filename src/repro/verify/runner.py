@@ -2,7 +2,7 @@
 
 :func:`run_verify` is the engine behind ``repro-datapath verify``: it
 samples the fuzz cases, fans them (and the metamorphic checks) out over the
-exploration engine's worker pool, runs the golden-metric regression set and
+exploration engine's worker processes, runs the golden-metric regression set and
 assembles everything into a :class:`~repro.verify.report.VerifyReport`.
 
 :func:`run_self_test` is the subsystem's own mutation test: it injects a

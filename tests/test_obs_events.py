@@ -4,8 +4,8 @@ Covers the ``repro.obs.events`` v1 contract (schema validity, per-emitter
 ``seq`` monotonicity, the golden event-stream pin for a serial sweep), the
 sweep engine's straggler machinery (``REPRO_POINT_HANG`` → ``stall`` →
 ``retry`` → completion, timeout exhaustion → errored-not-lost), worker
-heartbeat liveness under ``jobs=2``, crashed-worker pool rebuilds, and the
-``obs tail`` / ``obs events-check`` CLI surface.
+heartbeat liveness under ``jobs=2``, crashed-worker respawns, the serial
+fallback, and the ``obs tail`` / ``obs events-check`` CLI surface.
 
 Golden re-pin after an intentional event-shape change::
 
@@ -13,10 +13,12 @@ Golden re-pin after an intentional event-shape change::
 """
 
 import json
+import multiprocessing
 import os
 import pathlib
+import subprocess
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -24,14 +26,15 @@ from repro import obs
 from repro.cli import main
 from repro.explore.engine import (
     POINT_HANG_ENV,
+    WorkerFailure,
+    _dispatch,
     _point_hangs,
-    _run_parallel,
     _SweepMonitor,
     parallel_map,
     run_sweep,
 )
 from repro.explore.io import sweep_to_json_obj
-from repro.explore.spec import SweepPoint, SweepSpec
+from repro.explore.spec import SweepSpec
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden" / "obs"
 
@@ -39,12 +42,8 @@ _SPEC = SweepSpec(designs=("x2",), methods=("fa_aot", "wallace"))
 
 
 def _pool_works() -> bool:
-    """True when this platform can actually spawn worker processes."""
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(abs, -1).result(timeout=60) == 1
-    except Exception:
-        return False
+    """True when this platform can actually start worker processes."""
+    return parallel_map(abs, [-1, -2], jobs=2) == ([1, 2], False)
 
 
 needs_pool = pytest.mark.skipif(
@@ -368,21 +367,60 @@ def _crash_once_worker(item):
     marker = os.path.join(marker_dir, f"crashed-{value}")
     if value == 3 and not os.path.exists(marker):
         open(marker, "w").close()
-        os._exit(1)  # hard worker death: BrokenProcessPool in the parent
+        os._exit(1)  # hard worker death: EOF on its pipe in the parent
     return value * 10
 
 
-def _always_crash_worker(item, attempt=0, hang_s=0.0):
+def _always_crash_worker(item, attempt):
     if item == 1:
         os._exit(1)
-    return (item, None, 0.01, None)
+    return item * 10
 
 
-def _slow_or_crash_worker(item, attempt=0, hang_s=0.0):
+def _slow_or_crash_worker(item, attempt):
     if item == 1:
         os._exit(1)
-    time.sleep(0.4)  # keep healthy siblings in flight across the break
-    return (item, None, 0.4, None)
+    time.sleep(0.4)  # keep healthy siblings in flight across the crash
+    return item * 10
+
+
+_TEST_PID = os.getpid()
+
+
+def _crash_in_worker(value):
+    if value == 1 and os.getpid() != _TEST_PID:
+        os._exit(1)
+    return value
+
+
+def _raise_on_one(value):
+    if value == 1:
+        raise ValueError("bad item")
+    return value
+
+
+def _collect(got):
+    """A dispatcher ``report`` that stores each item's result in ``got``."""
+    return lambda index, result, _elapsed, _spans: got.__setitem__(index, result)
+
+
+#: ``parallel_map`` with an item that always kills its worker, in a child
+#: interpreter: if the crash reached the caller, only that child would die
+_CRASH_CALLER = """
+import json, os
+from repro.explore.engine import parallel_map
+
+def work(value):
+    if value == 1:
+        os._exit(7)
+    return value * 10
+
+results, used_fallback = parallel_map(work, [0, 1, 2, 3], jobs=2)
+print(json.dumps({
+    "results": [r if isinstance(r, int) else {"error": r.error} for r in results],
+    "used_fallback": used_fallback,
+}))
+"""
 
 
 @needs_pool
@@ -391,62 +429,104 @@ class TestCrashedWorkerRecovery:
         items = [(value, str(tmp_path)) for value in range(6)]
         results, used_fallback = parallel_map(_crash_once_worker, items, jobs=2)
         assert results == [0, 10, 20, 30, 40, 50]
-        assert not used_fallback, "one crash should rebuild the pool, not fall back"
+        assert not used_fallback, "one crash should respawn a worker, not fall back"
+
+    def test_repeated_crash_does_not_kill_the_caller(self):
+        src = pathlib.Path(__file__).parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _CRASH_CALLER],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        results = out["results"]
+        assert [results[0], results[2], results[3]] == [0, 20, 30]
+        assert "crashed" in results[1]["error"]
+        assert out["used_fallback"] is False
+
+    def test_raising_worker_is_an_item_error(self):
+        results, used_fallback = parallel_map(_raise_on_one, [0, 1, 2], jobs=2)
+        assert results[0] == 0 and results[2] == 2
+        assert results[1] == WorkerFailure("ValueError: bad item")
+        assert not used_fallback
+
+    def test_crashed_item_never_runs_in_the_caller(self, monkeypatch):
+        """Respawning the crashed worker fails: the rest runs in the caller,
+        except the item that crashed, which is reported as an error."""
+        real_start = multiprocessing.Process.start
+        started = []
+
+        def start_two(process):
+            if len(started) == 2:
+                raise OSError("process creation refused")
+            started.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start_two)
+        results, used_fallback = parallel_map(_crash_in_worker, [0, 1, 2], jobs=2)
+        assert used_fallback is True
+        assert results[0] == 0 and results[2] == 2
+        assert isinstance(results[1], WorkerFailure) and "crashed" in results[1].error
 
     def test_repeated_crash_records_error_result(self):
-        points = [
-            SweepPoint(design="x2", method="fa_aot"),
-            SweepPoint(design="x2", method="wallace"),
-        ]
         bus = obs.EventBus()
         events = []
         bus.subscribe(events.append)
-        monitor = _SweepMonitor(points, bus)
+        monitor = _SweepMonitor(["x2/fa_aot", "x2/wallace"], bus)
         got = {}
-        used_fallback = _run_parallel(
-            _always_crash_worker,
-            list(enumerate([0, 1])),
-            2,
-            lambda index, raw: got.__setitem__(index, raw),
-            monitor,
+        used_fallback = _dispatch(
+            _always_crash_worker, list(enumerate([0, 1])), 2, _collect(got), monitor
         )
         assert not used_fallback
-        assert got[0] == (0, None, 0.01, None)
-        metrics, error, _elapsed, _telemetry = got[1]
-        assert metrics is None and "crashed" in error
+        assert got[0] == 0
+        assert isinstance(got[1], WorkerFailure) and "crashed" in got[1].error
         retries = [e["attrs"]["reason"] for e in events if e["kind"] == "retry"]
-        assert "worker-crash" in retries
-        assert monitor.crashes[1] == 2
-        # the healthy sibling may have been collateral of the pool break
-        # but must never accumulate crash strikes of its own
+        assert retries == ["worker-crash"]
+        assert monitor.crashes[1] == 2  # the first attempt and its one retry
+        # the healthy sibling never accumulates crash strikes of its own
         assert monitor.crashes.get(0, 0) == 0
 
     def test_crash_strikes_never_hit_coresident_siblings(self):
         """A doubly-crashing point must not error out healthy points that
-        happened to share the pool at break time (collateral siblings are
-        requeued unpenalized and re-run)."""
-        points = [
-            SweepPoint(design="x2", method="fa_aot"),
-            SweepPoint(design="x2", method="wallace"),
-            SweepPoint(design="x2", method="cla"),
-        ]
-        monitor = _SweepMonitor(points, bus=None, point_timeout=30.0)
+        were in flight on other workers when it crashed."""
+        monitor = _SweepMonitor(["a", "b", "c"], bus=None, point_timeout=30.0)
         got = {}
-        used_fallback = _run_parallel(
-            _slow_or_crash_worker,
-            list(enumerate([0, 1, 2])),
-            3,
-            lambda index, raw: got.__setitem__(index, raw),
-            monitor,
+        used_fallback = _dispatch(
+            _slow_or_crash_worker, list(enumerate([0, 1, 2])), 3, _collect(got), monitor
         )
         assert not used_fallback
-        assert got[0] == (0, None, 0.4, None)
-        assert got[2] == (2, None, 0.4, None)
-        metrics, error, _elapsed, _telemetry = got[1]
-        assert metrics is None and "crashed" in error
+        assert got[0] == 0 and got[2] == 20
+        assert isinstance(got[1], WorkerFailure) and "crashed" in got[1].error
         assert monitor.crashes.get(0, 0) == 0
         assert monitor.crashes.get(2, 0) == 0
         assert monitor.crashes[1] == 2
+
+
+class TestSerialFallback:
+    """Workers that cannot be started: the rest runs in the caller."""
+
+    @pytest.fixture(autouse=True)
+    def _no_processes(self, monkeypatch):
+        def refuse(_process):
+            raise OSError("process creation refused")
+
+        monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+
+    def test_run_sweep_falls_back(self):
+        serial = run_sweep(_SPEC, jobs=1)
+        fallback = run_sweep(_SPEC, jobs=2)
+        assert fallback.used_fallback is True
+        assert "serial-fallback" in fallback.summary()
+        assert fallback.records == serial.records
+        assert not serial.used_fallback
+
+    def test_parallel_map_falls_back(self):
+        serial = parallel_map(abs, [-3, -1, -2], jobs=1)
+        assert serial == ([3, 1, 2], False)
+        assert parallel_map(abs, [-3, -1, -2], jobs=2) == ([3, 1, 2], True)
 
 
 class TestEventsCli:

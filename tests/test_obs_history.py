@@ -7,7 +7,7 @@ threshold edge cases (host-speed normalization, the ``min_wall_s`` floor,
 QoR exact-int vs float-band semantics), the flamegraph exporter (golden
 file), the dashboard generator (self-contained HTML with every trend
 series), the ``repro obs`` CLI family end to end, and the partial-telemetry
-guarantees of the pool workers.
+guarantees of the sweep and verify workers.
 """
 
 import json
@@ -24,11 +24,11 @@ from repro import obs
 from repro.api import Flow, FlowConfig
 from repro.api.flow import STAGE_DELAY_ENV
 from repro.cli import main
-from repro.explore.engine import _run_one
+from repro.explore.engine import run_sweep
 from repro.explore.spec import SweepSpec
 from repro.obs.history import HISTORY_ENV, qor_entry, qor_label
-from repro.verify.fuzz import _fuzz_worker, check_point
-from repro.verify.metamorphic import _meta_worker, check_property
+from repro.verify.fuzz import check_point, run_fuzz
+from repro.verify.metamorphic import check_property, run_metamorphic
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden" / "obs"
 
@@ -694,13 +694,16 @@ class TestWorkerTelemetryHardening:
 
         monkeypatch.setattr("repro.explore.engine.execute_point", explode)
         point = SweepSpec(designs=("x2",)).expand()[0]
-        metrics, error, _elapsed, telemetry = _run_one(point, trace=True)
-        assert metrics is None
-        assert "mid-flow failure" in error
-        names = {s["name"] for s in telemetry["spans"]}
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            outcome = run_sweep([point]).outcomes[0]
+        assert outcome.metrics is None
+        assert "mid-flow failure" in outcome.error
+        names = {s["name"] for s in outcome.spans}
         assert "explore.doomed" in names and "explore.point" in names
-        doomed = next(s for s in telemetry["spans"] if s["name"] == "explore.doomed")
+        doomed = next(s for s in outcome.spans if s["name"] == "explore.doomed")
         assert "RuntimeError" in doomed["error"]
+        assert {"explore.doomed", "explore.point"} <= set(tracer.span_names())
 
     def test_fuzz_case_partial_telemetry_on_error(self, monkeypatch):
         def explode(point, mutation, rvc, ewl):
@@ -709,10 +712,13 @@ class TestWorkerTelemetryHardening:
 
         monkeypatch.setattr("repro.verify.fuzz._check_point_body", explode)
         point = SweepSpec(designs=("x2",)).expand()[0]
-        record = _fuzz_worker(point, trace=True)
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            (record,), _ = run_fuzz([point])
         assert record["ok"] is False
         assert "case blew up" in record["error"]
-        names = {s["name"] for s in record["telemetry"]["spans"]}
+        assert "telemetry" not in record
+        names = set(tracer.span_names())
         assert "verify.doomed" in names and "verify.case" in names
 
     def test_check_point_survives_broken_point(self):
@@ -722,9 +728,11 @@ class TestWorkerTelemetryHardening:
         assert record["label"] == "?"
 
     def test_fuzz_worker_survives_broken_point(self):
-        record = _fuzz_worker(_BrokenPoint(), trace=True)
+        with obs.tracing(obs.Tracer()):
+            (record,), _ = run_fuzz([_BrokenPoint()])
         assert record["ok"] is False
-        assert "telemetry" in record
+        assert "label exploded" in record["error"]
+        assert "telemetry" not in record
 
     def test_check_property_survives_broken_point(self):
         record = check_property("opt_levels_equivalent", _BrokenPoint())
@@ -732,9 +740,13 @@ class TestWorkerTelemetryHardening:
         assert "label exploded" in record["error"]
 
     def test_meta_worker_survives_broken_point(self):
-        record = _meta_worker(("opt_levels_equivalent", _BrokenPoint()), trace=True)
+        with obs.tracing(obs.Tracer()):
+            (record,), _ = run_metamorphic(
+                [_BrokenPoint()], properties=["opt_levels_equivalent"]
+            )
         assert record["ok"] is False
-        assert "telemetry" in record
+        assert "label exploded" in record["error"]
+        assert "telemetry" not in record
 
 
 class TestRecordHelpers:
