@@ -46,6 +46,7 @@ verifier or (unless asked) the optimizer, mapper and placer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -110,13 +111,13 @@ def _cmd_list_designs(_: argparse.Namespace) -> int:
     return 0
 
 
-def _record_result(result, design: str) -> None:
-    """Feed one synthesized design into the active run recorder (if any).
+def _record_result(args: argparse.Namespace, result, design: str) -> None:
+    """Feed one synthesized design into the run's recorder (if any).
 
     Its history key is ``<design>:<config digest>``; a run without a
     recorder computes neither the key nor the metrics.
     """
-    recorder = obs.current_recorder()
+    recorder = getattr(args, "recorder", None)
     if recorder is None:
         return
     if result.config is not None:
@@ -124,9 +125,10 @@ def _record_result(result, design: str) -> None:
     recorder.add_qor(result.to_dict())
 
 
-def _record_sweep(sweep: SweepResult) -> None:
-    """Feed a finished sweep into the active run recorder (if any)."""
-    recorder = obs.current_recorder()
+def _record_sweep(args: argparse.Namespace, sweep: SweepResult) -> None:
+    """Feed a finished sweep into the run's recorder (if any); its
+    ``events_summary`` is the one the history record carries."""
+    recorder = getattr(args, "recorder", None)
     if recorder is None:
         return
     for outcome in sweep.outcomes:
@@ -147,7 +149,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = flow_config_from_args(args)
     library = resolve_library(config.library)
     result = Flow(config).run(args.design, library=library)
-    _record_result(result, args.design)
+    _record_result(args, result, args.design)
     print(result.summary())
     if result.opt_report is not None:
         print()
@@ -193,7 +195,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     for method in args.methods:
         result = row.results[method]
-        _record_result(result, design.name)
+        _record_result(args, result, design.name)
         print(result.summary())
     if args.json:
         payload = {
@@ -236,7 +238,7 @@ def _run_table_sweep(spec: SweepSpec, args: argparse.Namespace) -> SweepResult:
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
-    _record_sweep(sweep)
+    _record_sweep(args, sweep)
     if not sweep.ok:
         for outcome in sweep.failures:
             log.error("  FAILED %s: %s", outcome.point.label(), outcome.error)
@@ -287,7 +289,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         point_timeout=getattr(args, "point_timeout", None),
         stall_factor=_stall_factor_from_args(args),
     )
-    _record_sweep(sweep)
+    _record_sweep(args, sweep)
     print(sweep_report(sweep, pareto=args.pareto))
     try:
         if args.json:
@@ -359,7 +361,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
-    recorder = obs.current_recorder()
+    recorder = getattr(args, "recorder", None)
     if recorder is not None:
         designs = ",".join(args.designs) if args.designs else "all"
         recorder.add_key(
@@ -631,10 +633,10 @@ def _cmd_obs_events_check(args: argparse.Namespace) -> int:
             if len(problems) > 25:
                 print(f"  ... and {len(problems) - 25} more")
         else:
-            by_kind: Dict[str, int] = {}
+            fold = obs.EventFold()
             for event in events:
-                kind = str(event.get("kind"))
-                by_kind[kind] = by_kind.get(kind, 0) + 1
+                fold.handle(event)
+            by_kind = fold.by_kind
             kinds_text = " ".join(f"{k}={by_kind[k]}" for k in sorted(by_kind))
             print(f"OK {path}: {len(events)} event(s) [{kinds_text}]")
     return 0 if ok else 1
@@ -988,10 +990,11 @@ def _run_command(args: argparse.Namespace) -> int:
     :class:`repro.obs.EventBus` only exists under ``--events`` /
     ``--live``, bracketing the command in ``run_start`` / ``run_end``
     events with a resource-gauge sampler (and the live progress renderer)
-    attached.  Artifacts are written even when the command exits via
-    ``SystemExit`` — a failed sweep's partial trace is exactly what one
-    wants to look at — and the history record carries the end-to-end exit
-    status either way.
+    attached.  Under ``--history`` the command gets the run's
+    :class:`repro.obs.RunRecorder` as ``args.recorder``.  Artifacts are
+    written even when the command exits via ``SystemExit`` — a failed
+    sweep's partial trace is exactly what one wants to look at — and the
+    history record carries the end-to-end exit status either way.
     """
     if not hasattr(args, "log_level"):
         return args.func(args)
@@ -1001,9 +1004,10 @@ def _run_command(args: argparse.Namespace) -> int:
         obs.Tracer() if (args.trace or args.profile or history_dir) else None
     )
     recorder = obs.RunRecorder(args.command) if history_dir else None
+    args.recorder = recorder
     events_dir = getattr(args, "events", None)
     bus = None
-    sampler = None
+    sampling = contextlib.nullcontext()
     if events_dir or getattr(args, "live", False):
         events_path = (
             os.path.join(events_dir, obs.EVENTS_FILENAME) if events_dir else None
@@ -1011,7 +1015,7 @@ def _run_command(args: argparse.Namespace) -> int:
         bus = obs.EventBus(path=events_path)
         if getattr(args, "live", False):
             bus.subscribe(obs.ProgressRenderer().handle)
-        sampler = obs.ResourceSampler(bus, interval=1.0).start()
+        sampling = obs.resource_sampling(bus, interval=1.0)
         bus.emit("run_start", command=args.command)
         if events_path:
             log.info("streaming telemetry events to %s", events_path)
@@ -1019,7 +1023,7 @@ def _run_command(args: argparse.Namespace) -> int:
     code: Optional[int] = None
     failed = False
     try:
-        with obs.tracing(tracer), obs.recording(recorder), obs.eventing(bus):
+        with obs.tracing(tracer), obs.eventing(bus), sampling:
             code = args.func(args)
     except SystemExit as exc:
         if isinstance(exc.code, int):
@@ -1035,8 +1039,6 @@ def _run_command(args: argparse.Namespace) -> int:
         exit_code = 1 if (failed or code is None) else code
         status = "ok" if exit_code == 0 else "error"
         if bus is not None:
-            if sampler is not None:
-                sampler.stop()
             bus.emit(
                 "run_end",
                 command=args.command,
@@ -1044,8 +1046,6 @@ def _run_command(args: argparse.Namespace) -> int:
                 exit_code=exit_code,
                 wall_s=round(wall_s, 6),
             )
-            if recorder is not None:
-                recorder.add_extra(events_summary=bus.summary())
             bus.close()
         _emit_observability(args, tracer, wall_s, status=status, exit_code=exit_code)
         if recorder is not None and history_dir is not None:

@@ -63,26 +63,6 @@ class ResultCache:
         self.hits += 1
         return entry["metrics"]
 
-    def get_entry(self, point: SweepPoint) -> Optional[Dict[str, object]]:
-        """The full cache entry for ``point`` (metrics + telemetry), if valid.
-
-        Unlike :meth:`get` this exposes the non-contractual ``telemetry``
-        payload; it does not touch the hit/miss statistics.
-        """
-        try:
-            with open(self._path(point), "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("schema_version") != CACHE_SCHEMA_VERSION
-            or entry.get("key") != point.key()
-            or not isinstance(entry.get("metrics"), dict)
-        ):
-            return None
-        return entry
-
     def put(
         self,
         point: SweepPoint,
@@ -91,11 +71,10 @@ class ResultCache:
     ) -> Path:
         """Store ``metrics`` for ``point`` (atomic write, last writer wins).
 
-        ``telemetry`` (wall time, span aggregates of the producing run) is
-        stored alongside the metrics but is **not** part of the cache
-        contract: :meth:`get` never returns it — metric records must stay
-        deterministic — and entries without it remain valid.  Use
-        :meth:`get_entry` to inspect it.
+        ``telemetry`` is stored beside the metrics, outside the cache
+        contract: :meth:`get` never returns it.  The sweep engine passes
+        none; the keyword stays for wrappers of :meth:`put` that forward
+        it (``flowbench``'s timed cache).
         """
         path = self._path(point)
         entry = {

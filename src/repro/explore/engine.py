@@ -34,9 +34,10 @@ parallel runs) and ships its spans back with the result; the parent adopts
 them, so one ``--trace`` file renders the whole sweep as a merged
 multi-process timeline.  When an :class:`repro.obs.EventBus` is active
 (``--events`` / ``--live``), the sweep streams
-``point_start``/``point_end``/``stall``/``retry`` events, each worker opens
-its own bus on the shared JSONL stream and heartbeats while a point runs,
-and the dispatcher watches in-flight points: one exceeding
+``point_start``/``point_end``/``stall``/``retry`` events (with
+``--events``, each worker opens its own bus on the shared JSONL stream and
+heartbeats while a point runs), and the dispatcher watches in-flight
+points: one exceeding
 ``stall_factor x`` the rolling median is flagged as a straggler, and one
 exceeding the hard ``point_timeout`` has its worker terminated and
 respawned, and is retried like a crash — a hung worker can no longer hang
@@ -64,7 +65,7 @@ from repro.api.result import FlowResult
 from repro.designs.base import DatapathDesign
 from repro.explore.cache import ResultCache
 from repro.explore.spec import SweepPoint, SweepSpec
-from repro.obs.events import EventBus, point_heartbeat
+from repro.obs.events import EventBus, EventFold, point_heartbeat
 from repro.obs.logbridge import get_logger
 from repro.obs.manifest import peak_rss_bytes
 from repro.tech.library import TechLibrary
@@ -191,9 +192,9 @@ class SweepResult:
     cache_misses: int = 0
     used_fallback: bool = False
     elapsed_s: float = 0.0
-    #: telemetry roll-up (stalls, retries, peak RSS, worker utilization);
-    #: only set on monitored runs (active event bus or point timeout), so
-    #: plain runs' artifacts stay byte-identical
+    #: roll-up of the sweep's events (stalls, retries, peak RSS, worker
+    #: utilization); only set on monitored runs (active event bus or point
+    #: timeout), so plain runs' artifacts stay byte-identical
     events_summary: Optional[Dict[str, object]] = None
 
     @property
@@ -212,10 +213,8 @@ class SweepResult:
         return not self.failures
 
     def span_summary(self) -> Dict[str, Dict[str, object]]:
-        """Merged span aggregate over every traced point (empty if untraced)."""
-        from repro.explore.records import merge_span_summaries
-
-        return merge_span_summaries(o.span_summary() for o in self.outcomes)
+        """Span aggregate over every traced point (empty if untraced)."""
+        return obs.aggregate_spans(s for o in self.outcomes for s in o.spans or ())
 
     def summary(self) -> str:
         """One-line sweep summary for logs and the CLI.
@@ -252,16 +251,17 @@ _Report = Callable[[int, object, float, Optional[List[Dict[str, object]]]], None
 
 
 class _SweepMonitor:
-    """Dispatcher-side telemetry + straggler policy for one run.
+    """Dispatcher-side straggler policy and event emission for one run.
 
     Owns what the dispatcher must not know about sweeps: per-item attempt
     counts (which feed the ``REPRO_POINT_HANG`` first-attempt-only
-    semantics and the shared crash/timeout retry budget), the rolling
-    median of fresh item times (stall threshold and ETA source),
-    stall/timeout/retry/crash accounting, and the ``point_*`` event
-    emission on the active bus.  A monitor with no bus and no timeout is
-    inactive: the dispatcher then blocks on its workers instead of
-    watching them, and every hook degrades to a counter update.
+    semantics and the shared crash/timeout retry budget), the median of
+    successful item times (the stall threshold), the stall-flagged set,
+    per-item crash strikes, and the ``point_*`` event emission on the
+    run's bus, from which :class:`repro.obs.EventFold` derives every tally.
+    A monitor is active when it has a bus: the dispatcher then watches
+    in-flight items instead of blocking on its workers.  A ``point_timeout``
+    without a bus opens a private in-memory one, since it needs watching.
     """
 
     #: dispatcher wake-up period while watching in-flight points
@@ -278,30 +278,27 @@ class _SweepMonitor:
         max_retries: int = 1,
     ) -> None:
         self.labels = labels
-        self.bus = bus
+        self.bus = EventBus() if bus is None and point_timeout is not None else bus
         self.point_timeout = point_timeout
         self.stall_factor = stall_factor
         self.max_retries = max(0, int(max_retries))
         self.attempts: Dict[int, int] = {}
         self.durations: List[float] = []
         self.crashes: Dict[int, int] = {}
-        self.stalls = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.peak_rss_bytes: Optional[int] = None
         self._stall_flagged: Set[Tuple[int, int]] = set()
 
     # -- configuration ------------------------------------------------
 
     @property
     def active(self) -> bool:
-        """True when in-flight items are watched and the run produces an
-        ``events_summary``."""
-        return self.bus is not None or self.point_timeout is not None
+        """True when in-flight items are watched and reported as events."""
+        return self.bus is not None
 
     def worker_events(self) -> Optional[Dict[str, object]]:
-        """How each worker opens its own bus on this run's stream."""
-        if self.bus is None:
+        """How each worker opens its own bus on this run's stream; ``None``
+        unless the run streams to a file, since a worker's in-memory bus
+        would have no reader."""
+        if self.bus is None or self.bus.path is None:
             return None
         return {"path": self.bus.path, "run_id": self.bus.run_id}
 
@@ -330,13 +327,14 @@ class _SweepMonitor:
         self._emit("point_end", ok=True, elapsed_s=0.0, **common)
 
     def on_result(
-        self, index: int, result: object, elapsed: float, telemetry: Optional[Dict]
+        self,
+        index: int,
+        result: object,
+        elapsed: float,
+        telemetry: Optional[Dict],
+        reason: Optional[str] = None,
     ) -> None:
-        rss = (telemetry or {}).get("peak_rss_bytes")
-        if isinstance(rss, int) and (
-            self.peak_rss_bytes is None or rss > self.peak_rss_bytes
-        ):
-            self.peak_rss_bytes = rss
+        """``reason`` names the timeout or worker crash a failure ended in."""
         failed = isinstance(result, WorkerFailure)
         if not failed:
             self.durations.append(elapsed)
@@ -350,6 +348,9 @@ class _SweepMonitor:
         )
         if failed:
             attrs["error"] = result.error
+        if reason is not None:
+            attrs["reason"] = reason
+        rss = (telemetry or {}).get("peak_rss_bytes")
         if rss is not None:
             attrs["peak_rss_bytes"] = rss
         self._emit("point_end", **attrs)
@@ -357,9 +358,6 @@ class _SweepMonitor:
     def on_retry(self, index: int, reason: str, elapsed_s: float = 0.0) -> None:
         attempt = self.attempt(index) + 1
         self.attempts[index] = attempt
-        self.retries += 1
-        if reason == "timeout":
-            self.timeouts += 1
         label = self.labels[index]
         log.warning(
             "point %s (index %d) re-dispatched after %s (attempt %d)",
@@ -386,7 +384,6 @@ class _SweepMonitor:
         if elapsed <= threshold or key in self._stall_flagged:
             return
         self._stall_flagged.add(key)
-        self.stalls += 1
         label = self.labels[index]
         log.warning(
             "point %s (index %d) stalling: %.2fs in flight, %.1fx median %.2fs",
@@ -409,40 +406,17 @@ class _SweepMonitor:
 
     # -- synthesized results ------------------------------------------
 
-    def timeout_result(self, index: int) -> WorkerFailure:
-        self.timeouts += 1
-        return WorkerFailure(
-            f"TimeoutError: point exceeded point_timeout={self.point_timeout}s "
-            f"after {self.attempt(index) + 1} attempt(s); worker terminated"
-        )
-
-    def crash_result(self, index: int) -> WorkerFailure:
+    def failure(self, index: int, reason: str) -> WorkerFailure:
+        """The result of an item whose last worker timed out or crashed."""
+        if reason == "timeout":
+            return WorkerFailure(
+                f"TimeoutError: point exceeded point_timeout={self.point_timeout}s "
+                f"after {self.attempt(index) + 1} attempt(s); worker terminated"
+            )
         return WorkerFailure(
             f"RuntimeError: worker process crashed "
             f"{self.crashes.get(index, 0)} time(s) running this point"
         )
-
-    def build_summary(self, result: "SweepResult", effective_jobs: int) -> Dict:
-        """The ``events_summary`` roll-up for artifacts and run history."""
-        busy = sum(o.elapsed_s for o in result.outcomes if not o.cached)
-        utilization = None
-        if result.elapsed_s > 0 and effective_jobs > 0:
-            utilization = round(
-                min(1.0, busy / (result.elapsed_s * effective_jobs)), 4
-            )
-        summary: Dict[str, object] = {
-            "points": len(result.outcomes),
-            "cache_hits": result.cache_hits,
-            "cache_misses": result.cache_misses,
-            "stalls": self.stalls,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_crashes": sum(self.crashes.values()),
-            "worker_utilization": utilization,
-        }
-        if self.peak_rss_bytes is not None:
-            summary["peak_rss_bytes"] = self.peak_rss_bytes
-        return summary
 
 
 def _call(
@@ -450,9 +424,9 @@ def _call(
 ) -> Tuple[object, float, Dict[str, object]]:
     """Run one item: ``(result, elapsed_s, telemetry)``.  Never raises.
 
-    A raising ``fn`` yields a :class:`WorkerFailure`.  With ``trace`` the
-    item runs under its own tracer and ``telemetry`` carries its spans and
-    counters; under an event bus it also carries the process peak RSS.
+    A raising ``fn`` yields a :class:`WorkerFailure`.  ``telemetry``
+    carries the process peak RSS and, with ``trace``, the spans and
+    counters of the child tracer the item ran under.
     """
     tracer = obs.Tracer() if trace else None
     start = time.perf_counter()
@@ -462,11 +436,9 @@ def _call(
     except Exception as exc:  # per-item capture is the whole point
         result = WorkerFailure(f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - start
-    telemetry: Dict[str, object] = {}
+    telemetry: Dict[str, object] = {"peak_rss_bytes": peak_rss_bytes()}
     if tracer is not None:
         telemetry.update(spans=tracer.to_dicts(), counters=dict(tracer.counters))
-    if obs.current_bus() is not None:
-        telemetry["peak_rss_bytes"] = peak_rss_bytes()
     return result, elapsed, telemetry
 
 
@@ -547,16 +519,19 @@ def _dispatch(
     queue = deque(index for index, _ in pending)
     tracer = obs.current_tracer()
 
-    def finish(index: int, result: object, elapsed: float, telemetry=None) -> None:
+    def finish(
+        index: int, result: object, elapsed: float, telemetry=None, reason=None
+    ) -> None:
         spans = (telemetry or {}).get("spans")
         if spans is not None:
             tracer.adopt(spans, telemetry["counters"])
-        monitor.on_result(index, result, elapsed, telemetry)
+        monitor.on_result(index, result, elapsed, telemetry, reason)
         report(index, result, elapsed, spans)
 
     def run_here(index: int) -> None:
         if monitor.crashes.get(index):
-            finish(index, monitor.crash_result(index), 0.0)
+            # its crash was already reported with the retry it earned
+            finish(index, monitor.failure(index, "worker-crash"), 0.0)
             return
         monitor.on_start(index)
         finish(index, *_call(fn, items[index], monitor.attempt(index), tracer is not None))
@@ -571,10 +546,8 @@ def _dispatch(
         if monitor.can_retry(index):
             monitor.on_retry(index, reason, elapsed)
             queue.appendleft(index)
-        elif reason == "timeout":
-            finish(index, monitor.timeout_result(index), elapsed)
         else:
-            finish(index, monitor.crash_result(index), 0.0)
+            finish(index, monitor.failure(index, reason), elapsed, reason=reason)
 
     spawn = partial(_Worker, fn, tracer is not None, monitor.worker_events())
     workers: List[_Worker] = []
@@ -712,19 +685,21 @@ def run_sweep(
 
     When a :class:`repro.obs.EventBus` is active (see
     :func:`repro.obs.eventing`), the sweep streams live
-    ``point_start``/``point_end``/``stall``/``retry`` events and workers
-    append ``heartbeat``/``resource`` gauges; the roll-up lands in
-    ``SweepResult.events_summary`` and on ``obs.counter`` metrics
-    (``events.stalls`` / ``events.retries``) for the regression sentinel.
+    ``point_start``/``point_end``/``stall``/``retry`` events and, when the
+    bus writes a file, workers append ``heartbeat``/``resource`` gauges to
+    it.  A ``point_timeout`` without an active bus runs on a private
+    in-memory one.  Either way an :class:`repro.obs.EventFold` subscribed
+    for the sweep rolls the events up into ``SweepResult.events_summary``
+    and the ``obs.counter`` metrics ``events.stalls`` / ``events.retries``
+    for the regression sentinel.
     """
     start = time.perf_counter()
     points = spec.expand() if isinstance(spec, SweepSpec) else [p.canonical() for p in spec]
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
-    bus = obs.current_bus()
     monitor = _SweepMonitor(
         [point.label() for point in points],
-        bus,
+        obs.current_bus(),
         point_timeout=point_timeout,
         stall_factor=stall_factor,
         max_retries=max_retries,
@@ -734,13 +709,7 @@ def run_sweep(
 
     def report(index: int, outcome: PointOutcome) -> None:
         if cache is not None and outcome.metrics is not None and not outcome.cached:
-            telemetry = None
-            if outcome.spans is not None:
-                telemetry = {
-                    "elapsed_s": round(outcome.elapsed_s, 6),
-                    "span_summary": outcome.span_summary(),
-                }
-            cache.put(outcome.point, outcome.metrics, telemetry=telemetry)
+            cache.put(outcome.point, outcome.metrics)
         outcomes[index] = outcome
         if progress is not None:
             progress(outcome, len(outcomes), len(points))
@@ -755,29 +724,36 @@ def run_sweep(
             spans=spans,
         ))
 
-    with obs.span("explore.sweep", points=len(points), jobs=jobs):
-        pending: List[Tuple[int, Tuple[SweepPoint, float]]] = []
-        hangs = _point_hangs()
-        for index, point in enumerate(points):
-            metrics = cache.get(point) if cache is not None else None
-            if metrics is not None:
-                monitor.on_cached(index)
-                report(index, PointOutcome(point, metrics, cached=True))
-            else:
-                pending.append((index, (point, hangs.get(index, 0.0))))
-        hits = len(points) - len(pending)
-        log.debug(
-            "sweep: %d point(s), %d cached, %d to run",
-            len(points), hits, len(pending),
-        )
-        effective_jobs = max(1, min(jobs, len(pending)))
-        used_fallback = _dispatch(
-            partial(_run_one, heartbeat_s=heartbeat_s),
-            pending,
-            effective_jobs,
-            report_fresh,
-            monitor,
-        )
+    fold = EventFold()
+    if monitor.active:
+        monitor.bus.subscribe(fold.handle)
+    try:
+        with obs.span("explore.sweep", points=len(points), jobs=jobs):
+            pending: List[Tuple[int, Tuple[SweepPoint, float]]] = []
+            hangs = _point_hangs()
+            for index, point in enumerate(points):
+                metrics = cache.get(point) if cache is not None else None
+                if metrics is not None:
+                    monitor.on_cached(index)
+                    report(index, PointOutcome(point, metrics, cached=True))
+                else:
+                    pending.append((index, (point, hangs.get(index, 0.0))))
+            hits = len(points) - len(pending)
+            log.debug(
+                "sweep: %d point(s), %d cached, %d to run",
+                len(points), hits, len(pending),
+            )
+            effective_jobs = max(1, min(jobs, len(pending)))
+            used_fallback = _dispatch(
+                partial(_run_one, heartbeat_s=heartbeat_s),
+                pending,
+                effective_jobs,
+                report_fresh,
+                monitor,
+            )
+    finally:
+        if monitor.active:
+            monitor.bus.unsubscribe(fold.handle)
 
     result = SweepResult(
         outcomes=[outcomes[i] for i in range(len(points))],
@@ -788,11 +764,9 @@ def run_sweep(
         elapsed_s=time.perf_counter() - start,
     )
     if monitor.active:
-        result.events_summary = monitor.build_summary(result, effective_jobs)
+        result.events_summary = fold.summary(result.elapsed_s, effective_jobs)
         # sentinel-visible drift gauges: only on monitored runs, so plain
         # runs' history records keep their historic counter set
-        obs.counter("events.stalls", monitor.stalls)
-        obs.counter("events.retries", monitor.retries)
-        if bus is not None:
-            bus.annotate(**result.events_summary)
+        obs.counter("events.stalls", fold.stalls)
+        obs.counter("events.retries", fold.retries)
     return result

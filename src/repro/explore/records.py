@@ -17,32 +17,9 @@ and comparison layers can import it without cycles.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.utils.metrics import summary_line
-
-
-def merge_span_summaries(
-    summaries: Iterable[Optional[Mapping[str, Mapping[str, object]]]],
-) -> Dict[str, Dict[str, object]]:
-    """Merge per-run span aggregates (``{name: {count, total_s}}``) into one.
-
-    This is the accumulation step of the shared span-summary schema (see
-    :func:`repro.obs.aggregate_spans`): per-point summaries from a traced
-    sweep and cache telemetry entries merge with the same function.
-    ``None`` entries (untraced points) are skipped.
-    """
-    merged: Dict[str, Dict[str, object]] = {}
-    for summary in summaries:
-        if not summary:
-            continue
-        for name, entry in summary.items():
-            slot = merged.setdefault(str(name), {"count": 0, "total_s": 0.0})
-            slot["count"] = int(slot["count"]) + int(entry.get("count", 0))
-            slot["total_s"] = float(slot["total_s"]) + float(entry.get("total_s", 0.0))
-    for slot in merged.values():
-        slot["total_s"] = round(float(slot["total_s"]), 6)
-    return dict(sorted(merged.items()))
 
 
 def _opt_float(data: Mapping[str, object], key: str) -> Optional[float]:

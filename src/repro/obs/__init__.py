@@ -1,7 +1,7 @@
 """``repro.obs`` — structured tracing, metrics, logging and run manifests.
 
 The observability layer of the flow: a zero-dependency tracer with nested
-spans, counters and gauges (:mod:`repro.obs.tracer`), a Chrome trace-event
+spans and counters (:mod:`repro.obs.tracer`), a Chrome trace-event
 exporter viewable in Perfetto / ``chrome://tracing``
 (:mod:`repro.obs.chrome`), a stdlib-``logging`` bridge with CLI-controlled
 verbosity (:mod:`repro.obs.logbridge`), a top-N span profiler
@@ -21,8 +21,7 @@ the instrumentation lives permanently in the hot paths; ``--trace FILE``
 on the CLI (or :func:`tracing` around any API call) turns one run into a
 merged, cross-process timeline.
 
-Only the tracer helpers (and the recorder / event-bus slots beside them)
-are imported with the package; every other name loads its module on first
+Only the tracer helpers (and the event-bus slot beside them) are imported with the package; every other name loads its module on first
 access (PEP 562), so instrumented layers pay nothing for the exporters,
 the history store or the event bus they do not use.
 """
@@ -34,12 +33,8 @@ from repro.obs.tracer import (
     aggregate_spans,
     counter,
     current_bus,
-    current_recorder,
     current_tracer,
-    emit_event,
     eventing,
-    gauge,
-    recording,
     span,
     tracing,
 )
@@ -62,10 +57,12 @@ __getattr__, __dir__ = lazy_exports(
             "EVENT_SCHEMA_VERSION",
             "EVENTS_FILENAME",
             "EventBus",
+            "EventFold",
             "check_event_stream",
             "load_events",
             "new_run_id",
             "point_heartbeat",
+            "resource_sampling",
             "validate_event_obj",
         ),
         "repro.obs.history": (
@@ -97,7 +94,6 @@ __getattr__, __dir__ = lazy_exports(
             "write_flamegraph",
         ),
         "repro.obs.resource": (
-            "ResourceSampler",
             "cpu_seconds",
             "rss_bytes",
             "sample_resources",
@@ -111,11 +107,11 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EVENTS_FILENAME",
     "EventBus",
+    "EventFold",
     "HISTORY_ENV",
     "HistoryStore",
     "LOG_LEVELS",
     "ProgressRenderer",
-    "ResourceSampler",
     "RunRecorder",
     "Thresholds",
     "Tracer",
@@ -128,13 +124,10 @@ __all__ = [
     "counter",
     "cpu_seconds",
     "current_bus",
-    "current_recorder",
     "current_tracer",
     "diff_records",
-    "emit_event",
     "eventing",
     "gating_findings",
-    "gauge",
     "get_logger",
     "git_provenance",
     "load_events",
@@ -142,12 +135,12 @@ __all__ = [
     "peak_rss_bytes",
     "point_heartbeat",
     "profile_rows",
-    "recording",
     "rss_bytes",
     "sample_resources",
     "render_dashboard",
     "render_findings",
     "render_profile",
+    "resource_sampling",
     "run_manifest",
     "select_baseline",
     "span",

@@ -24,20 +24,25 @@ disk), a repeat or regression means two emitters shared a pid.  Kinds:
 ====================  ====================================================
 ``run_start``         CLI driver: command, argv
 ``point_start``       dispatcher: a sweep point was dispatched (or cached)
-``point_end``         dispatcher: outcome of a point (ok/error/cached)
+``point_end``         dispatcher: outcome of a point (ok/error/cached;
+                      a failure after a timeout or a worker crash
+                      carries ``reason``)
 ``heartbeat``         worker: still alive inside a point
-``resource``          any pid: RSS/CPU gauges
+``resource``          any pid: RSS/CPU gauges (the periodic sampler)
 ``stall``             dispatcher: point exceeded stall_factor x median
 ``retry``             dispatcher: point re-dispatched (timeout or crash)
 ``run_end``           CLI driver: status, wall time
 ====================  ====================================================
 
-Like the tracer, the bus follows the ``_ACTIVE``-global pattern:
-:func:`emit_event` is a no-op dict-lookup-and-return when no bus is
-installed, so instrumented code paths cost nothing in normal runs.
-File appends are a single ``os.write`` on an ``O_APPEND`` descriptor —
-atomic for lines under ``PIPE_BUF``, so a killed worker can tear at most
-its own unflushed line, never interleave bytes into another pid's line.
+Like the tracer, the bus is installed process-wide (:func:`eventing`);
+code that emits reads :func:`current_bus` and does nothing when it is
+``None``, so uninstrumented runs cost nothing.  Every roll-up of a run
+(the sweep's ``events_summary``, the ``--live`` line and table, the
+per-kind counts of ``obs events-check``) is one :class:`EventFold` over
+the stream; the bus itself keeps no tally.  File appends are a single
+``os.write`` on an ``O_APPEND`` descriptor — atomic for lines under
+``PIPE_BUF``, so a killed worker can tear at most its own unflushed line,
+never interleave bytes into another pid's line.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from repro.obs.logbridge import get_logger
 from repro.obs.resource import sample_resources
-from repro.obs.tracer import current_bus, emit_event, eventing  # noqa: F401  (re-exported)
+from repro.obs.tracer import current_bus, eventing  # noqa: F401  (re-exported)
 
 EVENT_SCHEMA = "repro.obs.events"
 EVENT_SCHEMA_VERSION = 1
@@ -127,9 +132,6 @@ class EventBus:
         self._lock = threading.Lock()
         self._seq = 0
         self._subscribers: List[Callable[[dict], None]] = []
-        self.counts: Dict[str, int] = {}
-        self.peak_rss_bytes: Optional[int] = None
-        self._annotations: Dict[str, object] = {}
 
     # -- subscribers --------------------------------------------------
 
@@ -156,12 +158,6 @@ class EventBus:
         with self._lock:
             event["seq"] = self._seq
             self._seq += 1
-            self.counts[kind] = self.counts.get(kind, 0) + 1
-            rss = attrs.get("peak_rss_bytes") or attrs.get("rss_bytes")
-            if isinstance(rss, int) and (
-                self.peak_rss_bytes is None or rss > self.peak_rss_bytes
-            ):
-                self.peak_rss_bytes = rss
             if self._fd is not None:
                 line = json.dumps(event, sort_keys=True) + "\n"
                 try:
@@ -175,29 +171,6 @@ class EventBus:
                 log.warning("event subscriber %r failed: %s", fn, exc)
         return event
 
-    # -- bookkeeping --------------------------------------------------
-
-    def annotate(self, **facts) -> None:
-        """Attach run-level facts (worker utilization, cache hits) to
-        :meth:`summary` without emitting an event."""
-        self._annotations.update(
-            {key: _json_safe(value) for key, value in facts.items()}
-        )
-
-    def summary(self) -> Dict[str, object]:
-        """Deterministic roll-up for the run-history record."""
-        out: Dict[str, object] = {
-            "run_id": self.run_id,
-            "events": sum(self.counts.values()),
-            "by_kind": {k: self.counts[k] for k in sorted(self.counts)},
-            "stalls": self.counts.get("stall", 0),
-            "retries": self.counts.get("retry", 0),
-        }
-        if self.peak_rss_bytes is not None:
-            out["peak_rss_bytes"] = self.peak_rss_bytes
-        out.update(self._annotations)
-        return out
-
     def close(self) -> None:
         with self._lock:
             if self._fd is not None:
@@ -206,14 +179,103 @@ class EventBus:
                 self._fd = None
 
 
-@contextlib.contextmanager
-def point_heartbeat(bus: Optional[EventBus], interval: float, **attrs):
-    """Emit ``heartbeat`` + ``resource`` events on ``bus`` every
-    ``interval`` seconds from a daemon thread while the body runs.
+class EventFold:
+    """One pass over an event stream: every tally of a run.
 
-    A hung-but-alive worker keeps beating (that is the point: the stream
-    distinguishes *stuck* from *dead*), so the thread is a daemon and the
-    exit join is bounded.
+    Subscribe :meth:`handle` to a bus, or feed it the events of a recorded
+    stream.  It counts events per kind, the points done, ok and served
+    from cache, the timeouts and worker crashes named by ``reason`` attrs,
+    and keeps the fresh point times and the highest ``peak_rss_bytes`` a
+    ``point_end`` reported.  :meth:`summary` is the sweep's
+    ``events_summary``; :class:`~repro.obs.progress.ProgressRenderer`
+    paints the same tallies live.
+    """
+
+    def __init__(self) -> None:
+        self.by_kind: Dict[str, int] = {}
+        self.total: Optional[int] = None
+        self.done = 0
+        self.ok = 0
+        self.cached = 0
+        self.timeouts = 0
+        self.worker_crashes = 0
+        #: elapsed seconds of every fresh (not cached) point, failed ones too
+        self.durations: List[float] = []
+        self.peak_rss_bytes: Optional[int] = None
+
+    @property
+    def failed(self) -> int:
+        return self.done - self.ok
+
+    @property
+    def stalls(self) -> int:
+        return self.by_kind.get("stall", 0)
+
+    @property
+    def retries(self) -> int:
+        return self.by_kind.get("retry", 0)
+
+    def handle(self, event: dict) -> None:
+        """EventBus subscriber entry point."""
+        kind = event.get("kind")
+        if not isinstance(kind, str):
+            return
+        attrs = event.get("attrs")
+        if not isinstance(attrs, dict):
+            attrs = {}
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        reason = attrs.get("reason")
+        if reason == "timeout":
+            self.timeouts += 1
+        elif reason == "worker-crash":
+            self.worker_crashes += 1
+        if kind == "point_start":
+            total = attrs.get("total")
+            if isinstance(total, int):
+                self.total = total
+        elif kind == "point_end":
+            self.done += 1
+            cached = bool(attrs.get("cached"))
+            self.cached += cached
+            self.ok += bool(attrs.get("ok"))
+            elapsed = attrs.get("elapsed_s")
+            if not cached and isinstance(elapsed, (int, float)):
+                self.durations.append(float(elapsed))
+            rss = attrs.get("peak_rss_bytes")
+            if isinstance(rss, int):
+                self.peak_rss_bytes = max(rss, self.peak_rss_bytes or 0)
+
+    def summary(self, wall_s: float, jobs: int) -> Dict[str, object]:
+        """The ``events_summary`` roll-up of a sweep that took ``wall_s``
+        on ``jobs`` workers, for artifacts and run history."""
+        utilization = None
+        if wall_s > 0 and jobs > 0:
+            utilization = round(min(1.0, sum(self.durations) / (wall_s * jobs)), 4)
+        summary: Dict[str, object] = {
+            "points": self.done,
+            "cache_hits": self.cached,
+            "cache_misses": self.done - self.cached,
+            "stalls": self.stalls,
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+            "worker_crashes": self.worker_crashes,
+            "worker_utilization": utilization,
+        }
+        if self.peak_rss_bytes is not None:
+            summary["peak_rss_bytes"] = self.peak_rss_bytes
+        return summary
+
+
+@contextlib.contextmanager
+def _periodic(bus: Optional[EventBus], interval: float, heartbeat: Optional[dict]):
+    """The one periodic sampler: every ``interval`` seconds while the body
+    runs, a daemon thread emits a ``resource`` event on ``bus``, preceded
+    by a ``heartbeat`` carrying the ``heartbeat`` attrs unless they are
+    ``None``.  A no-op without a bus or a positive interval.
+
+    A hung-but-alive body keeps the thread beating (that is the point of a
+    heartbeat: the stream distinguishes *stuck* from *dead*), so the exit
+    join is bounded.
     """
     if bus is None or interval is None or interval <= 0:
         yield
@@ -224,16 +286,29 @@ def point_heartbeat(bus: Optional[EventBus], interval: float, **attrs):
     def _beat() -> None:
         while not stop.wait(interval):
             elapsed = round(time.perf_counter() - start, 6)
-            bus.emit("heartbeat", elapsed_s=elapsed, **attrs)
+            if heartbeat is not None:
+                bus.emit("heartbeat", elapsed_s=elapsed, **heartbeat)
             bus.emit("resource", elapsed_s=elapsed, **sample_resources())
 
-    thread = threading.Thread(target=_beat, name="repro-heartbeat", daemon=True)
+    thread = threading.Thread(target=_beat, name="repro-sampler", daemon=True)
     thread.start()
     try:
         yield
     finally:
         stop.set()
         thread.join(timeout=0.2)
+
+
+def point_heartbeat(bus: Optional[EventBus], interval: float, **attrs):
+    """``heartbeat`` + ``resource`` events every ``interval`` seconds while
+    the body (one sweep point) runs."""
+    return _periodic(bus, interval, attrs)
+
+
+def resource_sampling(bus: Optional[EventBus], interval: float = 1.0):
+    """``resource`` events every ``interval`` seconds while the body (a
+    whole CLI run) runs."""
+    return _periodic(bus, interval, None)
 
 
 # -- validation (mirrors chrome.validate_trace_obj) -------------------
@@ -294,15 +369,13 @@ def check_event_stream(
     presence of ``require``-d kinds."""
     problems: List[str] = []
     last_seq: Dict[Tuple[str, int], int] = {}
-    seen_kinds: Dict[str, int] = {}
+    fold = EventFold()
     for index, event in enumerate(events):
         for problem in validate_event_obj(event):
             problems.append(f"event {index}: {problem}")
         if not isinstance(event, dict):
             continue
-        kind = event.get("kind")
-        if isinstance(kind, str):
-            seen_kinds[kind] = seen_kinds.get(kind, 0) + 1
+        fold.handle(event)
         run_id, pid, seq = event.get("run_id"), event.get("pid"), event.get("seq")
         if isinstance(run_id, str) and isinstance(pid, int) and isinstance(seq, int):
             key = (run_id, pid)
@@ -319,6 +392,6 @@ def check_event_stream(
                 )
             last_seq[key] = seq
     for kind in require:
-        if kind not in seen_kinds:
+        if kind not in fold.by_kind:
             problems.append(f"required event kind {kind!r} never emitted")
     return problems

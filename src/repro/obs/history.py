@@ -18,10 +18,9 @@ configurable :class:`Thresholds`.  :func:`check_history` is the CLI-facing
 wrapper behind ``repro-datapath obs check``.
 
 Recording is decoupled from the flow layer through :class:`RunRecorder`:
-the CLI installs one with :func:`recording` (mirroring the tracer's
-module-global pattern), command implementations feed it metric dicts and
-cache keys as they produce them, and the driver appends the assembled
-record on the way out — including for failed runs, whose ``status`` lets
+the CLI builds one per run and hands it to its command implementations,
+which feed it metric dicts and cache keys as they produce them, and the
+driver appends the assembled record on the way out — including for failed runs, whose ``status`` lets
 the sentinel and the dashboard distinguish them.
 """
 
@@ -37,7 +36,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.logbridge import get_logger
-from repro.obs.tracer import HISTORY_ENV, current_recorder, recording  # noqa: F401  (re-exported)
+from repro.obs.tracer import HISTORY_ENV  # noqa: F401  (re-exported)
 
 log = get_logger("obs.history")
 
@@ -442,9 +441,9 @@ class HistoryStore:
 class RunRecorder:
     """Collector of one CLI run's history material (QoR, keys, extras).
 
-    Installed process-wide with :func:`recording`; command implementations
-    call :func:`current_recorder` and feed it as results materialize, so
-    the flow layer needs no knowledge of the store.  The grouping ``key``
+    The CLI builds one per run and its command implementations feed it as
+    results materialize, so the flow layer needs no knowledge of the
+    store.  The grouping ``key``
     is the config cache key when the run describes exactly one
     configuration, otherwise a digest over every contributed key part —
     identical invocations always land in the same baseline group.

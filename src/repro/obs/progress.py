@@ -1,13 +1,13 @@
-"""Live progress rendering: fold telemetry events into a status line.
+"""Live progress rendering: paint the run's event fold as a status line.
 
-:class:`ProgressRenderer` is an :class:`~repro.obs.events.EventBus`
-subscriber.  It keeps a tiny model of the run — points done/total,
-failures, cache hits, in-flight points per worker, stall/retry counts,
-a rolling median of fresh point times — and repaints a single
-``\\r``-terminated stderr line on every event, so a ``--live`` sweep
-shows throughput and ETA instead of a silent pause.  On ``run_end`` it
-clears the line and prints a deterministic summary table (counts only,
-no timings in the cells that matter for eyeballing diffs).
+:class:`ProgressRenderer` is an :class:`~repro.obs.events.EventFold` —
+the one fold behind every run tally (points done/total, failures, cache
+hits, stall/retry counts, fresh point times) — plus the in-flight points
+per worker and the painting: it repaints a single ``\\r``-terminated
+stderr line on every event, so a ``--live`` sweep shows throughput and
+ETA instead of a silent pause.  On ``run_end`` it clears the line and
+prints a deterministic summary table (counts only, no timings in the
+cells that matter for eyeballing diffs).
 
 The renderer is deliberately dumb about *sources*: it reacts only to
 events, so it works identically for serial sweeps (events from the main
@@ -20,64 +20,36 @@ from __future__ import annotations
 
 import statistics
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
+from repro.obs.events import EventFold
 from repro.utils.tables import TextTable
 
 #: cap on how many in-flight point labels the live line shows
 _MAX_RUNNING_SHOWN = 3
 
 
-class ProgressRenderer:
+class ProgressRenderer(EventFold):
     """Subscriber turning an event stream into a live stderr status line."""
 
     def __init__(self, stream=None, live: bool = True) -> None:
+        super().__init__()
         self.stream = stream if stream is not None else sys.stderr
         self.live = live
-        self.total: Optional[int] = None
-        self.done = 0
-        self.ok = 0
-        self.failed = 0
-        self.cached = 0
-        self.stalls = 0
-        self.retries = 0
-        self.durations: List[float] = []
         self.running: Dict[int, str] = {}
         self._line_width = 0
         self._finished = False
 
-    # -- event folding ------------------------------------------------
-
     def handle(self, event: dict) -> None:
-        """EventBus subscriber entry point."""
+        """EventBus subscriber entry point: fold, track, repaint."""
+        super().handle(event)
         kind = event.get("kind")
         attrs = event.get("attrs", {})
+        index = attrs.get("index")
         if kind == "point_start":
-            total = attrs.get("total")
-            if isinstance(total, int):
-                self.total = total
-            index = attrs.get("index")
             if isinstance(index, int) and not attrs.get("cached"):
                 self.running[index] = str(attrs.get("point", index))
-        elif kind == "point_end":
-            index = attrs.get("index")
-            if isinstance(index, int):
-                self.running.pop(index, None)
-            self.done += 1
-            if attrs.get("cached"):
-                self.cached += 1
-            if attrs.get("ok"):
-                self.ok += 1
-            else:
-                self.failed += 1
-            elapsed = attrs.get("elapsed_s")
-            if not attrs.get("cached") and isinstance(elapsed, (int, float)):
-                self.durations.append(float(elapsed))
-        elif kind == "stall":
-            self.stalls += 1
-        elif kind == "retry":
-            self.retries += 1
-            index = attrs.get("index")
+        elif kind in ("point_end", "retry"):
             if isinstance(index, int):
                 self.running.pop(index, None)
         elif kind == "run_end":
@@ -93,14 +65,6 @@ class ProgressRenderer:
             return None
         return statistics.median(self.durations)
 
-    def eta_s(self) -> Optional[float]:
-        """Remaining-work estimate: rolling median x points left."""
-        median = self.median_s()
-        if median is None or self.total is None:
-            return None
-        remaining = max(0, self.total - self.done)
-        return median * remaining
-
     def status_line(self) -> str:
         total = "?" if self.total is None else str(self.total)
         parts = [f"[{self.done}/{total}]", f"ok={self.ok}", f"fail={self.failed}"]
@@ -110,9 +74,8 @@ class ProgressRenderer:
         median = self.median_s()
         if median is not None:
             parts.append(f"med={median:.2f}s")
-        eta = self.eta_s()
-        if eta is not None:
-            parts.append(f"eta={eta:.0f}s")
+            if self.total is not None:  # ETA: median x points left
+                parts.append(f"eta={median * max(0, self.total - self.done):.0f}s")
         if self.stalls or self.retries:
             parts.append(f"stalls={self.stalls} retries={self.retries}")
         if self.running:

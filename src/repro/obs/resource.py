@@ -8,15 +8,14 @@ limit is caught before the OOM killer reports it post-mortem.
 Everything here is stdlib-only: the current RSS is read from
 ``/proc/self/statm`` (Linux), falling back to ``/proc/self/status`` and
 finally to the *peak* RSS from ``resource.getrusage`` on platforms
-without procfs.  :class:`ResourceSampler` is the daemon thread that turns
-:func:`sample_resources` snapshots into periodic bus events.
+without procfs.  :func:`repro.obs.events.resource_sampling` and
+:func:`repro.obs.events.point_heartbeat` turn :func:`sample_resources`
+snapshots into periodic bus events.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
 from typing import Dict, Optional
 
 from repro.obs.manifest import peak_rss_bytes
@@ -62,42 +61,3 @@ def sample_resources() -> Dict[str, object]:
         "cpu_s": cpu_seconds(),
     }
 
-
-class ResourceSampler:
-    """Daemon thread emitting periodic ``resource`` events on a bus.
-
-    The CLI starts one per evented run; sweep workers fold the same
-    snapshots into their heartbeats instead (see
-    :func:`repro.obs.events.point_heartbeat`), so every pid in the event
-    stream carries gauges.
-    """
-
-    def __init__(self, bus, interval: float = 1.0) -> None:
-        self.bus = bus
-        self.interval = max(0.01, float(interval))
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "ResourceSampler":
-        if self.bus is None or self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._run, name="repro-resource-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        start = time.perf_counter()
-        while not self._stop.wait(self.interval):
-            self.bus.emit(
-                "resource",
-                elapsed_s=round(time.perf_counter() - start, 6),
-                **sample_resources(),
-            )
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.interval + 0.5)
-            self._thread = None

@@ -1,11 +1,11 @@
-"""The core tracer: nested spans, counters and gauges, zero dependencies.
+"""The core tracer: nested spans and counters, zero dependencies.
 
 One :class:`Tracer` is the in-memory collector of one run: it records
-*spans* (named, nested, wall-clock-stamped intervals), *counters*
-(monotonic accumulators like ``opt.cells_removed``) and *gauges* (last
-value wins).  It is installed as the process-wide active tracer with
-:func:`tracing`; the module-level :func:`span` / :func:`counter` /
-:func:`gauge` helpers are how instrumented code talks to it:
+*spans* (named, nested, wall-clock-stamped intervals) and *counters*
+(monotonic accumulators like ``opt.cells_removed``).  It is installed as
+the process-wide active tracer with :func:`tracing`; the module-level
+:func:`span` / :func:`counter` helpers are how instrumented code talks to
+it:
 
 .. code-block:: python
 
@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:
     from repro.obs.events import EventBus
-    from repro.obs.history import RunRecorder
 
 #: the process-wide active tracer (None = tracing disabled, helpers no-op)
 _ACTIVE: Optional["Tracer"] = None
@@ -97,7 +96,7 @@ class _SpanHandle:
 
 
 class Tracer:
-    """In-memory collector: finished spans, counters, gauges.
+    """In-memory collector: finished spans and counters.
 
     Spans are stored as plain dicts (picklable, JSON-able) with the keys
     ``id``, ``parent`` (id or ``None``), ``name``, ``ts`` (epoch seconds),
@@ -110,7 +109,6 @@ class Tracer:
     def __init__(self) -> None:
         self.spans: List[Dict[str, object]] = []
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         self._next_id = 0
         self._stack: List[Dict[str, object]] = []
 
@@ -143,10 +141,6 @@ class Tracer:
     def counter(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to the named accumulator."""
         self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the named gauge (last write wins)."""
-        self.gauges[name] = float(value)
 
     # ------------------------------------------------------- merge / export
 
@@ -208,13 +202,6 @@ def counter(name: str, value: float = 1.0) -> None:
         tracer.counter(name, value)
 
 
-def gauge(name: str, value: float) -> None:
-    """Set a gauge on the active tracer (no-op when disabled)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.gauge(name, value)
-
-
 @contextmanager
 def tracing(tracer: Optional[Tracer]):
     """Install ``tracer`` as the active tracer for the ``with`` body.
@@ -240,9 +227,8 @@ def aggregate_spans(
 ) -> Dict[str, Dict[str, object]]:
     """Aggregate span dicts by name: ``{name: {count, total_s}}``.
 
-    This is the one span-summary schema shared by sweep artifacts and
-    explore cache telemetry, so perf data accumulated anywhere can be
-    compared anywhere.
+    This is the one span-summary schema of sweep artifacts and run-history
+    records, so perf data accumulated anywhere can be compared anywhere.
     """
     summary: Dict[str, Dict[str, object]] = {}
     for record in spans:
@@ -256,41 +242,20 @@ def aggregate_spans(
     return dict(sorted(summary.items()))
 
 
-# -- the run-recorder and event-bus slots -------------------------------
-#
-# The history recorder (:mod:`repro.obs.history`) and the live event bus
-# (:mod:`repro.obs.events`) follow the same active-global pattern as the
-# tracer.  Their slots live here so that a run which installs neither --
-# the default -- never imports the modules that implement them.
-
-#: environment variable consulted when ``--history`` is not given
+#: environment variable consulted when ``--history`` is not given; it lives
+#: here so that a run without history never imports :mod:`repro.obs.history`
 HISTORY_ENV = "REPRO_HISTORY"
 
-#: the process-wide active recorder (None = no history collection)
-_RECORDER: Optional[RunRecorder] = None
+
+# -- the event-bus slot -------------------------------------------------
+#
+# The live event bus (:mod:`repro.obs.events`) follows the same
+# active-global pattern as the tracer.  Its slot lives here so that a run
+# which installs none -- the default -- never imports the module that
+# implements it.
 
 #: the process-wide active event bus (None = telemetry off)
 _BUS: Optional[EventBus] = None
-
-
-def current_recorder() -> Optional[RunRecorder]:
-    """The active :class:`~repro.obs.history.RunRecorder`, or ``None`` when history is off."""
-    return _RECORDER
-
-
-@contextmanager
-def recording(recorder: Optional[RunRecorder]):
-    """Install ``recorder`` for the ``with`` body (``None`` = no-op)."""
-    global _RECORDER
-    if recorder is None:
-        yield _RECORDER
-        return
-    previous = _RECORDER
-    _RECORDER = recorder
-    try:
-        yield recorder
-    finally:
-        _RECORDER = previous
 
 
 def current_bus() -> Optional[EventBus]:
@@ -316,10 +281,3 @@ def eventing(bus: Optional[EventBus]):
     finally:
         _BUS = previous
 
-
-def emit_event(kind: str, **attrs) -> Optional[dict]:
-    """Emit on the active bus; near-free no-op when telemetry is off."""
-    bus = _BUS
-    if bus is None:
-        return None
-    return bus.emit(kind, **attrs)

@@ -5,8 +5,7 @@ fast path), counter aggregation, the Chrome trace-event export (schema
 validity and cross-process merge determinism), the logging bridge, the
 profiler, run manifests — and the integration seams: flow runs emit the
 expected span tree (pinned by a golden file), a raising stage still books
-its partial ``stage_times``, traced sweeps merge worker spans, and cache
-entries carry (non-contractual) telemetry.
+its partial ``stage_times``, and traced sweeps merge worker spans.
 """
 
 import json
@@ -19,10 +18,8 @@ import pytest
 from repro import obs
 from repro.api import Flow, FlowConfig
 from repro.api.stages import stage_names
-from repro.explore.cache import ResultCache
 from repro.explore.engine import run_sweep
 from repro.explore.io import sweep_to_json_obj
-from repro.explore.records import merge_span_summaries
 from repro.explore.spec import SweepSpec
 from repro.obs import (
     LOG_LEVELS,
@@ -97,7 +94,6 @@ class TestTracer:
         with handle as h:
             h.set(y=2)
         obs.counter("ignored")
-        obs.gauge("ignored", 1.0)
         assert obs.current_tracer() is None
 
     def test_tracing_none_keeps_current(self):
@@ -115,10 +111,7 @@ class TestTracer:
             obs.counter("opt.rewrites", 2)
             obs.counter("opt.rewrites", 3)
             obs.counter("map.cells_covered")
-            obs.gauge("depth", 4)
-            obs.gauge("depth", 7)
         assert tracer.counters == {"opt.rewrites": 5.0, "map.cells_covered": 1.0}
-        assert tracer.gauges == {"depth": 7.0}
 
     def test_aggregate_spans_schema(self):
         tracer = Tracer()
@@ -133,19 +126,6 @@ class TestTracer:
         assert summary["a"]["count"] == 3
         assert summary["b"]["count"] == 1
         assert all(entry["total_s"] >= 0.0 for entry in summary.values())
-
-    def test_merge_span_summaries(self):
-        merged = merge_span_summaries(
-            [
-                {"a": {"count": 2, "total_s": 1.0}},
-                None,
-                {"a": {"count": 1, "total_s": 0.5}, "b": {"count": 1, "total_s": 2.0}},
-            ]
-        )
-        assert merged == {
-            "a": {"count": 3, "total_s": 1.5},
-            "b": {"count": 1, "total_s": 2.0},
-        }
 
 
 class TestAdopt:
@@ -288,7 +268,6 @@ class TestDisabledPathWorkCount:
             (Tracer, "__init__"),
             (Tracer, "span"),
             (Tracer, "counter"),
-            (Tracer, "gauge"),
             (EventBus, "__init__"),
             (EventBus, "emit"),
         ):
@@ -396,27 +375,3 @@ class TestExploreIntegration:
         obj = sweep_to_json_obj(sweep)
         assert "span_summary" not in obj
         assert all("span_summary" not in p for p in obj["points"])
-
-    def test_traced_run_stores_cache_telemetry(self, tmp_path):
-        spec = SweepSpec(designs=("x2",), methods=("fa_aot",))
-        cache = ResultCache(tmp_path)
-        tracer = Tracer()
-        with obs.tracing(tracer):
-            sweep = run_sweep(spec, jobs=1, cache=cache)
-        assert sweep.ok
-        (point,) = [o.point for o in sweep.outcomes]
-        entry = cache.get_entry(point)
-        assert entry is not None
-        telemetry = entry.get("telemetry")
-        assert telemetry and "span_summary" in telemetry
-        assert "flow.run" in telemetry["span_summary"]
-        # telemetry is not part of the cache contract: get() only metrics
-        assert "telemetry" not in (cache.get(point) or {})
-
-    def test_untraced_run_stores_no_telemetry(self, tmp_path):
-        spec = SweepSpec(designs=("x2",), methods=("fa_aot",))
-        cache = ResultCache(tmp_path)
-        sweep = run_sweep(spec, jobs=1, cache=cache)
-        assert sweep.ok
-        (point,) = [o.point for o in sweep.outcomes]
-        assert "telemetry" not in (cache.get_entry(point) or {})

@@ -160,27 +160,11 @@ class TestEventBus:
         bus.emit("heartbeat")
         assert len(seen) == 1  # later subscribers still ran
 
-    def test_summary_counts_and_annotations(self):
-        bus = obs.EventBus()
-        bus.emit("stall")
-        bus.emit("retry")
-        bus.emit("resource", rss_bytes=123456)
-        bus.annotate(worker_utilization=0.5)
-        summary = bus.summary()
-        assert summary["stalls"] == 1 and summary["retries"] == 1
-        assert summary["events"] == 3
-        assert summary["peak_rss_bytes"] == 123456
-        assert summary["worker_utilization"] == 0.5
-
-    def test_emit_event_is_noop_without_bus(self):
-        assert obs.current_bus() is None
-        assert obs.emit_event("heartbeat") is None
-
     def test_eventing_installs_and_restores(self):
+        assert obs.current_bus() is None
         bus = obs.EventBus()
         with obs.eventing(bus):
             assert obs.current_bus() is bus
-            assert obs.emit_event("heartbeat")["kind"] == "heartbeat"
         assert obs.current_bus() is None
         with obs.eventing(None):
             assert obs.current_bus() is None
@@ -196,15 +180,54 @@ class TestResourceGauges:
             assert sample["rss_bytes"] > 0
 
     def test_sampler_emits_resource_events(self):
-        import time as _time
-
         bus = obs.EventBus()
-        sampler = obs.ResourceSampler(bus, interval=0.02).start()
-        deadline = _time.time() + 2.0
-        while bus.counts.get("resource", 0) < 2 and _time.time() < deadline:
-            _time.sleep(0.02)
-        sampler.stop()
-        assert bus.counts.get("resource", 0) >= 2
+        fold = obs.EventFold()
+        bus.subscribe(fold.handle)
+        with obs.resource_sampling(bus, interval=0.02):
+            deadline = time.time() + 2.0
+            while fold.by_kind.get("resource", 0) < 2 and time.time() < deadline:
+                time.sleep(0.02)
+        assert fold.by_kind.get("resource", 0) >= 2
+
+
+class TestEventFold:
+    def test_folds_a_stream_into_the_sweep_summary(self):
+        bus = obs.EventBus()
+        fold = obs.EventFold()
+        bus.subscribe(fold.handle)
+        bus.emit("point_start", index=0, total=3, cached=True)
+        bus.emit("point_end", index=0, ok=True, cached=True, elapsed_s=0.0)
+        bus.emit("point_end", index=1, ok=True, cached=False, elapsed_s=0.5,
+                 peak_rss_bytes=100)
+        bus.emit("stall", index=2)
+        bus.emit("retry", index=2, reason="timeout")
+        bus.emit("retry", index=2, reason="worker-crash")
+        bus.emit("point_end", index=2, ok=False, cached=False, elapsed_s=0.25,
+                 reason="worker-crash", peak_rss_bytes=300)
+        bus.emit("resource", rss_bytes=999, peak_rss_bytes=999)
+        assert fold.total == 3
+        assert (fold.done, fold.ok, fold.failed, fold.cached) == (3, 2, 1, 1)
+        assert fold.by_kind["point_end"] == 3 and fold.by_kind["resource"] == 1
+        assert fold.summary(wall_s=1.0, jobs=2) == {
+            "points": 3,
+            "cache_hits": 1,
+            "cache_misses": 2,
+            "stalls": 1,
+            "retries": 2,
+            "timeouts": 1,
+            "worker_crashes": 2,
+            "worker_utilization": 0.375,
+            "peak_rss_bytes": 300,  # what points reported, not the parent
+        }
+
+    def test_events_check_counts_come_from_the_fold(self, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        bus = obs.EventBus(path=path)
+        for kind in ("run_start", "stall", "stall", "run_end"):
+            bus.emit(kind)
+        bus.close()
+        assert main(["obs", "events-check", str(path)]) == 0
+        assert "[run_end=1 run_start=1 stall=2]" in capsys.readouterr().out
 
 
 class TestGoldenEventStream:
@@ -287,6 +310,19 @@ class TestSweepTelemetry:
         assert all(e["pid"] == os.getpid() for e in beats)
 
 
+    def test_timeout_without_bus_still_summarizes(self):
+        assert obs.current_bus() is None
+        sweep = run_sweep(_SPEC, point_timeout=30.0, heartbeat_s=0)
+        summary = sweep.events_summary
+        assert set(summary) - {"peak_rss_bytes"} == {
+            "points", "cache_hits", "cache_misses", "stalls", "retries",
+            "timeouts", "worker_crashes", "worker_utilization",
+        }
+        assert summary["points"] == 2 and summary["cache_misses"] == 2
+        assert summary["retries"] == 0 and summary["timeouts"] == 0
+        assert obs.current_bus() is None
+
+
 class TestPointHangParsing:
     def test_parses_entries(self, monkeypatch):
         monkeypatch.setenv(POINT_HANG_ENV, "0=1.5, 3=0.25")
@@ -360,6 +396,57 @@ class TestParallelTelemetry:
         assert "point_timeout" in sweep.failures[0].error
         assert sweep.events_summary["timeouts"] == 1
         assert sweep.events_summary["retries"] == 0
+
+
+    def test_in_memory_bus_gives_workers_no_bus(self, tmp_path, monkeypatch):
+        from repro.explore import engine
+
+        settings = []
+
+        class SpyWorker(engine._Worker):
+            def __init__(self, fn, trace, events):
+                settings.append(events)
+                super().__init__(fn, trace, events)
+
+        monkeypatch.setattr(engine, "_Worker", SpyWorker)
+        sweep, _events = _evented_sweep(jobs=2, heartbeat_s=0.05)
+        if sweep.used_fallback:
+            pytest.skip("pool fell back to serial")
+        assert settings and all(events is None for events in settings)
+        assert isinstance(sweep.events_summary["peak_rss_bytes"], int)
+        # control: a run streaming to a file does hand workers its stream
+        settings.clear()
+        bus = obs.EventBus(path=tmp_path / "events.jsonl")
+        with obs.eventing(bus):
+            run_sweep(_SPEC, jobs=2, heartbeat_s=0)
+        bus.close()
+        assert settings and all(
+            events == {"path": bus.path, "run_id": bus.run_id} for events in settings
+        )
+
+    def test_renderer_agrees_with_sweep_summary(self, tmp_path, monkeypatch):
+        """The live table and ``events_summary`` are one fold of one stream."""
+        import io
+
+        spec = SweepSpec(designs=("x2",), methods=("fa_aot", "wallace", "dadda"))
+        cache = tmp_path / "cache"
+        run_sweep(spec.expand()[2:], cache=cache)  # one cache hit
+        monkeypatch.setenv(POINT_HANG_ENV, "0=5")
+        bus = obs.EventBus()
+        renderer = obs.ProgressRenderer(stream=io.StringIO(), live=True)
+        bus.subscribe(renderer.handle)
+        with obs.eventing(bus):
+            sweep = run_sweep(
+                spec, jobs=2, cache=cache, point_timeout=0.75, heartbeat_s=0
+            )
+        if sweep.used_fallback:
+            pytest.skip("pool fell back to serial; no straggler machinery")
+        summary = sweep.events_summary
+        assert summary["retries"] == 1 and summary["cache_hits"] == 1
+        assert (renderer.stalls, renderer.retries, renderer.failed, renderer.cached) == (
+            summary["stalls"], summary["retries"], len(sweep.failures),
+            summary["cache_hits"],
+        )
 
 
 def _crash_once_worker(item):

@@ -47,9 +47,6 @@ def _no_ambient_tracer():
 def _no_ambient_history(monkeypatch):
     """Tests assume no history store unless they opt in."""
     monkeypatch.delenv(HISTORY_ENV, raising=False)
-    assert obs.current_recorder() is None
-    yield
-    assert obs.current_recorder() is None
 
 
 def make_record(
@@ -208,17 +205,6 @@ class TestRunRecorder:
         labels = sorted(recorder.qor)
         assert len(labels) == 2
         assert labels[1].endswith("#2")
-
-    def test_recording_context_installs_and_restores(self):
-        recorder = obs.RunRecorder("synth")
-        assert obs.current_recorder() is None
-        with obs.recording(recorder) as active:
-            assert active is recorder
-            assert obs.current_recorder() is recorder
-            with obs.recording(None):
-                # None = no-op context, recorder stays active
-                assert obs.current_recorder() is recorder
-        assert obs.current_recorder() is None
 
     def test_build_produces_valid_record(self):
         recorder = obs.RunRecorder("synth")
@@ -569,6 +555,29 @@ class TestCLIHistory:
         assert records[0]["key"].startswith("explore:")
         assert len(records[0]["qor"]) == 2  # one series per sweep point
         assert main(["obs", "check", "--history", str(history), "--all"]) == 0
+
+    def test_evented_history_carries_the_sweep_summary(self, tmp_path):
+        """The record's ``events_summary`` is the sweep's, written once."""
+        history = tmp_path / "h"
+        artifact = tmp_path / "sweep.json"
+        assert main([
+            "explore", "--designs", "x2", "--methods", "fa_aot", "wallace",
+            "--events", str(tmp_path / "ev"), "--json", str(artifact),
+            "--history", str(history), "--log-level", "error",
+        ]) == 0
+        (record,) = obs.HistoryStore(history).records()
+        summary = json.loads(artifact.read_text(encoding="utf-8"))["events_summary"]
+        assert record["extra"]["events_summary"] == summary
+        assert summary["points"] == 2
+
+    def test_non_sweep_evented_history_has_no_events_summary(self, tmp_path):
+        history = tmp_path / "h"
+        assert main([
+            "synth", "--design", "x2", "--events", str(tmp_path / "ev"),
+            "--history", str(history), "--log-level", "error",
+        ]) == 0
+        (record,) = obs.HistoryStore(history).records()
+        assert "events_summary" not in (record["extra"] or {})
 
     def test_obs_report_cli(self, tmp_path):
         history = tmp_path / "h"
