@@ -393,7 +393,11 @@ def _obs_store(args: argparse.Namespace) -> obs.HistoryStore:
             "no history store: pass --history DIR or set "
             f"{obs.HISTORY_ENV} in the environment"
         )
-    return obs.HistoryStore(history_dir)
+    store = obs.HistoryStore(history_dir)
+    hint = store.migration_needed()
+    if hint:
+        raise SystemExit(hint)
+    return store
 
 
 #: the :class:`repro.obs.Thresholds` fields the threshold flags set
@@ -496,17 +500,15 @@ def _cmd_obs_check(args: argparse.Namespace) -> int:
     ]
     ok = True
     for result in results:
-        gating = [
-            f for f in result["findings"] if f["severity"] in ("warn", "fail")
-        ]
+        gating = obs.gating_findings(result["findings"])
         verdict = "PASS" if result["ok"] else "FAIL"
         note = result.get("note")
         print(
             f"{verdict} key {result['key']}: "
             + (note if note else f"{len(gating)} gating finding(s)")
         )
-        for line in obs.render_findings(gating).splitlines():
-            if gating:
+        if gating:
+            for line in obs.render_findings(gating).splitlines():
                 print(f"  {line}")
         ok = ok and result["ok"]
     if args.json:
@@ -554,8 +556,7 @@ def _cmd_obs_compact(args: argparse.Namespace) -> int:
     summary = store.compact()
     print(
         f"compacted {store.root}: kept {summary['records']} record(s), "
-        f"dropped {summary['dropped']} corrupt line(s), "
-        f"{summary['segments_before']} -> {summary['segments_after']} segment(s)"
+        f"dropped {summary['dropped']} corrupt line(s)"
     )
     return 0
 

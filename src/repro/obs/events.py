@@ -185,7 +185,8 @@ class EventFold:
     Subscribe :meth:`handle` to a bus, or feed it the events of a recorded
     stream.  It counts events per kind, the points done, ok and served
     from cache, the timeouts and worker crashes named by ``reason`` attrs,
-    and keeps the fresh point times and the highest ``peak_rss_bytes`` a
+    and keeps the fresh point times, the time abandoned attempts ran
+    before their ``retry`` and the highest ``peak_rss_bytes`` a
     ``point_end`` reported.  :meth:`summary` is the sweep's
     ``events_summary``; :class:`~repro.obs.progress.ProgressRenderer`
     paints the same tallies live.
@@ -201,6 +202,8 @@ class EventFold:
         self.worker_crashes = 0
         #: elapsed seconds of every fresh (not cached) point, failed ones too
         self.durations: List[float] = []
+        #: seconds the abandoned attempts ran (busy time, but no point time)
+        self.retried_s = 0.0
         self.peak_rss_bytes: Optional[int] = None
 
     @property
@@ -233,6 +236,10 @@ class EventFold:
             total = attrs.get("total")
             if isinstance(total, int):
                 self.total = total
+        elif kind == "retry":
+            elapsed = attrs.get("elapsed_s")
+            if isinstance(elapsed, (int, float)):
+                self.retried_s += float(elapsed)
         elif kind == "point_end":
             self.done += 1
             cached = bool(attrs.get("cached"))
@@ -250,7 +257,8 @@ class EventFold:
         on ``jobs`` workers, for artifacts and run history."""
         utilization = None
         if wall_s > 0 and jobs > 0:
-            utilization = round(min(1.0, sum(self.durations) / (wall_s * jobs)), 4)
+            busy_s = sum(self.durations) + self.retried_s
+            utilization = round(min(1.0, busy_s / (wall_s * jobs)), 4)
         summary: Dict[str, object] = {
             "points": self.done,
             "cache_hits": self.cached,

@@ -1,21 +1,23 @@
 """Run-history store and regression sentinel: memory across runs.
 
 PR 6 gave one run spans, counters and a manifest; this module makes that
-telemetry *durable*.  A :class:`HistoryStore` is an append-only directory of
-schema-versioned JSONL segments plus a compacted ``index.json`` — one
-record per run, joining the run manifest, the :class:`repro.api.FlowConfig`
-cache identity, the QoR metrics per design, the span-summary aggregate and
-the counter totals.  Everything is stdlib-only and byte-deterministic given
+telemetry *durable*.  A :class:`HistoryStore` is one append-only
+``history.jsonl`` file of schema-versioned records — one record per run,
+joining the run manifest, the :class:`repro.api.FlowConfig` cache
+identity, the QoR metrics per design, the span-summary aggregate and the
+counter totals.  Everything is stdlib-only and byte-deterministic given
 deterministic records.
 
 On top of the store sits the **regression sentinel**: :func:`diff_records`
 compares one run against a baseline built by :func:`select_baseline`
 (median over the last N matching-key runs, which damps one-off
 jitter) and emits *typed findings* — QoR drift, wall-time drift
-(host-speed normalized by the total-runtime ratio, so a uniformly slower
-machine trips nothing), new/missing spans and counter anomalies — with
+(host-speed normalized by the median per-span ratio, so a uniformly
+slower machine trips nothing), new/missing spans and counter anomalies — with
 configurable :class:`Thresholds`.  :func:`check_history` is the CLI-facing
-wrapper behind ``repro-datapath obs check``.
+wrapper behind ``repro-datapath obs check``.  The QoR half of that diff,
+:func:`qor_drift`, is also the golden-metric harness's comparison
+(:mod:`repro.verify.golden`).
 
 Recording is decoupled from the flow layer through :class:`RunRecorder`:
 the CLI builds one per run and hands it to its command implementations,
@@ -33,21 +35,23 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
+from repro.obs.events import load_events
 from repro.obs.logbridge import get_logger
 from repro.obs.tracer import HISTORY_ENV  # noqa: F401  (re-exported)
 
 log = get_logger("obs.history")
 
-#: record / index / store schema markers
+#: record schema markers
 RECORD_SCHEMA = "repro.obs.history.record"
 RECORD_SCHEMA_VERSION = 1
-INDEX_SCHEMA = "repro.obs.history.index"
-INDEX_SCHEMA_VERSION = 1
 
-#: QoR metrics carried per design entry: counts compare exactly, floats
-#: within the tolerance band (mirrors the golden-metric harness)
+#: the one file of a store directory
+HISTORY_FILENAME = "history.jsonl"
+
+#: QoR metrics carried per design entry (and pinned by the golden-metric
+#: snapshot): counts compare exactly, floats within the tolerance band
 QOR_INT_METRICS = ("cell_count", "fa_count", "ha_count")
 QOR_FLOAT_METRICS = (
     "delay_ns",
@@ -174,147 +178,73 @@ def qor_label(metrics: Mapping[str, object]) -> str:
 
 
 class HistoryStore:
-    """Append-only run-history store: JSONL segments + compacted index.
+    """Append-only run-history store: one JSONL file, one record per line.
 
     Layout::
 
         DIR/
-          index.json               # segment inventory + per-key record counts
-          segments/
-            seg-000001.jsonl       # one JSON record per line, append-only
-            seg-000002.jsonl
+          history.jsonl            # one JSON record per line, append-only
 
-    Appends go to the newest segment until it holds
-    ``max_segment_records`` records, then a new segment is started.  Reads
-    tolerate a corrupt (truncated, garbage) line — the damage is skipped
-    and logged, never fatal — and :meth:`compact` rewrites the store with
-    only the valid records.  :meth:`check` reports schema and
-    index-consistency problems without modifying anything (this is what
-    ``tools/check_trace.py --history`` runs in CI).
+    An append is a single ``os.write`` of one line on an ``O_APPEND``
+    descriptor, the way :class:`repro.obs.events.EventBus` writes
+    ``events.jsonl``, so concurrent runs appending to one store neither
+    lose nor interleave records.  Reads go through the event streams'
+    JSONL reader and tolerate a corrupt (truncated, garbage) line — the
+    damage is skipped and logged, never fatal — and :meth:`compact`
+    rewrites the file with only the valid records.  :meth:`check` reports
+    corrupt lines and duplicate run ids without modifying anything (this
+    is what ``tools/check_trace.py --history`` runs in CI).
     """
 
-    def __init__(
-        self, root: Union[str, Path], max_segment_records: int = 256
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.segments_dir = self.root / "segments"
-        self.index_path = self.root / "index.json"
-        self.max_segment_records = max(1, int(max_segment_records))
+        self.path = self.root / HISTORY_FILENAME
 
-    # ------------------------------------------------------------ index
+    def migration_needed(self) -> Optional[str]:
+        """How to migrate an old segmented store directory, or ``None``.
 
-    def _empty_index(self) -> Dict[str, object]:
-        return {
-            "schema": INDEX_SCHEMA,
-            "schema_version": INDEX_SCHEMA_VERSION,
-            "records": 0,
-            "segments": {},
-            "keys": {},
-        }
-
-    def _load_index(self) -> Dict[str, object]:
-        try:
-            with open(self.index_path, "r", encoding="utf-8") as handle:
-                index = json.load(handle)
-        except (OSError, ValueError):
-            return self._empty_index()
-        if not isinstance(index, dict) or index.get("schema") != INDEX_SCHEMA:
-            return self._empty_index()
-        return index
-
-    def _write_index(self, index: Dict[str, object]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.index_path, "w", encoding="utf-8") as handle:
-            json.dump(index, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    # ---------------------------------------------------------- segments
-
-    def _segment_names(self) -> List[str]:
-        if not self.segments_dir.is_dir():
-            return []
-        return sorted(
-            path.name
-            for path in self.segments_dir.iterdir()
-            if path.name.startswith("seg-") and path.suffix == ".jsonl"
+        Earlier stores kept ``segments/seg-*.jsonl`` files; such a
+        directory must not read as an empty store.
+        """
+        if self.path.exists() or not (self.root / "segments").is_dir():
+            return None
+        return (
+            f"{self.root} holds the old segmented history layout; migrate it "
+            f"with: cat {self.root}/segments/seg-*.jsonl > {self.path}"
         )
 
-    def _segment_records(self, name: str) -> Tuple[List[Dict[str, object]], int]:
-        """(valid records, corrupt line count) of one segment file."""
-        records: List[Dict[str, object]] = []
-        corrupt = 0
-        try:
-            with open(self.segments_dir / name, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        corrupt += 1
-                        continue
-                    if validate_record(record):
-                        corrupt += 1
-                        continue
-                    records.append(record)
-        except OSError as exc:
-            log.warning("history: cannot read segment %s: %s", name, exc)
+    def _read(self) -> Tuple[List[Dict[str, object]], int]:
+        """(valid records in append order, corrupt line count)."""
+        hint = self.migration_needed()
+        if hint:
+            raise ValueError(hint)
+        if not self.path.is_file():
+            return [], 0
+        parsed, problems = load_events(self.path)
+        records = [obj for obj in parsed if not validate_record(obj)]
+        corrupt = len(problems) + len(parsed) - len(records)
         if corrupt:
             log.warning(
-                "history: skipped %d corrupt line(s) in segment %s", corrupt, name
+                "history: skipped %d corrupt line(s) in %s", corrupt, self.path
             )
         return records, corrupt
 
-    def _open_segment(self, index: Dict[str, object]) -> str:
-        """The segment appends should go to (rotating when full)."""
-        segments: Dict[str, object] = index["segments"]  # type: ignore[assignment]
-        names = self._segment_names()
-        if names:
-            last = names[-1]
-            counted = segments.get(last, {})
-            if int(counted.get("records", self.max_segment_records)) < self.max_segment_records:
-                return last
-            next_number = int(last[len("seg-"):-len(".jsonl")]) + 1
-        else:
-            next_number = 1
-        return f"seg-{next_number:06d}.jsonl"
-
-    # ------------------------------------------------------------- API
-
     def append(self, record: Mapping[str, object]) -> str:
-        """Validate and append one record; returns its ``run_id``.
-
-        The write is a single ``write()`` of one JSON line (no rewrite of
-        existing data), then the index is refreshed — a crash between the
-        two leaves a recoverable store (``check`` flags the stale index,
-        ``compact`` rebuilds it).
-        """
+        """Validate and append one record; returns its ``run_id``."""
         problems = validate_record(record)
         if problems:
             raise ValueError(f"invalid history record: {'; '.join(problems)}")
-        self.segments_dir.mkdir(parents=True, exist_ok=True)
-        index = self._load_index()
-        name = self._open_segment(index)
-        line = json.dumps(record, sort_keys=True)
-        with open(self.segments_dir / name, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-        segments: Dict[str, Dict[str, object]] = index["segments"]  # type: ignore[assignment]
-        entry = segments.setdefault(name, {"records": 0})
-        entry["records"] = int(entry["records"]) + 1
-        index["records"] = int(index["records"]) + 1
-        keys: Dict[str, int] = index["keys"]  # type: ignore[assignment]
-        key = str(record["key"])
-        keys[key] = int(keys.get(key, 0)) + 1
-        self._write_index(index)
+        hint = self.migration_needed()
+        if hint:
+            raise ValueError(hint)
+        self.root.mkdir(parents=True, exist_ok=True)
+        line = json.dumps(record, sort_keys=True) + "\n"
+        fd = os.open(str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            os.write(fd, line.encode("utf-8"))
+        finally:
+            os.close(fd)
         return str(record["run_id"])
-
-    def iter_records(self) -> Iterator[Dict[str, object]]:
-        """All valid records, in append order (corrupt lines skipped)."""
-        for name in self._segment_names():
-            records, _corrupt = self._segment_records(name)
-            for record in records:
-                yield record
 
     def records(
         self,
@@ -322,116 +252,48 @@ class HistoryStore:
         command: Optional[str] = None,
     ) -> List[Dict[str, object]]:
         """All valid records, optionally filtered by grouping key / command."""
-        out = []
-        for record in self.iter_records():
-            if key is not None and record.get("key") != key:
-                continue
-            if command is not None and record.get("command") != command:
-                continue
-            out.append(record)
-        return out
+        return [
+            record
+            for record in self._read()[0]
+            if (key is None or record.get("key") == key)
+            and (command is None or record.get("command") == command)
+        ]
 
     def keys(self) -> List[str]:
         """Distinct grouping keys present in the store, sorted."""
-        return sorted({str(record["key"]) for record in self.iter_records()})
+        return sorted({str(record["key"]) for record in self.records()})
 
     def compact(self) -> Dict[str, object]:
-        """Rewrite the store: valid records only, fresh segments and index.
+        """Rewrite the store with the valid records only.
 
-        Returns a small summary dict (records kept, corrupt lines dropped,
-        segments before/after).
+        The records go to a temporary file that then replaces the store,
+        so it stays readable if the rewrite dies halfway.  Returns the
+        records kept and the corrupt lines dropped.
         """
-        names = self._segment_names()
-        kept: List[Dict[str, object]] = []
-        dropped = 0
-        for name in names:
-            records, corrupt = self._segment_records(name)
-            kept.extend(records)
-            dropped += corrupt
-        self.segments_dir.mkdir(parents=True, exist_ok=True)
-        # write the compacted segments under temporary names first, then
-        # swap: the store stays readable if the rewrite dies halfway
-        new_files: List[Tuple[str, List[Dict[str, object]]]] = []
-        for start in range(0, len(kept), self.max_segment_records):
-            chunk = kept[start : start + self.max_segment_records]
-            new_files.append((f"seg-{len(new_files) + 1:06d}.jsonl", chunk))
-        for name, chunk in new_files:
-            tmp = self.segments_dir / (name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for record in chunk:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-        for name in names:
-            os.remove(self.segments_dir / name)
-        for name, _chunk in new_files:
-            os.replace(self.segments_dir / (name + ".tmp"), self.segments_dir / name)
-        index = self._empty_index()
-        index["records"] = len(kept)
-        index["segments"] = {
-            name: {"records": len(chunk)} for name, chunk in new_files
-        }
-        keys: Dict[str, int] = {}
-        for record in kept:
-            key = str(record["key"])
-            keys[key] = keys.get(key, 0) + 1
-        index["keys"] = keys
-        self._write_index(index)
-        return {
-            "records": len(kept),
-            "dropped": dropped,
-            "segments_before": len(names),
-            "segments_after": len(new_files),
-        }
+        kept, dropped = self._read()
+        self.root.mkdir(parents=True, exist_ok=True)
+        tmp = self.path.with_name(HISTORY_FILENAME + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            for record in kept:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        os.replace(tmp, self.path)
+        return {"records": len(kept), "dropped": dropped}
 
     def check(self) -> List[str]:
-        """Schema / index consistency problems of the store (empty = healthy)."""
-        problems: List[str] = []
+        """Corrupt lines and duplicate run ids of the store (empty = healthy)."""
         if not self.root.is_dir():
             return [f"{self.root}: not a directory"]
-        names = self._segment_names()
-        counted: Dict[str, int] = {}
-        key_counts: Dict[str, int] = {}
+        hint = self.migration_needed()
+        if hint:
+            return [hint]
+        records, corrupt = self._read()
+        problems = [f"{self.path.name}: {corrupt} corrupt line(s)"] if corrupt else []
         run_ids: set = set()
-        for name in names:
-            records, corrupt = self._segment_records(name)
-            if corrupt:
-                problems.append(f"segment {name}: {corrupt} corrupt line(s)")
-            counted[name] = len(records)
-            for record in records:
-                key_counts[str(record["key"])] = (
-                    key_counts.get(str(record["key"]), 0) + 1
-                )
-                run_id = str(record["run_id"])
-                if run_id in run_ids:
-                    problems.append(f"duplicate run_id {run_id!r}")
-                run_ids.add(run_id)
-        if not self.index_path.is_file():
-            if names:
-                problems.append("index.json missing (run compact to rebuild)")
-            return problems
-        index = self._load_index()
-        if index.get("schema") != INDEX_SCHEMA:
-            problems.append("index.json: bad or missing schema")
-            return problems
-        indexed: Dict[str, Dict[str, object]] = index.get("segments", {})  # type: ignore[assignment]
-        for name in sorted(set(counted) | set(indexed)):
-            have, want = counted.get(name), indexed.get(name)
-            if want is None:
-                problems.append(f"segment {name} not in index")
-            elif have is None:
-                problems.append(f"index lists missing segment {name}")
-            elif int(want.get("records", -1)) != have:
-                problems.append(
-                    f"index counts {want.get('records')} record(s) for {name}, "
-                    f"segment holds {have}"
-                )
-        total = sum(counted.values())
-        if int(index.get("records", -1)) != total:
-            problems.append(
-                f"index counts {index.get('records')} record(s), store holds {total}"
-            )
-        indexed_keys: Dict[str, int] = index.get("keys", {})  # type: ignore[assignment]
-        if {k: int(v) for k, v in indexed_keys.items()} != key_counts:
-            problems.append("index per-key counts disagree with the segments")
+        for record in records:
+            run_id = str(record["run_id"])
+            if run_id in run_ids:
+                problems.append(f"duplicate run_id {run_id!r}")
+            run_ids.add(run_id)
         return problems
 
 
@@ -570,45 +432,69 @@ def select_baseline(
     usable = [r for r in records if r.get("status") == "ok"][-max(1, last_n):]
     if not usable:
         return None
-    qor: Dict[str, Dict[str, Optional[float]]] = {}
-    labels = sorted({label for r in usable for label in r.get("qor", {})})
-    for label in labels:
-        entries = [r["qor"][label] for r in usable if label in r.get("qor", {})]
-        qor[label] = {
-            metric: _median(e.get(metric) for e in entries) for metric in QOR_METRICS
-        }
-    span_names = sorted(
-        {name for r in usable for name in (r.get("span_summary") or {})}
-    )
-    span_summary: Dict[str, Dict[str, float]] = {}
-    for name in span_names:
-        entries = [
-            (r.get("span_summary") or {}).get(name)
-            for r in usable
-            if name in (r.get("span_summary") or {})
-        ]
-        span_summary[name] = {
-            "count": _median(e.get("count") for e in entries) or 0.0,
-            "total_s": _median(e.get("total_s") for e in entries) or 0.0,
-        }
-    counter_names = sorted({name for r in usable for name in (r.get("counters") or {})})
-    counters = {
-        name: _median(
-            (r.get("counters") or {}).get(name)
-            for r in usable
-            if name in (r.get("counters") or {})
-        )
-        for name in counter_names
-    }
+    qors = [r.get("qor") or {} for r in usable]
+    spans = [r.get("span_summary") or {} for r in usable]
+    counters = [r.get("counters") or {} for r in usable]
+
+    def names(entries: List[Mapping[str, object]]) -> List[str]:
+        return sorted({name for entry in entries for name in entry})
+
     return {
         "runs": len(usable),
         "run_ids": [str(r.get("run_id")) for r in usable],
         "key": usable[-1].get("key"),
         "wall_s": _median(r.get("wall_s") for r in usable) or 0.0,
-        "qor": qor,
-        "span_summary": span_summary,
-        "counters": counters,
+        "qor": {
+            label: {
+                metric: _median(q[label].get(metric) for q in qors if label in q)
+                for metric in QOR_METRICS
+            }
+            for label in names(qors)
+        },
+        "span_summary": {
+            name: {
+                stat: _median(s[name].get(stat) for s in spans if name in s) or 0.0
+                for stat in ("count", "total_s")
+            }
+            for name in names(spans)
+        },
+        "counters": {
+            name: _median(c.get(name) for c in counters) for name in names(counters)
+        },
     }
+
+
+def qor_drift(
+    want: Mapping[str, object], have: Mapping[str, object], rel_tol: float
+) -> List[Tuple[str, object, object, Optional[float], str]]:
+    """QoR drift of one label: ``(metric, want, have, ratio, message)`` for
+    each metric that moved.
+
+    Counts compare exactly, floats within ``rel_tol`` of ``want``; a metric
+    present on one side only has changed, one absent on both has not.  The
+    message reads ``"<metric> changed a -> b"`` or ``"<metric> drifted
+    beyond ±x%: a -> b"``; ``ratio`` is ``have / want`` of a banded drift.
+    The sentinel renders the result as findings, the golden-metric harness
+    as messages.
+    """
+    drift: List[Tuple[str, object, object, Optional[float], str]] = []
+    for metric in QOR_METRICS:
+        b, c = want.get(metric), have.get(metric)
+        if b is None and c is None:
+            continue
+        if b is None or c is None or (
+            metric in QOR_INT_METRICS and int(round(float(b))) != int(c)
+        ):
+            drift.append((metric, b, c, None, f"{metric} changed {b!r} -> {c!r}"))
+        elif (
+            metric in QOR_FLOAT_METRICS
+            and abs(float(c) - float(b)) / max(abs(float(b)), 1e-12) > rel_tol
+        ):
+            drift.append((
+                metric, b, c, float(c) / max(float(b), 1e-12),
+                f"{metric} drifted beyond ±{rel_tol:.1%}: {b!r} -> {c!r}",
+            ))
+    return drift
 
 
 def _diff_qor(
@@ -634,43 +520,15 @@ def _diff_qor(
             )
         )
     for label in sorted(set(current) & set(baseline)):
-        want, have = baseline[label], current[label]
-        for metric in QOR_INT_METRICS:
-            b, c = want.get(metric), have.get(metric)
-            if b is None and c is None:
-                continue
-            if b is None or c is None or int(round(float(b))) != int(c):
-                findings.append(
-                    _finding(
-                        "qor_drift", "fail", f"{label}.{metric}",
-                        f"{label}: {metric} changed {b!r} -> {c!r}",
-                        baseline=b, current=c,
-                    )
+        for metric, b, c, ratio, message in qor_drift(
+            baseline[label], current[label], thresholds.qor_rel_tol
+        ):
+            findings.append(
+                _finding(
+                    "qor_drift", "fail", f"{label}.{metric}", f"{label}: {message}",
+                    baseline=b, current=c, ratio=ratio,
                 )
-        for metric in QOR_FLOAT_METRICS:
-            b, c = want.get(metric), have.get(metric)
-            if b is None and c is None:
-                continue
-            if b is None or c is None:
-                findings.append(
-                    _finding(
-                        "qor_drift", "fail", f"{label}.{metric}",
-                        f"{label}: {metric} changed {b!r} -> {c!r}",
-                        baseline=b, current=c,
-                    )
-                )
-                continue
-            reference = max(abs(float(b)), 1e-12)
-            drift = abs(float(c) - float(b)) / reference
-            if drift > thresholds.qor_rel_tol:
-                findings.append(
-                    _finding(
-                        "qor_drift", "fail", f"{label}.{metric}",
-                        f"{label}: {metric} drifted beyond "
-                        f"±{thresholds.qor_rel_tol:.1%}: {b!r} -> {c!r}",
-                        baseline=b, current=c, ratio=float(c) / max(float(b), 1e-12),
-                    )
-                )
+            )
 
 
 def _diff_spans(
@@ -696,9 +554,14 @@ def _diff_spans(
                 current=float(current[name].get("total_s", 0.0)),
             )
         )
-    base_total = sum(float(baseline[n].get("total_s", 0.0)) for n in shared)
-    cur_total = sum(float(current[n].get("total_s", 0.0)) for n in shared)
-    scale = cur_total / base_total if base_total > 0 else 1.0
+    # host speed: the median per-span ratio, which one slow span cannot
+    # move (a total-time ratio would absorb a slow stage through the
+    # enclosing flow.run span and hide it)
+    scale = _median(
+        float(current[n].get("total_s", 0.0)) / float(baseline[n]["total_s"])
+        for n in shared
+        if float(baseline[n].get("total_s", 0.0)) > 0
+    ) or 1.0
     for name in shared:
         base = float(baseline[name].get("total_s", 0.0))
         cur = float(current[name].get("total_s", 0.0))

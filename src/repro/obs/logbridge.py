@@ -26,6 +26,12 @@ ROOT_LOGGER_NAME = "repro"
 #: marker attribute identifying the handler installed by configure_logging
 _HANDLER_MARK = "_repro_cli_handler"
 
+#: the live stderr status line (a ``ProgressRenderer``, which sets it
+#: while it paints) that the CLI handler's records step around: each
+#: record calls ``live_line.clear()`` before and ``live_line.paint()``
+#: after it is written
+live_line = None
+
 
 def get_logger(name: Optional[str] = None) -> logging.Logger:
     """A logger below the ``"repro"`` root (``get_logger("explore")`` ...)."""
@@ -63,11 +69,20 @@ class _StderrHandler(logging.StreamHandler):
 
     Test harnesses (pytest's capsys) swap ``sys.stderr`` after handlers are
     created; binding the stream per record keeps captured output and real
-    CLI output identical.
+    CLI output identical.  While a :data:`live_line` is set, each record
+    starts on a clean line and the status line is repainted after it.
     """
 
     def __init__(self) -> None:
         super().__init__(stream=sys.stderr)
+
+    def emit(self, record: logging.LogRecord) -> None:
+        line = live_line
+        if line is not None:
+            line.clear()
+        super().emit(record)
+        if line is not None:
+            line.paint()
 
     @property
     def stream(self):  # type: ignore[override]

@@ -5,9 +5,11 @@ the one fold behind every run tally (points done/total, failures, cache
 hits, stall/retry counts, fresh point times) — plus the in-flight points
 per worker and the painting: it repaints a single ``\\r``-terminated
 stderr line on every event, so a ``--live`` sweep shows throughput and
-ETA instead of a silent pause.  On ``run_end`` it clears the line and
-prints a deterministic summary table (counts only, no timings in the
-cells that matter for eyeballing diffs).
+ETA instead of a silent pause.  A log record written while the line is
+live starts on a clean line, and the line is repainted after it
+(:data:`repro.obs.logbridge.live_line`).  On ``run_end`` it clears the
+line and prints a deterministic summary table (counts only, no timings
+in the cells that matter for eyeballing diffs).
 
 The renderer is deliberately dumb about *sources*: it reacts only to
 events, so it works identically for serial sweeps (events from the main
@@ -18,10 +20,12 @@ own events carry all state the line needs).
 
 from __future__ import annotations
 
+import contextlib
 import statistics
 import sys
 from typing import Dict, Optional
 
+from repro.obs import logbridge
 from repro.obs.events import EventFold
 from repro.utils.tables import TextTable
 
@@ -56,7 +60,7 @@ class ProgressRenderer(EventFold):
             self.finish()
             return
         if self.live and not self._finished:
-            self._paint(self.status_line())
+            self.paint()
 
     # -- rendering ----------------------------------------------------
 
@@ -86,7 +90,9 @@ class ProgressRenderer(EventFold):
             parts.append(f"running:{shown}")
         return " ".join(parts)
 
-    def _paint(self, line: str) -> None:
+    def paint(self) -> None:
+        """(Re)paint the status line; log records step around it meanwhile."""
+        line = self.status_line()
         padded = line.ljust(self._line_width)
         self._line_width = max(self._line_width, len(line))
         try:
@@ -94,6 +100,12 @@ class ProgressRenderer(EventFold):
             self.stream.flush()
         except (OSError, ValueError):  # closed stream: stop painting
             self.live = False
+        logbridge.live_line = self if self.live else None
+
+    def clear(self) -> None:
+        """Blank the status line, leaving the cursor at its start."""
+        with contextlib.suppress(OSError, ValueError):
+            self.stream.write("\r" + " " * self._line_width + "\r")
 
     def summary_table(self) -> str:
         """Deterministic final roll-up (stable for a given outcome set)."""
@@ -114,9 +126,10 @@ class ProgressRenderer(EventFold):
         if self._finished:
             return
         self._finished = True
+        logbridge.live_line = None
         try:
             if self.live and self._line_width:
-                self.stream.write("\r" + " " * self._line_width + "\r")
+                self.clear()
             if self.done:
                 self.stream.write(self.summary_table() + "\n")
             self.stream.flush()

@@ -9,7 +9,8 @@ and reports drift:
 * integer metrics (cell/FA/HA counts) must match exactly;
 * float metrics must stay within a relative tolerance band (the committed
   snapshot records its own tolerance, so tightening the band is a one-line
-  blessed change);
+  blessed change) — the same per-design comparison the run-history
+  sentinel makes (:func:`repro.obs.history.qor_drift`);
 * snapshot entries and current runs must cover the same configurations —
   a missing or extra entry is drift too (the snapshot must be re-blessed
   when the golden set changes).
@@ -29,6 +30,7 @@ from repro.api.config import FlowConfig
 from repro.errors import VerificationError
 from repro.explore.engine import run_sweep
 from repro.explore.spec import SweepPoint
+from repro.obs.history import qor_drift, qor_entry
 
 GOLDEN_SCHEMA = "repro.verify.golden-metrics"
 GOLDEN_SCHEMA_VERSION = 1
@@ -66,19 +68,6 @@ GOLDEN_DESIGNS = ("x2", "x2_plus_x_plus_y", "iir")
 #: per-design methods pinned at -O0 (the paper's Table 1 trio)
 GOLDEN_METHODS = ("conventional", "csa_opt", "fa_aot")
 
-#: metrics compared exactly
-_EXACT_METRICS = ("cell_count", "fa_count", "ha_count")
-
-#: metrics compared within the tolerance band
-_FLOAT_METRICS = (
-    "delay_ns",
-    "area",
-    "total_energy",
-    "tree_energy",
-    "place_hpwl",
-    "cts_skew_ns",
-)
-
 
 def golden_points() -> List["SweepPoint"]:
     """The fixed configuration set pinned by the snapshot.
@@ -101,11 +90,6 @@ def golden_points() -> List["SweepPoint"]:
     return points
 
 
-def snapshot_entry(metrics: Dict[str, object]) -> Dict[str, object]:
-    """The snapshot record of one run: the pinned metrics only, in order."""
-    return {name: metrics.get(name) for name in _EXACT_METRICS + _FLOAT_METRICS}
-
-
 def run_golden_points(
     jobs: int = 1,
 ) -> Tuple[Dict[str, Dict[str, object]], bool]:
@@ -122,7 +106,7 @@ def run_golden_points(
         raise VerificationError(f"golden-point synthesis failed: {failures}")
     entries: Dict[str, Dict[str, object]] = {}
     for outcome in sweep.outcomes:
-        entries[outcome.point.label()] = snapshot_entry(outcome.metrics)
+        entries[outcome.point.label()] = qor_entry(outcome.metrics)
     return entries, sweep.used_fallback
 
 
@@ -176,26 +160,10 @@ def compare_to_golden(
     for label in sorted(set(entries) - set(pinned)):
         drift.append(f"{label}: produced by this run but missing from the snapshot")
     for label in sorted(set(pinned) & set(entries)):
-        expected, current = pinned[label], entries[label]
-        for name in _EXACT_METRICS:
-            if expected.get(name) != current.get(name):
-                drift.append(
-                    f"{label}: {name} changed {expected.get(name)!r} -> "
-                    f"{current.get(name)!r}"
-                )
-        for name in _FLOAT_METRICS:
-            want, have = expected.get(name), current.get(name)
-            if want is None and have is None:
-                continue
-            if want is None or have is None:
-                drift.append(f"{label}: {name} changed {want!r} -> {have!r}")
-                continue
-            reference = max(abs(float(want)), 1e-12)
-            if abs(float(have) - float(want)) / reference > rel_tol:
-                drift.append(
-                    f"{label}: {name} drifted beyond ±{rel_tol:.1%}: "
-                    f"{want!r} -> {have!r}"
-                )
+        drift.extend(
+            f"{label}: {message}"
+            for *_values, message in qor_drift(pinned[label], entries[label], rel_tol)
+        )
     return drift
 
 

@@ -220,6 +220,19 @@ class TestEventFold:
             "peak_rss_bytes": 300,  # what points reported, not the parent
         }
 
+    def test_abandoned_attempts_count_as_busy_time(self):
+        # a timed-out attempt's time rides only on its retry event: it keeps
+        # a worker busy but is no point time (stall median, ETA)
+        fold = obs.EventFold()
+        fold.handle({"kind": "retry", "attrs": {"index": 0, "reason": "timeout",
+                                                "elapsed_s": 2.0}})
+        fold.handle({"kind": "point_end", "attrs": {"index": 0, "ok": True,
+                                                    "cached": False,
+                                                    "elapsed_s": 0.05}})
+        assert fold.durations == [0.05]
+        summary = fold.summary(wall_s=2.06, jobs=2)
+        assert summary["worker_utilization"] == round(2.05 / (2.06 * 2), 4)
+
     def test_events_check_counts_come_from_the_fold(self, tmp_path, capsys):
         path = tmp_path / "events.jsonl"
         bus = obs.EventBus(path=path)
@@ -712,6 +725,27 @@ class TestProgressRenderer:
         line = renderer.status_line()
         assert "[2/2]" in line and "stalls=1" in line
         assert "\r" in stream.getvalue()
+
+    def test_log_record_starts_on_a_clean_line(self, monkeypatch):
+        import io
+
+        stream = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", stream)
+        obs.configure_logging("info")
+        renderer = obs.ProgressRenderer(stream=stream, live=True)
+        bus = obs.EventBus()
+        bus.subscribe(renderer.handle)
+        bus.emit("run_start", command="explore")
+        status = renderer.status_line()
+        obs.get_logger("explore").info("streaming telemetry events to x")
+        blank = "\r" + " " * len(status) + "\r"
+        assert stream.getvalue() == (
+            "\r" + status + blank
+            + "streaming telemetry events to x\n" + "\r" + status
+        )
+        bus.emit("run_end", status="ok")
+        obs.get_logger("explore").info("after the run")
+        assert stream.getvalue().endswith(blank + "after the run\n")
 
     def test_run_end_prints_summary_table(self):
         import io

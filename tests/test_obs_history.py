@@ -1,8 +1,9 @@
 """Tests for the run-history store, regression sentinel and reporting layer.
 
-Covers the :class:`repro.obs.HistoryStore` contract (append/rotate/iterate,
-corrupt-segment recovery, compaction, index consistency), the
-:class:`RunRecorder` grouping-key rules, the sentinel's typed findings and
+Covers the :class:`repro.obs.HistoryStore` contract (append/iterate,
+corrupt-line recovery, compaction, concurrent appends, the old segmented
+layout), the :class:`RunRecorder` grouping-key rules, the sentinel's typed
+findings and
 threshold edge cases (host-speed normalization, the ``min_wall_s`` floor,
 QoR exact-int vs float-band semantics), the flamegraph exporter (golden
 file), the dashboard generator (self-contained HTML with every trend
@@ -11,6 +12,7 @@ guarantees of the sweep and verify workers.
 """
 
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -89,6 +91,14 @@ def make_record(
     )
 
 
+def _append_records(root, count):
+    """Append ``count`` fresh records to the store at ``root`` (a child
+    process of the concurrent-append test)."""
+    store = obs.HistoryStore(root)
+    for _ in range(count):
+        store.append(make_record())
+
+
 class TestHistoryStore:
     def test_append_iterate_roundtrip(self, tmp_path):
         store = obs.HistoryStore(tmp_path / "h")
@@ -96,15 +106,6 @@ class TestHistoryStore:
         records = store.records()
         assert [r["run_id"] for r in records] == ids
         assert len(set(ids)) == 3
-        assert store.check() == []
-
-    def test_segment_rotation(self, tmp_path):
-        store = obs.HistoryStore(tmp_path / "h", max_segment_records=2)
-        for _ in range(5):
-            store.append(make_record())
-        names = store._segment_names()
-        assert names == ["seg-000001.jsonl", "seg-000002.jsonl", "seg-000003.jsonl"]
-        assert len(store.records()) == 5
         assert store.check() == []
 
     def test_key_filtering(self, tmp_path):
@@ -130,8 +131,7 @@ class TestHistoryStore:
         store = obs.HistoryStore(tmp_path / "h")
         for _ in range(3):
             store.append(make_record())
-        segment = store.segments_dir / store._segment_names()[0]
-        with open(segment, "a", encoding="utf-8") as handle:
+        with open(store.path, "a", encoding="utf-8") as handle:
             handle.write("{truncated garba\n")
         # reads survive the damage, reporting only the valid records
         assert len(store.records()) == 3
@@ -139,11 +139,10 @@ class TestHistoryStore:
         assert any("corrupt" in p for p in problems)
 
     def test_compact_drops_corruption_rebuilds_index(self, tmp_path):
-        store = obs.HistoryStore(tmp_path / "h", max_segment_records=2)
+        store = obs.HistoryStore(tmp_path / "h")
         for _ in range(5):
             store.append(make_record())
-        segment = store.segments_dir / store._segment_names()[0]
-        with open(segment, "a", encoding="utf-8") as handle:
+        with open(store.path, "a", encoding="utf-8") as handle:
             handle.write("not json at all\n")
         summary = store.compact()
         assert summary["records"] == 5
@@ -151,22 +150,43 @@ class TestHistoryStore:
         assert store.check() == []
         assert len(store.records()) == 5
 
-    def test_check_flags_stale_index(self, tmp_path):
+    def test_concurrent_appends_keep_the_store_consistent(self, tmp_path):
         store = obs.HistoryStore(tmp_path / "h")
-        store.append(make_record())
-        index = json.loads(store.index_path.read_text(encoding="utf-8"))
-        index["records"] = 7
-        store.index_path.write_text(json.dumps(index), encoding="utf-8")
-        assert any("record(s)" in p for p in store.check())
-        store.compact()
+        workers = [
+            multiprocessing.Process(target=_append_records, args=(store.root, 100))
+            for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert worker.exitcode == 0
         assert store.check() == []
+        records = store.records()
+        assert len(records) == 200
+        assert len({r["run_id"] for r in records}) == 200
+        assert sorted(os.listdir(store.root)) == ["history.jsonl"]
 
-    def test_missing_index_flagged_not_fatal(self, tmp_path):
-        store = obs.HistoryStore(tmp_path / "h")
-        store.append(make_record())
-        os.remove(store.index_path)
-        assert len(store.records()) == 1
-        assert any("index.json missing" in p for p in store.check())
+    def test_old_segmented_layout_is_not_an_empty_store(self, tmp_path):
+        root = tmp_path / "h"
+        (root / "segments").mkdir(parents=True)
+        record = json.dumps(make_record(), sort_keys=True)
+        (root / "segments" / "seg-000001.jsonl").write_text(
+            record + "\n", encoding="utf-8"
+        )
+        store = obs.HistoryStore(root)
+        migrate = f"cat {root}/segments/seg-*.jsonl > {root}/history.jsonl"
+        assert len(store.check()) == 1 and migrate in store.check()[0]
+        for read in (store.records, store.keys, store.compact):
+            with pytest.raises(ValueError, match="old segmented"):
+                read()
+        with pytest.raises(ValueError, match="old segmented"):
+            store.append(make_record())
+        with pytest.raises(SystemExit, match="old segmented"):
+            main(["obs", "check", "--history", str(root)])
+        # the one-line migration yields a healthy store
+        store.path.write_text(record + "\n", encoding="utf-8")
+        assert store.check() == [] and len(store.records()) == 1
 
     def test_empty_store(self, tmp_path):
         store = obs.HistoryStore(tmp_path / "nothing")
@@ -234,6 +254,26 @@ class TestSentinel:
         base = obs.select_baseline([make_record(), make_record()])
         findings = obs.diff_records(make_record(span_scale=3.0), base)
         assert [f for f in findings if f["kind"] == "walltime_drift"] == []
+
+    def test_slow_stage_dominating_the_run_flagged(self):
+        """A planted delay that dwarfs a fast flow also lands in the
+        enclosing flow.run span; it must not pass as a slower host."""
+        def record(optimize_s):
+            rec = make_record()
+            rec["span_summary"] = {
+                "flow.frontend": {"count": 1, "total_s": 0.001},
+                "flow.reduce": {"count": 1, "total_s": 0.002},
+                "flow.analyze": {"count": 1, "total_s": 0.002},
+                "opt.cse": {"count": 1, "total_s": 0.002},
+                "flow.optimize": {"count": 1, "total_s": optimize_s},
+                "flow.run": {"count": 1, "total_s": optimize_s + 0.01},
+            }
+            return rec
+
+        base = obs.select_baseline([record(0.05), record(0.05)])
+        findings = obs.diff_records(record(1.05), base)
+        drifted = {f["subject"] for f in obs.gating_findings(findings)}
+        assert drifted == {"flow.optimize", "flow.run"}
 
     def test_sub_floor_spans_ignored(self):
         """A 4x blowup of a 1ms span is jitter, not a regression."""
@@ -613,8 +653,7 @@ class TestCLIHistory:
         history = tmp_path / "h"
         store = obs.HistoryStore(history)
         store.append(make_record())
-        segment = store.segments_dir / store._segment_names()[0]
-        with open(segment, "a", encoding="utf-8") as handle:
+        with open(store.path, "a", encoding="utf-8") as handle:
             handle.write("garbage\n")
         assert main(["obs", "compact", "--history", str(history)]) == 0
         assert store.check() == []

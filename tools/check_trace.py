@@ -6,8 +6,9 @@ CI's obs-smoke job runs this against the traces of a ``synth`` and an
 (:func:`repro.obs.validate_trace_obj`) and — via ``--require`` — contain
 the span names the instrumented flow is expected to emit.  The obs-history
 job runs the ``--history`` mode against a run-history store directory:
-every segment record must satisfy the record schema and the compacted
-index must agree with the segments (:meth:`repro.obs.HistoryStore.check`).
+every line of its ``history.jsonl`` must be a record that satisfies the
+record schema, and no ``run_id`` may repeat
+(:meth:`repro.obs.HistoryStore.check`).
 The obs-live job runs the ``--events`` mode against a live telemetry
 stream (``--events DIR`` output): every line must satisfy the
 ``repro.obs.events`` schema and every ``(run_id, pid)`` emitter must have
@@ -64,8 +65,8 @@ def check_history(path: str, min_records: int = 0) -> List[str]:
 
     store = HistoryStore(path)
     problems = [f"{path}: {problem}" for problem in store.check()]
-    if min_records:
-        count = sum(1 for _record in store.iter_records())
+    if min_records and store.migration_needed() is None:
+        count = len(store.records())
         if count < min_records:
             problems.append(
                 f"{path}: store holds {count} record(s), "
