@@ -10,8 +10,8 @@ matrices.
 Run with:  python examples/baseline_comparison.py
 """
 
+from repro.api import SYNTHESIS_METHODS, Flow, FlowConfig
 from repro.designs.registry import get_design
-from repro.flows.synthesis import SYNTHESIS_METHODS, synthesize
 from repro.utils.tables import TextTable
 
 DESIGNS = ["x2", "x3", "x2_plus_x_plus_y", "square_of_sum", "mixed_products"]
@@ -23,7 +23,9 @@ def main() -> None:
     for design_name in DESIGNS:
         design = get_design(design_name)
         for method in methods:
-            results[(design_name, method)] = synthesize(design, method=method, seed=1)
+            results[(design_name, method)] = Flow(FlowConfig(method=method, seed=1)).run(
+                design
+            )
         print(f"synthesized {design_name} with {len(methods)} methods")
 
     for metric, label, digits in (

@@ -17,10 +17,10 @@ Run with:  python examples/custom_expression_to_verilog.py
 
 import pathlib
 
+from repro.api import Flow, FlowConfig
 from repro.designs.base import DatapathDesign
 from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec
-from repro.flows.synthesis import synthesize
 from repro.netlist.verilog import to_verilog
 from repro.sim.equivalence import check_equivalence
 
@@ -52,7 +52,7 @@ def main() -> None:
 
     output_dir = pathlib.Path(__file__).resolve().parent
     for method, objective in (("fa_aot", "timing"), ("fa_alp", "power")):
-        result = synthesize(design, method=method)
+        result = Flow(FlowConfig(method=method)).run(design)
         check_equivalence(
             result.netlist,
             result.output_bus,

@@ -14,13 +14,13 @@ This example reproduces the paper's main timing experiment on one design:
 Run with:  python examples/iir_timing_optimization.py
 """
 
+from repro.api import Flow, FlowConfig
 from repro.designs.registry import get_design
 from repro.expr.signals import SignalSpec
-from repro.flows.compare import compare_methods, improvement_pct
-from repro.flows.synthesis import synthesize
 from repro.tech.default_libs import generic_035
 from repro.timing.arrival import compute_arrival_times
 from repro.timing.critical_path import extract_critical_path
+from repro.utils.metrics import improvement_pct
 from repro.utils.tables import TextTable
 
 
@@ -32,24 +32,29 @@ def main() -> None:
 
     # --- Table-1 style comparison --------------------------------------------
     methods = ["conventional", "csa_opt", "fa_aot"]
-    row = compare_methods(design, methods, library=library)
+    results = {
+        method: Flow(FlowConfig(method=method)).run(design, library=library)
+        for method in methods
+    }
     table = TextTable(["method", "delay (ns)", "area", "FA", "HA", "cells"])
     for method in methods:
-        result = row.results[method]
+        result = results[method]
         table.add_row(
             [method, result.delay_ns, result.area, result.fa_count, result.ha_count,
              result.cell_count]
         )
     print(table.render(title="IIR biquad: timing-driven synthesis"))
+    best = results["fa_aot"]
+    vs_conventional = improvement_pct(results["conventional"].delay_ns, best.delay_ns)
+    vs_csa_opt = improvement_pct(results["csa_opt"].delay_ns, best.delay_ns)
     print(
         f"\nFA_AOT delay improvement: "
-        f"{row.delay_improvement('conventional', 'fa_aot'):.1f}% vs conventional, "
-        f"{row.delay_improvement('csa_opt', 'fa_aot'):.1f}% vs CSA_OPT "
+        f"{vs_conventional:.1f}% vs conventional, "
+        f"{vs_csa_opt:.1f}% vs CSA_OPT "
         f"(paper reports 43.9% and 22.5% for this design)\n"
     )
 
     # --- Critical path of the FA_AOT implementation --------------------------
-    best = row.results["fa_aot"]
     timing = compute_arrival_times(best.netlist, library)
     path = extract_critical_path(best.netlist, library, timing)
     print(f"FA_AOT critical path ({len(path)} stages, {timing.delay:.3f} ns):")
@@ -65,9 +70,10 @@ def main() -> None:
         for name, spec in design.signals.items()
     }
     flat_design = design.with_signals(flat_signals)
-    skewed = synthesize(design, method="fa_aot", library=library)
-    flat = synthesize(flat_design, method="fa_aot", library=library)
-    flat_wallace = synthesize(flat_design, method="wallace", library=library)
+    fa_aot = Flow(FlowConfig(method="fa_aot"))
+    skewed = fa_aot.run(design, library=library)
+    flat = fa_aot.run(flat_design, library=library)
+    flat_wallace = Flow(FlowConfig(method="wallace")).run(flat_design, library=library)
     print("\nEffect of the arrival profile on the FA_AOT result:")
     print(f"  skewed arrivals (as in the benchmark): {skewed.delay_ns:.3f} ns")
     print(f"  flat arrivals, FA_AOT               : {flat.delay_ns:.3f} ns")

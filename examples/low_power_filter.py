@@ -13,11 +13,11 @@ per-cell-type energy breakdown.
 Run with:  python examples/low_power_filter.py
 """
 
+from repro.api import Flow, FlowConfig
 from repro.designs.registry import get_design, with_random_probabilities
-from repro.flows.compare import improvement_pct
-from repro.flows.synthesis import synthesize
 from repro.power.report import power_report
 from repro.sim.toggles import empirical_switching
+from repro.utils.metrics import improvement_pct
 from repro.utils.tables import TextTable
 
 
@@ -30,8 +30,8 @@ def main() -> None:
         print(f"  {name:<4} p = [{bits}, ...]")
     print()
 
-    random_result = synthesize(design, method="fa_random", seed=2000)
-    alp_result = synthesize(design, method="fa_alp")
+    random_result = Flow(FlowConfig(method="fa_random", seed=2000)).run(design)
+    alp_result = Flow(FlowConfig(method="fa_alp")).run(design)
 
     table = TextTable(["method", "E_switching(T)", "total energy", "FA", "HA"])
     for label, result in (("FA_random", random_result), ("FA_ALP", alp_result)):

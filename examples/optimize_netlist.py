@@ -11,8 +11,8 @@ Real synthesis flows clean the netlist up afterwards; this example shows the
 3. verify the optimized netlist against the original with the bit-parallel
    netlist-vs-netlist equivalence checker (this also happens automatically
    inside the pass manager),
-4. do the same thing in one step via ``synthesize(..., opt_level=2)`` and
-   emit the optimized netlist as Verilog,
+4. do the same thing in one step with ``FlowConfig(opt_level=2)`` and emit
+   the optimized netlist as Verilog,
 5. snapshot the optimized netlist to JSON and rebuild it — the round-trip
    used by artifact caching and diffing.
 
@@ -21,8 +21,8 @@ Run with:  python examples/optimize_netlist.py
 
 import json
 
+from repro.api import Flow, FlowConfig
 from repro.designs.registry import get_design
-from repro.flows.synthesis import synthesize
 from repro.netlist.serialize import netlist_from_dict
 from repro.netlist.verilog import to_verilog
 from repro.opt import check_netlists_equivalent, optimize_netlist
@@ -34,7 +34,7 @@ def main() -> None:
     design = get_design("x2_plus_x_plus_y")
 
     # 1. As-built netlist (-O0 is the default and the paper's protocol).
-    result = synthesize(design, method="fa_aot", library=library)
+    result = Flow(FlowConfig(method="fa_aot")).run(design, library=library)
     print(f"as built: {result.stats.summary()}")
 
     # 2. Optimize a copy by hand with the full -O2 pipeline.  The pass
@@ -56,7 +56,7 @@ def main() -> None:
 
     # 4. Or do everything in one step through the flow: the result carries
     #    the before/after statistics and the per-pass report.
-    optimized = synthesize(design, method="fa_aot", library=library, opt_level=2)
+    optimized = Flow(FlowConfig(method="fa_aot", opt_level=2)).run(design, library=library)
     print()
     print(optimized.summary())
     print(

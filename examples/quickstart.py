@@ -14,10 +14,10 @@ of problem:
 Run with:  python examples/quickstart.py
 """
 
+from repro.api import Flow, FlowConfig
 from repro.designs.base import DatapathDesign
 from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec
-from repro.flows.synthesis import synthesize
 from repro.sim.equivalence import check_equivalence
 from repro.utils.tables import TextTable
 
@@ -40,7 +40,7 @@ def main() -> None:
 
     # 2. Synthesize with three methods.
     methods = ["conventional", "wallace", "fa_aot"]
-    results = {method: synthesize(design, method=method) for method in methods}
+    results = {method: Flow(FlowConfig(method=method)).run(design) for method in methods}
 
     # 3. Every netlist must compute the same function (checked by simulation).
     for method, result in results.items():

@@ -21,8 +21,6 @@ Public entry points
     unified, self-describing configuration schema every layer derives
     from), the staged :class:`~repro.api.Flow` pipeline with registrable
     stages and skippable analyses, and :class:`~repro.api.FlowResult`.
-``repro.flows.synthesize``
-    Back-compat keyword-argument shim over ``Flow`` — still supported.
 ``repro.explore``
     Parallel design-space sweeps (grids over the FlowConfig axes), with an
     on-disk result cache and Pareto analysis.
@@ -44,14 +42,6 @@ Quickstart
 ----------
 >>> from repro.api import Flow, FlowConfig
 >>> result = Flow(FlowConfig(method="fa_aot")).run("x2_plus_x_plus_y")
->>> result.delay_ns > 0
-True
-
-The legacy form still works:
-
->>> from repro.designs import get_design
->>> from repro.flows import synthesize
->>> result = synthesize(get_design("x2_plus_x_plus_y"), method="fa_aot")
 >>> result.delay_ns > 0
 True
 """
@@ -84,7 +74,6 @@ __all__ = [
     "Flow",
     "FlowConfig",
     "FlowResult",
-    "synthesize",
 ]
 
 #: names re-exported lazily (PEP 562) so ``import repro`` stays lightweight
@@ -93,6 +82,5 @@ __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         "repro.api": ("Flow", "FlowConfig", "FlowResult"),
-        "repro.flows.synthesis": ("synthesize",),
     },
 )

@@ -5,13 +5,13 @@ This package is the spine of the system:
 * :class:`FlowConfig` — a frozen, validated, self-describing configuration
   dataclass.  Its per-field metadata (choices, default, CLI flag, sweep
   axis, cache relevance) is the **single source of truth** for every knob:
-  the CLI, the sweep engine, the result cache and the legacy
-  ``synthesize(**kwargs)`` shim all derive from it.
+  the CLI, the sweep engine and the result cache all derive from it.
 * :class:`Flow` — the staged pipeline
   (``frontend -> reduce -> final_adder -> optimize -> map -> place -> analyze``) with
   registrable stages and individually skippable analysis passes.
 * :class:`FlowResult` — the run result: netlist, metrics, per-stage
-  artifacts and wall-times.  Subsumes the legacy :class:`SynthesisResult`.
+  artifacts and wall-times; its ``to_dict()`` is the metric record every
+  downstream consumer reads.
 
 Quickstart::
 
@@ -49,7 +49,7 @@ __getattr__, __dir__ = lazy_exports(
             "flow_config_from_args",
             "sweep_spec_from_args",
         ),
-        "repro.api.result": ("FlowResult", "SynthesisResult"),
+        "repro.api.result": ("FlowResult",),
         "repro.api.stages": (
             "STAGE_ORDER",
             "FlowContext",
@@ -73,7 +73,6 @@ __all__ = [
     "FlowConfig",
     "FlowContext",
     "FlowResult",
-    "SynthesisResult",
     "add_flow_options",
     "add_sweep_options",
     "analysis_names",

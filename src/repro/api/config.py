@@ -5,8 +5,6 @@ Each field carries metadata (choices, CLI flag, sweep-axis name, help text,
 cache relevance) introspectable through :func:`config_fields`, so the other
 layers *derive* their surface from this schema instead of re-declaring it:
 
-* ``repro.flows.synthesize(**kwargs)`` is a thin shim that builds a
-  :class:`FlowConfig` from its keyword arguments;
 * the CLI generates its ``synth`` / ``compare`` / ``explore`` options from
   the field metadata (:mod:`repro.api.options`);
 * ``repro.explore.spec`` builds its ``SweepPoint`` / ``SweepSpec``
@@ -559,20 +557,3 @@ def config_field(name: str) -> FieldSpec:
             return spec
     raise ConfigError(f"unknown FlowConfig field {name!r}")
 
-
-def library_field_value(library: Optional[object]) -> str:
-    """The ``library`` config value matching a :class:`TechLibrary` object.
-
-    Custom library objects whose name is not a registered library keep the
-    schema default in the config (the object itself is still used by the
-    flow — an explicit library argument always wins over the config name).
-    Note that for such custom libraries the embedded config (and therefore
-    ``cache_key()``) cannot describe the run: the authoritative library of
-    a result is always ``FlowResult.library_name``, and runs with custom
-    library objects must not be keyed by ``cache_key()`` (the registry-name
-    based explore cache never sees them).
-    """
-    spec = config_field("library")
-    if library is not None and getattr(library, "name", None) in spec.choices:
-        return library.name  # type: ignore[union-attr]
-    return spec.default  # type: ignore[return-value]

@@ -7,9 +7,9 @@ the design and the technology library, threads a
 a :class:`~repro.api.result.FlowResult` with per-stage wall-times and
 artifacts.
 
-The legacy ``repro.flows.synthesize(**kwargs)`` entry point is a thin shim
-over this class, and the exploration engine executes every sweep point
-through it, so all consumers share one code path.
+The CLI, the exploration engine (every sweep point) and the verification
+subsystem all run through this class, so all consumers share one code
+path.
 
 Observability: every stage emits a ``flow.<stage>`` span into the active
 :mod:`repro.obs` tracer (design and method attached as attributes), which

@@ -1,11 +1,10 @@
-"""Flow results: per-stage artifacts, wall-times and the metric summary.
+"""Flow results: per-stage artifacts, wall-times and the metric record.
 
-:class:`SynthesisResult` is the classic result shape returned by
-``repro.flows.synthesize`` since the first release; :class:`FlowResult`
-subsumes it, adding the :class:`~repro.api.config.FlowConfig` that produced
-the run, per-stage wall-times and per-stage artifacts.  Every flow run
-returns a :class:`FlowResult`; the legacy name keeps working because it is
-the base class.
+Every flow run returns a :class:`FlowResult`: the netlist, its metrics, the
+:class:`~repro.api.config.FlowConfig` that produced it, per-stage
+wall-times and per-stage artifacts.  :meth:`FlowResult.to_dict` is the
+JSON-able record every downstream consumer reads — the sweep engine, its
+result cache, run history, the CSV/JSON artifacts and the paper tables.
 
 Analysis fields (``timing``, ``power``, ``probabilities``, ``stats`` and
 the metrics derived from them) are ``None`` when the corresponding analysis
@@ -24,15 +23,17 @@ from repro.netlist.stats import NetlistStats
 from repro.power.probability import ProbabilityResult
 from repro.power.switching import PowerResult
 from repro.timing.arrival import TimingResult
-from repro.utils.metrics import summary_line
 
-if TYPE_CHECKING:  # only annotations name it; -O0 flows never load repro.opt
+if TYPE_CHECKING:  # only annotations name them; -O0 flows never load these
+    from repro.api.config import FlowConfig
+    from repro.map.report import MapReport
     from repro.opt.report import OptReport
+    from repro.place.report import PlaceReport
 
 
 @dataclass
-class SynthesisResult:
-    """Everything produced by one synthesis run of one design.
+class FlowResult:
+    """Everything produced by one flow run of one design.
 
     Metric fields derived from a skipped analysis pass are ``None`` (the
     default full-analysis flow always populates them).
@@ -63,31 +64,51 @@ class SynthesisResult:
     opt_level: int = 0
     opt_report: Optional[OptReport] = None
     pre_opt_stats: Optional[NetlistStats] = None
+    #: the (validated) configuration that produced this run
+    config: Optional[FlowConfig] = None
+    #: technology-mapping report (None when ``target_lib`` was ``"generic"``)
+    map_report: Optional[MapReport] = None
+    #: physical-design report (None when ``place`` was off)
+    place_report: Optional[PlaceReport] = None
+    #: the analysis passes that actually ran
+    analyses: Tuple[str, ...] = ()
+    #: wall time per executed stage (and per analysis, ``analyze:<name>``) —
+    #: a derived view of the flow's ``flow.<stage>`` spans (see
+    #: :mod:`repro.obs`); a stage that raises still records its partial time
+    stage_times: Dict[str, float] = field(default_factory=dict)
+    #: per-stage artifacts (matrix build, compression, opt report, analyses)
+    stage_artifacts: Dict[str, object] = field(default_factory=dict)
 
     def summary(self) -> str:
-        """One-line result summary."""
-        text = summary_line(
-            self.design_name,
-            self.method,
-            self.delay_ns,
-            self.area,
-            self.tree_energy,
-            self.cell_count,
-            self.fa_count,
-            self.ha_count,
+        """One-line result summary; metrics of skipped analyses read ``n/a``."""
+
+        def fmt(value: Optional[float], spec: str) -> str:
+            return format(value, spec) if value is not None else "n/a"
+
+        text = (
+            f"{self.design_name:<18} {self.method:<16} "
+            f"delay={fmt(self.delay_ns, '6.3f')} ns  "
+            f"area={fmt(self.area, '9.1f')}  "
+            f"E_tree={fmt(self.tree_energy, '9.3f')}  "
+            f"cells={self.cell_count:5d} (FA={self.fa_count}, HA={self.ha_count})"
         )
         if self.opt_level:
             text += f"  -O{self.opt_level}"
         return text
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-able metric summary (no netlist, no analysis internals).
+        """The JSON-able metric record (no netlist, no analysis internals).
 
         This is the record shape used by the exploration engine, its result
-        cache and the ``--json`` CLI outputs;
-        :class:`repro.explore.records.PointMetrics` is its typed mirror.
-        Metrics of skipped analyses are ``None``.
+        cache, run history, the ``--json`` CLI outputs and the paper
+        tables.  Metrics of skipped analyses are ``None``.  Every
+        :class:`FlowConfig` knob appears under ``config``, so a new knob
+        reaches every cached record and JSON artifact with nothing to
+        hand-wire.  Stage wall-times are deliberately *not* part of the
+        record so that records stay deterministic (cache round-trips
+        compare equal).
         """
+        place = self.place_report
         return {
             "design_name": self.design_name,
             "method": self.method,
@@ -110,52 +131,18 @@ class SynthesisResult:
                 self.opt_report.cells_removed if self.opt_report is not None else None
             ),
             "notes": list(self.notes),
+            "analyses": list(self.analyses),
+            "config": self.config.to_dict() if self.config is not None else None,
+            "map_report": (
+                self.map_report.to_dict() if self.map_report is not None else None
+            ),
+            "place_report": place.to_dict() if place is not None else None,
+            # flat physical-design headline metrics: CSV columns, QoR
+            # records and the history sentinel consume these without
+            # digging into the nested report (None when place was skipped)
+            "place_hpwl": round(place.total_hpwl, 6) if place is not None else None,
+            "cts_skew_ns": place.cts_skew_ns if place is not None else None,
         }
-
-
-@dataclass
-class FlowResult(SynthesisResult):
-    """A :class:`SynthesisResult` plus the config and per-stage telemetry."""
-
-    #: the (validated) configuration that produced this run
-    config: Optional["FlowConfig"] = None  # noqa: F821 - forward ref, no cycle
-    #: technology-mapping report (None when ``target_lib`` was ``"generic"``)
-    map_report: Optional["MapReport"] = None  # noqa: F821 - forward ref
-    #: physical-design report (None when ``place`` was off)
-    place_report: Optional["PlaceReport"] = None  # noqa: F821 - forward ref
-    #: the analysis passes that actually ran
-    analyses: Tuple[str, ...] = ()
-    #: wall time per executed stage (and per analysis, ``analyze:<name>``) —
-    #: a derived view of the flow's ``flow.<stage>`` spans (see
-    #: :mod:`repro.obs`); a stage that raises still records its partial time
-    stage_times: Dict[str, float] = field(default_factory=dict)
-    #: per-stage artifacts (matrix build, compression, opt report, analyses)
-    stage_artifacts: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        """The base metric record plus the full (schema-driven) config.
-
-        New :class:`FlowConfig` knobs automatically appear under ``config``
-        in every cached record and JSON artifact — nothing to hand-wire.
-        Stage wall-times are deliberately *not* part of the record so that
-        records stay deterministic (cache round-trips compare equal).
-        """
-        out = super().to_dict()
-        out["analyses"] = list(self.analyses)
-        out["config"] = self.config.to_dict() if self.config is not None else None
-        out["map_report"] = (
-            self.map_report.to_dict() if self.map_report is not None else None
-        )
-        out["place_report"] = (
-            self.place_report.to_dict() if self.place_report is not None else None
-        )
-        # flat physical-design headline metrics: CSV columns, QoR records
-        # and the history sentinel consume these without digging into the
-        # nested report (None when the place stage was skipped)
-        place = self.place_report
-        out["place_hpwl"] = round(place.total_hpwl, 6) if place is not None else None
-        out["cts_skew_ns"] = place.cts_skew_ns if place is not None else None
-        return out
 
     def stage_report(self) -> str:
         """Small text table of per-stage wall times.

@@ -185,24 +185,21 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.flows.compare import compare_methods
+    from dataclasses import replace
+
+    from repro.api.flow import Flow
     from repro.tech.default_libs import resolve_library
 
-    design = get_design(args.design)
     config = flow_config_from_args(args, method=args.methods[0])
-    row = compare_methods(
-        design, args.methods, library=resolve_library(config.library), config=config
-    )
+    library = resolve_library(config.library)
+    results = []
     for method in args.methods:
-        result = row.results[method]
-        _record_result(args, result, design.name)
+        result = Flow(replace(config, method=method)).run(args.design, library=library)
+        _record_result(args, result, args.design)
         print(result.summary())
+        results.append(result.to_dict())
     if args.json:
-        payload = {
-            "design": design.name,
-            "results": [row.results[method].to_dict() for method in args.methods],
-        }
-        _write_json_payload(payload, args.json)
+        _write_json_payload({"design": args.design, "results": results}, args.json)
     return 0
 
 
@@ -248,25 +245,25 @@ def _run_table_sweep(spec: SweepSpec, args: argparse.Namespace) -> SweepResult:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.explore.spec import table1_spec
-    from repro.report.tables import table1_from_records
+    from repro.report.tables import table1_report
 
     names = args.designs or TABLE1_DESIGN_NAMES
     spec = table1_spec(names, library=args.library, final_adder=args.final_adder)
     sweep = _run_table_sweep(spec, args)
-    print(table1_from_records(sweep.records, [get_design(name) for name in names]))
+    print(table1_report(sweep.records, [get_design(name) for name in names]))
     return 0
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.explore.spec import table2_spec
-    from repro.report.tables import table2_from_records
+    from repro.report.tables import table2_report
 
     names = args.designs or TABLE2_DESIGN_NAMES
     spec = table2_spec(
         names, seed=args.seed, library=args.library, final_adder=args.final_adder
     )
     sweep = _run_table_sweep(spec, args)
-    print(table2_from_records(sweep.records, [get_design(name) for name in names]))
+    print(table2_report(sweep.records, [get_design(name) for name in names]))
     return 0
 
 

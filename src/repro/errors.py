@@ -37,10 +37,9 @@ class DesignError(ReproError):
 class ConfigError(DesignError):
     """Invalid flow configuration: unknown knob, bad value, unknown field.
 
-    Derives from :class:`DesignError` because the legacy ``synthesize()``
-    entry point historically raised ``DesignError`` for bad knob values;
-    callers catching that keep working now that validation lives in
-    :class:`repro.api.FlowConfig`.
+    Derives from :class:`DesignError` because bad knob values historically
+    raised ``DesignError``; callers catching that keep working now that
+    validation lives in :class:`repro.api.FlowConfig`.
     """
 
 

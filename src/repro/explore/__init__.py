@@ -55,7 +55,6 @@ __getattr__, __dir__ = lazy_exports(
             "write_csv",
             "write_json",
         ),
-        "repro.explore.records": ("PointMetrics",),
         "repro.explore.spec": (
             "SweepPoint",
             "SweepSpec",
@@ -68,7 +67,6 @@ __getattr__, __dir__ = lazy_exports(
 __all__ = [
     "DEFAULT_OBJECTIVES",
     "CACHE_SCHEMA_VERSION",
-    "PointMetrics",
     "PointOutcome",
     "ResultCache",
     "SweepPoint",

@@ -1,14 +1,13 @@
 """Analysis utilities over sweep metric records.
 
 All functions operate on the plain metric dicts the engine produces
-(``SynthesisResult.to_dict()`` shape) or on anything mapping-like /
-attribute-like with the same field names, so they work equally on cache
-records, JSON artifacts read back from disk and live results.
+(``FlowResult.to_dict()`` records), so they work equally on cache records,
+JSON artifacts read back from disk and live results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.metrics import improvement_pct
 
@@ -16,22 +15,15 @@ from repro.utils.metrics import improvement_pct
 DEFAULT_OBJECTIVES: Tuple[str, ...] = ("delay_ns", "area", "tree_energy")
 
 
-def field_of(record, name: str):
-    """Read field ``name`` from a dict-like or attribute-like record."""
-    if isinstance(record, Mapping):
-        return record[name]
-    return getattr(record, name)
-
-
-def metric_of(record, name: str):
+def metric_of(record: Mapping[str, object], name: str) -> Optional[float]:
     """Read metric ``name`` from a record as a float.
 
     Returns ``None`` when the metric value is ``None`` — the analysis pass
     that produces it was skipped (``FlowConfig.analyses``).  An unknown
-    metric *name* still raises (KeyError/AttributeError), so typos fail
-    loudly instead of yielding empty analyses.
+    metric *name* still raises KeyError, so typos fail loudly instead of
+    yielding empty analyses.
     """
-    value = field_of(record, name)
+    value = record[name]
     return float(value) if value is not None else None
 
 
@@ -74,7 +66,7 @@ def pareto_front_by_design(
     dominance across designs is not meaningful)."""
     by_design: Dict[str, List] = {}
     for record in records:
-        design = str(field_of(record, "design_name"))
+        design = str(record["design_name"])
         by_design.setdefault(design, []).append(record)
     return {
         design: pareto_front(group, objectives)
@@ -92,7 +84,7 @@ def best_per_design(
     """
     best: Dict[str, object] = {}
     for record in records:
-        design = str(field_of(record, "design_name"))
+        design = str(record["design_name"])
         value = metric_of(record, metric)
         if value is None:
             continue
@@ -112,12 +104,13 @@ def improvement_matrix(
     Returns ``{design: {method: pct}}``.  Designs without a result for
     ``reference_method`` are skipped; when a (design, method) pair has
     several records (e.g. several final adders), the best (minimum) metric
-    value represents the pair.
+    value represents the pair.  Against a zero reference every entry of the
+    design is ``nan`` (see :func:`repro.utils.metrics.improvement_pct`).
     """
     per_pair: Dict[str, Dict[str, float]] = {}
     for record in records:
-        design = str(field_of(record, "design_name"))
-        method = str(field_of(record, "method"))
+        design = str(record["design_name"])
+        method = str(record["method"])
         value = metric_of(record, metric)
         if value is None:  # metric's analysis pass was skipped
             continue

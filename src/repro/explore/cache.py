@@ -2,7 +2,7 @@
 
 Each cached entry is one small JSON file named after the point's content
 digest, holding the point (for collision checking and debuggability) and the
-metric summary produced by :meth:`SynthesisResult.to_dict` — never a pickled
+metric summary produced by :meth:`FlowResult.to_dict` — never a pickled
 netlist, so cache files are stable across code changes to the netlist layer
 and safe to share between machines.
 

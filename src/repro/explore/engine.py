@@ -13,9 +13,8 @@ point list) into :class:`PointOutcome` records:
 Workers receive only the (picklable) :class:`SweepPoint` and return only the
 metric dict, so no netlist ever crosses a process boundary.
 
-:func:`execute_point` is also the single-point execution path that
-:func:`repro.flows.compare.compare_methods` runs on, which keeps the paper's
-table harnesses and ad-hoc sweeps on the same code path.
+:func:`execute_point` is the single-point execution path: one
+:class:`repro.api.Flow` run of the point's config.
 
 One dispatcher serves both :func:`run_sweep` and :func:`parallel_map`, the
 generic fan-out the verification subsystem (:mod:`repro.verify`) runs its
@@ -62,13 +61,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 from repro import obs
 from repro.api.flow import Flow
 from repro.api.result import FlowResult
-from repro.designs.base import DatapathDesign
 from repro.explore.cache import ResultCache
 from repro.explore.spec import SweepPoint, SweepSpec
 from repro.obs.events import EventBus, EventFold, point_heartbeat
 from repro.obs.logbridge import get_logger
 from repro.obs.manifest import peak_rss_bytes
-from repro.tech.library import TechLibrary
 
 log = get_logger("explore")
 
@@ -96,22 +93,15 @@ def _point_hangs() -> Dict[int, float]:
     return hangs
 
 
-def execute_point(
-    point: SweepPoint,
-    design: Optional[DatapathDesign] = None,
-    library: Optional[TechLibrary] = None,
-) -> FlowResult:
+def execute_point(point: SweepPoint) -> FlowResult:
     """Synthesize one sweep point, returning the full result.
 
     The point's cache-relevant fields *are* a :class:`repro.api.FlowConfig`
     (see ``SweepPoint.config()``), so this is just one staged
-    :class:`repro.api.Flow` run.  ``design`` / ``library`` may be passed to
-    reuse already-built objects (the comparison harness does); otherwise
-    they are rebuilt from the point's registry names, which is what sweep
-    workers do.
+    :class:`repro.api.Flow` run; the design and library are built from the
+    point's registry names.
     """
-    flow = Flow(point.config())
-    return flow.run(design if design is not None else point.design, library=library)
+    return Flow(point.config()).run(point.design)
 
 
 def _run_one(task: Tuple[SweepPoint, float], attempt: int, heartbeat_s: float) -> Dict:

@@ -5,7 +5,7 @@
 roles and their arrival/probability attribute annotations), cells (with
 port bindings and attributes), primary outputs and the input/output bus
 registry — as plain JSON-able data, mirroring the metric-record convention of
-:meth:`repro.flows.synthesis.SynthesisResult.to_dict`.  ``netlist_from_dict``
+:meth:`repro.api.result.FlowResult.to_dict`.  ``netlist_from_dict``
 rebuilds an equivalent netlist object graph, which is what the optimizer uses
 to snapshot the pre-optimization netlist for equivalence checking and what
 lets optimized netlists be cached and diffed as artifacts.

@@ -1,24 +1,43 @@
 """Builders for the Table 1 / Table 2 style reports.
 
-The core renderers take :class:`~repro.flows.compare.ComparisonRow` records
-(one per design) and render a plain-text table that places the reproduced
-numbers next to the numbers published in the paper.  The ``*_from_records``
-variants accept raw sweep metric records from the :mod:`repro.explore`
-engine instead, so the paper tables are just presentations of a sweep (this
-is the path the CLI uses).
+The renderers read metric records — ``FlowResult.to_dict()`` dicts from a
+sweep, its cache or a JSON artifact — indexed by ``(design_name, method)``,
+and render a plain-text table that places the reproduced numbers next to
+the numbers published in the paper.  Each listed design gets one row, in
+``designs`` order (a design listed twice renders twice).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+import math
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.designs.base import DatapathDesign
-from repro.flows.compare import ComparisonRow, rows_from_records
 from repro.report.paper_data import PAPER_TABLE1, PAPER_TABLE2
+from repro.utils.metrics import improvement_pct
 from repro.utils.tables import TextTable
 
+Record = Mapping[str, object]
 
-def table1_report(rows: List[ComparisonRow], include_paper: bool = True) -> str:
+
+def _by_design_method(records: Sequence[Record]) -> Dict[Tuple[str, str], Record]:
+    """Index records by ``(design_name, method)``; a later record wins."""
+    return {(str(r["design_name"]), str(r["method"])): r for r in records}
+
+
+def _mean(values: List[float]) -> Optional[float]:
+    """Mean of the non-NaN values (``None`` if there are none): NaN rows
+    (zero-valued reference metrics) stay visible in the table but must not
+    poison the averages."""
+    finite = [v for v in values if not math.isnan(v)]
+    return sum(finite) / len(finite) if finite else None
+
+
+def table1_report(
+    records: Sequence[Record],
+    designs: Sequence[DatapathDesign],
+    include_paper: bool = True,
+) -> str:
     """Render the timing-optimization comparison (paper Table 1).
 
     Columns: conventional / CSA_OPT / FA_AOT delay and area, the delay
@@ -39,31 +58,31 @@ def table1_report(rows: List[ComparisonRow], include_paper: bool = True) -> str:
     if include_paper:
         headers += ["paper impr conv %", "paper impr csa %"]
     table = TextTable(headers, float_digits=2)
+    index = _by_design_method(records)
 
     improvements_conventional: List[float] = []
     improvements_csa: List[float] = []
-    for row in rows:
-        delay_conv = row.delay("conventional")
-        delay_csa = row.delay("csa_opt")
-        delay_aot = row.delay("fa_aot")
-        # the ComparisonRow helpers NaN-guard a zero-valued reference
-        impr_conv = row.delay_improvement("conventional", "fa_aot")
-        impr_csa = row.delay_improvement("csa_opt", "fa_aot")
+    for design in designs:
+        conv, csa, aot = (
+            index[(design.name, method)] for method in ("conventional", "csa_opt", "fa_aot")
+        )
+        impr_conv = improvement_pct(conv["delay_ns"], aot["delay_ns"])
+        impr_csa = improvement_pct(csa["delay_ns"], aot["delay_ns"])
         improvements_conventional.append(impr_conv)
         improvements_csa.append(impr_csa)
         cells = [
-            row.design.title,
-            delay_conv,
-            delay_csa,
-            delay_aot,
-            row.area("conventional"),
-            row.area("csa_opt"),
-            row.area("fa_aot"),
+            design.title,
+            conv["delay_ns"],
+            csa["delay_ns"],
+            aot["delay_ns"],
+            conv["area"],
+            csa["area"],
+            aot["area"],
             impr_conv,
             impr_csa,
         ]
         if include_paper:
-            paper = PAPER_TABLE1.get(row.design.name)
+            paper = PAPER_TABLE1.get(design.name)
             if paper is None:
                 cells += [None, None]
             else:
@@ -74,13 +93,9 @@ def table1_report(rows: List[ComparisonRow], include_paper: bool = True) -> str:
         table.add_row(cells)
 
     lines = [table.render(title="Table 1 — timing-optimized designs")]
-    # NaN rows (zero-valued reference metrics) stay visible in the table but
-    # must not poison the averages
-    improvements_conventional = [v for v in improvements_conventional if v == v]
-    improvements_csa = [v for v in improvements_csa if v == v]
-    if improvements_conventional and improvements_csa:
-        average_conv = sum(improvements_conventional) / len(improvements_conventional)
-        average_csa = sum(improvements_csa) / len(improvements_csa)
+    average_conv = _mean(improvements_conventional)
+    average_csa = _mean(improvements_csa)
+    if average_conv is not None and average_csa is not None:
         lines.append(
             f"Average FA_AOT delay improvement: {average_conv:.1f}% vs conventional, "
             f"{average_csa:.1f}% vs CSA_OPT (paper: 37.8% / 23.5%)"
@@ -88,22 +103,27 @@ def table1_report(rows: List[ComparisonRow], include_paper: bool = True) -> str:
     return "\n".join(lines)
 
 
-def table2_report(rows: List[ComparisonRow], include_paper: bool = True) -> str:
+def table2_report(
+    records: Sequence[Record],
+    designs: Sequence[DatapathDesign],
+    include_paper: bool = True,
+) -> str:
     """Render the power-optimization comparison (paper Table 2)."""
     headers = ["design", "FA_random E_sw", "FA_ALP E_sw", "impr %"]
     if include_paper:
         headers += ["paper FA_random mW", "paper FA_ALP mW", "paper impr %"]
     table = TextTable(headers, float_digits=2)
+    index = _by_design_method(records)
 
     improvements: List[float] = []
-    for row in rows:
-        random_energy = row.tree_energy("fa_random")
-        alp_energy = row.tree_energy("fa_alp")
-        improvement = row.energy_improvement("fa_random", "fa_alp")
+    for design in designs:
+        random_energy = index[(design.name, "fa_random")]["tree_energy"]
+        alp_energy = index[(design.name, "fa_alp")]["tree_energy"]
+        improvement = improvement_pct(random_energy, alp_energy)
         improvements.append(improvement)
-        cells = [row.design.title, random_energy, alp_energy, improvement]
+        cells = [design.title, random_energy, alp_energy, improvement]
         if include_paper:
-            paper = PAPER_TABLE2.get(row.design.name)
+            paper = PAPER_TABLE2.get(design.name)
             if paper is None:
                 cells += [None, None, None]
             else:
@@ -111,43 +131,10 @@ def table2_report(rows: List[ComparisonRow], include_paper: bool = True) -> str:
         table.add_row(cells)
 
     lines = [table.render(title="Table 2 — power-optimized designs")]
-    improvements = [v for v in improvements if v == v]  # drop NaN rows
-    if improvements:
-        average = sum(improvements) / len(improvements)
+    average = _mean(improvements)
+    if average is not None:
         lines.append(
             f"Average FA_ALP power improvement over FA_random: {average:.1f}% "
             f"(paper: 11.8%)"
         )
     return "\n".join(lines)
-
-
-def table1_from_records(
-    records: Sequence[Mapping[str, object]],
-    designs: Sequence[DatapathDesign],
-    include_paper: bool = True,
-) -> str:
-    """Render Table 1 from sweep metric records (the explore-engine path)."""
-    return table1_report(rows_from_records(records, designs), include_paper=include_paper)
-
-
-def table2_from_records(
-    records: Sequence[Mapping[str, object]],
-    designs: Sequence[DatapathDesign],
-    include_paper: bool = True,
-) -> str:
-    """Render Table 2 from sweep metric records (the explore-engine path)."""
-    return table2_report(rows_from_records(records, designs), include_paper=include_paper)
-
-
-def method_metric_table(
-    results: Dict[str, Dict[str, float]],
-    metric_label: str,
-    title: Optional[str] = None,
-) -> str:
-    """Generic design x method metric table (used by ablation benchmarks)."""
-    methods = sorted({m for per_design in results.values() for m in per_design})
-    table = TextTable(["design"] + methods + [metric_label], float_digits=3)
-    for design_name, per_method in results.items():
-        best = min(per_method.values()) if per_method else 0.0
-        table.add_row([design_name] + [per_method.get(m) for m in methods] + [best])
-    return table.render(title=title)

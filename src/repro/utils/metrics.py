@@ -1,46 +1,17 @@
-"""Metric arithmetic shared by the comparison harness and sweep analysis.
-
-Lives in :mod:`repro.utils` (rather than :mod:`repro.flows.compare`, which
-re-exports it for backwards compatibility) so that the exploration subsystem
-can use it without importing the flow layer.
-"""
+"""Metric arithmetic shared by the paper tables and sweep analysis."""
 
 from __future__ import annotations
 
 from typing import Optional
 
 
-def summary_line(
-    design_name: str,
-    method: str,
-    delay_ns: Optional[float],
-    area: Optional[float],
-    tree_energy: Optional[float],
-    cell_count: int,
-    fa_count: int,
-    ha_count: int,
-) -> str:
-    """The shared one-line result summary format.
+def improvement_pct(reference: Optional[float], improved: Optional[float]) -> float:
+    """Percentage improvement of ``improved`` over ``reference`` (positive = better).
 
-    Used by both ``SynthesisResult.summary`` and ``PointMetrics.summary`` so
-    fresh-run and cached-sweep summaries can never drift apart.  Metrics of
-    skipped analyses (``None``) render as ``n/a``.
+    A zero or missing reference (a constant-folded output, a skipped
+    analysis) or a missing improved value makes the percentage meaningless:
+    the result is ``nan``, which report code renders or skips explicitly.
     """
-
-    def fmt(value: Optional[float], spec: str) -> str:
-        return format(value, spec) if value is not None else "n/a"
-
-    return (
-        f"{design_name:<18} {method:<16} "
-        f"delay={fmt(delay_ns, '6.3f')} ns  "
-        f"area={fmt(area, '9.1f')}  "
-        f"E_tree={fmt(tree_energy, '9.3f')}  "
-        f"cells={cell_count:5d} (FA={fa_count}, HA={ha_count})"
-    )
-
-
-def improvement_pct(reference: float, improved: float) -> float:
-    """Percentage improvement of ``improved`` over ``reference`` (positive = better)."""
-    if reference == 0:
-        return 0.0
+    if not reference or improved is None:
+        return float("nan")
     return 100.0 * (reference - improved) / reference

@@ -9,8 +9,6 @@ from repro.api import (
     STAGE_ORDER,
     Flow,
     FlowConfig,
-    FlowResult,
-    SynthesisResult,
     analysis_names,
     config_field,
     config_fields,
@@ -20,10 +18,8 @@ from repro.api import (
 from repro.designs.registry import get_design, list_designs
 from repro.errors import ConfigError, DesignError
 from repro.explore.cache import CACHE_SCHEMA_VERSION, ResultCache
-from repro.explore.records import PointMetrics
 from repro.explore.spec import SweepPoint, SweepSpec, point_field_names
-from repro.flows.compare import ComparisonRow, compare_methods
-from repro.flows.synthesis import synthesize
+from repro.utils.metrics import improvement_pct
 
 
 class TestFlowConfigSchema:
@@ -103,16 +99,16 @@ class TestFlowConfigSchema:
         assert result.analyses == ("power", "timing")
 
     def test_config_error_is_a_design_error(self):
-        # legacy callers catch DesignError from synthesize()
+        # callers that catch DesignError for a bad knob keep working
         assert issubclass(ConfigError, DesignError)
         with pytest.raises(DesignError):
-            synthesize(get_design("x2"), method="magic")
+            FlowConfig(method="magic")
         with pytest.raises(DesignError):
-            synthesize(get_design("x2"), bogus_knob=True)
+            FlowConfig.from_dict({"bogus_knob": True})
 
     def test_field_metadata_is_complete(self):
         specs = {spec.name: spec for spec in config_fields()}
-        # the schema covers every legacy synthesize() knob
+        # the schema covers every flow knob
         for name in (
             "method", "final_adder", "library", "seed", "multiplier_style",
             "use_csd_coefficients", "multiplication_style",
@@ -125,14 +121,6 @@ class TestFlowConfigSchema:
 
 
 class TestStagedFlow:
-    def test_flow_matches_legacy_synthesize(self):
-        design = get_design("x2")
-        via_flow = Flow(FlowConfig(method="fa_aot")).run(design)
-        via_shim = synthesize(design, method="fa_aot")
-        assert isinstance(via_shim, FlowResult)
-        assert isinstance(via_shim, SynthesisResult)
-        assert via_flow.to_dict() == via_shim.to_dict()
-
     def test_run_accepts_registry_names(self):
         result = Flow().run("x2")
         assert result.design_name == "x2"
@@ -215,7 +203,7 @@ class TestStagedFlow:
         from repro.designs.registry import with_random_probabilities
 
         design = with_random_probabilities(get_design("x2"), seed=5)
-        legacy = synthesize(design, method="fa_alp")
+        legacy = Flow(FlowConfig(method="fa_alp")).run(design)
         via_config = Flow(
             FlowConfig(method="fa_alp", random_probabilities=True, seed=5)
         ).run("x2")
@@ -298,65 +286,28 @@ class TestSchemaDrivenSweep:
 
 
 class TestComparisonGuards:
-    def _row_with(self, reference_value):
-        design = get_design("x2")
-        row = ComparisonRow(design=design)
-        record = {
-            "design_name": "x2",
-            "method": "ref",
-            "final_adder": "cla",
-            "library_name": "generic_035",
-            "output_width": 8,
-            "delay_ns": reference_value,
-            "area": reference_value,
-            "total_energy": 1.0,
-            "tree_energy": reference_value,
-            "cell_count": 1,
-            "fa_count": 0,
-            "ha_count": 0,
-            "max_final_arrival": 0.0,
-        }
-        row.results["ref"] = PointMetrics.from_dict(record)
-        row.results["new"] = PointMetrics.from_dict(
-            dict(record, method="new", delay_ns=1.0, area=1.0, tree_energy=1.0)
-        )
-        return row
-
     def test_zero_reference_returns_nan_not_raise(self):
         import math
 
-        row = self._row_with(0.0)
-        assert math.isnan(row.delay_improvement("ref", "new"))
-        assert math.isnan(row.area_improvement("ref", "new"))
-        assert math.isnan(row.energy_improvement("ref", "new"))
+        assert math.isnan(improvement_pct(0.0, 1.0))
+        assert math.isnan(improvement_pct(0, 0))
 
     def test_none_reference_returns_nan(self):
         import math
 
-        row = self._row_with(None)  # metrics of a skipped analysis
-        assert math.isnan(row.delay_improvement("ref", "new"))
+        # metrics of a skipped analysis
+        assert math.isnan(improvement_pct(None, 1.0))
+        assert math.isnan(improvement_pct(1.0, None))
 
     def test_normal_improvement_unchanged(self):
-        row = self._row_with(2.0)
-        assert row.delay_improvement("ref", "new") == pytest.approx(50.0)
+        assert improvement_pct(2.0, 1.0) == pytest.approx(50.0)
+        assert improvement_pct(2.0, 3.0) == pytest.approx(-50.0)
 
-    def test_point_metrics_tolerates_timing_only_records(self):
-        record = {
-            "design_name": "x2",
-            "method": "fa_aot",
-            "final_adder": "cla",
-            "library_name": "generic_035",
-            "output_width": 8,
-            "delay_ns": 1.5,
-            "cell_count": 10,
-            "fa_count": 1,
-            "ha_count": 1,
-            "max_final_arrival": 1.0,
-        }
-        metrics = PointMetrics.from_dict(record)
-        assert metrics.delay_ns == 1.5
-        assert metrics.area is None and metrics.tree_energy is None
-        assert "n/a" in metrics.summary()
+    def test_timing_only_summary_renders_na(self):
+        result = Flow(FlowConfig(analyses=("timing",))).run("x2")
+        assert result.delay_ns > 0
+        assert result.area is None and result.tree_energy is None
+        assert "n/a" in result.summary()
 
 
 class TestGeneratedCli:

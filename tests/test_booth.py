@@ -102,10 +102,10 @@ class TestBoothThroughTheFlow:
 
     def test_flow_option(self):
         from repro.designs.registry import get_design
-        from repro.flows.synthesis import synthesize
+        from repro.api import Flow, FlowConfig
 
         design = get_design("x2")
-        result = synthesize(design, method="fa_aot", multiplication_style="booth")
+        result = Flow(FlowConfig(method="fa_aot", multiplication_style="booth")).run(design)
         check_equivalence(
             result.netlist,
             result.output_bus,

@@ -66,11 +66,11 @@ class TestStructure:
         """The conventional design is slower than the flattened one on a sum of
         products — the structural weakness the paper exploits."""
         from repro.designs.registry import get_design
-        from repro.flows.synthesis import synthesize
+        from repro.api import Flow, FlowConfig
 
         design = get_design("mixed_products")
-        conventional = synthesize(design, method="conventional", library=library)
-        fa_aot = synthesize(design, method="fa_aot", library=library)
+        conventional = Flow(FlowConfig(method="conventional")).run(design, library=library)
+        fa_aot = Flow(FlowConfig(method="fa_aot")).run(design, library=library)
         assert fa_aot.delay_ns < conventional.delay_ns
 
     def test_balanced_tree_is_not_slower_than_chain(self, library):

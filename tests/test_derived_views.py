@@ -17,7 +17,6 @@ import pytest
 from repro import obs
 from repro.api import Flow, FlowConfig
 from repro.designs.registry import get_design
-from repro.flows.synthesis import synthesize
 from repro.netlist import stats as netlist_stats_module
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
@@ -33,7 +32,7 @@ from repro.timing.arrival import compute_arrival_times
 
 
 def _x2_netlist() -> Netlist:
-    return synthesize(get_design("x2"), method="fa_aot").netlist
+    return Flow(FlowConfig(method="fa_aot")).run(get_design("x2")).netlist
 
 
 def _backend_flow(**kwargs):

@@ -14,15 +14,13 @@ from repro.explore.analysis import (
 )
 from repro.explore.cache import ResultCache
 from repro.explore.engine import execute_point, run_sweep
-from repro.explore.records import PointMetrics
 from repro.explore.spec import SweepPoint, SweepSpec, table1_spec, table2_spec
-from repro.flows.compare import compare_methods, rows_from_records
 from repro.designs.registry import get_design
-from repro.report.tables import table1_report, table2_from_records
+from repro.report.tables import table1_report, table2_report
 
 
 def _record(design="d", method="m", delay=1.0, area=1.0, energy=1.0):
-    """Hand-built metric record with the SynthesisResult.to_dict shape."""
+    """Hand-built metric record with the FlowResult.to_dict shape."""
     return {
         "design_name": design,
         "method": method,
@@ -185,11 +183,11 @@ class TestEngine:
         )
         assert seen == [(1, 2), (2, 2)]
 
-    def test_execute_point_matches_synthesize_metrics(self):
-        from repro.flows.synthesis import synthesize
+    def test_execute_point_matches_flow_metrics(self):
+        from repro.api import Flow, FlowConfig
 
         point = SweepPoint(design="x2", method="fa_aot")
-        direct = synthesize(get_design("x2"), method="fa_aot")
+        direct = Flow(FlowConfig(method="fa_aot")).run(get_design("x2"))
         assert execute_point(point).to_dict() == direct.to_dict()
 
 
@@ -236,37 +234,48 @@ class TestAnalysis:
         assert matrix["d1"]["fast"] == pytest.approx(25.0)
         assert "d2" not in matrix
 
+    def test_improvement_matrix_zero_reference_is_nan(self):
+        # a zero reference has no meaningful percentage: NaN, never 0.0 %
+        import math
 
-class TestRecords:
-    def test_point_metrics_roundtrip(self):
-        record = _record("x2", "fa_aot", delay=1.5)
-        metrics = PointMetrics.from_dict(record)
-        assert metrics.to_dict() == record
-        assert "fa_aot" in metrics.summary()
+        records = [
+            _record("d", "ref", delay=0.0),
+            _record("d", "new", delay=0.0),
+        ]
+        matrix = improvement_matrix(records, "ref", "delay_ns")
+        assert math.isnan(matrix["d"]["ref"])
+        assert math.isnan(matrix["d"]["new"])
 
-    def test_rows_from_records_feed_table_reports(self):
-        # the engine path must render the same Table 1 as the live path
+
+class TestTableReports:
+    def test_table1_reads_live_and_sweep_records_alike(self):
+        # records of fresh flow runs and of a sweep render the same Table 1
+        from repro.api import Flow, FlowConfig
+
         designs = [get_design("x2")]
         live = table1_report(
-            [compare_methods(designs[0], ["conventional", "csa_opt", "fa_aot"])]
+            [
+                Flow(FlowConfig(method=method)).run("x2").to_dict()
+                for method in ("conventional", "csa_opt", "fa_aot")
+            ],
+            designs,
         )
         sweep = run_sweep(table1_spec(["x2"]))
-        via_records = table1_report(rows_from_records(sweep.records, designs))
-        assert via_records == live
+        assert table1_report(sweep.records, designs) == live
 
-    def test_rows_from_records_duplicate_designs(self):
+    def test_table1_duplicate_designs_render_two_rows(self):
         # `table1 --designs x2 x2` must render two full rows, like the
         # legacy per-design loop did
         designs = [get_design("x2"), get_design("x2")]
         sweep = run_sweep(table1_spec(["x2"]))
-        rows = rows_from_records(sweep.records, designs)
-        assert len(rows) == 2
-        assert all(set(row.results) == {"conventional", "csa_opt", "fa_aot"} for row in rows)
-        assert "Table 1" in table1_report(rows)
+        text = table1_report(sweep.records, designs)
+        rows = [line for line in text.splitlines() if line.startswith("X^2")]
+        assert len(rows) == 2 and rows[0] == rows[1]
+        assert "Table 1" in text
 
-    def test_table2_from_records_smoke(self):
+    def test_table2_report_smoke(self):
         sweep = run_sweep(table2_spec(["x2"]))
-        text = table2_from_records(sweep.records, [get_design("x2")])
+        text = table2_report(sweep.records, [get_design("x2")])
         assert "Table 2" in text
 
 

@@ -1,18 +1,20 @@
-"""Tests for the end-to-end synthesis flow and the comparison harness."""
+"""Tests for the end-to-end synthesis flow over every method and knob."""
+
+import math
 
 import pytest
 
+from repro.api import MATRIX_METHODS, SYNTHESIS_METHODS, Flow, FlowConfig
 from repro.designs.registry import get_design
 from repro.errors import DesignError
-from repro.flows.compare import ComparisonRow, compare_methods, comparison_table, improvement_pct
-from repro.flows.synthesis import MATRIX_METHODS, SYNTHESIS_METHODS, synthesize
+from repro.utils.metrics import improvement_pct
 from repro.sim.equivalence import check_equivalence
 
 
 class TestSynthesize:
     @pytest.mark.parametrize("method", sorted(SYNTHESIS_METHODS))
     def test_every_method_is_functionally_correct(self, small_design, method):
-        result = synthesize(small_design, method=method, seed=7)
+        result = Flow(FlowConfig(method=method, seed=7)).run(small_design)
         report = check_equivalence(
             result.netlist,
             result.output_bus,
@@ -25,7 +27,7 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("method", sorted(SYNTHESIS_METHODS))
     def test_every_method_on_subtraction_design(self, subtract_design, method):
-        result = synthesize(subtract_design, method=method, seed=3)
+        result = Flow(FlowConfig(method=method, seed=3)).run(subtract_design)
         check_equivalence(
             result.netlist,
             result.output_bus,
@@ -35,7 +37,7 @@ class TestSynthesize:
         ).assert_ok()
 
     def test_result_fields_populated(self, small_design):
-        result = synthesize(small_design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(small_design)
         assert result.delay_ns > 0
         assert result.area > 0
         assert result.total_energy > 0
@@ -49,14 +51,14 @@ class TestSynthesize:
         assert "delay=" in result.summary()
 
     def test_conventional_result_fields(self, small_design):
-        result = synthesize(small_design, method="conventional")
+        result = Flow(FlowConfig(method="conventional")).run(small_design)
         assert result.compression is None
         assert result.matrix_build is None
         assert result.delay_ns > 0
 
     @pytest.mark.parametrize("final_adder", ["ripple", "cla", "carry_select", "kogge_stone"])
     def test_final_adder_choices(self, small_design, final_adder):
-        result = synthesize(small_design, method="fa_aot", final_adder=final_adder)
+        result = Flow(FlowConfig(method="fa_aot", final_adder=final_adder)).run(small_design)
         check_equivalence(
             result.netlist,
             result.output_bus,
@@ -68,14 +70,14 @@ class TestSynthesize:
 
     def test_unknown_method_rejected(self, small_design):
         with pytest.raises(DesignError):
-            synthesize(small_design, method="magic")
+            Flow(FlowConfig(method="magic")).run(small_design)
 
     def test_unknown_final_adder_rejected(self, small_design):
         with pytest.raises(DesignError):
-            synthesize(small_design, final_adder="magic")
+            Flow(FlowConfig(final_adder="magic")).run(small_design)
 
     def test_csd_option(self, small_design):
-        result = synthesize(small_design, method="fa_aot", use_csd_coefficients=True)
+        result = Flow(FlowConfig(method="fa_aot", use_csd_coefficients=True)).run(small_design)
         check_equivalence(
             result.netlist,
             result.output_bus,
@@ -85,51 +87,33 @@ class TestSynthesize:
         ).assert_ok()
 
     def test_unit_library(self, small_design, unit_lib):
-        result = synthesize(small_design, method="fa_aot", library=unit_lib)
+        result = Flow(FlowConfig(method="fa_aot", library="unit")).run(
+            small_design, library=unit_lib
+        )
         assert result.library_name == "unit"
 
     def test_fa_aot_not_slower_than_arrival_blind_methods(self, small_design):
-        aot = synthesize(small_design, method="fa_aot")
+        aot = Flow(FlowConfig(method="fa_aot")).run(small_design)
         for method in ("wallace", "csa_opt", "conventional"):
-            other = synthesize(small_design, method=method)
+            other = Flow(FlowConfig(method=method)).run(small_design)
             assert aot.delay_ns <= other.delay_ns + 1e-9
 
     def test_fa_alp_not_worse_than_random_on_tree_energy(self):
         from repro.designs.registry import with_random_probabilities
 
         design = with_random_probabilities(get_design("x2_plus_x_plus_y"), seed=5)
-        alp = synthesize(design, method="fa_alp")
-        random_result = synthesize(design, method="fa_random", seed=5)
+        alp = Flow(FlowConfig(method="fa_alp")).run(design)
+        random_result = Flow(FlowConfig(method="fa_random", seed=5)).run(design)
         assert alp.tree_energy <= random_result.tree_energy * 1.02
 
 
 class TestCompare:
-    def test_compare_methods_collects_results(self, small_design):
-        row = compare_methods(small_design, ["fa_aot", "wallace"])
-        assert isinstance(row, ComparisonRow)
-        assert set(row.results) == {"fa_aot", "wallace"}
-        assert row.delay("fa_aot") <= row.delay("wallace") + 1e-9
-        assert row.area("fa_aot") > 0
-        assert row.tree_energy("wallace") > 0
-
     def test_improvements(self, small_design):
-        row = compare_methods(small_design, ["fa_aot", "wallace"])
-        improvement = row.delay_improvement("wallace", "fa_aot")
-        assert improvement >= -1e-9
+        aot = Flow(FlowConfig(method="fa_aot")).run(small_design)
+        wallace = Flow(FlowConfig(method="wallace")).run(small_design)
+        assert improvement_pct(wallace.delay_ns, aot.delay_ns) >= -1e-9
         assert improvement_pct(10.0, 7.5) == pytest.approx(25.0)
-        assert improvement_pct(0.0, 1.0) == 0.0
-        assert row.area_improvement("wallace", "fa_aot") == pytest.approx(
-            improvement_pct(row.area("wallace"), row.area("fa_aot"))
-        )
-        assert row.energy_improvement("wallace", "fa_aot") == pytest.approx(
-            improvement_pct(row.tree_energy("wallace"), row.tree_energy("fa_aot"))
-        )
-
-    def test_comparison_table_renders(self, small_design):
-        row = compare_methods(small_design, ["fa_aot", "wallace"])
-        text = comparison_table([row], ["fa_aot", "wallace"], metric="delay_ns", title="demo")
-        assert "demo" in text
-        assert "fa_aot" in text and "wallace" in text
+        assert math.isnan(improvement_pct(0.0, 1.0))
 
     def test_matrix_methods_subset(self):
         assert set(MATRIX_METHODS) < set(SYNTHESIS_METHODS)
@@ -140,7 +124,7 @@ class TestOptimizedSynthesis:
     @pytest.mark.parametrize("opt_level", [1, 2])
     @pytest.mark.parametrize("method", ["fa_aot", "conventional", "wallace"])
     def test_optimized_flows_stay_equivalent(self, small_design, method, opt_level):
-        result = synthesize(small_design, method=method, opt_level=opt_level)
+        result = Flow(FlowConfig(method=method, opt_level=opt_level)).run(small_design)
         assert result.opt_level == opt_level
         assert result.opt_report is not None
         assert result.opt_report.equivalence is not None
@@ -154,8 +138,8 @@ class TestOptimizedSynthesis:
         ).assert_ok()
 
     def test_opt_level_two_reduces_cells(self, small_design):
-        baseline = synthesize(small_design, method="fa_aot")
-        optimized = synthesize(small_design, method="fa_aot", opt_level=2)
+        baseline = Flow(FlowConfig(method="fa_aot")).run(small_design)
+        optimized = Flow(FlowConfig(method="fa_aot", opt_level=2)).run(small_design)
         assert optimized.cell_count < baseline.cell_count
         assert optimized.area < baseline.area
         assert optimized.pre_opt_stats is not None
@@ -165,7 +149,7 @@ class TestOptimizedSynthesis:
         )
 
     def test_opt_level_zero_matches_legacy(self, small_design):
-        legacy = synthesize(small_design, method="fa_aot")
+        legacy = Flow(FlowConfig(method="fa_aot")).run(small_design)
         assert legacy.opt_level == 0
         assert legacy.opt_report is None
         assert legacy.pre_opt_stats is None
@@ -174,7 +158,7 @@ class TestOptimizedSynthesis:
         assert record["pre_opt_cell_count"] is None
 
     def test_metrics_describe_optimized_netlist(self, small_design):
-        result = synthesize(small_design, method="fa_aot", opt_level=2)
+        result = Flow(FlowConfig(method="fa_aot", opt_level=2)).run(small_design)
         assert result.cell_count == len(result.netlist.cells)
         from repro.netlist.cells import CellType
 
@@ -186,8 +170,4 @@ class TestOptimizedSynthesis:
 
     def test_unknown_opt_level_rejected(self, small_design):
         with pytest.raises(DesignError):
-            synthesize(small_design, opt_level=7)
-
-    def test_compare_with_opt_level(self, small_design):
-        row = compare_methods(small_design, ["fa_aot"], opt_level=2)
-        assert row.results["fa_aot"].opt_level == 2
+            Flow(FlowConfig(opt_level=7)).run(small_design)

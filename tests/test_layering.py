@@ -4,8 +4,8 @@ The lower layers — the netlist model, the technology libraries, the
 expression frontend, the addend matrix, the reduction algorithms, the final
 adders, the analyses, the simulator and the designs — must not import an
 upper layer at module level: not the API, the CLI, the sweep engine, the
-verifier, the placer, the mapper, the optimizer or the legacy flows, and of
-the observability package only the tracer helpers.  A function-local import
+verifier, the placer, the mapper or the optimizer, and of the
+observability package only the tracer helpers.  A function-local import
 is allowed; it runs only when that function does.
 
 The choice tuples ``FlowConfig`` validates against live in
@@ -30,7 +30,7 @@ LOWER_LAYERS = (
     "netlist", "tech", "expr", "bitmatrix", "core", "adders", "timing", "power", "sim", "designs",
 )
 
-UPPER_LAYERS = ("api", "cli", "explore", "verify", "place", "map", "opt", "flows")
+UPPER_LAYERS = ("api", "cli", "explore", "verify", "place", "map", "opt")
 
 
 def _module_level_imports(tree):

@@ -102,7 +102,7 @@ class TestFloatingAndMultiplyDriven:
             validate_netlist(netlist)
 
     def test_optimized_netlists_validate(self, small_design):
-        from repro.flows.synthesis import synthesize
+        from repro.api import Flow, FlowConfig
 
-        result = synthesize(small_design, method="fa_aot", opt_level=2)
+        result = Flow(FlowConfig(method="fa_aot", opt_level=2)).run(small_design)
         assert validate_netlist(result.netlist) is not None

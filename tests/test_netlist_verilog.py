@@ -109,9 +109,9 @@ class TestGoldenEmission:
 
 class TestOptimizedNetlistEmission:
     def test_optimized_netlist_names_all_primary_ios(self, small_design):
-        from repro.flows.synthesis import synthesize
+        from repro.api import Flow, FlowConfig
 
-        result = synthesize(small_design, method="fa_aot", opt_level=2)
+        result = Flow(FlowConfig(method="fa_aot", opt_level=2)).run(small_design)
         assert result.opt_report is not None and result.opt_report.cells_removed > 0
         text = to_verilog(result.netlist, module_name="opt_top")
         header = text[text.index("(") + 1 : text.index(");")]
@@ -123,9 +123,9 @@ class TestOptimizedNetlistEmission:
             assert sanitize(net.name) in ports, f"missing output port for {net.name}"
 
     def test_optimized_netlist_emits_parsable_structure(self, small_design):
-        from repro.flows.synthesis import synthesize
+        from repro.api import Flow, FlowConfig
 
-        result = synthesize(small_design, method="conventional", opt_level=2)
+        result = Flow(FlowConfig(method="conventional", opt_level=2)).run(small_design)
         text = to_verilog(result.netlist)
         opened = len(re.findall(r"^module ", text, re.MULTILINE))
         assert opened == text.count("endmodule")

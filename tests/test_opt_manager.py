@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import Flow, FlowConfig
 from repro.errors import OptimizationError
-from repro.flows.synthesis import synthesize
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
 from repro.opt.base import RewritePass
@@ -59,7 +58,7 @@ class TestDefaultPipeline:
 
 class TestPassManager:
     def test_fixpoint_and_report(self, small_design, library):
-        result = synthesize(small_design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(small_design)
         before_cells = result.netlist.num_cells()
         report = optimize_netlist(
             result.netlist, opt_level=2, library=library, validate=True
@@ -96,7 +95,7 @@ class TestPassManager:
         assert len(shrunk) >= 3, shrunk
 
     def test_opt_level_zero_is_noop(self, small_design):
-        result = synthesize(small_design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(small_design)
         before = result.netlist.to_dict()
         report = optimize_netlist(result.netlist, opt_level=0)
         assert result.netlist.to_dict() == before
@@ -105,7 +104,7 @@ class TestPassManager:
         assert report.converged
 
     def test_check_each_pass(self, small_design):
-        result = synthesize(small_design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(small_design)
         report = optimize_netlist(
             result.netlist, opt_level=2, check_each_pass=True
         )
@@ -121,13 +120,13 @@ class TestPassManager:
                 netlist.replace_net_uses(netlist.nets["x[0]"], netlist.const(0))
                 return 1
 
-        result = synthesize(small_design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(small_design)
         manager = PassManager([BreakingPass()], check_equivalence=True, max_iterations=1)
         with pytest.raises(OptimizationError):
             manager.run(result.netlist)
 
     def test_report_to_dict_and_render(self, small_design, library):
-        result = synthesize(small_design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(small_design)
         report = optimize_netlist(result.netlist, opt_level=2, library=library)
         record = report.to_dict()
         assert record["opt_level"] == 2
@@ -145,14 +144,14 @@ class TestPassManager:
 
 class TestEquivalenceChecker:
     def test_equivalent_copies(self, small_design):
-        netlist = synthesize(small_design, method="fa_aot").netlist
+        netlist = Flow(FlowConfig(method="fa_aot")).run(small_design).netlist
         report = check_netlists_equivalent(netlist, netlist.copy())
         assert report.equivalent
         assert report.exhaustive
         assert report.vectors_checked == 1 << 8
 
     def test_random_sampling_above_limit(self, small_design):
-        netlist = synthesize(small_design, method="fa_aot").netlist
+        netlist = Flow(FlowConfig(method="fa_aot")).run(small_design).netlist
         report = check_netlists_equivalent(
             netlist, netlist.copy(), exhaustive_width_limit=4, random_vector_count=64
         )
@@ -184,7 +183,7 @@ class TestEquivalenceChecker:
             report.assert_ok()
 
     def test_interface_mismatch_rejected(self, small_design):
-        netlist = synthesize(small_design, method="fa_aot").netlist
+        netlist = Flow(FlowConfig(method="fa_aot")).run(small_design).netlist
         other = Netlist("other")
         other.add_input("zzz")
         with pytest.raises(OptimizationError):

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.designs.registry import TABLE1_DESIGN_NAMES, TABLE2_DESIGN_NAMES, get_design
-from repro.flows.compare import compare_methods
+from repro.api import Flow, FlowConfig
 from repro.report.paper_data import (
     PAPER_TABLE1,
     PAPER_TABLE1_AVERAGE_IMPROVEMENT,
     PAPER_TABLE2,
     PAPER_TABLE2_AVERAGE_IMPROVEMENT,
 )
-from repro.report.tables import method_metric_table, table1_report, table2_report
+from repro.report.tables import table1_report, table2_report
 
 
 class TestPaperData:
@@ -47,31 +47,29 @@ class TestPaperData:
         assert average_power == pytest.approx(PAPER_TABLE2_AVERAGE_IMPROVEMENT, abs=2.0)
 
 
+def _records(design_name, methods, **config):
+    """Metric records of ``design_name`` synthesized with every method."""
+    return [
+        Flow(FlowConfig(method=method, **config)).run(design_name).to_dict()
+        for method in methods
+    ]
+
+
 class TestTableBuilders:
     def test_table1_report_renders(self):
-        design = get_design("x2")
-        rows = [compare_methods(design, ["conventional", "csa_opt", "fa_aot"])]
-        text = table1_report(rows)
+        records = _records("x2", ["conventional", "csa_opt", "fa_aot"])
+        text = table1_report(records, [get_design("x2")])
         assert "Table 1" in text
         assert "X^2" in text
         assert "Average FA_AOT delay improvement" in text
 
     def test_table2_report_renders(self):
-        design = get_design("x2")
-        rows = [compare_methods(design, ["fa_random", "fa_alp"], seed=1)]
-        text = table2_report(rows)
+        records = _records("x2", ["fa_random", "fa_alp"], seed=1)
+        text = table2_report(records, [get_design("x2")])
         assert "Table 2" in text
         assert "Average FA_ALP power improvement" in text
 
     def test_reports_without_paper_columns(self):
-        design = get_design("x2")
-        rows = [compare_methods(design, ["conventional", "csa_opt", "fa_aot"])]
-        text = table1_report(rows, include_paper=False)
+        records = _records("x2", ["conventional", "csa_opt", "fa_aot"])
+        text = table1_report(records, [get_design("x2")], include_paper=False)
         assert "paper" not in text.lower().split("average")[0]
-
-    def test_method_metric_table(self):
-        text = method_metric_table(
-            {"x2": {"fa_aot": 1.0, "wallace": 2.0}}, metric_label="best", title="ablation"
-        )
-        assert "ablation" in text
-        assert "fa_aot" in text and "wallace" in text

@@ -4,7 +4,7 @@ import pytest
 
 from repro.designs.registry import get_design
 from repro.errors import SimulationError
-from repro.flows.synthesis import synthesize
+from repro.api import Flow, FlowConfig
 from repro.sim.evaluator import bus_value, evaluate_netlist, evaluate_vectors
 from repro.sim.vectors import exhaustive_vectors, random_vectors
 
@@ -20,7 +20,7 @@ class TestEvaluateVectors:
     @pytest.mark.parametrize("method", ["fa_aot", "wallace", "conventional"])
     def test_bit_exact_vs_per_vector_random(self, method):
         design = get_design("x2_plus_x_plus_y")
-        result = synthesize(design, method=method)
+        result = Flow(FlowConfig(method=method)).run(design)
         vectors = random_vectors(design.signals, 96, seed=11)
         batch = evaluate_vectors(result.netlist, vectors)
         assert batch.count == 96
@@ -30,7 +30,7 @@ class TestEvaluateVectors:
 
     def test_bit_exact_exhaustive(self):
         design = get_design("x2")
-        result = synthesize(design, method="dadda")
+        result = Flow(FlowConfig(method="dadda")).run(design)
         vectors = list(exhaustive_vectors(design.signals))
         batch = evaluate_vectors(result.netlist, vectors)
         assert batch.bus_values(result.output_bus) == _output_values_per_vector(
@@ -39,7 +39,7 @@ class TestEvaluateVectors:
 
     def test_every_net_matches_per_vector(self):
         design = get_design("x2")
-        result = synthesize(design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(design)
         vectors = random_vectors(design.signals, 17, seed=3)
         batch = evaluate_vectors(result.netlist, vectors)
         for k, vector in enumerate(vectors):
@@ -49,20 +49,20 @@ class TestEvaluateVectors:
 
     def test_empty_batch(self):
         design = get_design("x2")
-        result = synthesize(design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(design)
         batch = evaluate_vectors(result.netlist, [])
         assert batch.count == 0
         assert batch.bus_values(result.output_bus) == []
 
     def test_unknown_input_rejected(self):
         design = get_design("x2")
-        result = synthesize(design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(design)
         with pytest.raises(SimulationError):
             evaluate_vectors(result.netlist, [{"bogus": 1}])
 
     def test_missing_inputs_rejected(self):
         design = get_design("x2_plus_x_plus_y")
-        result = synthesize(design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(design)
         with pytest.raises(SimulationError):
             evaluate_vectors(result.netlist, [{"x": 1}])  # 'y' missing
 
@@ -70,13 +70,13 @@ class TestEvaluateVectors:
         # an input present in some vectors but absent in others must raise,
         # matching the per-vector reference behaviour (not silently read 0)
         design = get_design("x2_plus_x_plus_y")
-        result = synthesize(design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(design)
         with pytest.raises(SimulationError):
             evaluate_vectors(result.netlist, [{"x": 1, "y": 1}, {"x": 1}])
 
     def test_net_values_accessor(self):
         design = get_design("x2")
-        result = synthesize(design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(design)
         vectors = random_vectors(design.signals, 5, seed=1)
         batch = evaluate_vectors(result.netlist, vectors)
         net = result.output_bus.nets[0]
@@ -92,7 +92,7 @@ class TestEvaluateVectors:
         # truncated during packing, simulating a different stimulus than
         # the caller asked for
         design = get_design("x2")
-        result = synthesize(design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(design)
         width = result.netlist.input_buses["x"].width
         with pytest.raises(SimulationError, match="does not fit"):
             evaluate_vectors(result.netlist, [{"x": 1 << width}])
@@ -101,7 +101,7 @@ class TestEvaluateVectors:
 
     def test_negative_bus_value_wraps_not_rejected(self):
         design = get_design("x2")
-        result = synthesize(design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(design)
         width = result.netlist.input_buses["x"].width
         batch = evaluate_vectors(result.netlist, [{"x": -1}])
         reference = evaluate_netlist(result.netlist, {"x": (1 << width) - 1})
@@ -116,7 +116,7 @@ class TestEvaluateVectors:
         import time
 
         design = get_design("iir")
-        result = synthesize(design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(design)
         vectors = random_vectors(design.signals, 64, seed=9)
 
         start = time.perf_counter()

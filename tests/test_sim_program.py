@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.designs.registry import get_design, list_designs
 from repro.errors import SimulationError
-from repro.flows.synthesis import synthesize
+from repro.api import Flow, FlowConfig
 from repro.netlist.cells import CellType, cell_output_ports
 from repro.netlist.core import Netlist
 from repro.sim.evaluator import evaluate_netlist
@@ -76,7 +76,7 @@ class TestCompiledProgramSemantics:
     @pytest.mark.parametrize("design_name", list_designs())
     def test_registry_designs_match_interpreter(self, design_name):
         design = get_design(design_name)
-        result = synthesize(design, method="fa_aot")
+        result = Flow(FlowConfig(method="fa_aot")).run(design)
         vectors = random_vectors(design.signals, 16, seed=77)
 
         program = cached_program(result.netlist)
@@ -130,7 +130,7 @@ class TestProgramCache:
 
     def test_one_compile_amortized_over_many_replays(self):
         replays = 120
-        netlist = synthesize(get_design("iir"), method="fa_aot").netlist
+        netlist = Flow(FlowConfig(method="fa_aot")).run(get_design("iir")).netlist
         tracer = obs.Tracer()
         with obs.tracing(tracer):
             programs = {id(cached_program(netlist)) for _ in range(replays)}
@@ -145,7 +145,7 @@ class TestProgramCache:
         from repro.opt.manager import optimize_netlist
 
         design = get_design("x2_plus_x_plus_y")
-        result = synthesize(design, method="wallace")
+        result = Flow(FlowConfig(method="wallace")).run(design)
         netlist = result.netlist
         cached_program(netlist)  # warm the cache pre-mutation
         optimize_netlist(netlist, opt_level=2)
@@ -225,7 +225,7 @@ class TestIncrementalTimingFuzz:
 
         library = generic_035()
         design = get_design(design_name)
-        netlist = synthesize(design, method="fa_aot").netlist
+        netlist = Flow(FlowConfig(method="fa_aot")).run(design).netlist
 
         passes = [
             ConstantFoldPass(),
@@ -267,7 +267,7 @@ class TestIncrementalTimingFuzz:
         from repro.timing.arrival import compute_arrival_times
 
         library = unit_library()
-        netlist = synthesize(get_design(design_name), method="fa_aot").netlist
+        netlist = Flow(FlowConfig(method="fa_aot")).run(get_design(design_name)).netlist
         timing = compute_arrival_times(netlist, library)
         for rewrite_pass in (
             TechnologyMappingPass(resolve_target_library(target)),

@@ -10,7 +10,7 @@ from repro.core.fa_aot import fa_aot
 from repro.designs.registry import get_design
 from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec
-from repro.flows.synthesis import synthesize
+from repro.api import Flow, FlowConfig
 from repro.sim.equivalence import check_equivalence
 from repro.sim.evaluator import bus_value, evaluate_netlist
 
@@ -65,7 +65,7 @@ class TestFoldedSquares:
 
     def test_through_the_flow(self):
         design = get_design("x2")
-        result = synthesize(design, method="fa_aot", fold_square_products=True)
+        result = Flow(FlowConfig(method="fa_aot", fold_square_products=True)).run(design)
         check_equivalence(
             result.netlist,
             result.output_bus,
@@ -73,7 +73,7 @@ class TestFoldedSquares:
             design.signals,
             output_width=design.output_width,
         ).assert_ok()
-        baseline = synthesize(design, method="fa_aot")
+        baseline = Flow(FlowConfig(method="fa_aot")).run(design)
         assert result.cell_count <= baseline.cell_count
         assert result.delay_ns <= baseline.delay_ns + 1e-9
 
