@@ -1,10 +1,12 @@
 """Tests for the end-to-end synthesis flow over every method and knob."""
 
+import json
 import math
 
 import pytest
 
 from repro.api import MATRIX_METHODS, SYNTHESIS_METHODS, Flow, FlowConfig
+from repro.cli import main
 from repro.designs.registry import get_design
 from repro.errors import DesignError
 from repro.utils.metrics import improvement_pct
@@ -108,6 +110,36 @@ class TestSynthesize:
 
 
 class TestCompare:
+    @staticmethod
+    def _compare_records(tmp_path, argv):
+        out = tmp_path / "compare.json"
+        assert main(["compare", *argv, "--json", str(out)]) == 0
+        return json.loads(out.read_text())["results"]
+
+    def test_compare_methods_collects_results(self, tmp_path):
+        # `compare` runs one Flow per method, in the order given, and its
+        # records are exactly those runs' to_dict() records
+        records = self._compare_records(
+            tmp_path, ["--design", "x2", "--methods", "fa_aot", "wallace"]
+        )
+        assert [r["method"] for r in records] == ["fa_aot", "wallace"]
+        for record in records:
+            live = Flow(FlowConfig(method=record["method"])).run("x2").to_dict()
+            assert record == json.loads(json.dumps(live))
+        aot, wallace = records
+        assert aot["delay_ns"] <= wallace["delay_ns"] + 1e-9
+        assert aot["area"] > 0
+        assert wallace["tree_energy"] > 0
+
+    def test_compare_with_opt_level(self, tmp_path):
+        (record,) = self._compare_records(
+            tmp_path, ["--design", "x2", "--methods", "fa_aot", "--opt", "2"]
+        )
+        assert record["opt_level"] == 2
+        assert record["config"]["opt_level"] == 2
+        assert record["opt_cells_removed"] > 0
+        assert record["cell_count"] < record["pre_opt_cell_count"]
+
     def test_improvements(self, small_design):
         aot = Flow(FlowConfig(method="fa_aot")).run(small_design)
         wallace = Flow(FlowConfig(method="wallace")).run(small_design)
