@@ -50,14 +50,16 @@ __getattr__, __dir__ = lazy_exports(
             "sweep_spec_from_args",
         ),
         "repro.api.result": ("FlowResult",),
+        "repro.api.analyses": (
+            "analysis_names",
+            "register_analysis",
+            "unregister_analysis",
+        ),
         "repro.api.stages": (
             "STAGE_ORDER",
             "FlowContext",
-            "analysis_names",
-            "register_analysis",
             "register_stage",
             "stage_names",
-            "unregister_analysis",
         ),
     },
 )

@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.api.analyses import BUILTIN_ANALYSES, analysis_names, analysis_registry_version
 from repro.choices import (
     FINAL_ADDER_KINDS,
     GENERIC_TARGET,
@@ -56,14 +57,13 @@ SYNTHESIS_METHODS = MATRIX_METHODS + ("conventional",)
 #: partial-product generation schemes for the matrix methods
 MULTIPLICATION_STYLES = ("and_array", "booth")
 
-#: the analyses run by default (full analysis, the paper's protocol)
-DEFAULT_ANALYSES = ("timing", "power", "stats")
+#: the analyses run by default: every built-in one (full analysis, the
+#: paper's protocol)
+DEFAULT_ANALYSES = BUILTIN_ANALYSES
 
 
 def _registered_analyses() -> Tuple[str, ...]:
-    """Valid ``analyses`` values; resolved lazily from the stage registry."""
-    from repro.api.stages import analysis_names
-
+    """Valid ``analyses`` values, resolved at call time from the registry."""
     return analysis_names()
 
 
@@ -521,8 +521,6 @@ def config_fields() -> Tuple[FieldSpec, ...]:
     config construction, which sweeps do thousands of times.
     """
     global _SPEC_CACHE
-    from repro.api.stages import analysis_registry_version
-
     version = analysis_registry_version()
     if _SPEC_CACHE is not None and _SPEC_CACHE[0] == version:
         return _SPEC_CACHE[1]

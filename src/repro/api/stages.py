@@ -39,7 +39,10 @@ the generic target never loads them.
 Both registries are open: :func:`register_stage` replaces or adds pipeline
 steps, :func:`register_analysis` adds analysis passes (which immediately
 become valid ``analyses`` values, CLI choices and sweep options, because
-:func:`repro.api.config.config_fields` resolves its choices from here).
+:func:`repro.api.config.config_fields` resolves its choices from the same
+registry).  The analysis registry itself lives in the light
+:mod:`repro.api.analyses`, so resolving those choices never imports this
+module; the built-in passes below register themselves on import.
 """
 
 from __future__ import annotations
@@ -50,6 +53,13 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.adders.factory import build_final_adder
+from repro.api.analyses import (  # noqa: F401 - re-exported registry API
+    analysis,
+    analysis_names,
+    analysis_registry_version,
+    register_analysis,
+    unregister_analysis,
+)
 from repro.bitmatrix.builder import MatrixBuildResult, build_addend_matrix
 from repro.choices import GENERIC_TARGET
 from repro.core.delay_model import FADelayModel
@@ -102,7 +112,6 @@ class FlowContext:
 
 
 StageFn = Callable[[FlowContext], None]
-AnalysisFn = Callable[[FlowContext], object]
 
 #: the default pipeline, in execution order
 STAGE_ORDER = (
@@ -116,18 +125,6 @@ STAGE_ORDER = (
 )
 
 _STAGES: Dict[str, StageFn] = {}
-_ANALYSES: Dict[str, AnalysisFn] = {}  # insertion order = canonical order
-_ANALYSIS_REGISTRY_VERSION = 0  # bumped on every (un)registration
-
-
-def analysis_registry_version() -> int:
-    """Monotonic counter of analysis (un)registrations.
-
-    Lets :func:`repro.api.config.config_fields` memoize its resolved field
-    specs and still see late registrations.
-    """
-    return _ANALYSIS_REGISTRY_VERSION
-
 
 def register_stage(name: str) -> Callable[[StageFn], StageFn]:
     """Decorator: register (or replace) the pipeline stage called ``name``."""
@@ -137,36 +134,6 @@ def register_stage(name: str) -> Callable[[StageFn], StageFn]:
         return fn
 
     return deco
-
-
-def register_analysis(name: str) -> Callable[[AnalysisFn], AnalysisFn]:
-    """Decorator: register an analysis pass under ``name``.
-
-    The pass takes the :class:`FlowContext` and returns its artifact (stored
-    under ``name`` in ``context.artifacts``).  Registered names immediately
-    become valid ``FlowConfig.analyses`` values.
-
-    The registry is process-local.  Parallel sweeps re-validate configs in
-    their worker processes, so with a ``spawn``/``forkserver`` start method
-    a custom analysis must be registered at import time of a module the
-    workers also import (with ``fork``, the default on Linux, workers
-    inherit the parent's registry automatically).
-    """
-
-    def deco(fn: AnalysisFn) -> AnalysisFn:
-        global _ANALYSIS_REGISTRY_VERSION
-        _ANALYSES[name] = fn
-        _ANALYSIS_REGISTRY_VERSION += 1
-        return fn
-
-    return deco
-
-
-def unregister_analysis(name: str) -> None:
-    """Remove a registered analysis pass (mainly for tests/plugins)."""
-    global _ANALYSIS_REGISTRY_VERSION
-    _ANALYSES.pop(name, None)
-    _ANALYSIS_REGISTRY_VERSION += 1
 
 
 def stage(name: str) -> StageFn:
@@ -182,11 +149,6 @@ def stage(name: str) -> StageFn:
 def stage_names() -> Tuple[str, ...]:
     """Names of all registered stages."""
     return tuple(_STAGES)
-
-
-def analysis_names() -> Tuple[str, ...]:
-    """Names of all registered analysis passes, in canonical order."""
-    return tuple(_ANALYSES)
 
 
 def _reduce_matrix(context: FlowContext) -> CompressionResult:
@@ -385,12 +347,7 @@ def place_stage(context: FlowContext) -> None:
 def analyze_stage(context: FlowContext) -> None:
     """Run the analysis passes selected by ``config.analyses``."""
     for name in context.config.analyses:
-        try:
-            fn = _ANALYSES[name]
-        except KeyError:
-            raise ConfigError(
-                f"unknown analysis {name!r}; expected one of {analysis_names()}"
-            )
+        fn = analysis(name)
         with obs.span(f"analyze.{name}", analysis=name):
             start = time.perf_counter()
             context.artifacts[name] = fn(context)

@@ -40,13 +40,7 @@ from repro.map.targets import (
     basis_of,
     resolve_target_library,
 )
-from repro.map.templates import (
-    MapTemplate,
-    materialize_template,
-    template_area,
-    template_arrivals,
-    templates_for,
-)
+from repro.map.templates import CompiledTemplate, compile_template, templates_for
 from repro.netlist.cells import cell_input_ports, cell_output_ports
 from repro.netlist.core import Net, Netlist
 from repro.netlist.stats import netlist_stats
@@ -75,24 +69,26 @@ class TechnologyMappingPass(RewritePass):
         self.basis = basis_of(library)
         #: template name -> number of applications (accumulated across runs)
         self.template_counts: Dict[str, int] = {}
-        #: per cell type: the applicable (template, area) pairs — candidates
-        #: and areas depend only on (cell type, library), so they are
-        #: computed once here instead of once per covered cell
-        self._candidate_cache: Dict[object, List[Tuple[MapTemplate, float]]] = {}
+        #: per cell type: the applicable templates, verified and compiled
+        #: against the library — they depend only on (cell type, library),
+        #: so they are built once here instead of once per covered cell
+        self._candidate_cache: Dict[object, List[CompiledTemplate]] = {}
+        #: per kept cell type: ``(output port, per-input-port arc delays)``
+        self._kept_arcs: Dict[object, Tuple[Tuple[str, Tuple[float, ...]], ...]] = {}
         #: (cell type, per-port input-arrival tuple) -> (winner, out arrivals);
         #: scoring is a pure function of that key for a fixed library and
         #: objective, and compressor trees present the same few arrival
         #: profiles over and over, so most covers are cache hits
         self._score_cache: Dict[
-            Tuple, Tuple[MapTemplate, Dict[str, float]]
+            Tuple, Tuple[CompiledTemplate, Dict[str, float]]
         ] = {}
 
     # ------------------------------------------------------------- selection
 
-    def _candidates(self, cell_type) -> List[Tuple[MapTemplate, float]]:
+    def _candidates(self, cell_type) -> List[CompiledTemplate]:
         if cell_type not in self._candidate_cache:
             self._candidate_cache[cell_type] = [
-                (template, template_area(template, self.library))
+                compile_template(template, self.library)
                 for template in templates_for(cell_type)
                 if template.gates() <= self.basis
             ]
@@ -105,30 +101,44 @@ class TechnologyMappingPass(RewritePass):
             )
         return candidates
 
+    def _kept_arcs_of(self, cell_type) -> Tuple[Tuple[str, Tuple[float, ...]], ...]:
+        arcs = self._kept_arcs.get(cell_type)
+        if arcs is None:
+            in_ports = cell_input_ports(cell_type)
+            arcs = self._kept_arcs[cell_type] = tuple(
+                (out_port, tuple(self.library.delay(cell_type, port, out_port) for port in in_ports))
+                for out_port in cell_output_ports(cell_type)
+            )
+        return arcs
+
     def _choose(
         self,
-        candidates: List[Tuple[MapTemplate, float]],
-        input_arrivals: Dict[str, float],
-    ) -> Tuple[MapTemplate, Dict[str, float]]:
-        """Score every candidate and return (winner, its output arrivals)."""
+        candidates: List[CompiledTemplate],
+        input_arrivals: Tuple[float, ...],
+    ) -> Tuple[CompiledTemplate, Dict[str, float]]:
+        """Score every candidate and return (winner, its output arrivals).
+
+        ``input_arrivals`` holds the arrival of each source input port, in
+        port order.
+        """
         scored = []
-        for template, area in candidates:
-            arrivals = template_arrivals(template, self.library, input_arrivals)
+        for compiled in candidates:
+            arrivals = compiled.arrivals(input_arrivals)
             worst = max(arrivals.values())
-            scored.append((template, area, worst, arrivals))
+            scored.append((compiled, compiled.area, worst, arrivals))
         if self.objective == "area":
-            key = lambda entry: (entry[1], entry[2], entry[0].name)  # noqa: E731
+            key = lambda entry: (entry[1], entry[2], entry[0].template.name)  # noqa: E731
         elif self.objective == "delay":
-            key = lambda entry: (entry[2], entry[1], entry[0].name)  # noqa: E731
+            key = lambda entry: (entry[2], entry[1], entry[0].template.name)  # noqa: E731
         else:  # balanced
             min_area = min(entry[1] for entry in scored)
             min_delay = min(entry[2] for entry in scored)
             key = lambda entry: (  # noqa: E731
                 entry[1] / min_area + entry[2] / min_delay,
-                entry[0].name,
+                entry[0].template.name,
             )
-        template, _, _, arrivals = min(scored, key=key)
-        return template, arrivals
+        compiled, _, _, arrivals = min(scored, key=key)
+        return compiled, arrivals
 
     # ------------------------------------------------------------- the sweep
 
@@ -164,41 +174,43 @@ class TechnologyMappingPass(RewritePass):
         # primary-output nets are never consumed by later sweep steps
         arrivals: Dict[str, float] = {}
         for cell in netlist.topological_cells():
-            in_ports = cell_input_ports(cell.cell_type)
-            input_arrivals = {
-                port: self._input_arrival(cell.inputs[port], arrivals)
-                for port in in_ports
-            }
-            if cell.cell_type in self.basis:
+            cell_type = cell.cell_type
+            inputs = cell.inputs
+            profile = []
+            for port in cell_input_ports(cell_type):
+                net = inputs[port]
+                # the sweep's own estimates are read inline; the rest are
+                # primary inputs and constants
+                arrival = arrivals.get(net.name)
+                if arrival is None:
+                    arrival = self._input_arrival(net, arrivals)
+                profile.append(arrival)
+            if cell_type in basis:
                 # kept cell: extend the arrival estimates and move on
-                for out_port in cell_output_ports(cell.cell_type):
-                    arrivals[cell.outputs[out_port].name] = max(
-                        input_arrivals[port]
-                        + self.library.delay(cell.cell_type, port, out_port)
-                        for port in in_ports
+                outputs = cell.outputs
+                for out_port, delays in self._kept_arcs_of(cell_type):
+                    arrivals[outputs[out_port].name] = max(
+                        arrival + delay for arrival, delay in zip(profile, delays)
                     )
                 continue
-            score_key = (
-                cell.cell_type,
-                tuple(input_arrivals[port] for port in in_ports),
-            )
+            profile = tuple(profile)
+            score_key = (cell_type, profile)
             cached = self._score_cache.get(score_key)
             if cached is None:
-                candidates = self._candidates(cell.cell_type)
-                cached = self._choose(candidates, input_arrivals)
+                candidates = self._candidates(cell_type)
+                cached = self._choose(candidates, profile)
                 self._score_cache[score_key] = cached
                 obs.counter("map.candidates_evaluated", len(candidates))
             else:
                 obs.counter("map.score_cache_hits")
-            template, out_arrivals = cached
+            compiled, out_arrivals = cached
             obs.counter("map.cells_covered")
-            replacements = materialize_template(netlist, template, cell)
+            replacements = compiled.materialize(netlist, cell)
             for port, net in replacements.items():
                 arrivals[net.name] = out_arrivals[port]
             self.touched_nets |= retire_cell(netlist, cell, replacements)
-            self.template_counts[template.name] = (
-                self.template_counts.get(template.name, 0) + 1
-            )
+            name = compiled.template.name
+            self.template_counts[name] = self.template_counts.get(name, 0) + 1
             changed += 1
         return changed
 

@@ -10,8 +10,10 @@ same node list drives
   function can never be applied);
 * cost estimation (:func:`template_area` / :func:`template_arrivals` walk
   the node list against a target library's areas and pin-to-pin arcs);
-* materialization (:func:`materialize_template` instantiates the nodes as
-  real cells in a netlist).
+* application: :func:`compile_template` turns the node list into
+  slot-indexed arc and binding tables for one library
+  (:class:`CompiledTemplate`), which the covering pass scores candidates
+  with and materializes the winner from, as real cells in a netlist.
 
 Node inputs are *refs*: an input port name of the source cell (``"a"``,
 ``"cin"``, ...), the id of an earlier node, or a constant ``"0"`` / ``"1"``.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro.errors import MappingError
 from repro.netlist.cells import (
@@ -200,27 +202,89 @@ def template_arrivals(
     return {port: arrivals[ref] for port, ref in template.outputs.items()}
 
 
-# ------------------------------------------------------------ materialization
+# ---------------------------------------------------- compiled applications
 
 
-def materialize_template(
-    netlist: Netlist, template: MapTemplate, cell: Cell
-) -> Dict[str, Net]:
-    """Instantiate the template next to ``cell`` and return its output nets.
+@dataclass(frozen=True)
+class CompiledTemplate:
+    """One template priced for one target library, with its binding plan.
 
-    The caller retires ``cell`` afterwards (``repro.opt.base.retire_cell``),
-    rerouting its readers onto the returned nets.  The template is
-    :func:`verify_template`-checked before anything is built.
+    Slots number the values an application handles: the source cell's input
+    ports in :func:`cell_input_ports` order, then the constants ``0`` and
+    ``1``, then one slot per node in node order.  :meth:`arrivals` and
+    :meth:`materialize` follow the slot tables instead of resolving refs by
+    name; they agree exactly with :func:`template_arrivals` and the node
+    walk the tables are compiled from.
     """
+
+    template: MapTemplate
+    area: float
+    #: per node: ``((input slot, arc delay), ...)`` in gate-port order
+    arcs: Tuple[Tuple[Tuple[int, float], ...], ...]
+    #: per node: ``(gate, ((gate port, input slot), ...))``
+    plan: Tuple[Tuple[CellType, Tuple[Tuple[str, int], ...]], ...]
+    #: ``(source output port, slot)`` in ``template.outputs`` order
+    outputs: Tuple[Tuple[str, int], ...]
+
+    def arrivals(self, input_arrivals: Sequence[float]) -> Dict[str, float]:
+        """:func:`template_arrivals` for per-port input arrivals in port order."""
+        values = list(input_arrivals)
+        values += (0.0, 0.0)
+        for arcs in self.arcs:
+            slot, delay = arcs[0]
+            best = values[slot] + delay
+            for slot, delay in arcs[1:]:
+                arrival = values[slot] + delay
+                if arrival > best:
+                    best = arrival
+            values.append(best)
+        return {port: values[slot] for port, slot in self.outputs}
+
+    def materialize(self, netlist: Netlist, cell: Cell) -> Dict[str, Net]:
+        """Instantiate the template next to ``cell`` and return its output nets.
+
+        The caller retires ``cell`` afterwards (``repro.opt.base.retire_cell``),
+        rerouting its readers onto the returned nets.
+        """
+        inputs = cell.inputs
+        nets = [inputs[port] for port in cell_input_ports(self.template.source)]
+        nets += (netlist.const(0), netlist.const(1))
+        add_cell = netlist.add_cell
+        for gate, binding in self.plan:
+            bound = {port: nets[slot] for port, slot in binding}
+            nets.append(add_cell(gate, bound).outputs["y"])
+        return {port: nets[slot] for port, slot in self.outputs}
+
+
+def compile_template(template: MapTemplate, library: TechLibrary) -> CompiledTemplate:
+    """Verify ``template`` and compile its slot tables against ``library``."""
     verify_template(template)
-    nets: Dict[str, Net] = {"0": netlist.const(0), "1": netlist.const(1)}
-    for port in cell_input_ports(template.source):
-        nets[port] = cell.inputs[port]
+    slots = {
+        ref: slot
+        for slot, ref in enumerate(
+            cell_input_ports(template.source)
+            + ("0", "1")
+            + tuple(node.node for node in template.nodes)
+        )
+    }
+    arcs = []
+    plan = []
     for node in template.nodes:
-        ports = cell_input_ports(node.gate)
-        bindings = {port: nets[ref] for port, ref in zip(ports, node.ins)}
-        nets[node.node] = netlist.add_cell(node.gate, bindings).outputs["y"]
-    return {port: nets[ref] for port, ref in template.outputs.items()}
+        binding = tuple(
+            (port, slots[ref])
+            for port, ref in zip(cell_input_ports(node.gate), node.ins)
+        )
+        arcs.append(
+            tuple((slot, library.delay(node.gate, port, "y")) for port, slot in binding)
+        )
+        plan.append((node.gate, binding))
+    return CompiledTemplate(
+        template=template,
+        area=template_area(template, library),
+        arcs=tuple(arcs),
+        plan=tuple(plan),
+        outputs=tuple((port, slots[ref]) for port, ref in template.outputs.items()),
+    )
 
 
 # -------------------------------------------------------------- the registry

@@ -80,14 +80,19 @@ def build_clock_tree(netlist: Netlist, placement: Placement) -> ClockTree:
         return tree
     root = ((min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0)
     sink_ids = range(len(names))
-    by_x = sorted(sink_ids, key=lambda i: (xs[i], names[i]))
-    by_y = sorted(sink_ids, key=lambda i: (ys[i], names[i]))
+    by_x = sorted(sink_ids, key=list(zip(xs, names)).__getitem__)
+    by_y = sorted(sink_ids, key=list(zip(ys, names)).__getitem__)
 
-    def centroid(points: List[int]) -> Tuple[float, float]:
-        return (
-            sum(xs[i] for i in points) / len(points),
-            sum(ys[i] for i in points) / len(points),
-        )
+    x_of, y_of = xs.__getitem__, ys.__getitem__
+    # every subtree order is a subsequence of the full sort, so a sink falls
+    # in the low half of a split exactly when its rank in the full order is
+    # below the median's: one rank array per axis serves every split
+    rank_x = [0] * len(names)
+    rank_y = [0] * len(names)
+    for rank, (i, j) in enumerate(zip(by_x, by_y)):
+        rank_x[i] = rank
+        rank_y[j] = rank
+    insertion_delays = tree.insertion_delays
 
     def recurse(
         tap: Tuple[float, float],
@@ -97,28 +102,32 @@ def build_clock_tree(netlist: Netlist, placement: Placement) -> ClockTree:
         delay: float,
         depth: int,
     ) -> None:
-        tree.levels = max(tree.levels, depth)
+        if depth > tree.levels:
+            tree.levels = depth
+        tap_x, tap_y = tap
         if len(points) <= LEAF_SINKS:
             for i in points:
-                stub = abs(xs[i] - tap[0]) + abs(ys[i] - tap[1])
+                stub = abs(xs[i] - tap_x) + abs(ys[i] - tap_y)
                 tree.total_wire += stub
-                tree.insertion_delays[names[i]] = round(
+                insertion_delays[names[i]] = round(
                     delay + stub * CLOCK_WIRE_DELAY_NS_PER_SITE, 9
                 )
             return
         # bisect at the median of the wider axis (the H-tree alternation
         # emerges naturally: splitting shrinks that axis for the children)
         split_x = xs[by_x[-1]] - xs[by_x[0]] >= ys[by_y[-1]] - ys[by_y[0]]
-        ordered, other = (by_x, by_y) if split_x else (by_y, by_x)
-        half = len(ordered) // 2
-        low = set(ordered[:half])
-        halves = (
-            (ordered[:half], [i for i in other if i in low]),
-            (ordered[half:], [i for i in other if i not in low]),
+        ordered, other, rank = (
+            (by_x, by_y, rank_x) if split_x else (by_y, by_x, rank_y)
         )
-        for part, part_other in halves:
-            child = centroid(part)
-            trunk = abs(child[0] - tap[0]) + abs(child[1] - tap[1])
+        half = len(ordered) // 2
+        low, high = ordered[:half], ordered[half:]
+        median = rank[high[0]]
+        low_other = [i for i in other if rank[i] < median]
+        high_other = [i for i in other if rank[i] >= median]
+        for part, part_other in ((low, low_other), (high, high_other)):
+            size = len(part)
+            child = (sum(map(x_of, part)) / size, sum(map(y_of, part)) / size)
+            trunk = abs(child[0] - tap_x) + abs(child[1] - tap_y)
             tree.total_wire += trunk
             recurse(
                 child,

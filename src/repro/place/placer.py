@@ -144,20 +144,32 @@ def _build_pin_table(netlist: Netlist) -> PinTable:
         for ports in (cell.inputs, cell.outputs):
             for port, net in ports.items():
                 dx, dy = offsets[port]
-                pins.setdefault(net.name, []).append((i, dx, dy))
-    nets = [(name, tuple(plist)) for name, plist in pins.items() if len(plist) >= 2]
+                plist = pins.get(net.name)
+                if plist is None:
+                    pins[net.name] = [(i, dx, dy)]
+                else:
+                    plist.append((i, dx, dy))
+    net_names = []
+    net_pins = []
     cell_nets: List[List[int]] = [[] for _ in cells]
-    for k, (_, plist) in enumerate(nets):
+    for name, plist in pins.items():
+        if len(plist) < 2:
+            continue
+        k = len(net_pins)
+        net_names.append(name)
+        net_pins.append(tuple(plist))
         for i, _, _ in plist:
-            if not cell_nets[i] or cell_nets[i][-1] != k:
-                cell_nets[i].append(k)
+            nets = cell_nets[i]
+            if not nets or nets[-1] != k:
+                nets.append(k)
+    cell_defs = netlist.cells
     return PinTable(
         cells=cells,
         index=index,
-        widths=tuple(footprint(netlist.cells[name].cell_type) for name in cells),
-        net_names=tuple(name for name, _ in nets),
-        net_pins=tuple(plist for _, plist in nets),
-        cell_nets=tuple(tuple(k) for k in cell_nets),
+        widths=tuple(footprint(cell_defs[name].cell_type) for name in cells),
+        net_names=tuple(net_names),
+        net_pins=tuple(net_pins),
+        cell_nets=tuple(map(tuple, cell_nets)),
     )
 
 
@@ -175,39 +187,42 @@ def pin_table(netlist: Netlist) -> PinTable:
     return table  # type: ignore[return-value]
 
 
-def _bbox(
-    pins: Tuple[Tuple[int, float, float], ...], rows: List[int], cols: List[int]
-) -> Tuple[float, float, float, float]:
-    """``(min_x, max_x, min_y, max_y)`` of one net's placed pins."""
-    first, dx, dy = pins[0]
-    min_x = max_x = cols[first] + dx
-    min_y = max_y = rows[first] + dy
-    for cell, dx, dy in pins[1:]:
-        x, y = cols[cell] + dx, rows[cell] + dy
-        if x < min_x:
-            min_x = x
-        elif x > max_x:
-            max_x = x
-        if y < min_y:
-            min_y = y
-        elif y > max_y:
-            max_y = y
-    return min_x, max_x, min_y, max_y
+def net_boxes(
+    table: PinTable, rows: List[int], cols: List[int]
+) -> List[Tuple[float, float, float, float]]:
+    """``(min_x, max_x, min_y, max_y)`` of each table net's placed pins."""
+    boxes = []
+    for pins in table.net_pins:
+        cell, dx, dy = pins[0]
+        min_x = max_x = cols[cell] + dx
+        min_y = max_y = rows[cell] + dy
+        for cell, dx, dy in pins[1:]:
+            x = cols[cell] + dx
+            y = rows[cell] + dy
+            if x < min_x:
+                min_x = x
+            elif x > max_x:
+                max_x = x
+            if y < min_y:
+                min_y = y
+            elif y > max_y:
+                max_y = y
+        boxes.append((min_x, max_x, min_y, max_y))
+    return boxes
 
 
-def _hpwl(
-    pins: Tuple[Tuple[int, float, float], ...], rows: List[int], cols: List[int]
-) -> float:
-    """Half-perimeter of the bounding box of one net's pins."""
-    min_x, max_x, min_y, max_y = _bbox(pins, rows, cols)
-    return (max_x - min_x) + (max_y - min_y)
+def net_hpwls(table: PinTable, rows: List[int], cols: List[int]) -> List[float]:
+    """Half-perimeter wirelength of each table net, in site units."""
+    return [
+        (max_x - min_x) + (max_y - min_y)
+        for min_x, max_x, min_y, max_y in net_boxes(table, rows, cols)
+    ]
 
 
 def total_hpwl(netlist: Netlist, placement: Placement) -> float:
     """Total half-perimeter wirelength of a placement, in site units."""
     table = pin_table(netlist)
-    rows, cols = table.positions(placement)
-    return sum(_hpwl(pins, rows, cols) for pins in table.net_pins)
+    return sum(net_hpwls(table, *table.positions(placement)))
 
 
 def anneal(
@@ -232,7 +247,7 @@ def anneal(
             occupancy[row][col + offset] = cell
     net_pins = table.net_pins
     cell_nets = table.cell_nets
-    net_cost = [_hpwl(pins, rows, cols) for pins in net_pins]
+    net_cost = net_hpwls(table, rows, cols)
     total = sum(net_cost)
     stats = AnnealStats(initial_hpwl=round(total, 6))
 
@@ -243,22 +258,19 @@ def anneal(
         by_width.setdefault(widths[cell], []).append(cell)
 
     rng = random.Random(seed)
+    random_, randrange, exp = rng.random, rng.randrange, math.exp
+    fabric_rows, fabric_cols = fabric.rows, fabric.cols
     t_start = max(_T_END, _T_START_SCALE * total / max(1, len(net_pins)))
     decay = (_T_END / t_start) ** (1.0 / max(1, iters))
     temperature = t_start
 
-    def trial(nets: List[int]) -> Tuple[List[float], float]:
-        """New costs of ``nets`` at the moved positions, and the cost change."""
-        costs = [_hpwl(net_pins[k], rows, cols) for k in nets]
-        return costs, sum(new - net_cost[k] for new, k in zip(costs, nets))
-
+    accepted = swaps = 0
     for _ in range(iters):
-        stats.moves += 1
-        if count >= 2 and rng.random() < 0.5:
+        if count >= 2 and random_() < 0.5:
             # swap two equal-footprint cells
-            a = rng.randrange(count)
+            a = randrange(count)
             group = by_width[widths[a]]
-            b = group[rng.randrange(len(group))]
+            b = group[randrange(len(group))]
             if a == b:
                 temperature *= decay
                 continue
@@ -267,48 +279,68 @@ def anneal(
             nets_a = cell_nets[a]
             nets = list(nets_a)
             nets.extend(k for k in cell_nets[b] if k not in nets_a)
-            costs, delta = trial(nets)
-            if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                for k, cost in zip(nets, costs):
-                    net_cost[k] = cost
+        else:
+            # relocate one cell to a random free span
+            a = randrange(count)
+            width = widths[a]
+            row = randrange(fabric_rows)
+            col = randrange(fabric_cols - width + 1)
+            row_sites = occupancy[row]
+            if any(row_sites[col + offset] not in (-1, a) for offset in range(width)):
+                temperature *= decay
+                continue
+            b = -1
+            old_row, old_col = rows[a], cols[a]
+            rows[a], cols[a] = row, col
+            nets = cell_nets[a]
+        # the trial: re-price the touched nets (``net_boxes`` inlined) and
+        # sum the change in the order ``sum()`` would
+        costs = []
+        delta = 0
+        for k in nets:
+            pins = net_pins[k]
+            cell, dx, dy = pins[0]
+            min_x = max_x = cols[cell] + dx
+            min_y = max_y = rows[cell] + dy
+            for cell, dx, dy in pins[1:]:
+                x = cols[cell] + dx
+                y = rows[cell] + dy
+                if x < min_x:
+                    min_x = x
+                elif x > max_x:
+                    max_x = x
+                if y < min_y:
+                    min_y = y
+                elif y > max_y:
+                    max_y = y
+            cost = (max_x - min_x) + (max_y - min_y)
+            costs.append(cost)
+            delta += cost - net_cost[k]
+        if delta <= 0.0 or random_() < exp(-delta / temperature):
+            for k, cost in zip(nets, costs):
+                net_cost[k] = cost
+            accepted += 1
+            if b >= 0:
                 for offset in range(widths[a]):
                     occupancy[row_a][col_a + offset] = b
                     occupancy[row_b][col_b + offset] = a
-                stats.accepted += 1
-                stats.swaps += 1
+                swaps += 1
             else:
-                rows[a], cols[a], rows[b], cols[b] = row_a, col_a, row_b, col_b
-        else:
-            # relocate one cell to a random free span
-            cell = rng.randrange(count)
-            width = widths[cell]
-            row = rng.randrange(fabric.rows)
-            col = rng.randrange(fabric.cols - width + 1)
-            row_sites = occupancy[row]
-            if any(
-                row_sites[col + offset] not in (-1, cell) for offset in range(width)
-            ):
-                temperature *= decay
-                continue
-            old_row, old_col = rows[cell], cols[cell]
-            rows[cell], cols[cell] = row, col
-            nets = cell_nets[cell]
-            costs, delta = trial(nets)
-            if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                for k, cost in zip(nets, costs):
-                    net_cost[k] = cost
                 # free the old span before taking the new one: the two
                 # overlap when the cell slides along its own row
                 for offset in range(width):
                     occupancy[old_row][old_col + offset] = -1
                 for offset in range(width):
-                    row_sites[col + offset] = cell
-                stats.accepted += 1
-                stats.relocations += 1
-            else:
-                rows[cell], cols[cell] = old_row, old_col
+                    row_sites[col + offset] = a
+        elif b >= 0:
+            rows[a], cols[a], rows[b], cols[b] = row_a, col_a, row_b, col_b
+        else:
+            rows[a], cols[a] = old_row, old_col
         temperature *= decay
 
+    stats.moves = max(0, iters)
+    stats.accepted, stats.swaps = accepted, swaps
+    stats.relocations = accepted - swaps
     for cell, name in enumerate(table.cells):
         origins[name] = (rows[cell], cols[cell])
     stats.final_hpwl = round(sum(net_cost), 6)

@@ -7,6 +7,10 @@ derive the downstream physical views — per-net wire delays (fed into
 wire-aware static timing), the congestion map and the H-tree clock network.  The
 returned :class:`PlaceResult` carries the placement object, the wire-delay
 map and the summary :class:`~repro.place.report.PlaceReport`.
+
+Each step runs in its own span (``place.anneal`` with the move and accept
+counts, ``place.validate``, ``place.wires`` and ``place.cts``); with no
+tracer installed the spans are no-ops.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+from repro import obs
 from repro.place.cts import build_clock_tree
 from repro.place.fabric import FabricGrid, auto_size, site_demand
 from repro.place.placer import AnnealStats, Placement, anneal, greedy_initial_placement
@@ -67,13 +72,19 @@ def place_netlist(
             cols=cols if cols is not None else sized.cols,
         )
     placement = greedy_initial_placement(netlist, fabric)
-    stats = anneal(netlist, placement, seed=seed, iters=iters)
-    findings = validate_placement(netlist, placement)
-    check_placement(netlist, placement, findings)
+    with obs.span("place.anneal", iters=iters) as anneal_span:
+        stats = anneal(netlist, placement, seed=seed, iters=iters)
+        anneal_span.set(moves=stats.moves, accepted=stats.accepted)
+    with obs.span("place.validate"):
+        findings = validate_placement(netlist, placement)
+        check_placement(netlist, placement, findings)
 
-    # read-only, so wire-aware STA memoizes on it (see compute_arrival_times)
-    delays = MappingProxyType(wire_delays(netlist, placement))
-    tree = build_clock_tree(netlist, placement)
+    with obs.span("place.wires"):
+        # read-only, so wire-aware STA memoizes on it (see compute_arrival_times)
+        delays = MappingProxyType(wire_delays(netlist, placement))
+        congestion = congestion_map(netlist, placement)
+    with obs.span("place.cts"):
+        tree = build_clock_tree(netlist, placement)
     pre_delay = post_delay = None
     if library is not None:
         from repro.timing.arrival import compute_arrival_times
@@ -92,7 +103,7 @@ def place_netlist(
         accepted=stats.accepted,
         initial_hpwl=stats.initial_hpwl,
         total_hpwl=stats.final_hpwl,
-        congestion=congestion_map(netlist, placement),
+        congestion=congestion,
         pre_place_delay_ns=pre_delay,
         post_place_delay_ns=post_delay,
         cts=tree.to_dict(),

@@ -14,7 +14,7 @@ on the first sweep, for use as a hard gate inside the flow stage.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import PlaceError
 from repro.netlist.core import Netlist
@@ -31,26 +31,33 @@ def validate_placement(netlist: Netlist, placement: Placement) -> List[str]:
     for name in sorted(set(placement.origins) - set(netlist.cells)):
         findings.append(f"placement names unknown cell {name!r}")
 
-    sites: Dict[Tuple[int, int], str] = {}
-    for name in sorted(placement.origins):
-        if name not in netlist.cells:
+    #: occupied in-bounds sites, keyed ``row * cols + col``
+    sites: Dict[int, str] = {}
+    cells = netlist.cells
+    origins = placement.origins
+    rows, cols = fabric.rows, fabric.cols
+    for name in sorted(origins):
+        cell = cells.get(name)
+        if cell is None:
             continue
-        row, col = placement.origins[name]
-        width = footprint(netlist.cells[name].cell_type)
-        if not fabric.fits(netlist.cells[name].cell_type, row, col):
+        row, col = origins[name]
+        width = footprint(cell.cell_type)
+        # ``fabric.fits`` inlined
+        if not (0 <= row < rows and 0 <= col and col + width <= cols):
             findings.append(
                 f"cell {name!r} at ({row}, {col}) x{width} exceeds the "
-                f"{fabric.rows}x{fabric.cols} fabric"
+                f"{rows}x{cols} fabric"
             )
             continue
-        for offset in range(width):
-            site = (row, col + offset)
-            if site in sites:
-                findings.append(
-                    f"cells {sites[site]!r} and {name!r} overlap at site {site}"
-                )
-            else:
+        base = row * cols + col
+        for site in range(base, base + width):
+            other = sites.get(site)
+            if other is None:
                 sites[site] = name
+            else:
+                findings.append(
+                    f"cells {other!r} and {name!r} overlap at site {divmod(site, cols)}"
+                )
     return findings
 
 

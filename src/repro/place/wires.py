@@ -15,11 +15,11 @@ standard probabilistic routing-demand proxy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.netlist.core import Netlist
 from repro.place.fabric import WIRE_DELAY_NS_PER_SITE
-from repro.place.placer import Placement, _bbox, _hpwl, pin_table
+from repro.place.placer import Placement, net_boxes, net_hpwls, pin_table
 
 #: bins per fabric edge in the congestion map (grid is BINS x BINS)
 CONGESTION_BINS = 4
@@ -31,11 +31,10 @@ CONGESTION_HOTSPOTS = 3
 def net_lengths(netlist: Netlist, placement: Placement) -> Dict[str, float]:
     """Per-net HPWL in site units (nets with >= 2 placed pins only)."""
     table = pin_table(netlist)
-    rows, cols = table.positions(placement)
-    return {
-        name: round(_hpwl(pins, rows, cols), 6)
-        for name, pins in zip(table.net_names, table.net_pins)
-    }
+    lengths = net_hpwls(table, *table.positions(placement))
+    # few distinct lengths recur over many nets: round each once
+    rounded = {length: round(length, 6) for length in set(lengths)}
+    return {name: rounded[length] for name, length in zip(table.net_names, lengths)}
 
 
 def wire_delays(
@@ -44,11 +43,9 @@ def wire_delays(
     ns_per_site: float = WIRE_DELAY_NS_PER_SITE,
 ) -> Dict[str, float]:
     """Added delay per net, in ns: the linear HPWL wire model."""
-    return {
-        name: round(length * ns_per_site, 9)
-        for name, length in net_lengths(netlist, placement).items()
-        if length > 0.0
-    }
+    lengths = net_lengths(netlist, placement)
+    delay_of = {length: round(length * ns_per_site, 9) for length in set(lengths.values())}
+    return {name: delay_of[length] for name, length in lengths.items() if length > 0.0}
 
 
 def congestion_map(
@@ -66,20 +63,38 @@ def congestion_map(
     bins = max(1, min(bins, fabric.rows, fabric.cols))
     row_scale = bins / fabric.rows
     col_scale = bins / fabric.cols
-    counts: Dict[Tuple[int, int], int] = {}
+    last = bins - 1
+    # each box adds one to a rectangle of bins: mark its four corners in a
+    # (bins + 1)^2 difference grid, then prefix-sum the grid into counts
+    stride = bins + 1
+    corners = [0] * (stride * stride)
     table = pin_table(netlist)
-    rows, cols = table.positions(placement)
-    for pins in table.net_pins:
-        min_x, max_x, min_y, max_y = _bbox(pins, rows, cols)
-        lo_rb = min(int(min_y * row_scale), bins - 1)
-        hi_rb = min(int(max_y * row_scale), bins - 1)
-        lo_cb = min(int(min_x * col_scale), bins - 1)
-        hi_cb = min(int(max_x * col_scale), bins - 1)
-        for row_bin in range(lo_rb, hi_rb + 1):
-            for col_bin in range(lo_cb, hi_cb + 1):
-                counts[(row_bin, col_bin)] = counts.get((row_bin, col_bin), 0) + 1
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    for min_x, max_x, min_y, max_y in net_boxes(table, *table.positions(placement)):
+        # bin spans, clamped to the last bin (conditionals, not min(): this
+        # runs once per net)
+        low = int(min_y * row_scale)
+        high = int(max_y * row_scale)
+        left = int(min_x * col_scale)
+        right = int(max_x * col_scale)
+        low = (low if low < last else last) * stride
+        high = ((high if high < last else last) + 1) * stride
+        left = left if left < last else last
+        right = (right if right < last else last) + 1
+        corners[low + left] += 1
+        corners[low + right] -= 1
+        corners[high + left] -= 1
+        corners[high + right] += 1
+    ranked = []
+    above = [0] * bins
+    for row_bin in range(bins):
+        running = 0
+        for col_bin in range(bins):
+            running += corners[row_bin * stride + col_bin]
+            above[col_bin] += running
+            if above[col_bin]:
+                ranked.append((-above[col_bin], row_bin, col_bin))
+    ranked.sort()
     return [
-        {"row_bin": row_bin, "col_bin": col_bin, "crossings": crossings}
-        for (row_bin, col_bin), crossings in ranked[:CONGESTION_HOTSPOTS]
+        {"row_bin": row_bin, "col_bin": col_bin, "crossings": -negated}
+        for negated, row_bin, col_bin in ranked[:CONGESTION_HOTSPOTS]
     ]

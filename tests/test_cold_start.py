@@ -2,7 +2,8 @@
 
 Every check runs in a fresh interpreter and reads ``sys.modules`` after the
 command, so it is deterministic where a timer would not be.  ``import
-repro.cli`` must not load the flow stages or any backend layer; ``--help``,
+repro.cli`` must not load the flow stages or any backend layer, and
+``--help`` and ``list-designs`` load nothing more than the import; ``--help``,
 ``list-designs`` and a plain ``synth`` must not load the sweep engine, the
 verifier, the placer, the map templates or the history / event-bus
 modules.  The positive control asks for mapping and placement and checks
@@ -87,6 +88,15 @@ def test_import_loads_no_layer():
 )
 def test_plain_commands_load_only_what_they_run(argv):
     assert _offenders(_loaded(argv), NOT_ON_PLAIN_RUNS) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["list-designs"]], ids=["help", "list-designs"])
+def test_parser_commands_load_no_more_than_the_import(argv):
+    # building the parser resolves the ``analyses`` choices from the light
+    # registry (repro.api.analyses), so it must not pull in the flow stages
+    loaded = _loaded(argv)
+    assert "repro.api.stages" not in loaded
+    assert loaded == _loaded([])
 
 
 def _flow_dict(tmp_path, eager):

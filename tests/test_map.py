@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,12 @@ from repro.map import (
     templates_for,
     verify_template,
 )
-from repro.map.templates import TEMPLATES, template_area, template_arrivals
+from repro.map.templates import (
+    TEMPLATES,
+    compile_template,
+    template_area,
+    template_arrivals,
+)
 from repro.netlist.cells import (
     CellType,
     cell_input_ports,
@@ -148,6 +154,87 @@ class TestTemplates:
         # critical path: b(1.0) -> n1 -> n3 -> y, three NAND levels
         nand = library.delay(CellType.NAND2, "a", "y")
         assert arrivals["y"] == pytest.approx(1.0 + 3 * nand)
+
+
+def _node_walk(netlist, template, cell):
+    """Materialize ``template`` by walking its nodes and resolving refs by name."""
+    nets = {"0": netlist.const(0), "1": netlist.const(1)}
+    for port in cell_input_ports(template.source):
+        nets[port] = cell.inputs[port]
+    for node in template.nodes:
+        ports = cell_input_ports(node.gate)
+        bindings = {port: nets[ref] for port, ref in zip(ports, node.ins)}
+        nets[node.node] = netlist.add_cell(node.gate, bindings).outputs["y"]
+    return {port: nets[ref] for port, ref in template.outputs.items()}
+
+
+def _applicable(library):
+    basis = basis_of(library)
+    return [
+        template
+        for templates in TEMPLATES.values()
+        for template in templates
+        if template.gates() <= basis
+    ]
+
+
+class TestCompiledTemplates:
+    """The slot tables the covering pass runs on agree with the node list."""
+
+    @pytest.mark.parametrize("target", CONCRETE_TARGETS)
+    def test_arc_tables_match_template_arrivals(self, target):
+        library = resolve_target_library(target)
+        rng = random.Random(f"arcs-{target}")
+        templates = _applicable(library)
+        assert templates
+        for template in templates:
+            compiled = compile_template(template, library)
+            ports = cell_input_ports(template.source)
+            for trial in range(200):
+                if trial % 2:
+                    # quarter-step arrivals: ties between paths are common
+                    profile = tuple(rng.randrange(12) * 0.25 for _ in ports)
+                else:
+                    profile = tuple(rng.uniform(0.0, 5.0) for _ in ports)
+                assert compiled.arrivals(profile) == template_arrivals(
+                    template, library, dict(zip(ports, profile))
+                ), (template.name, profile)
+            assert compiled.area == template_area(template, library)
+
+    @pytest.mark.parametrize("target", CONCRETE_TARGETS)
+    def test_binding_plan_builds_what_the_node_walk_builds(self, target):
+        from repro.netlist.serialize import netlist_to_dict
+
+        library = resolve_target_library(target)
+        for template in _applicable(library):
+            built = []
+            for materialize in (
+                compile_template(template, library).materialize,
+                lambda netlist, cell: _node_walk(netlist, template, cell),
+            ):
+                netlist = Netlist("one_cell")
+                ports = cell_input_ports(template.source)
+                cell = netlist.add_cell(
+                    template.source, {port: netlist.add_input(port) for port in ports}
+                )
+                outputs = materialize(netlist, cell)
+                built.append(
+                    (
+                        {port: net.name for port, net in outputs.items()},
+                        netlist_to_dict(netlist),
+                    )
+                )
+            assert built[0] == built[1], template.name
+
+    def test_a_template_is_verified_when_compiled(self):
+        broken = MapTemplate(
+            name="test.compiled_broken",
+            source=CellType.AND2,
+            nodes=(TemplateNode("y", CellType.OR2, ("a", "b")),),
+            outputs={"y": "y"},
+        )
+        with pytest.raises(MappingError, match="not equivalent"):
+            compile_template(broken, resolve_target_library("aoi_rich"))
 
 
 # ------------------------------------------------------------------ mapping
