@@ -134,13 +134,20 @@ class PinTable:
 def _build_pin_table(netlist: Netlist) -> PinTable:
     cells = tuple(sorted(netlist.cells))
     index = {name: i for i, name in enumerate(cells)}
-    offsets_of: Dict[object, Dict[str, Tuple[float, float]]] = {}
+    #: per cell type: its pin offsets and footprint
+    shape_of: Dict[object, Tuple[Dict[str, Tuple[float, float]], int]] = {}
+    widths = [0] * len(cells)
     pins: Dict[str, List[Tuple[int, float, float]]] = {}
     for cell in netlist.cells.values():
-        offsets = offsets_of.get(cell.cell_type)
-        if offsets is None:
-            offsets = offsets_of[cell.cell_type] = pin_offsets(cell.cell_type)
+        shape = shape_of.get(cell.cell_type)
+        if shape is None:
+            shape = shape_of[cell.cell_type] = (
+                pin_offsets(cell.cell_type),
+                footprint(cell.cell_type),
+            )
+        offsets, width = shape
         i = index[cell.name]
+        widths[i] = width
         for ports in (cell.inputs, cell.outputs):
             for port, net in ports.items():
                 dx, dy = offsets[port]
@@ -162,11 +169,10 @@ def _build_pin_table(netlist: Netlist) -> PinTable:
             nets = cell_nets[i]
             if not nets or nets[-1] != k:
                 nets.append(k)
-    cell_defs = netlist.cells
     return PinTable(
         cells=cells,
         index=index,
-        widths=tuple(footprint(cell_defs[name].cell_type) for name in cells),
+        widths=tuple(widths),
         net_names=tuple(net_names),
         net_pins=tuple(net_pins),
         cell_nets=tuple(map(tuple, cell_nets)),

@@ -35,18 +35,17 @@ def validate_placement(netlist: Netlist, placement: Placement) -> List[str]:
     sites: Dict[int, str] = {}
     cells = netlist.cells
     origins = placement.origins
-    rows, cols = fabric.rows, fabric.cols
+    cols = fabric.cols
     for name in sorted(origins):
         cell = cells.get(name)
         if cell is None:
             continue
         row, col = origins[name]
         width = footprint(cell.cell_type)
-        # ``fabric.fits`` inlined
-        if not (0 <= row < rows and 0 <= col and col + width <= cols):
+        if not fabric.fits(cell.cell_type, row, col):
             findings.append(
                 f"cell {name!r} at ({row}, {col}) x{width} exceeds the "
-                f"{rows}x{cols} fabric"
+                f"{fabric.rows}x{cols} fabric"
             )
             continue
         base = row * cols + col

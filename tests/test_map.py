@@ -168,6 +168,25 @@ def _node_walk(netlist, template, cell):
     return {port: nets[ref] for port, ref in template.outputs.items()}
 
 
+def _structure(netlist):
+    """Cells with their bindings in dict order, and each net's readers in order.
+
+    Dict order matters downstream: the placer numbers nets in the order
+    their first pin appears when it walks each cell's ports.
+    """
+    cells = [
+        (
+            cell.name,
+            cell.cell_type,
+            [(port, net.name) for port, net in cell.inputs.items()],
+            [(port, net.name) for port, net in cell.outputs.items()],
+        )
+        for cell in netlist.cells.values()
+    ]
+    loads = [(net.name, [(c.name, port) for c, port in net.loads]) for net in netlist.nets.values()]
+    return cells, loads
+
+
 def _applicable(library):
     basis = basis_of(library)
     return [
@@ -222,6 +241,7 @@ class TestCompiledTemplates:
                     (
                         {port: net.name for port, net in outputs.items()},
                         netlist_to_dict(netlist),
+                        _structure(netlist),
                     )
                 )
             assert built[0] == built[1], template.name
