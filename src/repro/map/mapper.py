@@ -104,10 +104,10 @@ class TechnologyMappingPass(RewritePass):
     def _kept_arcs_of(self, cell_type) -> Tuple[Tuple[str, Tuple[float, ...]], ...]:
         arcs = self._kept_arcs.get(cell_type)
         if arcs is None:
-            in_ports = cell_input_ports(cell_type)
+            delay = self.library.delay
             arcs = self._kept_arcs[cell_type] = tuple(
-                (out_port, tuple(self.library.delay(cell_type, port, out_port) for port in in_ports))
-                for out_port in cell_output_ports(cell_type)
+                (out, tuple(delay(cell_type, port, out) for port in cell_input_ports(cell_type)))
+                for out in cell_output_ports(cell_type)
             )
         return arcs
 

@@ -292,7 +292,9 @@ def anneal(
             row = randrange(fabric_rows)
             col = randrange(fabric_cols - width + 1)
             row_sites = occupancy[row]
-            if any(row_sites[col + offset] not in (-1, a) for offset in range(width)):
+            span = row_sites[col : col + width]
+            if span.count(-1) + span.count(a) != width:
+                # the span holds another cell
                 temperature *= decay
                 continue
             b = -1
