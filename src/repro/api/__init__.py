@@ -39,8 +39,11 @@ __getattr__, __dir__ = lazy_exports(
             "SYNTHESIS_METHODS",
             "FieldSpec",
             "FlowConfig",
+            "analysis_names",
             "config_field",
             "config_fields",
+            "register_analysis",
+            "unregister_analysis",
         ),
         "repro.api.flow": ("Flow",),
         "repro.api.options": (
@@ -50,11 +53,6 @@ __getattr__, __dir__ = lazy_exports(
             "sweep_spec_from_args",
         ),
         "repro.api.result": ("FlowResult",),
-        "repro.api.analyses": (
-            "analysis_names",
-            "register_analysis",
-            "unregister_analysis",
-        ),
         "repro.api.stages": (
             "STAGE_ORDER",
             "FlowContext",

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro.api.analyses import BUILTIN_ANALYSES, analysis_names, analysis_registry_version
 from repro.choices import (
     FINAL_ADDER_KINDS,
     GENERIC_TARGET,
@@ -57,14 +56,79 @@ SYNTHESIS_METHODS = MATRIX_METHODS + ("conventional",)
 #: partial-product generation schemes for the matrix methods
 MULTIPLICATION_STYLES = ("and_array", "booth")
 
-#: the analyses run by default: every built-in one (full analysis, the
-#: paper's protocol)
-DEFAULT_ANALYSES = BUILTIN_ANALYSES
+# The analysis registry lives beside the field whose choices it defines, so
+# validating a config or building the CLI parser never imports the flow
+# stages.  The built-in passes are declared here by name; repro.api.stages
+# defines them and registers their functions when it is imported (a flow
+# run always imports it).
+
+#: an analysis pass: takes the flow context, returns its artifact
+AnalysisFn = Callable[[object], object]
+
+#: the built-in analysis passes, in canonical order; all of them run by
+#: default (full analysis, the paper's protocol)
+DEFAULT_ANALYSES = ("timing", "power", "stats")
+
+#: name -> pass (insertion order = canonical order); a built-in maps to
+#: ``None`` until :mod:`repro.api.stages` registers it
+_ANALYSES: Dict[str, Optional[AnalysisFn]] = dict.fromkeys(DEFAULT_ANALYSES)
+_ANALYSIS_REGISTRY_VERSION = 0  # bumped on every (un)registration
 
 
-def _registered_analyses() -> Tuple[str, ...]:
-    """Valid ``analyses`` values, resolved at call time from the registry."""
-    return analysis_names()
+def analysis_registry_version() -> int:
+    """Monotonic counter of analysis (un)registrations.
+
+    Lets :func:`config_fields` memoize its resolved field specs and still
+    see late registrations.
+    """
+    return _ANALYSIS_REGISTRY_VERSION
+
+
+def register_analysis(name: str) -> Callable[[AnalysisFn], AnalysisFn]:
+    """Decorator: register an analysis pass under ``name``.
+
+    The pass takes the :class:`~repro.api.stages.FlowContext` and returns
+    its artifact (stored under ``name`` in ``context.artifacts``).
+    Registered names immediately become valid ``FlowConfig.analyses``
+    values, CLI choices and sweep options.
+
+    The registry is process-local.  Parallel sweeps re-validate configs in
+    their worker processes, so with a ``spawn``/``forkserver`` start method
+    a custom analysis must be registered at import time of a module the
+    workers also import (with ``fork``, the default on Linux, workers
+    inherit the parent's registry automatically).
+    """
+
+    def deco(fn: AnalysisFn) -> AnalysisFn:
+        global _ANALYSIS_REGISTRY_VERSION
+        _ANALYSES[name] = fn
+        _ANALYSIS_REGISTRY_VERSION += 1
+        return fn
+
+    return deco
+
+
+def unregister_analysis(name: str) -> None:
+    """Remove a registered analysis pass (mainly for tests/plugins)."""
+    global _ANALYSIS_REGISTRY_VERSION
+    _ANALYSES.pop(name, None)
+    _ANALYSIS_REGISTRY_VERSION += 1
+
+
+def analysis_names() -> Tuple[str, ...]:
+    """Names of all registered analysis passes, in canonical order."""
+    return tuple(_ANALYSES)
+
+
+def analysis(name: str) -> AnalysisFn:
+    """The registered pass called ``name`` (raises :class:`ConfigError`)."""
+    fn = _ANALYSES.get(name)
+    if fn is None:
+        raise ConfigError(
+            f"unknown analysis {name!r}; expected one of {analysis_names()}"
+        )
+    return fn
+
 
 
 def _meta(
@@ -259,7 +323,7 @@ class FlowConfig:
             "analysis passes to run on the finished netlist "
             "(skipping passes speeds up large sweeps)",
             kind="names",
-            choices=_registered_analyses,
+            choices=analysis_names,
             flag="--analyses",
         ),
     )
@@ -470,7 +534,7 @@ class FlowConfig:
             place_knobs = ("fabric_rows", "fabric_cols", "place_seed", "place_iters")
             if any(getattr(cfg, name) != defaults[name] for name in place_knobs):
                 cfg = replace(cfg, **{name: defaults[name] for name in place_knobs})
-        order = {name: i for i, name in enumerate(_registered_analyses())}
+        order = {name: i for i, name in enumerate(analysis_names())}
         analyses = tuple(
             sorted(dict.fromkeys(cfg.analyses), key=lambda name: order.get(name, 99))
         )

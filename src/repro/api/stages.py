@@ -40,8 +40,8 @@ Both registries are open: :func:`register_stage` replaces or adds pipeline
 steps, :func:`register_analysis` adds analysis passes (which immediately
 become valid ``analyses`` values, CLI choices and sweep options, because
 :func:`repro.api.config.config_fields` resolves its choices from the same
-registry).  The analysis registry itself lives in the light
-:mod:`repro.api.analyses`, so resolving those choices never imports this
+registry).  The analysis registry itself lives in
+:mod:`repro.api.config`, so resolving those choices never imports this
 module; the built-in passes below register themselves on import.
 """
 
@@ -53,13 +53,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.adders.factory import build_final_adder
-from repro.api.analyses import (  # noqa: F401 - re-exported registry API
-    analysis,
-    analysis_names,
-    analysis_registry_version,
-    register_analysis,
-    unregister_analysis,
-)
+from repro.api.config import analysis, register_analysis
 from repro.bitmatrix.builder import MatrixBuildResult, build_addend_matrix
 from repro.choices import GENERIC_TARGET
 from repro.core.delay_model import FADelayModel

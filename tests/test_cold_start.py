@@ -93,7 +93,7 @@ def test_plain_commands_load_only_what_they_run(argv):
 @pytest.mark.parametrize("argv", [["--help"], ["list-designs"]], ids=["help", "list-designs"])
 def test_parser_commands_load_no_more_than_the_import(argv):
     # building the parser resolves the ``analyses`` choices from the light
-    # registry (repro.api.analyses), so it must not pull in the flow stages
+    # registry in repro.api.config, so it must not pull in the flow stages
     loaded = _loaded(argv)
     assert "repro.api.stages" not in loaded
     assert loaded == _loaded([])
