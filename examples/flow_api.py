@@ -50,9 +50,9 @@ def main() -> None:
     # 4. A custom analysis pass: registered names are immediately valid
     #    `analyses` values (and CLI choices / sweep options).
     @register_analysis("gate_histogram")
-    def gate_histogram(context):
+    def gate_histogram(result):
         histogram = {}
-        for cell in context.netlist.cells.values():
+        for cell in result.netlist.cells.values():
             histogram[cell.cell_type.name] = histogram.get(cell.cell_type.name, 0) + 1
         return dict(sorted(histogram.items(), key=lambda kv: -kv[1]))
 

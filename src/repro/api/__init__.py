@@ -7,11 +7,15 @@ This package is the spine of the system:
   axis, cache relevance) is the **single source of truth** for every knob:
   the CLI, the sweep engine and the result cache all derive from it.
 * :class:`Flow` — the staged pipeline
-  (``frontend -> reduce -> final_adder -> optimize -> map -> place -> analyze``) with
-  registrable stages and individually skippable analysis passes.
-* :class:`FlowResult` — the run result: netlist, metrics, per-stage
-  artifacts and wall-times; its ``to_dict()`` is the metric record every
-  downstream consumer reads.
+  (``frontend -> reduce -> final_adder -> optimize -> map -> place -> analyze``,
+  :data:`STAGE_ORDER`) with replaceable steps and individually skippable,
+  registrable analysis passes.
+* :class:`FlowResult` — the one object of a run: ``Flow.run`` creates it,
+  every stage and analysis pass fills it in, and it is returned as is.  It
+  holds the netlist, each stage's artifact (stored once, read back through
+  named accessors such as ``compression`` or ``timing``), the metrics
+  derived from them and the wall-times; its ``to_dict()`` is the metric
+  record every downstream consumer reads.
 
 Quickstart::
 
@@ -55,7 +59,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.api.result": ("FlowResult",),
         "repro.api.stages": (
             "STAGE_ORDER",
-            "FlowContext",
             "register_stage",
             "stage_names",
         ),
@@ -71,7 +74,6 @@ __all__ = [
     "FieldSpec",
     "Flow",
     "FlowConfig",
-    "FlowContext",
     "FlowResult",
     "add_flow_options",
     "add_sweep_options",

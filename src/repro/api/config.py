@@ -62,7 +62,7 @@ MULTIPLICATION_STYLES = ("and_array", "booth")
 # defines them and registers their functions when it is imported (a flow
 # run always imports it).
 
-#: an analysis pass: takes the flow context, returns its artifact
+#: an analysis pass: takes the in-progress FlowResult, returns its artifact
 AnalysisFn = Callable[[object], object]
 
 #: the built-in analysis passes, in canonical order; all of them run by
@@ -87,8 +87,10 @@ def analysis_registry_version() -> int:
 def register_analysis(name: str) -> Callable[[AnalysisFn], AnalysisFn]:
     """Decorator: register an analysis pass under ``name``.
 
-    The pass takes the :class:`~repro.api.stages.FlowContext` and returns
-    its artifact (stored under ``name`` in ``context.artifacts``).
+    The pass takes the in-progress :class:`~repro.api.result.FlowResult`
+    (netlist, library and the artifacts of the stages before it) and
+    returns its artifact, which the flow stores under ``name`` in
+    ``result.stage_artifacts``.
     Registered names immediately become valid ``FlowConfig.analyses``
     values, CLI choices and sweep options.
 

@@ -1,12 +1,16 @@
-"""Flow results: per-stage artifacts, wall-times and the metric record.
+"""Flow results: the one object of a run, its artifacts and metric record.
 
-Every flow run returns a :class:`FlowResult`: the netlist, its metrics, the
-:class:`~repro.api.config.FlowConfig` that produced it, per-stage
-wall-times and per-stage artifacts.  :meth:`FlowResult.to_dict` is the
-JSON-able record every downstream consumer reads — the sweep engine, its
-result cache, run history, the CSV/JSON artifacts and the paper tables.
+:meth:`Flow.run` creates a :class:`FlowResult` from the design, the config
+and the library, hands it to every stage and analysis pass to fill in, and
+returns it.  Each stage stores its output once, in
+:attr:`FlowResult.stage_artifacts` under its own name (an analysis pass
+under the pass's name); the named accessors (``compression``,
+``opt_report``, ``timing``, ``delay_ns`` ...) read them back from there.
+:meth:`FlowResult.to_dict` is the JSON-able record every downstream
+consumer reads — the sweep engine, its result cache, run history, the
+CSV/JSON artifacts and the paper tables.
 
-Analysis fields (``timing``, ``power``, ``probabilities``, ``stats`` and
+Analysis accessors (``timing``, ``power``, ``probabilities``, ``stats`` and
 the metrics derived from them) are ``None`` when the corresponding analysis
 pass was skipped via ``FlowConfig.analyses``.
 """
@@ -14,70 +18,123 @@ pass was skipped via ``FlowConfig.analyses``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.bitmatrix.builder import MatrixBuildResult
-from repro.core.result import CompressionResult
-from repro.netlist.core import Bus, Netlist
-from repro.netlist.stats import NetlistStats
-from repro.power.probability import ProbabilityResult
-from repro.power.switching import PowerResult
-from repro.timing.arrival import TimingResult
+from repro.core.delay_model import FADelayModel
+from repro.core.power_model import FAPowerModel
 
-if TYPE_CHECKING:  # only annotations name them; -O0 flows never load these
+if TYPE_CHECKING:  # only annotations name them
     from repro.api.config import FlowConfig
-    from repro.map.report import MapReport
-    from repro.opt.report import OptReport
-    from repro.place.report import PlaceReport
+    from repro.designs.base import DatapathDesign
+    from repro.netlist.core import Bus, Netlist
+    from repro.tech.library import TechLibrary
+
+
+def _artifact(name: str, doc: str) -> property:
+    """Read-only accessor of the artifact stored under ``name``."""
+    return property(lambda self: self.stage_artifacts.get(name), doc=doc)
 
 
 @dataclass
 class FlowResult:
-    """Everything produced by one flow run of one design.
+    """Everything one flow run of one design produced.
 
-    Metric fields derived from a skipped analysis pass are ``None`` (the
-    default full-analysis flow always populates them).
+    While the flow runs, this is also the state its stages fill in.
+    Metrics derived from a skipped analysis pass are ``None`` (the default
+    full-analysis flow always populates them).
     """
 
-    design_name: str
-    method: str
-    netlist: Netlist
-    output_bus: Bus
-    output_width: int
-    final_adder: str
-    library_name: str
-    delay_ns: Optional[float]
-    area: Optional[float]
-    total_energy: Optional[float]
-    tree_energy: Optional[float]
-    cell_count: int
-    fa_count: int
-    ha_count: int
-    max_final_arrival: float
-    timing: Optional[TimingResult]
-    power: Optional[PowerResult]
-    probabilities: Optional[ProbabilityResult]
-    stats: Optional[NetlistStats]
-    compression: Optional[CompressionResult] = None
-    matrix_build: Optional[MatrixBuildResult] = None
+    design: DatapathDesign
+    #: the (validated) configuration of this run
+    config: FlowConfig
+    #: the library the analyses price against: the configured one, replaced
+    #: by the target basis once the map stage has run
+    library: TechLibrary
+    netlist: Optional[Netlist] = None
+    output_bus: Optional[Bus] = None
+    fa_count: int = 0
+    ha_count: int = 0
+    #: cells when the flow finished — a snapshot, so later edits of
+    #: ``netlist`` leave the record unchanged
+    cell_count: int = 0
     notes: List[str] = field(default_factory=list)
-    opt_level: int = 0
-    opt_report: Optional[OptReport] = None
-    pre_opt_stats: Optional[NetlistStats] = None
-    #: the (validated) configuration that produced this run
-    config: Optional[FlowConfig] = None
-    #: technology-mapping report (None when ``target_lib`` was ``"generic"``)
-    map_report: Optional[MapReport] = None
-    #: physical-design report (None when ``place`` was off)
-    place_report: Optional[PlaceReport] = None
-    #: the analysis passes that actually ran
-    analyses: Tuple[str, ...] = ()
     #: wall time per executed stage (and per analysis, ``analyze:<name>``) —
     #: a derived view of the flow's ``flow.<stage>`` spans (see
     #: :mod:`repro.obs`); a stage that raises still records its partial time
     stage_times: Dict[str, float] = field(default_factory=dict)
-    #: per-stage artifacts (matrix build, compression, opt report, analyses)
+    #: each stage's output under the stage's name, each analysis pass's
+    #: under the pass's name (plus ``probabilities`` from ``power``)
     stage_artifacts: Dict[str, object] = field(default_factory=dict)
+    #: FA models of the configured library; they steer the allocation and
+    #: the power analysis, and are not re-derived after mapping
+    delay_model: FADelayModel = field(init=False, repr=False)
+    power_model: FAPowerModel = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.delay_model = FADelayModel.from_library(self.library)
+        self.power_model = FAPowerModel.from_library(self.library)
+
+    design_name = property(attrgetter("design.name"))
+    output_width = property(attrgetter("design.output_width"))
+    method = property(attrgetter("config.method"))
+    final_adder = property(attrgetter("config.final_adder"))
+    opt_level = property(attrgetter("config.opt_level"))
+    #: the analysis passes that ran
+    analyses = property(attrgetter("config.analyses"))
+    library_name = property(attrgetter("library.name"))
+
+    compression = _artifact("reduce", "The reduction's CompressionResult (matrix methods).")
+    opt_report = _artifact("optimize", "The OptReport (None at ``-O0``).")
+    map_report = _artifact("map", "The MapReport (None for the generic target).")
+    timing = _artifact("timing", "The TimingResult of the timing analysis.")
+    power = _artifact("power", "The PowerResult of the power analysis.")
+    probabilities = _artifact("probabilities", "Signal probabilities (power analysis).")
+    stats = _artifact("stats", "The NetlistStats of the stats analysis.")
+
+    @property
+    def matrix_build(self) -> Optional[MatrixBuildResult]:
+        """The frontend's addend-matrix build (None for ``conventional``)."""
+        build = self.stage_artifacts.get("frontend")
+        return build if isinstance(build, MatrixBuildResult) else None
+
+    @property
+    def max_final_arrival(self) -> float:
+        compression = self.compression
+        return compression.max_final_arrival if compression is not None else 0.0
+
+    @property
+    def pre_opt_stats(self):
+        """NetlistStats of the netlist the optimizer started from."""
+        report = self.opt_report
+        return report.before if report is not None else None
+
+    @property
+    def place_report(self):
+        """The PlaceReport (None when ``place`` was off)."""
+        place = self.stage_artifacts.get("place")
+        return place.report if place is not None else None
+
+    @property
+    def delay_ns(self) -> Optional[float]:
+        timing = self.timing
+        return timing.delay if timing is not None else None
+
+    @property
+    def area(self) -> Optional[float]:
+        stats = self.stats
+        return (stats.area or 0.0) if stats is not None else None
+
+    @property
+    def total_energy(self) -> Optional[float]:
+        power = self.power
+        return power.total_energy if power is not None else None
+
+    @property
+    def tree_energy(self) -> Optional[float]:
+        power = self.power
+        return power.tree_energy if power is not None else None
 
     def summary(self) -> str:
         """One-line result summary; metrics of skipped analyses read ``n/a``."""
@@ -132,7 +189,7 @@ class FlowResult:
             ),
             "notes": list(self.notes),
             "analyses": list(self.analyses),
-            "config": self.config.to_dict() if self.config is not None else None,
+            "config": self.config.to_dict(),
             "map_report": (
                 self.map_report.to_dict() if self.map_report is not None else None
             ),
@@ -143,15 +200,3 @@ class FlowResult:
             "place_hpwl": round(place.total_hpwl, 6) if place is not None else None,
             "cts_skew_ns": place.cts_skew_ns if place is not None else None,
         }
-
-    def stage_report(self) -> str:
-        """Small text table of per-stage wall times.
-
-        For the full nested picture (per-pass, per-analysis, per-candidate
-        spans) run the flow under a tracer — ``--trace`` on the CLI or
-        :func:`repro.obs.tracing` around :meth:`Flow.run`.
-        """
-        lines = ["stage times:"]
-        for name, elapsed in self.stage_times.items():
-            lines.append(f"  {name:<16} {elapsed * 1e3:8.2f} ms")
-        return "\n".join(lines)

@@ -93,9 +93,3 @@ class Addend:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Addend({self.describe()})"
-
-
-def reset_addend_sequence() -> None:
-    """Reset the global creation counter (used by tests for determinism)."""
-    global _addend_ids
-    _addend_ids = count()

@@ -717,7 +717,7 @@ def _add_obs_commands(sub) -> None:
     report.set_defaults(func=_cmd_obs_report)
 
     compact = obs_sub.add_parser(
-        "compact", help="rewrite the store dropping corrupt lines, rebuild index"
+        "compact", help="rewrite the store without its corrupt lines"
     )
     history_arg(compact)
     compact.set_defaults(func=_cmd_obs_compact)

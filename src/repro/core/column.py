@@ -63,10 +63,6 @@ class ColumnReduction:
         """Number of half adders allocated for this column."""
         return len(self.ha_cells)
 
-    def sum_addends(self) -> List[Addend]:
-        """Sum-output addends produced in this column, in creation order."""
-        return [a for a in self.remaining if a.origin == "sum"]
-
 
 def allocate_fa(
     netlist: Netlist,

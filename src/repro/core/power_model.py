@@ -27,11 +27,6 @@ def switching_activity(probability: float) -> float:
     return probability * (1.0 - probability)
 
 
-def q_of(probability: float) -> float:
-    """The paper's q(x) = p(x) - 0.5."""
-    return probability - 0.5
-
-
 def fa_output_probabilities(px: float, py: float, pz: float) -> Tuple[float, float]:
     """Exact (sum, carry) output probabilities of an FA with independent inputs.
 

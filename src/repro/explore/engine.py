@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
-import os
 import statistics
 import time
 from collections import deque
@@ -59,7 +58,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs
-from repro.api.flow import Flow
+from repro.api.flow import Flow, env_seconds
 from repro.api.result import FlowResult
 from repro.explore.cache import ResultCache
 from repro.explore.spec import SweepPoint, SweepSpec
@@ -73,24 +72,10 @@ log = get_logger("explore")
 #: ``"<point-index>=<seconds>[,...]"`` makes the *first* attempt of the
 #: indexed sweep point sleep before synthesizing — a planted transient
 #: straggler, so stall detection and timeout re-dispatch are testable.
-#: The retry attempt skips the sleep and completes.  Malformed entries
-#: are ignored with a warning.
+#: The retry attempt skips the sleep and completes.  Parsed by
+#: :func:`repro.api.flow.env_seconds`; malformed entries are ignored with a
+#: warning.
 POINT_HANG_ENV = "REPRO_POINT_HANG"
-
-
-def _point_hangs() -> Dict[int, float]:
-    """Parse :data:`POINT_HANG_ENV` into ``{point_index: seconds}``."""
-    raw = os.environ.get(POINT_HANG_ENV)
-    if not raw:
-        return {}
-    hangs: Dict[int, float] = {}
-    for part in raw.split(","):
-        index, _, seconds = part.partition("=")
-        try:
-            hangs[int(index.strip())] = float(seconds)
-        except ValueError:
-            log.warning("ignoring malformed %s entry %r", POINT_HANG_ENV, part)
-    return hangs
 
 
 def execute_point(point: SweepPoint) -> FlowResult:
@@ -720,7 +705,7 @@ def run_sweep(
     try:
         with obs.span("explore.sweep", points=len(points), jobs=jobs):
             pending: List[Tuple[int, Tuple[SweepPoint, float]]] = []
-            hangs = _point_hangs()
+            hangs = env_seconds(POINT_HANG_ENV, int)
             for index, point in enumerate(points):
                 metrics = cache.get(point) if cache is not None else None
                 if metrics is not None:

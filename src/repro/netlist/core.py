@@ -66,11 +66,6 @@ class Net:
         """Number of cell input ports reading this net."""
         return len(self.loads)
 
-    @property
-    def driver_cell(self) -> Optional["Cell"]:
-        """The cell driving this net, or ``None``."""
-        return self.driver[0] if self.driver else None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "const" if self.is_constant else ("pi" if self.is_primary_input else "wire")
         return f"Net({self.name!r}, {kind})"

@@ -227,32 +227,3 @@ def _evaluate_packed_values(
     program = cached_program(netlist)
     slots = program.run_packed(values, mask)
     return BatchValues(values=program.values_dict(slots), count=count)
-
-
-def evaluate_packed(
-    netlist: Netlist, inputs: Mapping[str, int], count: int
-) -> BatchValues:
-    """Evaluate ``count`` vectors given as already-packed per-input words.
-
-    ``inputs`` maps every primary-input net name to one integer whose bit
-    ``k`` is that input's value in vector ``k`` — the same packing
-    :func:`evaluate_vectors` builds internally from per-vector dicts.
-    Callers that can construct the packed words directly (the netlist
-    equivalence checker enumerating exhaustive input patterns, for
-    instance) skip the whole per-vector dict round-trip.
-    """
-    if count == 0:
-        return BatchValues(values={}, count=0)
-    mask = (1 << count) - 1
-    values: Dict[str, int] = {}
-    for name, word in inputs.items():
-        net = netlist.nets.get(name)
-        if net is None or not net.is_primary_input:
-            raise SimulationError(f"unknown primary input {name!r}")
-        values[name] = word & mask
-    missing = [net.name for net in netlist.primary_inputs if net.name not in values]
-    if missing:
-        raise SimulationError(
-            f"missing values for {len(missing)} primary inputs (e.g. {missing[:5]})"
-        )
-    return _evaluate_packed_values(netlist, values, mask, count)

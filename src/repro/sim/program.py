@@ -116,10 +116,6 @@ class SimProgram:
     _ops: Tuple[_OpFn, ...] = field(repr=False, compare=False, default=())
 
     @property
-    def n_slots(self) -> int:
-        return len(self.slot_of)
-
-    @property
     def source(self) -> str:
         """Pseudo-source rendering of the program (one line per cell).
 

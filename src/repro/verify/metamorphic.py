@@ -264,7 +264,7 @@ def _check_place_preserves_function(
         )
     # placement must never touch connectivity: the netlists are structurally
     # identical, so simulation equality below can only fail if the placer
-    # corrupted the flow context rather than the wires
+    # corrupted the flow result rather than the wires
     if netlist_to_dict(placed.netlist) != netlist_to_dict(unplaced.netlist):
         raise VerificationError(
             "placement changed the netlist structure (cells/nets differ)"

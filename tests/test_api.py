@@ -13,6 +13,7 @@ from repro.api import (
     config_field,
     config_fields,
     register_analysis,
+    register_stage,
     unregister_analysis,
 )
 from repro.designs.registry import get_design, list_designs
@@ -127,11 +128,42 @@ class TestStagedFlow:
         assert result.delay_ns > 0
 
     def test_stage_times_recorded(self):
-        result = Flow().run("x2")
+        config = FlowConfig(opt_level=2, target_lib="aoi_rich", place=True)
+        result = Flow(config).run("x2")
         for name in STAGE_ORDER:
             assert name in result.stage_times
         assert "analyze:power" in result.stage_times
-        assert "frontend" in result.stage_artifacts
+        # each stage output is stored once, read back by its accessor
+        artifacts = result.stage_artifacts
+        assert result.matrix_build is artifacts["frontend"]
+        assert result.compression is artifacts["reduce"]
+        assert result.opt_report is artifacts["optimize"]
+        assert result.pre_opt_stats is artifacts["optimize"].before
+        assert result.map_report is artifacts["map"]
+        assert result.library is artifacts["map"].library
+        assert result.place_report is artifacts["place"].report
+        for name in ("timing", "power", "probabilities", "stats"):
+            assert getattr(result, name) is artifacts[name]
+        assert result.max_final_arrival == artifacts["reduce"].max_final_arrival
+
+    @pytest.mark.parametrize("analyses", [DEFAULT_ANALYSES, ("timing",), ()])
+    def test_record_ignores_later_netlist_edits(self, analyses):
+        """The fuzz self-test mutates ``result.netlist`` after the run."""
+        result = Flow(FlowConfig(analyses=analyses)).run("x2")
+        record = json.dumps(result.to_dict())
+        cells = result.netlist.num_cells()
+        cell = next(
+            cell
+            for cell in result.netlist.cells.values()
+            if not any(net.loads for net in cell.outputs.values())
+        )
+        result.netlist.remove_cell(cell, keep_output_nets=True)
+        assert result.netlist.num_cells() == cells - 1
+        assert json.dumps(result.to_dict()) == record
+
+    def test_register_stage_only_replaces_a_pipeline_step(self):
+        with pytest.raises(ConfigError, match="unknown flow stage"):
+            register_stage("signoff")
 
     def test_timing_only_skips_power_and_stats(self):
         result = Flow(FlowConfig(analyses=("timing",))).run("x2")
@@ -154,9 +186,9 @@ class TestStagedFlow:
 
     def test_custom_analysis_registration(self):
         @register_analysis("cell_histogram")
-        def cell_histogram(context):
+        def cell_histogram(result):
             histogram = {}
-            for cell in context.netlist.cells.values():
+            for cell in result.netlist.cells.values():
                 histogram[cell.cell_type.name] = histogram.get(cell.cell_type.name, 0) + 1
             return histogram
 

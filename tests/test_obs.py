@@ -17,7 +17,7 @@ import pytest
 
 from repro import obs
 from repro.api import Flow, FlowConfig
-from repro.api.stages import stage_names
+from repro.api.stages import register_stage, stage as registered_stage, stage_names
 from repro.explore.engine import run_sweep
 from repro.explore.io import sweep_to_json_obj
 from repro.explore.spec import SweepSpec
@@ -283,21 +283,27 @@ class TestDisabledPathWorkCount:
 
 class TestFlowAccounting:
     def test_raising_stage_books_partial_time(self):
-        """Satellite fix: a stage that raises still lands in stage_times."""
+        """A stage that raises still lands in stage_times and its span."""
+        seen = []
 
-        def exploding_stage(context):
+        def exploding_stage(result):
+            seen.append(result)
             raise RuntimeError("mid-stage failure")
 
-        flow = Flow(FlowConfig())
-        flow.stages = list(flow.stages[:1]) + [exploding_stage]
+        original = registered_stage("reduce")
+        register_stage("reduce")(exploding_stage)
         tracer = Tracer()
-        with obs.tracing(tracer):
-            with pytest.raises(RuntimeError, match="mid-stage failure"):
-                flow.run("x2")
-        failed = [
-            s for s in tracer.spans if s["name"] == "flow.exploding_stage"
-        ]
+        try:
+            with obs.tracing(tracer):
+                with pytest.raises(RuntimeError, match="mid-stage failure"):
+                    Flow(FlowConfig()).run("x2")
+        finally:
+            register_stage("reduce")(original)
+        failed = [s for s in tracer.spans if s["name"] == "flow.reduce"]
         assert failed and "error" in failed[0]
+        # the partial time of the raising stage is booked
+        assert list(seen[0].stage_times) == ["frontend", "reduce"]
+        assert seen[0].stage_times["reduce"] >= 0.0
         # the flow span itself closed with the error recorded too
         flow_span = [s for s in tracer.spans if s["name"] == "flow.run"]
         assert flow_span and "error" in flow_span[0]

@@ -23,12 +23,12 @@ import time
 import pytest
 
 from repro import obs
+from repro.api.flow import env_seconds
 from repro.cli import main
 from repro.explore.engine import (
     POINT_HANG_ENV,
     WorkerFailure,
     _dispatch,
-    _point_hangs,
     _SweepMonitor,
     parallel_map,
     run_sweep,
@@ -339,15 +339,15 @@ class TestSweepTelemetry:
 class TestPointHangParsing:
     def test_parses_entries(self, monkeypatch):
         monkeypatch.setenv(POINT_HANG_ENV, "0=1.5, 3=0.25")
-        assert _point_hangs() == {0: 1.5, 3: 0.25}
+        assert env_seconds(POINT_HANG_ENV, int) == {0: 1.5, 3: 0.25}
 
     def test_malformed_entries_ignored(self, monkeypatch):
         monkeypatch.setenv(POINT_HANG_ENV, "garbage,1=2.0,=3")
-        assert _point_hangs() == {1: 2.0}
+        assert env_seconds(POINT_HANG_ENV, int) == {1: 2.0}
 
     def test_unset_means_empty(self, monkeypatch):
         monkeypatch.delenv(POINT_HANG_ENV, raising=False)
-        assert _point_hangs() == {}
+        assert env_seconds(POINT_HANG_ENV, int) == {}
 
 
 @needs_pool
