@@ -60,7 +60,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.api.stages": (
             "STAGE_ORDER",
             "register_stage",
-            "stage_names",
         ),
     },
 )
@@ -83,7 +82,6 @@ __all__ = [
     "flow_config_from_args",
     "register_analysis",
     "register_stage",
-    "stage_names",
     "sweep_spec_from_args",
     "unregister_analysis",
 ]

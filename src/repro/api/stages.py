@@ -52,7 +52,7 @@ below register themselves on import.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from repro import obs
 from repro.adders.factory import build_final_adder
@@ -111,11 +111,6 @@ def stage(name: str) -> StageFn:
         raise ConfigError(
             f"unknown flow stage {name!r}; expected one of {tuple(_STAGES)}"
         )
-
-
-def stage_names() -> Tuple[str, ...]:
-    """Names of all registered stages."""
-    return tuple(_STAGES)
 
 
 def _reduce_matrix(result: FlowResult) -> CompressionResult:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import html
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro._version import __version__
 from repro.obs.history import QOR_METRICS, HistoryStore

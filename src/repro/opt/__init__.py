@@ -30,10 +30,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.opt.constant_fold": ("ConstantFoldPass",),
         "repro.opt.cse": ("CommonSubexpressionPass",),
         "repro.opt.dce": ("DeadCellEliminationPass",),
-        "repro.opt.equivalence": (
-            "NetlistEquivalenceReport",
-            "check_netlists_equivalent",
-        ),
         "repro.opt.manager": (
             "OPT_LEVELS",
             "PassManager",
@@ -42,6 +38,7 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.opt.report": ("OptReport", "PassStat"),
         "repro.opt.strength": ("StrengthReductionPass",),
+        "repro.sim.equivalence": ("check_netlists_equivalent",),
     },
 )
 
@@ -51,7 +48,6 @@ __all__ = [
     "CommonSubexpressionPass",
     "ConstantFoldPass",
     "DeadCellEliminationPass",
-    "NetlistEquivalenceReport",
     "OptReport",
     "PassManager",
     "PassStat",

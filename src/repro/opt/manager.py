@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Set
 
 from repro import obs
 from repro.choices import OPT_LEVEL_HELP, OPT_LEVELS  # noqa: F401  (re-exported)
-from repro.errors import OptimizationError
+from repro.errors import OptimizationError, SimulationError
 from repro.netlist.core import Netlist
 from repro.netlist.stats import netlist_stats
 from repro.netlist.validate import validate_netlist
@@ -37,13 +37,13 @@ from repro.opt.cleanup import CleanupPass
 from repro.opt.constant_fold import ConstantFoldPass
 from repro.opt.cse import CommonSubexpressionPass
 from repro.opt.dce import DeadCellEliminationPass
-from repro.opt.equivalence import (
+from repro.opt.report import OptReport, PassStat
+from repro.opt.strength import StrengthReductionPass
+from repro.sim.equivalence import (
     EquivalenceReference,
     check_netlists_equivalent,
     equivalence_reference,
 )
-from repro.opt.report import OptReport, PassStat
-from repro.opt.strength import StrengthReductionPass
 
 
 def default_pipeline(opt_level: int) -> List[RewritePass]:
@@ -93,9 +93,9 @@ class PassManager:
         passes' :attr:`~repro.opt.base.RewritePass.touched_nets` — the
         report gains ``delay_before_ns`` / ``delay_after_ns`` at the cost
         of re-propagating only the rewritten cones.
-    exhaustive_width_limit / random_vector_count / seed:
-        Forwarded to
-        :func:`repro.opt.equivalence.check_netlists_equivalent`.
+
+    Equivalence runs :func:`repro.sim.equivalence.check_netlists_equivalent`
+    with its default stimulus.
     """
 
     def __init__(
@@ -106,9 +106,6 @@ class PassManager:
         check_equivalence: bool = True,
         check_each_pass: bool = False,
         library: Optional[object] = None,
-        exhaustive_width_limit: int = 18,
-        random_vector_count: int = 512,
-        seed: int = 2000,
         opt_level: int = 2,
         timing_library: Optional[object] = None,
     ) -> None:
@@ -121,21 +118,15 @@ class PassManager:
         self.check_each_pass = check_each_pass
         self.library = library
         self.timing_library = timing_library
-        self.exhaustive_width_limit = exhaustive_width_limit
-        self.random_vector_count = random_vector_count
-        self.seed = seed
         self.opt_level = opt_level
 
     def _check(
         self, reference: EquivalenceReference, netlist: Netlist, context: str
     ):
-        report = check_netlists_equivalent(
-            reference,
-            netlist,
-            exhaustive_width_limit=self.exhaustive_width_limit,
-            random_vector_count=self.random_vector_count,
-            seed=self.seed,
-        )
+        try:
+            report = check_netlists_equivalent(reference, netlist)
+        except SimulationError as exc:
+            raise OptimizationError(f"equivalence broken {context}: {exc}") from exc
         if not report.equivalent:
             example = report.mismatches[0] if report.mismatches else {}
             raise OptimizationError(
@@ -247,9 +238,6 @@ def optimize_netlist(
     check_equivalence: bool = True,
     check_each_pass: bool = False,
     max_iterations: int = 8,
-    exhaustive_width_limit: int = 18,
-    random_vector_count: int = 512,
-    seed: int = 2000,
     timing_library: Optional[object] = None,
 ) -> OptReport:
     """Optimize ``netlist`` in place at the given ``-O`` level.
@@ -266,9 +254,6 @@ def optimize_netlist(
         check_equivalence=check_equivalence and opt_level > 0,
         check_each_pass=check_each_pass and opt_level > 0,
         library=library,
-        exhaustive_width_limit=exhaustive_width_limit,
-        random_vector_count=random_vector_count,
-        seed=seed,
         opt_level=opt_level,
         timing_library=timing_library,
     )

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.netlist.stats import NetlistStats
-from repro.opt.equivalence import NetlistEquivalenceReport
+from repro.sim.equivalence import EquivalenceReport
 from repro.utils.tables import TextTable
 
 
@@ -45,7 +45,7 @@ class OptReport:
     before: NetlistStats
     after: NetlistStats
     passes: List[PassStat] = field(default_factory=list)
-    equivalence: Optional[NetlistEquivalenceReport] = None
+    equivalence: Optional[EquivalenceReport] = None
     validated: bool = False
     elapsed_s: float = 0.0
     #: worst-output arrival before/after, when the manager was given a

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-from repro.core.power_model import FAPowerModel, switching_activity
+from repro.core.power_model import FAPowerModel
 from repro.netlist.cells import CellType, cell_output_ports
 from repro.netlist.core import Cell, Netlist
 from repro.power.probability import ProbabilityResult, propagate_probabilities

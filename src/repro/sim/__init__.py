@@ -1,4 +1,10 @@
-"""Bit-true functional simulation and equivalence checking."""
+"""Bit-true functional simulation and equivalence checking.
+
+:mod:`repro.sim.equivalence` is the one equivalence checker: a netlist
+against its expression (:func:`check_equivalence`) or against another
+netlist (:func:`check_netlists_equivalent`), both on one packed stimulus
+and both returning an :class:`EquivalenceReport`.
+"""
 
 from repro.sim.evaluator import (
     BatchValues,
@@ -9,7 +15,11 @@ from repro.sim.evaluator import (
 )
 from repro.sim.program import SimProgram, cached_program, compile_netlist_program
 from repro.sim.vectors import exhaustive_vectors, random_vectors
-from repro.sim.equivalence import EquivalenceReport, check_equivalence
+from repro.sim.equivalence import (
+    EquivalenceReport,
+    check_equivalence,
+    check_netlists_equivalent,
+)
 from repro.sim.toggles import empirical_switching
 
 __all__ = [
@@ -25,5 +35,6 @@ __all__ = [
     "random_vectors",
     "EquivalenceReport",
     "check_equivalence",
+    "check_netlists_equivalent",
     "empirical_switching",
 ]

@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Sequence, Union
 
 from repro.errors import SimulationError
 from repro.netlist.cells import evaluate_cell
-from repro.netlist.core import Bus, Net, Netlist
+from repro.netlist.core import Bus, Netlist
 
 ValueMap = Dict[str, int]
 

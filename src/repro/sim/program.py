@@ -43,8 +43,6 @@ from repro.netlist.cells import (
     CellType,
     Expr,
     Function,
-    cell_input_ports,
-    cell_output_ports,
     define,
     straight_line,
 )
@@ -93,6 +91,17 @@ def _op_factory(definition: CellDef) -> Callable[..., _OpFn]:
 #: generated from the cell's expression trees
 OP_FACTORIES: Dict[CellType, Callable[..., _OpFn]] = {
     cell_type: _op_factory(definition) for cell_type, definition in CELL_DEFS.items()
+}
+
+#: per cell type, everything the compiler reads per cell: ``(op name,
+#: input ports, output ports, op factory)``, built once
+_COMPILE_TABLE: Dict[
+    CellType, Tuple[str, Tuple[str, ...], Tuple[str, ...], Callable[..., _OpFn]]
+] = {
+    cell_type: (
+        cell_type.value, definition.inputs, definition.outputs, OP_FACTORIES[cell_type]
+    )
+    for cell_type, definition in CELL_DEFS.items()
 }
 
 
@@ -189,8 +198,9 @@ def compile_netlist_program(netlist: Netlist) -> SimProgram:
     instructions: List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]] = []
     ops: List[_OpFn] = []
     for cell in netlist.topological_cells():
+        op_name, in_ports, out_ports, make_op = _COMPILE_TABLE[cell.cell_type]
         in_slots: List[int] = []
-        for port in cell_input_ports(cell.cell_type):
+        for port in in_ports:
             net = cell.inputs[port]
             slot = slot_of.get(net.name)
             if slot is None:
@@ -199,13 +209,13 @@ def compile_netlist_program(netlist: Netlist) -> SimProgram:
                 )
             in_slots.append(slot)
         out_slots: List[int] = []
-        for port in cell_output_ports(cell.cell_type):
+        for port in out_ports:
             net = cell.outputs[port]
             slot_of[net.name] = len(slot_of)
             out_slots.append(slot_of[net.name])
         ins, outs = tuple(in_slots), tuple(out_slots)
-        instructions.append((cell.cell_type.value, ins, outs))
-        ops.append(OP_FACTORIES[cell.cell_type](ins, outs))
+        instructions.append((op_name, ins, outs))
+        ops.append(make_op(ins, outs))
 
     return SimProgram(
         netlist_name=netlist.name,

@@ -10,7 +10,7 @@ parameters ``Ds``/``Dc`` drive the timing algorithm, the FA output energies
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import LibraryError
 from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports

@@ -202,13 +202,9 @@ def _check_point_body(
         random_vector_count=random_vector_count,
         exhaustive_width_limit=exhaustive_width_limit,
         seed=case_seed(point),
+        max_mismatches=3,
     )
-    record["equivalence"] = {
-        "equivalent": report.equivalent,
-        "vectors_checked": report.vectors_checked,
-        "exhaustive": report.exhaustive,
-        "mismatches": report.mismatches[:3],
-    }
+    record["equivalence"] = report.to_dict()
     record["ok"] = report.equivalent
     if not report.equivalent:
         record["error"] = (

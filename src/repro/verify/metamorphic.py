@@ -42,7 +42,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 
@@ -53,10 +53,14 @@ from repro.designs.base import DatapathDesign
 from repro.designs.registry import get_design
 from repro.errors import VerificationError
 from repro.explore.engine import WorkerFailure, parallel_map
+from repro.netlist.core import Netlist
 from repro.netlist.serialize import netlist_from_dict, netlist_to_dict
 from repro.netlist.validate import validate_netlist
-from repro.sim.evaluator import evaluate_vectors
-from repro.sim.vectors import exhaustive_vectors, random_vectors, total_input_width
+from repro.sim.equivalence import (
+    EquivalenceReference,
+    check_netlists_equivalent,
+    equivalence_reference,
+)
 
 #: stimulus parameters for cross-run output comparison: exhaustive up to
 #: this many total input bits, a fixed-seed random sample beyond it
@@ -90,29 +94,28 @@ class _Skip(Exception):
     """Internal: a property does not apply to this base case."""
 
 
-def _shared_vectors(design: DatapathDesign) -> List[Dict[str, int]]:
-    """One stimulus set both runs of a property are simulated on."""
-    if total_input_width(design.signals) <= EXHAUSTIVE_WIDTH_LIMIT:
-        return list(exhaustive_vectors(design.signals))
-    return random_vectors(design.signals, RANDOM_VECTOR_COUNT, seed=VECTOR_SEED)
+def _bus_function(run: FlowResult) -> EquivalenceReference:
+    """A run's function, read at its output-bus nets."""
+    return equivalence_reference(run.netlist, [net.name for net in run.output_bus.nets])
 
 
-def _outputs(result: FlowResult, vectors: List[Dict[str, int]]) -> List[int]:
-    """Per-vector output-bus values of one run, modulo the output width."""
-    modulo = 1 << result.output_width
-    values = evaluate_vectors(result.netlist, vectors).bus_values(result.output_bus)
-    return [value % modulo for value in values]
+def _compare_runs(left: FlowResult, right: Union[FlowResult, Netlist], what: str) -> int:
+    """Check two runs compute the same output bus; returns the vector count.
 
-
-def _first_diff(a: List[int], b: List[int], vectors: List[Dict[str, int]]) -> Dict:
-    """The first mismatching vector of two output streams (for reports)."""
-    for vector, left, right in zip(vectors, a, b):
-        if left != right:
-            record = dict(vector)
-            record["left"] = left
-            record["right"] = right
-            return record
-    return {}
+    The buses are compared position by position, so a rewrite that renames
+    the outputs still compares.  ``right`` may also be a netlist with the
+    same net names as ``left``'s.
+    """
+    report = check_netlists_equivalent(
+        _bus_function(left),
+        _bus_function(right) if isinstance(right, FlowResult) else right,
+        exhaustive_width_limit=EXHAUSTIVE_WIDTH_LIMIT,
+        random_vector_count=RANDOM_VECTOR_COUNT,
+        seed=VECTOR_SEED,
+    )
+    if not report.equivalent:
+        raise VerificationError(f"{what}; first mismatch: {report.mismatches[0]}")
+    return report.vectors_checked
 
 
 def _quiet(config: FlowConfig, **overrides: object) -> FlowConfig:
@@ -124,15 +127,8 @@ def _quiet(config: FlowConfig, **overrides: object) -> FlowConfig:
 def _check_opt_levels(design: DatapathDesign, config: FlowConfig) -> Dict[str, object]:
     base = Flow(_quiet(config, opt_level=0)).run(design)
     optimized = Flow(_quiet(config, opt_level=2)).run(design)
-    vectors = _shared_vectors(design)
-    left, right = _outputs(base, vectors), _outputs(optimized, vectors)
-    if left != right:
-        raise VerificationError(
-            f"-O2 netlist differs from -O0 netlist; first mismatch: "
-            f"{_first_diff(left, right, vectors)}"
-        )
     return {
-        "vectors": len(vectors),
+        "vectors": _compare_runs(base, optimized, "-O2 netlist differs from -O0 netlist"),
         "cells_o0": base.cell_count,
         "cells_o2": optimized.cell_count,
     }
@@ -144,15 +140,8 @@ def _check_fold_square(design: DatapathDesign, config: FlowConfig) -> Dict[str, 
         raise _Skip("fold_square_products only applies to matrix methods")
     unfolded = Flow(_quiet(config, fold_square_products=False)).run(design)
     folded = Flow(_quiet(config, fold_square_products=True)).run(design)
-    vectors = _shared_vectors(design)
-    left, right = _outputs(unfolded, vectors), _outputs(folded, vectors)
-    if left != right:
-        raise VerificationError(
-            f"folded squarer differs from unfolded; first mismatch: "
-            f"{_first_diff(left, right, vectors)}"
-        )
     return {
-        "vectors": len(vectors),
+        "vectors": _compare_runs(unfolded, folded, "folded squarer differs from unfolded"),
         "cells_unfolded": unfolded.cell_count,
         "cells_folded": folded.cell_count,
     }
@@ -193,19 +182,12 @@ def _check_serialize_roundtrip(
     validate_netlist(rebuilt)
     if netlist_to_dict(rebuilt) != snapshot:
         raise VerificationError("serialize -> deserialize -> serialize is not stable")
-    vectors = _shared_vectors(design)
-    modulo = 1 << result.output_width
-    original = _outputs(result, vectors)
-    resimulated = [
-        value % modulo
-        for value in evaluate_vectors(rebuilt, vectors).bus_values(result.output_bus)
-    ]
-    if original != resimulated:
-        raise VerificationError(
-            f"rebuilt netlist simulates differently; first mismatch: "
-            f"{_first_diff(original, resimulated, vectors)}"
-        )
-    return {"vectors": len(vectors), "cells": result.cell_count}
+    vectors = _compare_runs(
+        result,
+        rebuilt,
+        "rebuilt netlist simulates differently",
+    )
+    return {"vectors": vectors, "cells": result.cell_count}
 
 
 @metamorphic_property("map_equivalent")
@@ -215,8 +197,7 @@ def _check_map_equivalent(
     from repro.map.targets import GENERIC_TARGET, MAP_OBJECTIVES, TARGET_NAMES, basis_of
 
     base = Flow(_quiet(config, target_lib=GENERIC_TARGET)).run(design)
-    vectors = _shared_vectors(design)
-    reference = _outputs(base, vectors)
+    vectors = 0
     cells_by_target: Dict[str, int] = {}
     for target in TARGET_NAMES:
         if target == GENERIC_TARGET:
@@ -238,15 +219,13 @@ def _check_map_equivalent(
                     f"{target}/{objective}: mapped netlist contains "
                     f"out-of-basis cell type(s) {stray}"
                 )
-            produced = _outputs(mapped, vectors)
-            if produced != reference:
-                raise VerificationError(
-                    f"{target}/{objective}: mapped netlist differs from the "
-                    f"unmapped run; first mismatch: "
-                    f"{_first_diff(reference, produced, vectors)}"
-                )
+            vectors = _compare_runs(
+                base,
+                mapped,
+                f"{target}/{objective}: mapped netlist differs from the unmapped run",
+            )
             cells_by_target[f"{target}/{objective}"] = mapped.cell_count
-    return {"vectors": len(vectors), "cells": cells_by_target}
+    return {"vectors": vectors, "cells": cells_by_target}
 
 
 @metamorphic_property("place_preserves_function")
@@ -269,15 +248,8 @@ def _check_place_preserves_function(
         raise VerificationError(
             "placement changed the netlist structure (cells/nets differ)"
         )
-    vectors = _shared_vectors(design)
-    left, right = _outputs(unplaced, vectors), _outputs(placed, vectors)
-    if left != right:
-        raise VerificationError(
-            f"placed netlist differs from unplaced; first mismatch: "
-            f"{_first_diff(left, right, vectors)}"
-        )
     return {
-        "vectors": len(vectors),
+        "vectors": _compare_runs(unplaced, placed, "placed netlist differs from unplaced"),
         "cells": placed.cell_count,
         "hpwl": report.total_hpwl,
         "cts_skew_ns": report.cts_skew_ns,

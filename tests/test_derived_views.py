@@ -21,10 +21,10 @@ from repro.netlist import stats as netlist_stats_module
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
 from repro.netlist.stats import logic_depth, netlist_stats
-from repro.opt.equivalence import check_netlists_equivalent, equivalence_reference
 from repro.place import placer as place_placer
 from repro.place import runner as place_runner
 from repro.place import validate as place_validate
+from repro.sim.equivalence import check_netlists_equivalent, equivalence_reference
 from repro.sim.program import cached_program
 from repro.tech.default_libs import generic_035, unit_library
 from repro.timing import arrival as timing_arrival

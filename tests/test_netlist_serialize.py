@@ -8,7 +8,7 @@ from repro.errors import NetlistError
 from repro.api import Flow, FlowConfig
 from repro.netlist.serialize import netlist_from_dict, netlist_to_dict
 from repro.netlist.validate import validate_netlist
-from repro.opt.equivalence import check_netlists_equivalent
+from repro.sim.equivalence import check_netlists_equivalent
 from repro.sim.evaluator import bus_value, evaluate_netlist
 
 

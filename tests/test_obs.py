@@ -17,7 +17,7 @@ import pytest
 
 from repro import obs
 from repro.api import Flow, FlowConfig
-from repro.api.stages import register_stage, stage as registered_stage, stage_names
+from repro.api.stages import STAGE_ORDER, register_stage, stage as registered_stage
 from repro.explore.engine import run_sweep
 from repro.explore.io import sweep_to_json_obj
 from repro.explore.spec import SweepSpec
@@ -237,7 +237,7 @@ class TestGoldenSpanNames:
         with obs.tracing(tracer):
             Flow(FlowConfig(opt_level=2)).run("x2")
         names = set(tracer.span_names())
-        for stage in stage_names():
+        for stage in STAGE_ORDER:
             assert f"flow.{stage}" in names
         assert any(name.startswith("opt.") for name in names), sorted(names)
         roots = [s for s in tracer.spans if s["parent"] is None]

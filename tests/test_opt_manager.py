@@ -5,12 +5,16 @@ import functools
 import pytest
 
 from repro.api import Flow, FlowConfig
-from repro.errors import OptimizationError
+from repro.errors import OptimizationError, SimulationError
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
 from repro.opt.base import RewritePass
-from repro.opt.equivalence import check_netlists_equivalent
 from repro.opt.manager import OPT_LEVELS, PassManager, default_pipeline, optimize_netlist
+from repro.sim.equivalence import (
+    check_equivalence,
+    check_netlists_equivalent,
+    equivalence_reference,
+)
 
 
 #: representative registry designs and methods for the whole -O2 pipeline
@@ -142,18 +146,33 @@ class TestPassManager:
             PassManager([], max_iterations=0)
 
 
+def _check_synthesized(entry, design, **stimulus):
+    """Check a synthesized netlist through one of the two public checkers."""
+    result = Flow(FlowConfig(method="fa_aot")).run(design)
+    if entry == "netlists":
+        return check_netlists_equivalent(result.netlist, result.netlist.copy(), **stimulus)
+    return check_equivalence(
+        result.netlist,
+        result.output_bus,
+        design.expression,
+        design.signals,
+        output_width=design.output_width,
+        **stimulus,
+    )
+
+
 class TestEquivalenceChecker:
-    def test_equivalent_copies(self, small_design):
-        netlist = Flow(FlowConfig(method="fa_aot")).run(small_design).netlist
-        report = check_netlists_equivalent(netlist, netlist.copy())
+    @pytest.mark.parametrize("entry", ["netlists", "expression"])
+    def test_equivalent_copies(self, small_design, entry):
+        report = _check_synthesized(entry, small_design)
         assert report.equivalent
         assert report.exhaustive
         assert report.vectors_checked == 1 << 8
 
-    def test_random_sampling_above_limit(self, small_design):
-        netlist = Flow(FlowConfig(method="fa_aot")).run(small_design).netlist
-        report = check_netlists_equivalent(
-            netlist, netlist.copy(), exhaustive_width_limit=4, random_vector_count=64
+    @pytest.mark.parametrize("entry", ["netlists", "expression"])
+    def test_random_sampling_above_limit(self, small_design, entry):
+        report = _check_synthesized(
+            entry, small_design, exhaustive_width_limit=4, random_vector_count=64
         )
         assert report.equivalent
         assert not report.exhaustive
@@ -179,12 +198,48 @@ class TestEquivalenceChecker:
         assert report.mismatches
         first = report.mismatches[0]
         assert first["expected"] != first["produced"]
-        with pytest.raises(OptimizationError):
+        with pytest.raises(SimulationError):
             report.assert_ok()
+
+    def test_positional_outputs_compare_renamed_buses(self):
+        unfolded, folded = (
+            Flow(
+                FlowConfig(opt_level=0, fold_square_products=fold, analyses=("stats",))
+            ).run("x2")
+            for fold in (False, True)
+        )
+        # folding renames every primary output; inputs and the bus keep theirs
+        assert not {n.name for n in unfolded.netlist.primary_outputs} & {
+            n.name for n in folded.netlist.primary_outputs
+        }
+        with pytest.raises(SimulationError, match="primary outputs differ"):
+            check_netlists_equivalent(unfolded.netlist, folded.netlist)
+        bus_names = [net.name for net in unfolded.output_bus.nets]
+        reference = equivalence_reference(unfolded.netlist, bus_names)
+        folded_names = [net.name for net in folded.output_bus.nets]
+        report = check_netlists_equivalent(
+            reference, equivalence_reference(folded.netlist, folded_names)
+        )
+        assert report.equivalent and report.exhaustive
+        assert report.vectors_checked == 1 << 3
+
+        # invert one bus bit of the folded netlist: every vector flips it
+        flipped = folded.netlist.add_cell(
+            CellType.NOT, {"a": folded.output_bus.nets[2]}, name="flip"
+        ).outputs["y"]
+        folded_names[2] = flipped.name
+        report = check_netlists_equivalent(
+            reference, equivalence_reference(folded.netlist, folded_names)
+        )
+        assert not report.equivalent
+        assert len(report.mismatches) == 5
+        for mismatch in report.mismatches:
+            assert mismatch["net"] == bus_names[2]
+            assert mismatch["produced"] == mismatch["expected"] ^ 1
 
     def test_interface_mismatch_rejected(self, small_design):
         netlist = Flow(FlowConfig(method="fa_aot")).run(small_design).netlist
         other = Netlist("other")
         other.add_input("zzz")
-        with pytest.raises(OptimizationError):
+        with pytest.raises(SimulationError):
             check_netlists_equivalent(netlist, other)

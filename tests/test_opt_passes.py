@@ -10,8 +10,8 @@ from repro.opt.cleanup import CleanupPass
 from repro.opt.constant_fold import ConstantFoldPass
 from repro.opt.cse import CommonSubexpressionPass
 from repro.opt.dce import DeadCellEliminationPass
-from repro.opt.equivalence import check_netlists_equivalent
 from repro.opt.strength import StrengthReductionPass
+from repro.sim.equivalence import check_netlists_equivalent
 
 
 def _check(before: Netlist, after: Netlist) -> None:
