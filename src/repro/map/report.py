@@ -89,11 +89,7 @@ class MapReport:
                 f"{self.delay_after:.3f} ns"
             )
         if self.equivalence_ok is not None:
-            equivalence = self.opt_report.equivalence
-            mode = "exhaustive" if equivalence.exhaustive else "random"
-            status = "ok" if equivalence.equivalent else "FAILED"
             lines.append(
-                f"equivalence vs unmapped: {status} "
-                f"({equivalence.vectors_checked} {mode} vectors)"
+                f"equivalence vs unmapped: {self.opt_report.equivalence.summary()}"
             )
         return "\n".join(lines)

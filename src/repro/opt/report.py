@@ -122,10 +122,5 @@ class OptReport:
             f"{self.after.logic_depth}{area_text}"
         )
         if self.equivalence is not None:
-            mode = "exhaustive" if self.equivalence.exhaustive else "random"
-            status = "ok" if self.equivalence.equivalent else "FAILED"
-            lines.append(
-                f"equivalence: {status} ({self.equivalence.vectors_checked} "
-                f"{mode} vectors)"
-            )
+            lines.append(f"equivalence: {self.equivalence.summary()}")
         return "\n".join(lines)

@@ -5,12 +5,13 @@ output bus (:func:`check_equivalence`), and every optimization, mapping or
 placement rewrite must leave its outputs bit-for-bit unchanged
 (:func:`check_netlists_equivalent`).  Both checkers share one stimulus and
 one compare loop: up to a width limit every input combination is tried,
-above it a seeded random sample.  The stimulus is built directly in packed
-form — exhaustive patterns are periodic bit masks, random ones a
-``getrandbits`` word per input — and fed in power-of-two chunks through the
-netlist's compiled :class:`~repro.sim.program.SimProgram`, so no per-vector
-dicts and no per-chunk topological re-sorts are ever materialized.  Both
-return one :class:`EquivalenceReport`.
+above it a seeded random sample.  The stimulus comes packed from
+:func:`repro.sim.stimulus.packed_chunks` — exhaustive patterns are periodic
+bit masks, random ones a ``getrandbits`` word per input — and is fed in
+power-of-two chunks through the netlist's compiled
+:class:`~repro.sim.program.SimProgram`, so no per-vector dicts and no
+per-chunk topological re-sorts are ever materialized.  Both return one
+:class:`EquivalenceReport`.
 
 The netlist checker's reference side may be an
 :class:`EquivalenceReference`: the compiled program and interface names of
@@ -23,7 +24,6 @@ the same state compiles nothing.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -31,13 +31,8 @@ from repro.errors import SimulationError
 from repro.expr.ast import Expression
 from repro.expr.signals import SignalSpec
 from repro.netlist.core import Bus, Netlist
-from repro.sim.evaluator import BatchValues
 from repro.sim.program import SimProgram, cached_program
-from repro.sim.vectors import total_input_width
-
-#: vectors per program replay; a power of two keeps the exhaustive bit
-#: patterns chunk-aligned and bounds memory for ~20-bit exhaustive checks
-CHUNK_VECTORS = 1 << 13
+from repro.sim.stimulus import packed_chunks, total_input_width, unpack_bus
 
 #: one chunk's comparison: ``(packed input words, vector count)`` -> the
 #: chunk's mismatch records, in vector order
@@ -58,6 +53,12 @@ class EquivalenceReport:
         if not self.equivalent:
             example = self.mismatches[0] if self.mismatches else {}
             raise SimulationError(f"not equivalent; first mismatch: {example}")
+
+    def summary(self) -> str:
+        """One-line verdict, e.g. ``ok (256 exhaustive vectors)``."""
+        status = "ok" if self.equivalent else "FAILED"
+        mode = "exhaustive" if self.exhaustive else "random"
+        return f"{status} ({self.vectors_checked} {mode} vectors)"
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-able record for reports and artifacts."""
@@ -100,31 +101,6 @@ def equivalence_reference(
     )
 
 
-def _packed_exhaustive_chunk(
-    names: Sequence[str], start: int, count: int
-) -> Dict[str, int]:
-    """Packed input words for vectors ``start .. start+count-1`` of the
-    exhaustive enumeration (input ``names[i]`` carries bit ``i`` of the
-    vector index).
-
-    Requires ``count`` to be a power of two and ``start`` a multiple of it,
-    so low bits are exact periodic patterns and high bits are constant over
-    the chunk.
-    """
-    mask = (1 << count) - 1
-    words: Dict[str, int] = {}
-    for i, name in enumerate(names):
-        half = 1 << i
-        if half >= count:
-            words[name] = mask if (start >> i) & 1 else 0
-        else:
-            period = half << 1
-            base = ((1 << half) - 1) << half  # one period: half 0s, half 1s
-            repunit = ((1 << count) - 1) // ((1 << period) - 1)
-            words[name] = base * repunit
-    return words
-
-
 def _compare_chunks(
     names: Sequence[str],
     exhaustive: bool,
@@ -133,23 +109,16 @@ def _compare_chunks(
     max_mismatches: int,
     compare: _CompareFn,
 ) -> EquivalenceReport:
-    """The one stimulus and compare loop behind both checkers.
+    """The one compare loop behind both checkers.
 
     Feeds packed words for the inputs ``names`` — every combination when
     ``exhaustive``, else ``random_vector_count`` vectors drawn from
     ``seed`` — to ``compare`` chunk by chunk, until the stimulus runs out
     or ``max_mismatches`` records are collected.
     """
-    total = (1 << len(names)) if exhaustive else random_vector_count
-    rng = random.Random(seed)
     mismatches: List[Dict[str, object]] = []
     checked = 0
-    for start in range(0, total, CHUNK_VECTORS):
-        count = min(CHUNK_VECTORS, total - start)
-        if exhaustive:
-            words = _packed_exhaustive_chunk(names, start, count)
-        else:
-            words = {name: rng.getrandbits(count) for name in names}
+    for words, count in packed_chunks(names, exhaustive, random_vector_count, seed):
         checked += count
         room = max_mismatches - len(mismatches)
         mismatches.extend(itertools.islice(compare(words, count), room))
@@ -273,16 +242,15 @@ def check_equivalence(
             raise SimulationError(f"unknown input {name!r}")
         buses.append(netlist.input_buses[name])
     program = cached_program(netlist)
-    out_names = [net.name for net in output_bus.nets]
-    out_slots = _output_slots(program, out_names)
+    out_slots = _output_slots(program, [net.name for net in output_bus.nets])
 
     def compare(words: Dict[str, int], count: int) -> Iterator[Dict[str, object]]:
         slots = program.run_packed(words, (1 << count) - 1)
-        packed = dict(words)
-        packed.update(zip(out_names, (slots[slot] for slot in out_slots)))
-        batch = BatchValues(values=packed, count=count)
-        operands = [batch.bus_values(bus) for bus in buses]
-        for k, produced_raw in enumerate(batch.bus_values(output_bus)):
+        operands = [
+            unpack_bus([words[net.name] for net in bus.nets], count) for bus in buses
+        ]
+        produced_words = [slots[slot] for slot in out_slots]
+        for k, produced_raw in enumerate(unpack_bus(produced_words, count)):
             vector = {name: values[k] for name, values in zip(signals, operands)}
             produced = produced_raw % modulo
             expected = expression.evaluate(vector) % modulo

@@ -5,10 +5,11 @@ into a flat straight-line program over an integer value array: every net is
 assigned a slot, and every cell becomes one instruction — ``(cell type,
 input slots, output slots)`` — paired with a closure that applies the
 cell's packed boolean semantics directly to the array.  The program is built
-once per netlist *generation* and replayed for every chunk of an
-equivalence check or every batch of an empirical-switching run,
-eliminating the per-chunk topological re-sort, per-cell port-dict lookups,
-and 16-way type dispatch that used to dominate the packed evaluator.
+once per netlist *generation* and replayed on the packed input words of
+:mod:`repro.sim.stimulus` — every chunk of an equivalence check, the one
+batch of an empirical-switching run — with no per-chunk topological
+re-sort, per-cell port-dict lookups or per-type dispatch.  A caller reads
+a net's packed result at ``slots[program.slot_of[name]]``.
 Threaded closures are used instead of ``exec``-generated per-netlist source
 because building them is ~50x cheaper than compiling equivalent Python text
 while replaying within a few percent — single-replay callers (one
@@ -166,10 +167,6 @@ class SimProgram:
         for op in self._ops:
             op(v, mask)
         return v
-
-    def values_dict(self, slots: List[int]) -> Dict[str, int]:
-        """Name-keyed view of a slot array returned by :meth:`run_packed`."""
-        return {name: slots[slot] for name, slot in self.slot_of.items()}
 
 
 def compile_netlist_program(netlist: Netlist) -> SimProgram:

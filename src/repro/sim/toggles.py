@@ -1,12 +1,13 @@
 """Simulation-based (empirical) switching-activity estimation.
 
 This provides the measured counterpart of the probabilistic model in
-:mod:`repro.power`: a stream of random input vectors (drawn according to the
-per-bit input probabilities) is simulated, toggles on every net are counted,
-and the per-net toggle rate is reported.  Under the zero-delay model the
-toggle rate of a net converges to ``2 p (1-p)`` for temporally independent
-vectors; the tests use this to validate the probability propagation on
-circuits without reconvergent fanout.
+:mod:`repro.power`: a stream of input vectors drawn according to the per-bit
+input probabilities (:func:`repro.sim.stimulus.weighted_words`) is replayed
+through the netlist's compiled program in one packed batch, and the ones and
+the toggles between consecutive vectors are counted on every net.  Under the
+zero-delay model the toggle rate of a net converges to ``2 p (1-p)`` for
+temporally independent vectors; the tests use this to validate the
+probability propagation on circuits without reconvergent fanout.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
+from repro.errors import SimulationError
 from repro.expr.signals import SignalSpec
 from repro.netlist.core import Netlist
-from repro.sim.evaluator import evaluate_vectors
-from repro.sim.vectors import random_vectors
+from repro.sim.program import cached_program
+from repro.sim.stimulus import weighted_words
 
 
 @dataclass
@@ -45,30 +47,45 @@ def empirical_switching(
 ) -> EmpiricalSwitching:
     """Simulate random vectors and measure per-net toggle rates.
 
-    ``seed`` drives the vector stream and is an ``int`` (never ``None``) so
-    repeated estimates over the same netlist are bit-identical.
+    Each signal drives its input bus; bit ``i`` is 1 with the signal's
+    ``probability_of(i)``.  A signal naming no input bus, a signal whose
+    width differs from its bus, or a primary input that no signal covers
+    raises :class:`SimulationError`.  ``seed`` drives the vector stream and
+    is an ``int`` (never ``None``) so repeated estimates over the same
+    netlist are bit-identical.
 
-    All vectors are evaluated in one bit-parallel batch; per-net statistics
-    then reduce to popcounts on the packed value words — ones are set bits,
-    toggles are set bits of ``packed ^ (packed >> 1)`` over consecutive
-    vector pairs.
+    Per-net statistics are popcounts on the packed slot words — ones are
+    set bits, toggles are set bits of ``word ^ (word >> 1)`` over
+    consecutive vector pairs.
     """
-    vectors = random_vectors(
-        signals, vector_count, seed=seed, respect_probabilities=True
-    )
-    batch = evaluate_vectors(netlist, vectors)
+    probabilities: Dict[str, float] = {}
+    for name, spec in signals.items():
+        bus = netlist.input_buses.get(name)
+        if bus is None:
+            raise SimulationError(f"unknown input {name!r}")
+        if bus.width != spec.width:
+            raise SimulationError(
+                f"signal {name!r} is {spec.width} bits wide, its bus {bus.width}"
+            )
+        for index, net in enumerate(bus.nets):
+            probabilities[net.name] = spec.probability_of(index)
 
-    pairs = max(1, len(vectors) - 1)
-    count = max(1, len(vectors))
-    pair_mask = (1 << max(0, len(vectors) - 1)) - 1
+    program = cached_program(netlist)
+    mask = (1 << vector_count) - 1
+    slots = program.run_packed(weighted_words(probabilities, vector_count, seed), mask)
+
+    count = max(1, vector_count)
+    pairs = max(1, vector_count - 1)
+    pair_mask = mask >> 1
     toggle_rate: Dict[str, float] = {}
     one_probability: Dict[str, float] = {}
-    for name, packed in batch.values.items():
-        one_probability[name] = bin(packed).count("1") / count
-        toggle_rate[name] = bin((packed ^ (packed >> 1)) & pair_mask).count("1") / pairs
+    for name, slot in program.slot_of.items():
+        word = slots[slot]
+        one_probability[name] = bin(word).count("1") / count
+        toggle_rate[name] = bin((word ^ (word >> 1)) & pair_mask).count("1") / pairs
 
     return EmpiricalSwitching(
-        vectors_simulated=len(vectors),
+        vectors_simulated=vector_count,
         toggle_rate=toggle_rate,
         one_probability=one_probability,
     )

@@ -137,7 +137,6 @@ class TestFactoryAndHelpers:
     @pytest.mark.parametrize("name", sorted(ADDERS))
     def test_adders_are_faster_or_equal_to_ripple_in_depth(self, name, library):
         """Structural sanity: no adder has a worse logic depth than ripple."""
-        from repro.netlist.stats import logic_depth
         from repro.timing.arrival import compute_arrival_times
 
         def delay_of(builder):

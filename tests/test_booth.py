@@ -14,7 +14,7 @@ from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec
 from repro.netlist.core import Netlist
 from repro.sim.equivalence import check_equivalence
-from repro.sim.evaluator import bus_value, evaluate_netlist
+from repro.sim.evaluator import evaluate_netlist
 from repro.tech.default_libs import generic_035
 
 

@@ -8,7 +8,6 @@ from repro.core.fa_alp import fa_alp
 from repro.core.fa_aot import fa_aot
 from repro.core.fa_random import fa_random
 from repro.core.policies import EarliestArrivalPolicy
-from repro.core.power_model import FAPowerModel
 from repro.core.tree_builder import CompressorTreeBuilder
 from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec

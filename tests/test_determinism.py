@@ -1,9 +1,9 @@
 """Determinism of every stochastic path: explicit seeds, identical replays.
 
-``repro.sim.vectors.random_vectors`` deliberately has **no default seed**:
-each stochastic consumer (equivalence sampling, empirical switching, the
-fuzzer) must name its seed, and these tests pin the resulting replayability
-end to end.
+The packed stimulus generators of ``repro.sim.stimulus`` deliberately have
+**no default seed**: each stochastic consumer (equivalence sampling,
+empirical switching, the fuzzer) must name its seed, and these tests pin the
+resulting replayability end to end.
 """
 
 import pytest
@@ -12,8 +12,8 @@ from repro.api.config import FlowConfig
 from repro.api.flow import Flow
 from repro.designs.registry import get_design
 from repro.sim.equivalence import check_equivalence
+from repro.sim.stimulus import packed_chunks, weighted_words
 from repro.sim.toggles import empirical_switching
-from repro.sim.vectors import random_vectors
 
 
 @pytest.fixture(scope="module")
@@ -24,19 +24,37 @@ def big_flow():
     return design, result
 
 
-class TestRandomVectors:
+def _input_probabilities(design):
+    """Per input-bus net, its bit's probability (net names are ``x[i]``)."""
+    return {
+        f"{name}[{i}]": spec.probability_of(i)
+        for name, spec in design.signals.items()
+        for i in range(spec.width)
+    }
+
+
+def _input_names(design):
+    return list(_input_probabilities(design))
+
+
+class TestStimulusSeeds:
     def test_seed_is_mandatory(self, x2_design):
+        probabilities = _input_probabilities(x2_design)
         with pytest.raises(TypeError):
-            random_vectors(x2_design.signals, 4)  # noqa: seed intentionally missing
+            weighted_words(probabilities, 4)  # noqa: seed intentionally missing
+        with pytest.raises(TypeError):
+            packed_chunks(list(probabilities), False, 4)  # noqa: seed missing
 
     def test_same_seed_same_stream(self, x2_design):
-        a = random_vectors(x2_design.signals, 16, seed=9)
-        b = random_vectors(x2_design.signals, 16, seed=9)
+        names = _input_names(x2_design)
+        a = list(packed_chunks(names, False, 16, seed=9))
+        b = list(packed_chunks(names, False, 16, seed=9))
         assert a == b
 
     def test_probability_respecting_stream_is_seeded_too(self, small_design):
-        a = random_vectors(small_design.signals, 32, seed=3, respect_probabilities=True)
-        b = random_vectors(small_design.signals, 32, seed=3, respect_probabilities=True)
+        probabilities = _input_probabilities(small_design)
+        a = weighted_words(probabilities, 32, seed=3)
+        b = weighted_words(probabilities, 32, seed=3)
         assert a == b
 
 
@@ -59,8 +77,9 @@ class TestEquivalenceSampling:
 
     def test_different_seeds_sample_different_vectors(self, big_flow):
         design, _ = big_flow
-        assert random_vectors(design.signals, 8, seed=1) != random_vectors(
-            design.signals, 8, seed=2
+        names = _input_names(design)
+        assert list(packed_chunks(names, False, 8, seed=1)) != list(
+            packed_chunks(names, False, 8, seed=2)
         )
 
 

@@ -2,8 +2,6 @@
 
 from hypothesis import given, strategies as st
 
-import pytest
-
 from repro.expr.ast import Const, Expression, Neg, Var
 from repro.expr.lowering import Term, combine_terms, evaluate_terms, lower_to_terms, terms_to_string
 from repro.expr.parser import parse_expression

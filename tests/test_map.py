@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import Flow, FlowConfig, STAGE_ORDER
 from repro.cli import build_parser
-from repro.designs.registry import get_design, list_designs
+from repro.designs.registry import list_designs
 from repro.errors import MappingError
 from repro.explore.spec import SweepPoint, SweepSpec
 from repro.map import (
@@ -38,7 +38,8 @@ from repro.netlist.cells import (
 from repro.netlist.core import Netlist
 from repro.netlist.validate import validate_netlist
 from repro.netlist.verilog import to_verilog
-from repro.sim.evaluator import evaluate_vectors
+from repro.sim.program import cached_program
+from repro.sim.stimulus import exhaustive_words
 from repro.tech import generic_035
 from repro.tech.target_libs import TARGET_LIBRARY_NAMES
 
@@ -537,15 +538,15 @@ class TestNewCellTypes:
         for out_net in cell.outputs.values():
             netlist.set_output(out_net)
         validate_netlist(netlist)
-        vectors = [
-            dict(zip(ports, bits))
-            for bits in itertools.product((0, 1), repeat=len(ports))
-        ]
-        batch = evaluate_vectors(netlist, vectors)
-        for index, vector in enumerate(vectors):
+        count = 1 << len(ports)
+        words = exhaustive_words(ports, 0, count)
+        program = cached_program(netlist)
+        slots = program.run_packed(words, (1 << count) - 1)
+        for index in range(count):
+            vector = {port: (words[port] >> index) & 1 for port in ports}
             expected = evaluate_cell(cell_type, vector)
             for port, net in cell.outputs.items():
-                assert batch.net_values(net.name)[index] == expected[port]
+                assert (slots[program.slot_of[net.name]] >> index) & 1 == expected[port]
 
     @pytest.mark.parametrize("cell_type", NEW_TYPES)
     def test_probability_model_matches_truth_table_at_half(self, cell_type):

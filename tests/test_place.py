@@ -35,7 +35,6 @@ from repro.place import (
     site_demand,
     total_hpwl,
     validate_placement,
-    wire_delays,
 )
 from repro.obs import Tracer
 from repro.place.placer import pin_table

@@ -1,113 +1,87 @@
-"""Tests for the batched, bit-parallel netlist evaluator."""
+"""The packed path — stimulus words replayed by the compiled program —
+against the one-vector reference oracle ``evaluate_netlist``."""
 
 import pytest
 
 from repro.designs.registry import get_design
 from repro.errors import SimulationError
 from repro.api import Flow, FlowConfig
-from repro.sim.evaluator import bus_value, evaluate_netlist, evaluate_vectors
-from repro.sim.vectors import exhaustive_vectors, random_vectors
+from repro.expr.signals import SignalSpec
+from repro.sim.equivalence import check_equivalence
+from repro.sim.evaluator import bus_value, evaluate_netlist
+from repro.sim.program import cached_program
+from repro.sim.stimulus import packed_chunks, unpack_bus
+from repro.sim.toggles import empirical_switching
 
 
-def _output_values_per_vector(result, vectors):
+def _stimulus(netlist, exhaustive, count, seed):
+    """The one chunk of packed words over the netlist's primary inputs."""
+    names = [net.name for net in netlist.primary_inputs]
+    (chunk,) = packed_chunks(names, exhaustive, count, seed)
+    return chunk
+
+
+def _vector(words, k):
+    """Vector ``k`` of a packed batch, as per-net bits for ``evaluate_netlist``."""
+    return {name: (word >> k) & 1 for name, word in words.items()}
+
+
+def _packed_outputs(result, words, count):
+    program = cached_program(result.netlist)
+    slots = program.run_packed(words, (1 << count) - 1)
+    nets = result.output_bus.nets
+    return unpack_bus([slots[program.slot_of[net.name]] for net in nets], count)
+
+
+def _reference_outputs(result, words, count):
     return [
-        bus_value(evaluate_netlist(result.netlist, vector), result.output_bus)
-        for vector in vectors
+        bus_value(evaluate_netlist(result.netlist, _vector(words, k)), result.output_bus)
+        for k in range(count)
     ]
 
 
-class TestEvaluateVectors:
+class TestPackedReplay:
     @pytest.mark.parametrize("method", ["fa_aot", "wallace", "conventional"])
     def test_bit_exact_vs_per_vector_random(self, method):
         design = get_design("x2_plus_x_plus_y")
         result = Flow(FlowConfig(method=method)).run(design)
-        vectors = random_vectors(design.signals, 96, seed=11)
-        batch = evaluate_vectors(result.netlist, vectors)
-        assert batch.count == 96
-        assert batch.bus_values(result.output_bus) == _output_values_per_vector(
-            result, vectors
+        words, count = _stimulus(result.netlist, False, 96, seed=11)
+        assert count == 96
+        assert _packed_outputs(result, words, count) == _reference_outputs(
+            result, words, count
         )
 
     def test_bit_exact_exhaustive(self):
         design = get_design("x2")
         result = Flow(FlowConfig(method="dadda")).run(design)
-        vectors = list(exhaustive_vectors(design.signals))
-        batch = evaluate_vectors(result.netlist, vectors)
-        assert batch.bus_values(result.output_bus) == _output_values_per_vector(
-            result, vectors
+        words, count = _stimulus(result.netlist, True, 0, seed=0)
+        assert count == 1 << len(result.netlist.primary_inputs)
+        assert _packed_outputs(result, words, count) == _reference_outputs(
+            result, words, count
         )
 
     def test_every_net_matches_per_vector(self):
         design = get_design("x2")
         result = Flow(FlowConfig(method="fa_aot")).run(design)
-        vectors = random_vectors(design.signals, 17, seed=3)
-        batch = evaluate_vectors(result.netlist, vectors)
-        for k, vector in enumerate(vectors):
-            reference = evaluate_netlist(result.netlist, vector)
+        words, count = _stimulus(result.netlist, False, 17, seed=3)
+        program = cached_program(result.netlist)
+        slots = program.run_packed(words, (1 << count) - 1)
+        for k in range(count):
+            reference = evaluate_netlist(result.netlist, _vector(words, k))
+            assert reference.keys() == program.slot_of.keys()
             for name, value in reference.items():
-                assert (batch.values[name] >> k) & 1 == value, name
+                assert (slots[program.slot_of[name]] >> k) & 1 == value, name
 
     def test_empty_batch(self):
         design = get_design("x2")
         result = Flow(FlowConfig(method="fa_aot")).run(design)
-        batch = evaluate_vectors(result.netlist, [])
-        assert batch.count == 0
-        assert batch.bus_values(result.output_bus) == []
-
-    def test_unknown_input_rejected(self):
-        design = get_design("x2")
-        result = Flow(FlowConfig(method="fa_aot")).run(design)
-        with pytest.raises(SimulationError):
-            evaluate_vectors(result.netlist, [{"bogus": 1}])
-
-    def test_missing_inputs_rejected(self):
-        design = get_design("x2_plus_x_plus_y")
-        result = Flow(FlowConfig(method="fa_aot")).run(design)
-        with pytest.raises(SimulationError):
-            evaluate_vectors(result.netlist, [{"x": 1}])  # 'y' missing
-
-    def test_partially_assigned_vector_rejected(self):
-        # an input present in some vectors but absent in others must raise,
-        # matching the per-vector reference behaviour (not silently read 0)
-        design = get_design("x2_plus_x_plus_y")
-        result = Flow(FlowConfig(method="fa_aot")).run(design)
-        with pytest.raises(SimulationError):
-            evaluate_vectors(result.netlist, [{"x": 1, "y": 1}, {"x": 1}])
-
-    def test_net_values_accessor(self):
-        design = get_design("x2")
-        result = Flow(FlowConfig(method="fa_aot")).run(design)
-        vectors = random_vectors(design.signals, 5, seed=1)
-        batch = evaluate_vectors(result.netlist, vectors)
-        net = result.output_bus.nets[0]
-        per_vector = [
-            evaluate_netlist(result.netlist, vector)[net.name] for vector in vectors
-        ]
-        assert batch.net_values(net.name) == per_vector
-        with pytest.raises(SimulationError):
-            batch.net_values("no_such_net")
-
-    def test_oversized_bus_value_rejected(self):
-        # regression: values wider than the bus used to be silently
-        # truncated during packing, simulating a different stimulus than
-        # the caller asked for
-        design = get_design("x2")
-        result = Flow(FlowConfig(method="fa_aot")).run(design)
-        width = result.netlist.input_buses["x"].width
-        with pytest.raises(SimulationError, match="does not fit"):
-            evaluate_vectors(result.netlist, [{"x": 1 << width}])
-        with pytest.raises(SimulationError, match="does not fit"):
-            evaluate_netlist(result.netlist, {"x": 1 << width})
-
-    def test_negative_bus_value_wraps_not_rejected(self):
-        design = get_design("x2")
-        result = Flow(FlowConfig(method="fa_aot")).run(design)
-        width = result.netlist.input_buses["x"].width
-        batch = evaluate_vectors(result.netlist, [{"x": -1}])
-        reference = evaluate_netlist(result.netlist, {"x": (1 << width) - 1})
-        assert batch.bus_values(result.output_bus) == [
-            bus_value(reference, result.output_bus)
-        ]
+        names = [net.name for net in result.netlist.primary_inputs]
+        assert list(packed_chunks(names, False, 0, seed=1)) == []
+        assert _packed_outputs(result, dict.fromkeys(names, 0), 0) == []
+        stats = empirical_switching(result.netlist, design.signals, 0, seed=1)
+        assert stats.vectors_simulated == 0
+        assert set(stats.one_probability.values()) == {0.0}
+        assert set(stats.toggle_rate.values()) == {0.0}
 
     def test_faster_than_per_vector_at_64(self):
         # the acceptance bar: measurably faster at >= 64 vectors; use a
@@ -117,17 +91,65 @@ class TestEvaluateVectors:
 
         design = get_design("iir")
         result = Flow(FlowConfig(method="fa_aot")).run(design)
-        vectors = random_vectors(design.signals, 64, seed=9)
+        words, count = _stimulus(result.netlist, False, 64, seed=9)
 
         start = time.perf_counter()
-        expected = _output_values_per_vector(result, vectors)
+        expected = _reference_outputs(result, words, count)
         per_vector_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        produced = evaluate_vectors(result.netlist, vectors).bus_values(
-            result.output_bus
-        )
-        batched_time = time.perf_counter() - start
+        produced = _packed_outputs(result, words, count)
+        packed_time = time.perf_counter() - start
 
         assert produced == expected
-        assert batched_time < per_vector_time / 2
+        assert packed_time < per_vector_time / 2
+
+
+#: the two packed drivers that take operand signals: ``(design, flow result,
+#: signals)`` -> run it
+DRIVERS = {
+    "empirical_switching": lambda design, result, signals: empirical_switching(
+        result.netlist, signals, 8, seed=1
+    ),
+    "check_equivalence": lambda design, result, signals: check_equivalence(
+        result.netlist, result.output_bus, design.expression, signals
+    ),
+}
+
+
+class TestInputErrors:
+    """Both packed drivers reject a stimulus that does not fit the netlist."""
+
+    @pytest.fixture(scope="class")
+    def flow(self):
+        design = get_design("x2_plus_x_plus_y")
+        return design, Flow(FlowConfig(method="fa_aot")).run(design)
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_unknown_signal_rejected(self, flow, driver):
+        design, result = flow
+        signals = {**design.signals, "bogus": SignalSpec("bogus", 1)}
+        with pytest.raises(SimulationError, match="unknown input 'bogus'"):
+            DRIVERS[driver](design, result, signals)
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_uncovered_primary_input_rejected(self, flow, driver):
+        design, result = flow
+        signals = {"x": design.signals["x"]}  # no signal drives 'y'
+        with pytest.raises(SimulationError, match="missing values"):
+            DRIVERS[driver](design, result, signals)
+
+    def test_signal_wider_than_its_bus_rejected(self, flow):
+        design, result = flow
+        width = result.netlist.input_buses["x"].width
+        signals = {**design.signals, "x": SignalSpec("x", width + 1)}
+        with pytest.raises(SimulationError, match="bits wide"):
+            empirical_switching(result.netlist, signals, 8, seed=1)
+
+    def test_oversized_bus_value_rejected_by_the_oracle(self, flow):
+        # regression: values wider than the bus used to be silently
+        # truncated, simulating a different stimulus than the caller asked for
+        _, result = flow
+        width = result.netlist.input_buses["x"].width
+        with pytest.raises(SimulationError, match="does not fit"):
+            evaluate_netlist(result.netlist, {"x": 1 << width, "y": 0})

@@ -13,7 +13,7 @@ from repro.netlist.cells import CellType, cell_output_ports
 from repro.netlist.core import Netlist
 from repro.sim.evaluator import evaluate_netlist
 from repro.sim.program import cached_program, compile_netlist_program
-from repro.sim.vectors import random_vectors
+from repro.sim.stimulus import exhaustive_words, packed_chunks
 
 
 def _all_celltype_netlist() -> Netlist:
@@ -46,13 +46,14 @@ def _all_celltype_netlist() -> Netlist:
     return netlist
 
 
-def _pack_vectors(vectors):
-    """Per-input packed words (bit k of a word = that input in vector k)."""
-    packed = {}
-    for k, vector in enumerate(vectors):
-        for name, bit in vector.items():
-            packed[name] = packed.get(name, 0) | ((bit & 1) << k)
-    return packed
+def _assert_matches_interpreter(netlist, words, count):
+    """Every net of every packed vector equals the one-vector interpreter."""
+    program = cached_program(netlist)
+    slots = program.run_packed(words, (1 << count) - 1)
+    for k in range(count):
+        vector = {name: (word >> k) & 1 for name, word in words.items()}
+        for name, bit in evaluate_netlist(netlist, vector).items():
+            assert (slots[program.slot_of[name]] >> k) & 1 == bit, (name, k)
 
 
 class TestCompiledProgramSemantics:
@@ -61,39 +62,16 @@ class TestCompiledProgramSemantics:
         used = {instr[0] for instr in compile_netlist_program(netlist).instructions}
         assert used == {ct.value for ct in CellType}
 
-        vectors = [
-            {"a": (i >> 0) & 1, "b": (i >> 1) & 1, "c": (i >> 2) & 1, "d": (i >> 3) & 1}
-            for i in range(16)
-        ]
-        program = cached_program(netlist)
-        slots = program.run_packed(_pack_vectors(vectors), (1 << 16) - 1)
-        values = program.values_dict(slots)
-        for k, vector in enumerate(vectors):
-            reference = evaluate_netlist(netlist, vector)
-            for name, bit in reference.items():
-                assert (values[name] >> k) & 1 == bit, (name, vector)
+        words = exhaustive_words(["a", "b", "c", "d"], 0, 16)
+        _assert_matches_interpreter(netlist, words, 16)
 
     @pytest.mark.parametrize("design_name", list_designs())
     def test_registry_designs_match_interpreter(self, design_name):
         design = get_design(design_name)
         result = Flow(FlowConfig(method="fa_aot")).run(design)
-        vectors = random_vectors(design.signals, 16, seed=77)
-
-        program = cached_program(result.netlist)
-        packed = {}
-        for name, bus in result.netlist.input_buses.items():
-            for index, net in enumerate(bus.nets):
-                word = 0
-                for k, vector in enumerate(vectors):
-                    word |= ((vector[name] >> index) & 1) << k
-                packed[net.name] = word
-        slots = program.run_packed(packed, (1 << len(vectors)) - 1)
-        values = program.values_dict(slots)
-
-        for k, vector in enumerate(vectors):
-            reference = evaluate_netlist(result.netlist, vector)
-            for name, bit in reference.items():
-                assert (values[name] >> k) & 1 == bit, (name, k)
+        names = [net.name for net in result.netlist.primary_inputs]
+        (words, count), = packed_chunks(names, False, 16, seed=77)
+        _assert_matches_interpreter(result.netlist, words, count)
 
     def test_missing_primary_input_rejected(self):
         netlist = _all_celltype_netlist()

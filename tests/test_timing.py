@@ -113,6 +113,33 @@ class TestAllocationModelAgreement:
         for addend in result.final_addends():
             assert timing.arrivals[addend.net.name] == pytest.approx(addend.arrival)
 
+    @pytest.mark.parametrize("design", list_designs())
+    def test_reducer_annotations_equal_signoff_at_o0(self, design):
+        """At -O0 on ``generic_035``, every arrival and probability the reducer
+        annotated is exactly what sign-off STA and propagation compute."""
+        for method in ("fa_aot", "fa_alp", "wallace", "csa_opt"):
+            config = FlowConfig(
+                method=method,
+                opt_level=0,
+                library="generic_035",
+                analyses=("timing", "power"),
+            )
+            result = Flow(config).run(design)
+            annotated = [
+                net
+                for net in result.netlist.nets.values()
+                if "arrival" in net.attributes and not net.is_primary_input
+            ]
+            assert annotated, method
+            for net in annotated:
+                assert net.attributes["arrival"] == result.timing.arrival_of(net), (
+                    method,
+                    net.name,
+                )
+                assert net.attributes["probability"] == (
+                    result.probabilities.probability_of(net)
+                ), (method, net.name)
+
 
 class TestCriticalPath:
     def test_path_is_connected_and_ends_at_worst_output(self, unit_lib):

@@ -31,7 +31,6 @@ from repro.verify import (
     run_metamorphic,
     run_self_test,
     run_verify,
-    sample_config,
     sample_points,
     write_report,
 )

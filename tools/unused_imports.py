@@ -8,7 +8,7 @@ its module, including inside a string annotation (``"SweepPoint"``,
 an import statement with a ``# noqa: F401`` comment on one of its lines.
 Uses the stdlib ``ast`` only::
 
-    python tools/unused_imports.py                # src/repro and tools
+    python tools/unused_imports.py      # src/repro, tools, tests, examples
     python tools/unused_imports.py path/to/file.py dir/
 
 Prints one ``path:line: name`` per finding and exits 1 if there are any.
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_PATHS = (ROOT / "src" / "repro", ROOT / "tools")
+DEFAULT_PATHS = tuple(ROOT / path for path in ("src/repro", "tools", "tests", "examples"))
 
 
 def _annotations(tree: ast.AST) -> Iterator[ast.expr]:
