@@ -58,7 +58,6 @@ class TechnologyMappingPass(RewritePass):
     name = "tech-map"
 
     def __init__(self, library: TechLibrary, objective: str = "balanced") -> None:
-        super().__init__()
         if objective not in MAP_OBJECTIVES:
             raise MappingError(
                 f"unknown map objective {objective!r}; "
@@ -162,7 +161,6 @@ class TechnologyMappingPass(RewritePass):
 
     def _cover(self, netlist: Netlist) -> int:
         changed = 0
-        self.touched_nets = set()
         basis = self.basis
         if all(cell.cell_type in basis for cell in netlist.cells.values()):
             # the fixpoint's confirming sweep: nothing to cover, so no
@@ -208,7 +206,7 @@ class TechnologyMappingPass(RewritePass):
             replacements = compiled.materialize(netlist, cell)
             for port, net in replacements.items():
                 arrivals[net.name] = out_arrivals[port]
-            self.touched_nets |= retire_cell(netlist, cell, replacements)
+            retire_cell(netlist, cell, replacements)
             name = compiled.template.name
             self.template_counts[name] = self.template_counts.get(name, 0) + 1
             changed += 1

@@ -168,10 +168,9 @@ class Netlist:
         Every mutation through the public API (``add_net`` / ``add_cell`` /
         ``remove_cell`` / ``replace_net_uses`` / ``rebind_input`` /
         ``annotate`` / ...) bumps this counter.  Derived structures — the
-        views memoized in :meth:`derived_views`, incremental analysis state —
-        are keyed on the generation they were built against and treat any
-        mismatch as stale, so cache invalidation is structural rather than a
-        calling convention.
+        views memoized in :meth:`derived_views` — are keyed on the generation
+        they were built against and treat any mismatch as stale, so cache
+        invalidation is structural rather than a calling convention.
         """
         return self._generation
 
@@ -184,7 +183,7 @@ class Netlist:
         One dict per netlist state: the first call after a mutation replaces
         it with an empty one, so every entry was computed from exactly the
         structure it is served for.  Producers store each view under their
-        own key — the topological order and index, the compiled sim program
+        own key — the topological order, the compiled sim program
         (:func:`repro.sim.program.cached_program`), structural stats and
         per-library area (:func:`repro.netlist.stats.netlist_stats`), full
         STA results (:func:`repro.timing.arrival.compute_arrival_times`) and
@@ -540,16 +539,6 @@ class Netlist:
         if order is None:
             order = views["topological_cells"] = self._topological_sort()
         return order  # type: ignore[return-value]
-
-    def topological_index(self) -> Dict[str, int]:
-        """Cell name to position in :meth:`topological_cells` (memoized)."""
-        views = self.derived_views()
-        index = views.get("topological_index")
-        if index is None:
-            index = views["topological_index"] = {
-                cell.name: i for i, cell in enumerate(self.topological_cells())
-            }
-        return index  # type: ignore[return-value]
 
     def _topological_sort(self) -> List[Cell]:
         indegree: Dict[str, int] = {}

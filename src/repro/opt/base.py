@@ -18,7 +18,7 @@ almost every pass is built from:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import OptimizationError
 from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports, evaluate_cell
@@ -29,27 +29,16 @@ class RewritePass:
     """Base class for netlist rewrite passes.
 
     Subclasses set :attr:`name` and implement :meth:`run`, returning the
-    number of rewrites applied (0 means the pass is at a fixpoint).  A pass
-    that rewires nets should clear :attr:`touched_nets` at the start of
-    :meth:`run` and record the rewired nets' names — the pass manager feeds
-    the union into incremental timing re-analysis, so an empty set is a
-    claim that no net changed value or topology.  :func:`retire_cell`
-    returns the touched set for the common rewrite shape; passes ``|=`` it.
+    number of rewrites applied (0 means the pass is at a fixpoint).
     """
 
     name = "rewrite"
-
-    def __init__(self) -> None:
-        #: names of nets this pass rewired/re-drove during its last run
-        self.touched_nets: Set[str] = set()
 
     def run(self, netlist: Netlist) -> int:
         raise NotImplementedError
 
 
-def retire_cell(
-    netlist: Netlist, cell: Cell, replacements: Mapping[str, Net]
-) -> Set[str]:
+def retire_cell(netlist: Netlist, cell: Cell, replacements: Mapping[str, Net]) -> None:
     """Remove ``cell``, rerouting every reader of each output to a new net.
 
     ``replacements`` maps every output port of the cell to the net that now
@@ -57,10 +46,6 @@ def retire_cell(
     dropped: when a retired cell drove one, the net is re-driven by a ``BUF``
     of its replacement so the netlist interface (and every output bus) stays
     intact.
-
-    Returns the names of the nets whose driver or readers changed — the old
-    output nets and their replacements — for the caller's
-    :attr:`RewritePass.touched_nets` bookkeeping.
     """
     ports = cell_output_ports(cell.cell_type)
     missing = [p for p in ports if p not in replacements]
@@ -69,7 +54,6 @@ def retire_cell(
             f"retire_cell({cell.name!r}): no replacement for output port(s) {missing}"
         )
     rebind: List[Tuple[Net, Net]] = []
-    touched: Set[str] = set()
     for port in ports:
         old = cell.outputs[port]
         new = replacements[port]
@@ -78,14 +62,11 @@ def retire_cell(
                 f"retire_cell({cell.name!r}): output {port!r} replaced by itself"
             )
         netlist.replace_net_uses(old, new)
-        touched.add(old.name)
-        touched.add(new.name)
         if netlist.is_primary_output(old):
             rebind.append((old, new))
     netlist.remove_cell(cell)
     for old, new in rebind:
         netlist.add_cell(CellType.BUF, {"a": new}, outputs={"y": old})
-    return touched
 
 
 # ------------------------------------------------------------- truth tables

@@ -25,21 +25,16 @@ class CleanupPass(RewritePass):
 
     def run(self, netlist: Netlist) -> int:
         changed = 0
-        self.touched_nets = set()
         for cell in netlist.topological_cells():
             if cell.cell_type is CellType.BUF:
                 if netlist.is_primary_output(cell.outputs["y"]):
                     continue
-                self.touched_nets |= retire_cell(
-                    netlist, cell, {"y": cell.inputs["a"]}
-                )
+                retire_cell(netlist, cell, {"y": cell.inputs["a"]})
                 changed += 1
             elif cell.cell_type is CellType.NOT:
                 driver = cell.inputs["a"].driver
                 if driver is None or driver[0].cell_type is not CellType.NOT:
                     continue
-                self.touched_nets |= retire_cell(
-                    netlist, cell, {"y": driver[0].inputs["a"]}
-                )
+                retire_cell(netlist, cell, {"y": driver[0].inputs["a"]})
                 changed += 1
         return changed

@@ -42,7 +42,6 @@ class ConstantFoldPass(RewritePass):
 
     def run(self, netlist: Netlist) -> int:
         changed = 0
-        self.touched_nets = set()
         for cell in netlist.topological_cells():
             if cell.cell_type in (CellType.FA, CellType.HA):
                 continue
@@ -62,6 +61,6 @@ class ConstantFoldPass(RewritePass):
             if spec is None:
                 continue
             replacement = materialize(netlist, spec, free)
-            self.touched_nets |= retire_cell(netlist, cell, {"y": replacement})
+            retire_cell(netlist, cell, {"y": replacement})
             changed += 1
         return changed

@@ -62,7 +62,6 @@ class CommonSubexpressionPass(RewritePass):
 
     def run(self, netlist: Netlist) -> int:
         changed = 0
-        self.touched_nets = set()
         table: Dict[Tuple, Cell] = {}
         for cell in netlist.topological_cells():
             if cell.cell_type is CellType.BUF:
@@ -79,6 +78,6 @@ class CommonSubexpressionPass(RewritePass):
                 port: original.outputs[port]
                 for port in cell_output_ports(cell.cell_type)
             }
-            self.touched_nets |= retire_cell(netlist, cell, replacements)
+            retire_cell(netlist, cell, replacements)
             changed += 1
         return changed

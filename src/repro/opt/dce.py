@@ -22,9 +22,6 @@ class DeadCellEliminationPass(RewritePass):
     def run(self, netlist: Netlist) -> int:
         live = {cell.name for cell in netlist.transitive_fanin(netlist.primary_outputs)}
         changed = 0
-        # removals only: dead nets vanish from the arrival map, which the
-        # incremental timing sweep handles by pruning, not re-propagation
-        self.touched_nets = set()
         for cell in reversed(netlist.topological_cells()):
             if cell.name not in live:
                 netlist.remove_cell(cell)

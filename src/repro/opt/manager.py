@@ -24,7 +24,7 @@ Optimization levels
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.choices import OPT_LEVEL_HELP, OPT_LEVELS  # noqa: F401  (re-exported)
@@ -86,13 +86,6 @@ class PassManager:
         netlist.
     library:
         Optional technology library so the before/after stats carry area.
-    timing_library:
-        Optional technology library for arrival-time tracking: a full STA
-        runs once before the pipeline, then after every fixpoint iteration
-        the arrivals are updated *incrementally* from the union of the
-        passes' :attr:`~repro.opt.base.RewritePass.touched_nets` — the
-        report gains ``delay_before_ns`` / ``delay_after_ns`` at the cost
-        of re-propagating only the rewritten cones.
 
     Equivalence runs :func:`repro.sim.equivalence.check_netlists_equivalent`
     with its default stimulus.
@@ -107,7 +100,6 @@ class PassManager:
         check_each_pass: bool = False,
         library: Optional[object] = None,
         opt_level: int = 2,
-        timing_library: Optional[object] = None,
     ) -> None:
         if max_iterations < 1:
             raise OptimizationError("max_iterations must be at least 1")
@@ -117,7 +109,6 @@ class PassManager:
         self.check_equivalence = check_equivalence or check_each_pass
         self.check_each_pass = check_each_pass
         self.library = library
-        self.timing_library = timing_library
         self.opt_level = opt_level
 
     def _check(
@@ -142,20 +133,12 @@ class PassManager:
         if self.check_equivalence:
             reference = equivalence_reference(netlist)
 
-        timing = None
-        if self.timing_library is not None:
-            from repro.timing.arrival import compute_arrival_times
-
-            timing = compute_arrival_times(netlist, self.timing_library)
-        delay_before = timing.delay if timing is not None else None
-
         stats: List[PassStat] = []
         iterations = 0
         converged = not self.passes
         for iteration in range(1, self.max_iterations + 1):
             iterations = iteration
             any_rewrites = False
-            iteration_touched: Set[str] = set()
             for rewrite_pass in self.passes:
                 cells_before = netlist.num_cells()
                 with obs.span(
@@ -173,8 +156,6 @@ class PassManager:
                 obs.counter(
                     "opt.cells_removed", cells_before - netlist.num_cells()
                 )
-                touched = set(getattr(rewrite_pass, "touched_nets", ()) or ())
-                iteration_touched |= touched
                 stats.append(
                     PassStat(
                         pass_name=rewrite_pass.name,
@@ -183,7 +164,6 @@ class PassManager:
                         cells_before=cells_before,
                         cells_after=netlist.num_cells(),
                         elapsed_s=elapsed,
-                        touched_nets=len(touched),
                     )
                 )
                 if self.validate:
@@ -195,15 +175,6 @@ class PassManager:
                         f"after pass {rewrite_pass.name!r} (iteration {iteration})",
                     )
                 any_rewrites = any_rewrites or rewrites > 0
-            if timing is not None and any_rewrites:
-                from repro.timing.arrival import compute_arrival_times
-
-                timing = compute_arrival_times(
-                    netlist,
-                    self.timing_library,
-                    previous=timing,
-                    changed_nets=iteration_touched,
-                )
             if not any_rewrites:
                 converged = True
                 break
@@ -225,8 +196,6 @@ class PassManager:
             equivalence=equivalence,
             validated=self.validate,
             elapsed_s=time.perf_counter() - start,
-            delay_before_ns=delay_before,
-            delay_after_ns=timing.delay if timing is not None else None,
         )
 
 
@@ -238,14 +207,11 @@ def optimize_netlist(
     check_equivalence: bool = True,
     check_each_pass: bool = False,
     max_iterations: int = 8,
-    timing_library: Optional[object] = None,
 ) -> OptReport:
     """Optimize ``netlist`` in place at the given ``-O`` level.
 
     Returns the :class:`~repro.opt.report.OptReport`; ``opt_level=0`` is a
-    no-op that still reports (identical) before/after statistics.  Pass
-    ``timing_library`` to track the design delay across the run with
-    incremental re-analysis (see :class:`PassManager`).
+    no-op that still reports (identical) before/after statistics.
     """
     manager = PassManager(
         default_pipeline(opt_level),
@@ -255,6 +221,5 @@ def optimize_netlist(
         check_each_pass=check_each_pass and opt_level > 0,
         library=library,
         opt_level=opt_level,
-        timing_library=timing_library,
     )
     return manager.run(netlist)

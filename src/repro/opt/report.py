@@ -20,7 +20,6 @@ class PassStat:
     cells_before: int
     cells_after: int
     elapsed_s: float
-    touched_nets: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-able record (one row of the opt report artifact)."""
@@ -31,7 +30,6 @@ class PassStat:
             "cells_before": self.cells_before,
             "cells_after": self.cells_after,
             "elapsed_s": round(self.elapsed_s, 6),
-            "touched_nets": self.touched_nets,
         }
 
 
@@ -48,10 +46,6 @@ class OptReport:
     equivalence: Optional[EquivalenceReport] = None
     validated: bool = False
     elapsed_s: float = 0.0
-    #: worst-output arrival before/after, when the manager was given a
-    #: timing library (tracked incrementally across pass iterations)
-    delay_before_ns: Optional[float] = None
-    delay_after_ns: Optional[float] = None
 
     @property
     def cells_removed(self) -> int:
@@ -84,8 +78,6 @@ class OptReport:
             "logic_depth_before": self.before.logic_depth,
             "logic_depth_after": self.after.logic_depth,
             "total_rewrites": self.total_rewrites,
-            "delay_before_ns": self.delay_before_ns,
-            "delay_after_ns": self.delay_after_ns,
             "validated": self.validated,
             "equivalence": (
                 self.equivalence.to_dict() if self.equivalence is not None else None

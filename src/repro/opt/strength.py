@@ -41,7 +41,6 @@ class StrengthReductionPass(RewritePass):
 
     def run(self, netlist: Netlist) -> int:
         changed = 0
-        self.touched_nets = set()
         for cell in netlist.topological_cells():
             if cell.cell_type not in (CellType.FA, CellType.HA):
                 continue
@@ -59,7 +58,7 @@ class StrengthReductionPass(RewritePass):
                 # this before the generic classification, which would split
                 # the same function into a separate XOR2 + AND2 pair.
                 ha = netlist.add_cell(CellType.HA, {"a": free[0], "b": free[1]})
-                self.touched_nets |= retire_cell(
+                retire_cell(
                     netlist, cell, {"s": ha.outputs["s"], "co": ha.outputs["co"]}
                 )
                 changed += 1
@@ -87,6 +86,6 @@ class StrengthReductionPass(RewritePass):
                     port: materialize(netlist, spec, free)
                     for port, spec in specs.items()
                 }
-                self.touched_nets |= retire_cell(netlist, cell, replacements)
+                retire_cell(netlist, cell, replacements)
                 changed += 1
         return changed

@@ -46,13 +46,6 @@ class Placement:
     fabric: FabricGrid
     origins: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
-    def pin_position(
-        self, cell_name: str, dx: float, dy: float
-    ) -> Tuple[float, float]:
-        """Absolute ``(x, y)`` of a pin given its declarative offset."""
-        row, col = self.origins[cell_name]
-        return (col + dx, row + dy)
-
     def to_dict(self) -> Dict[str, object]:
         """Deterministic JSON-able view (cells sorted by name)."""
         return {

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from repro.errors import NetlistError
 from repro.netlist.cells import CELL_DEFS, CellDef, define, straight_line
 from repro.netlist.core import Net, Netlist
-
-ProbabilityMap = Mapping[Union[str, Net], float]
 
 
 @dataclass
@@ -75,40 +73,21 @@ _CELL_PROBABILITY = {
 }
 
 
-def propagate_probabilities(
-    netlist: Netlist,
-    input_probabilities: Optional[ProbabilityMap] = None,
-    default_probability: float = 0.5,
-    use_net_attributes: bool = True,
-) -> ProbabilityResult:
+def propagate_probabilities(netlist: Netlist) -> ProbabilityResult:
     """Propagate signal probabilities from the primary inputs to every net.
 
-    Primary-input probabilities are taken, in priority order, from
-    ``input_probabilities``, from the net's ``attributes["probability"]``
-    annotation, and finally from ``default_probability``.  Constants have
-    probability equal to their value.
+    A primary input's probability is its ``attributes["probability"]``
+    annotation (written by the matrix builder from the validated signal
+    spec), or 0.5 when it has none.  Constants have probability equal to
+    their value.
     """
-    explicit: Dict[str, float] = {}
-    if input_probabilities:
-        for key, value in input_probabilities.items():
-            name = key.name if isinstance(key, Net) else str(key)
-            if name not in netlist.nets:
-                raise NetlistError(f"probability given for unknown net {name!r}")
-            if not 0.0 <= float(value) <= 1.0:
-                raise NetlistError(f"probability for {name!r} outside [0, 1]: {value}")
-            explicit[name] = float(value)
-
     probabilities: Dict[str, float] = {}
     for net in netlist.nets.values():
         if net.is_constant:
             probabilities[net.name] = float(net.const_value or 0)
         elif net.is_primary_input:
-            if net.name in explicit:
-                probabilities[net.name] = explicit[net.name]
-            elif use_net_attributes and "probability" in net.attributes:
-                probabilities[net.name] = float(net.attributes["probability"])  # type: ignore[arg-type]
-            else:
-                probabilities[net.name] = default_probability
+            probability = net.attributes.get("probability", 0.5)
+            probabilities[net.name] = float(probability)  # type: ignore[arg-type]
 
     for cell in netlist.topological_cells():
         function, in_ports, out_ports = _CELL_PROBABILITY[cell.cell_type]

@@ -96,7 +96,9 @@ def all_cells_netlist() -> Netlist:
 def cell_views():
     """``{golden file name: text}`` of the three pinned views."""
     netlist = all_cells_netlist()
-    probabilities = propagate_probabilities(netlist, INPUT_PROBABILITIES).probabilities
+    for name, probability in INPUT_PROBABILITIES.items():
+        netlist.annotate(netlist.nets[name], probability=probability)
+    probabilities = propagate_probabilities(netlist).probabilities
     return {
         "all_cells.v": to_verilog(netlist),
         "all_cells.sim": compile_netlist_program(netlist).source,

@@ -168,19 +168,6 @@ class TestMemoKeys:
         assert compute_arrival_times(netlist, library, net_delays=frozen) is wired
         assert wired.delay == pytest.approx(base.delay + 2.0)
 
-    def test_non_default_arrival_sources_bypass_the_memo(self):
-        netlist = _x2_netlist()
-        library = generic_035()
-        base = compute_arrival_times(netlist, library)
-        pi = netlist.primary_inputs[0].name
-        late = compute_arrival_times(netlist, library, input_arrivals={pi: 50.0})
-        assert late.delay > base.delay
-        shifted = compute_arrival_times(netlist, library, default_input_arrival=1.0)
-        assert shifted is not base
-        bare = compute_arrival_times(netlist, library, use_net_attributes=False)
-        assert bare is not base
-        assert compute_arrival_times(netlist, library) is base
-
     def test_annotations_bump_the_generation_and_refresh_sta(self):
         netlist = _x2_netlist()
         library = generic_035()

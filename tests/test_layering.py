@@ -98,7 +98,7 @@ def test_lower_layer_imports_no_upper_layer(path):
 
 def test_scan_sees_imports():
     """The scan reads real import statements, so an empty result means something."""
-    tree = ast.parse((PACKAGE / "timing" / "arrival.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "sim" / "program.py").read_text(encoding="utf-8"))
     assert ("repro", ("obs",)) in [(m, n) for _line, m, n in _module_level_imports(tree)]
     assert _violations("repro.opt.manager", ("optimize_netlist",)) == ["repro.opt.manager"]
     assert _violations("repro", ("api", "obs")) == ["repro.api"]

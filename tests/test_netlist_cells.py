@@ -102,6 +102,13 @@ def _one_cell(cell_type):
     return netlist, cell
 
 
+def _propagate(netlist, probabilities):
+    """Annotate input ``n{k}`` with ``probabilities[k]`` and propagate."""
+    for k, probability in enumerate(probabilities):
+        netlist.annotate(netlist.nets[f"n{k}"], probability=probability)
+    return propagate_probabilities(netlist)
+
+
 @pytest.mark.parametrize("cell_type", list(CellType))
 class TestDerivedViews:
     """Every view derived from a :class:`CellDef` agrees with the scalar one."""
@@ -122,13 +129,12 @@ class TestDerivedViews:
     def test_probability_is_the_minterm_sum(self, cell_type):
         definition = CELL_DEFS[cell_type]
         netlist, cell = _one_cell(cell_type)
-        names = [f"n{k}" for k in range(len(definition.inputs))]
         rows = _rows(cell_type)
         truth = [evaluate_cell(cell_type, dict(zip(definition.inputs, bits))) for bits in rows]
         rng = random.Random(len(rows) * 100 + list(CellType).index(cell_type))
         for _ in range(50):
-            ps = [rng.random() for _ in names]
-            result = propagate_probabilities(netlist, dict(zip(names, ps)))
+            ps = [rng.random() for _ in definition.inputs]
+            result = _propagate(netlist, ps)
             for port in definition.outputs:
                 expected = sum(
                     math.prod(p if bit else 1.0 - p for p, bit in zip(ps, bits))
@@ -138,7 +144,7 @@ class TestDerivedViews:
                 got = result.probability_of(cell.outputs[port])
                 assert got == pytest.approx(expected, rel=0, abs=1e-12), port
         for bits, out in zip(rows, truth):
-            result = propagate_probabilities(netlist, dict(zip(names, map(float, bits))))
+            result = _propagate(netlist, map(float, bits))
             for port in definition.outputs:
                 assert result.probability_of(cell.outputs[port]) == float(out[port])
 

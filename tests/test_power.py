@@ -7,7 +7,6 @@ import pytest
 from repro.bitmatrix.builder import build_addend_matrix
 from repro.core.fa_alp import fa_alp
 from repro.core.power_model import FAPowerModel
-from repro.errors import NetlistError
 from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec
 from repro.netlist.cells import CellType
@@ -43,7 +42,9 @@ class TestProbabilityPropagation:
         or_gate = netlist.add_cell(CellType.OR2, {"a": a, "b": b})
         xor_gate = netlist.add_cell(CellType.XOR2, {"a": a, "b": b})
         inv = netlist.add_cell(CellType.NOT, {"a": a})
-        result = propagate_probabilities(netlist, {"a": 0.2, "b": 0.4})
+        netlist.annotate(a, probability=0.2)
+        netlist.annotate(b, probability=0.4)
+        result = propagate_probabilities(netlist)
         assert result.probability_of(and_gate.outputs["y"]) == pytest.approx(0.08)
         assert result.probability_of(or_gate.outputs["y"]) == pytest.approx(0.52)
         assert result.probability_of(xor_gate.outputs["y"]) == pytest.approx(0.44)
@@ -54,7 +55,8 @@ class TestProbabilityPropagation:
         netlist = Netlist("consts")
         a = netlist.add_input("a")
         gate = netlist.add_cell(CellType.AND2, {"a": a, "b": netlist.const(1)})
-        result = propagate_probabilities(netlist, {"a": 0.3})
+        netlist.annotate(a, probability=0.3)
+        result = propagate_probabilities(netlist)
         assert result.probability_of(netlist.const(1)) == 1.0
         assert result.probability_of(gate.outputs["y"]) == pytest.approx(0.3)
 
@@ -77,19 +79,14 @@ class TestProbabilityPropagation:
                 exact = _exact_probability(build.netlist, out, input_probabilities)
                 assert propagated.probability_of(out) == pytest.approx(exact, abs=1e-9)
 
-    def test_invalid_probability_rejected(self):
-        netlist = Netlist("t")
-        netlist.add_input("a")
-        with pytest.raises(NetlistError):
-            propagate_probabilities(netlist, {"a": 1.5})
-        with pytest.raises(NetlistError):
-            propagate_probabilities(netlist, {"missing": 0.5})
-
     def test_default_probability(self):
         netlist = Netlist("t")
         a = netlist.add_input("a")
-        result = propagate_probabilities(netlist, default_probability=0.25)
-        assert result.probability_of(a) == 0.25
+        b = netlist.add_input("b")
+        netlist.annotate(b, probability=0.25)
+        result = propagate_probabilities(netlist)
+        assert result.probability_of(a) == 0.5
+        assert result.probability_of(b) == 0.25
 
 
 class TestPowerEstimation:

@@ -1,10 +1,13 @@
 """Property-based tests over the whole synthesis pipeline.
 
-Two families of properties:
+Three families of properties:
 
 * functional equivalence — for random expressions and random input vectors,
   every allocation method produces a netlist computing the expression modulo
   2**W;
+* model agreement — at ``-O0`` on ``generic_035``, the arrival and
+  probability FA_AOT/FA_ALP annotate on every FA/HA output equal what
+  sign-off STA and probability propagation compute, exactly;
 * optimization dominance — for random arrival/probability profiles, FA_AOT's
   final-adder worst input arrival never exceeds that of the arrival-blind
   reducers, and FA_ALP's tree switching energy never exceeds FA_random's by
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adders.factory import build_final_adder
@@ -27,7 +31,10 @@ from repro.core.fa_alp import fa_alp
 from repro.core.fa_random import fa_random
 from repro.expr.ast import Const, Expression, Var
 from repro.expr.signals import SignalSpec
+from repro.power.probability import propagate_probabilities
 from repro.sim.equivalence import check_equivalence
+from repro.tech.default_libs import generic_035
+from repro.timing.arrival import compute_arrival_times
 
 VARIABLES = ("a", "b", "c")
 
@@ -107,6 +114,31 @@ class TestFunctionalEquivalence:
             build.netlist, bus, expression, _used_signals(expression, signals), output_width=6,
             random_vector_count=16, exhaustive_width_limit=9,
         ).assert_ok()
+
+
+class TestModelAgreement:
+    @pytest.mark.parametrize("reducer", [fa_aot, fa_alp], ids=["fa_aot", "fa_alp"])
+    @given(small_expressions(), signal_profiles())
+    @settings(max_examples=20, deadline=None)
+    def test_reducer_annotations_equal_signoff(self, reducer, expression, signals):
+        library = generic_035()
+        build = build_addend_matrix(expression, signals, 8, library=library)
+        result = reducer(
+            build.netlist, build.matrix, FADelayModel.from_library(library)
+        )
+        rows = [[a.net if a else None for a in row] for row in result.rows]
+        build.netlist.set_output_bus(
+            build_final_adder(build.netlist, rows[0], rows[1], 8)
+        )
+        timing = compute_arrival_times(build.netlist, library)
+        probabilities = propagate_probabilities(build.netlist)
+        for net in build.netlist.nets.values():
+            if net.is_primary_input or "arrival" not in net.attributes:
+                continue
+            assert net.attributes["arrival"] == timing.arrival_of(net), net.name
+            assert net.attributes["probability"] == (
+                probabilities.probability_of(net)
+            ), net.name
 
 
 class TestOptimizationDominance:

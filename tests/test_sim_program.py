@@ -1,8 +1,5 @@
 """Tests for compiled packed-sim programs and the generation-keyed cache."""
 
-import random
-import zlib
-
 import pytest
 
 from repro import obs
@@ -153,8 +150,6 @@ class TestTopologicalCache:
         netlist = _all_celltype_netlist()
         first = netlist.topological_cells()
         assert netlist.topological_cells() is first
-        index = netlist.topological_index()
-        assert index == {cell.name: i for i, cell in enumerate(first)}
         netlist.add_cell(CellType.BUF, {"a": netlist.primary_inputs[0]})
         second = netlist.topological_cells()
         assert second is not first
@@ -181,84 +176,3 @@ class TestTopologicalCache:
         seen = netlist.generation
         netlist.remove_cell(h)
         assert netlist.generation > seen
-
-
-class TestIncrementalTimingFuzz:
-    """Incremental STA must equal the full sweep bit-for-bit.
-
-    The pass sequence is randomized per design so the touched-net protocol
-    is exercised across constant folding, strength reduction, cleanup, CSE
-    and DCE in arbitrary interleavings.
-    """
-
-    @pytest.mark.parametrize("design_name", list_designs())
-    def test_incremental_equals_full_after_random_pass_sequences(self, design_name):
-        from repro.opt.cleanup import CleanupPass
-        from repro.opt.constant_fold import ConstantFoldPass
-        from repro.opt.cse import CommonSubexpressionPass
-        from repro.opt.dce import DeadCellEliminationPass
-        from repro.opt.strength import StrengthReductionPass
-        from repro.tech.default_libs import generic_035
-        from repro.timing.arrival import compute_arrival_times
-
-        library = generic_035()
-        design = get_design(design_name)
-        netlist = Flow(FlowConfig(method="fa_aot")).run(design).netlist
-
-        passes = [
-            ConstantFoldPass(),
-            StrengthReductionPass(),
-            CleanupPass(),
-            CommonSubexpressionPass(),
-            DeadCellEliminationPass(),
-        ]
-        rng = random.Random(zlib.crc32(design_name.encode()))
-        timing = compute_arrival_times(netlist, library)
-        for _ in range(8):
-            rewrite_pass = rng.choice(passes)
-            rewrite_pass.run(netlist)
-            timing = compute_arrival_times(
-                netlist,
-                library,
-                previous=timing,
-                changed_nets=rewrite_pass.touched_nets,
-            )
-            full = compute_arrival_times(netlist, library)
-            assert timing.arrivals == full.arrivals
-            assert timing.delay == full.delay
-            assert timing.worst_output_net == full.worst_output_net
-
-    @pytest.mark.parametrize("target", ["nand2_basis", "aoi_rich", "lowpower_035"])
-    @pytest.mark.parametrize("design_name", list_designs())
-    def test_incremental_equals_full_through_technology_mapping(
-        self, design_name, target
-    ):
-        # the mapping pass rewrites far more of the netlist per sweep than
-        # any logic-cleanup pass, so it is the stress case for the
-        # touched-net protocol; the unit library prices every cell type, so
-        # STA stays well-defined on the half-mapped intermediate netlists
-        from repro.map.mapper import TechnologyMappingPass
-        from repro.opt.cleanup import CleanupPass
-        from repro.opt.dce import DeadCellEliminationPass
-        from repro.tech.default_libs import unit_library
-        from repro.tech.target_libs import resolve_target_library
-        from repro.timing.arrival import compute_arrival_times
-
-        library = unit_library()
-        netlist = Flow(FlowConfig(method="fa_aot")).run(get_design(design_name)).netlist
-        timing = compute_arrival_times(netlist, library)
-        for rewrite_pass in (
-            TechnologyMappingPass(resolve_target_library(target)),
-            CleanupPass(),
-            DeadCellEliminationPass(),
-        ):
-            rewrite_pass.run(netlist)
-            timing = compute_arrival_times(
-                netlist,
-                library,
-                previous=timing,
-                changed_nets=rewrite_pass.touched_nets,
-            )
-            full = compute_arrival_times(netlist, library)
-            assert timing.arrivals == full.arrivals
-            assert timing.delay == full.delay

@@ -13,7 +13,8 @@ from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
-from repro.tech.default_libs import resolve_library
+from repro.tech.default_libs import generic_035, resolve_library
+from repro.tech.library import CellSpec, TechLibrary
 from repro.timing.arrival import compute_arrival_times
 from repro.timing.critical_path import extract_critical_path
 from repro.timing.report import timing_report
@@ -42,21 +43,18 @@ class TestArrivalPropagation:
 
     def test_explicit_input_arrivals(self, unit_lib):
         netlist, out = _chain_netlist()
-        timing = compute_arrival_times(netlist, unit_lib, input_arrivals={"c": 10.0})
+        netlist.annotate(netlist.nets["c"], arrival=10.0)
+        timing = compute_arrival_times(netlist, unit_lib)
         assert timing.arrival_of(out) == pytest.approx(11.0)
+        assert timing.arrival_of("c") == 10.0
 
     def test_attribute_arrivals_used(self, unit_lib):
         netlist, out = _chain_netlist()
-        netlist.nets["a"].attributes["arrival"] = 5.0
+        assert compute_arrival_times(netlist, unit_lib).arrival_of(out) == 3.0
+        # annotating after a sweep is a mutation: the next sweep reads it
+        netlist.annotate(netlist.nets["a"], arrival=5.0)
         timing = compute_arrival_times(netlist, unit_lib)
         assert timing.arrival_of(out) == pytest.approx(8.0)
-        disabled = compute_arrival_times(netlist, unit_lib, use_net_attributes=False)
-        assert disabled.arrival_of(out) == pytest.approx(3.0)
-
-    def test_unknown_net_in_arrivals_rejected(self, unit_lib):
-        netlist, _ = _chain_netlist()
-        with pytest.raises(NetlistError):
-            compute_arrival_times(netlist, unit_lib, input_arrivals={"nope": 1.0})
 
     def test_outputs_never_earlier_than_inputs(self, library, x2_design):
         build = build_addend_matrix(
@@ -80,11 +78,13 @@ class TestArrivalPropagation:
         # regression: the worst-arc fold used to start at 0.0, silently
         # clamping early-mode (negative) arrivals to zero at the first gate
         netlist, out = _chain_netlist()
-        timing = compute_arrival_times(netlist, unit_lib, default_input_arrival=-5.0)
+        for net in netlist.primary_inputs:
+            netlist.annotate(net, arrival=-5.0)
+        timing = compute_arrival_times(netlist, unit_lib)
         assert timing.arrival_of(out) == pytest.approx(-2.0)
-        mixed = compute_arrival_times(
-            netlist, unit_lib, input_arrivals={"a": -4.0, "b": -4.0, "c": -4.0}
-        )
+        for net in netlist.primary_inputs:
+            netlist.annotate(net, arrival=-4.0)
+        mixed = compute_arrival_times(netlist, unit_lib)
         assert mixed.arrival_of(out) == pytest.approx(-1.0)
 
     def test_floating_cell_input_raises_naming_net_and_cell(self, unit_lib):
@@ -96,6 +96,42 @@ class TestArrivalPropagation:
         netlist.add_cell(CellType.AND2, {"a": a, "b": loose}, name="reader")
         with pytest.raises(NetlistError, match=r"'loose'.*'reader'.*undriven"):
             compute_arrival_times(netlist, unit_lib)
+
+
+def _o0_flow(design, method, library=None):
+    config = FlowConfig(
+        method=method,
+        opt_level=0,
+        library="generic_035",
+        analyses=("timing", "power"),
+    )
+    return Flow(config).run(design, library=library)
+
+
+def _annotated_nets(netlist):
+    """The nets a reducer annotated (primary inputs carry the signal spec)."""
+    return (
+        net
+        for net in netlist.nets.values()
+        if "arrival" in net.attributes and not net.is_primary_input
+    )
+
+
+def _signoff_disagreements(result):
+    """One ``net: ...`` line per annotated arrival or probability that differs
+    from sign-off STA or probability propagation."""
+    lines = []
+    for net in _annotated_nets(result.netlist):
+        for key, signoff in (
+            ("arrival", result.timing.arrival_of(net)),
+            ("probability", result.probabilities.probability_of(net)),
+        ):
+            if net.attributes[key] != signoff:
+                lines.append(
+                    f"{net.name}: annotated {key} {net.attributes[key]!r}, "
+                    f"sign-off {signoff!r}"
+                )
+    return lines
 
 
 class TestAllocationModelAgreement:
@@ -118,27 +154,32 @@ class TestAllocationModelAgreement:
         """At -O0 on ``generic_035``, every arrival and probability the reducer
         annotated is exactly what sign-off STA and propagation compute."""
         for method in ("fa_aot", "fa_alp", "wallace", "csa_opt"):
-            config = FlowConfig(
-                method=method,
-                opt_level=0,
-                library="generic_035",
-                analyses=("timing", "power"),
-            )
-            result = Flow(config).run(design)
-            annotated = [
-                net
-                for net in result.netlist.nets.values()
-                if "arrival" in net.attributes and not net.is_primary_input
-            ]
-            assert annotated, method
-            for net in annotated:
-                assert net.attributes["arrival"] == result.timing.arrival_of(net), (
-                    method,
-                    net.name,
-                )
-                assert net.attributes["probability"] == (
-                    result.probabilities.probability_of(net)
-                ), (method, net.name)
+            result = _o0_flow(design, method)
+            assert any(_annotated_nets(result.netlist)), method
+            assert _signoff_disagreements(result) == [], method
+
+    def test_per_pin_fa_arcs_break_the_agreement(self):
+        """Slower ``a``/``b`` than ``cin`` arcs leave the Ds/Dc model (the
+        worst arc) unchanged but make sign-off earlier on cin-critical FAs:
+        the comparison must report that, naming an FA output net."""
+        base = generic_035()
+        fa = base.spec(CellType.FA)
+        cells = {t: base.spec(t) for t in CellType if base.has_cell(t)}
+        cells[CellType.FA] = CellSpec(
+            cell_type=CellType.FA,
+            area=fa.area,
+            delays={**fa.delays, ("cin", "s"): 0.30, ("cin", "co"): 0.20},
+            output_energy=dict(fa.output_energy),
+        )
+        library = TechLibrary("generic_035_per_pin_fa", cells)
+        parameters = library.fa_delay_model()
+        assert (parameters.sum_delay, parameters.carry_delay) == (0.42, 0.28)
+        result = _o0_flow("x3", "fa_aot", library=library)
+        disagreements = _signoff_disagreements(result)
+        assert disagreements
+        first = disagreements[0].split(":")[0]
+        driver, _port = result.netlist.nets[first].driver
+        assert driver.cell_type is CellType.FA, disagreements[0]
 
 
 class TestCriticalPath:
