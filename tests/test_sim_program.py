@@ -1,5 +1,8 @@
 """Tests for compiled packed-sim programs and the generation-keyed cache."""
 
+import random
+import zlib
+
 import pytest
 
 from repro import obs
@@ -176,3 +179,94 @@ class TestTopologicalCache:
         seen = netlist.generation
         netlist.remove_cell(h)
         assert netlist.generation > seen
+
+
+def _assert_sta_view_is_fresh(netlist, library):
+    """The memoized STA view must equal an uncached full sweep.
+
+    A plain-dict ``net_delays`` is never memoized, so ``net_delays={}`` runs
+    the sweep from scratch with the same (zero) wire delays as the default
+    view, which the netlist serves from its generation-keyed memo.
+    """
+    from repro.timing.arrival import compute_arrival_times
+
+    kept = compute_arrival_times(netlist, library)
+    assert compute_arrival_times(netlist, library) is kept
+    full = compute_arrival_times(netlist, library, net_delays={})
+    assert full is not kept
+    assert kept.arrivals == full.arrivals
+    assert kept.delay == full.delay
+    assert kept.worst_output_net == full.worst_output_net
+    return kept
+
+
+class TestIncrementalTimingFuzz:
+    """STA re-read after each in-place rewrite must equal the full sweep.
+
+    One netlist is rewritten pass by pass and timed after every pass.  The
+    view is served from the netlist's derived-view memo, so a pass that
+    changes the netlist without bumping its generation counter would hand
+    back the pre-rewrite timing.  The pass sequence is randomized per design
+    so constant folding, strength reduction, cleanup, CSE and DCE are
+    exercised in arbitrary interleavings.
+    """
+
+    @pytest.mark.parametrize("design_name", list_designs())
+    def test_incremental_equals_full_after_random_pass_sequences(self, design_name):
+        from repro.opt.cleanup import CleanupPass
+        from repro.opt.constant_fold import ConstantFoldPass
+        from repro.opt.cse import CommonSubexpressionPass
+        from repro.opt.dce import DeadCellEliminationPass
+        from repro.opt.strength import StrengthReductionPass
+        from repro.tech.default_libs import generic_035
+
+        library = generic_035()
+        design = get_design(design_name)
+        netlist = Flow(FlowConfig(method="fa_aot")).run(design).netlist
+
+        passes = [
+            ConstantFoldPass(),
+            StrengthReductionPass(),
+            CleanupPass(),
+            CommonSubexpressionPass(),
+            DeadCellEliminationPass(),
+        ]
+        rng = random.Random(zlib.crc32(design_name.encode()))
+        timing = _assert_sta_view_is_fresh(netlist, library)
+        for _ in range(8):
+            generation = netlist.generation
+            rng.choice(passes).run(netlist)
+            after = _assert_sta_view_is_fresh(netlist, library)
+            if netlist.generation != generation:
+                assert after is not timing
+            timing = after
+
+    @pytest.mark.parametrize("target", ["nand2_basis", "aoi_rich", "lowpower_035"])
+    @pytest.mark.parametrize("design_name", list_designs())
+    def test_incremental_equals_full_through_technology_mapping(
+        self, design_name, target
+    ):
+        # the mapping pass rewrites far more of the netlist per sweep than
+        # any logic-cleanup pass, so it is the stress case for memo
+        # invalidation; the unit library prices every cell type, so STA
+        # stays well-defined on the half-mapped intermediate netlists
+        from repro.map.mapper import TechnologyMappingPass
+        from repro.opt.cleanup import CleanupPass
+        from repro.opt.dce import DeadCellEliminationPass
+        from repro.tech.default_libs import unit_library
+        from repro.tech.target_libs import resolve_target_library
+
+        library = unit_library()
+        netlist = Flow(FlowConfig(method="fa_aot")).run(get_design(design_name)).netlist
+        timing = _assert_sta_view_is_fresh(netlist, library)
+        for rewrite_pass in (
+            TechnologyMappingPass(resolve_target_library(target)),
+            CleanupPass(),
+            DeadCellEliminationPass(),
+        ):
+            generation = netlist.generation
+            rewrite_pass.run(netlist)
+            after = _assert_sta_view_is_fresh(netlist, library)
+            if netlist.generation != generation:
+                assert after is not timing
+            timing = after
