@@ -26,14 +26,16 @@ from repro.explore.io import sweep_report
 
 
 def main() -> None:
-    # 1. The sweep: a cartesian grid plus a constraint filter.  Points are
-    #    plain value objects, so the grid is cheap to expand and inspect.
+    # 1. The sweep: a cartesian grid plus a constraint filter.  A point is a
+    #    design name plus its validated FlowConfig, cheap to expand and inspect.
     spec = SweepSpec(
         designs=["x2_plus_x_plus_y", "square_of_sum"],
         methods=["fa_aot", "wallace", "dadda"],
         final_adders=["cla", "ripple"],
         # skip the slowest combination to show constraint filtering
-        constraints=[lambda p: not (p.method == "wallace" and p.final_adder == "ripple")],
+        constraints=[
+            lambda p: not (p.config.method == "wallace" and p.config.final_adder == "ripple")
+        ],
     )
     print(f"expanded {len(spec.expand())} sweep points")
 

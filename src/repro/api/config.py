@@ -7,9 +7,10 @@ layers *derive* their surface from this schema instead of re-declaring it:
 
 * the CLI generates its ``synth`` / ``compare`` / ``explore`` options from
   the field metadata (:mod:`repro.api.options`);
-* ``repro.explore.spec`` builds its ``SweepPoint`` / ``SweepSpec``
-  dataclasses dynamically from the same fields, so every knob is
-  automatically a sweep axis and part of the result-cache key;
+* ``repro.explore.spec`` builds its ``SweepSpec`` dataclass dynamically
+  from the same fields, so every knob is automatically a sweep axis, and a
+  ``SweepPoint`` is just a design name plus a ``FlowConfig``, so every
+  cache-relevant knob is part of the result-cache key;
 * :meth:`FlowConfig.cache_key` is the canonical cache identity — adding a
   field here is all it takes for a new knob to flow through sweeps, CLI
   flags and cached records.
@@ -94,7 +95,7 @@ def register_analysis(name: str) -> Callable[[AnalysisFn], AnalysisFn]:
     Registered names immediately become valid ``FlowConfig.analyses``
     values, CLI choices and sweep options.
 
-    The registry is process-local.  Parallel sweeps re-validate configs in
+    The registry is process-local.  Parallel sweeps look passes up in
     their worker processes, so with a ``spawn``/``forkserver`` start method
     a custom analysis must be registered at import time of a module the
     workers also import (with ``fork``, the default on Linux, workers
@@ -174,7 +175,8 @@ class FieldSpec:
     or ``"names"`` (a tuple of strings, e.g. ``analyses``).  ``axis`` names
     the plural sweep-axis attribute on ``SweepSpec`` (``None`` = the field is
     a per-sweep scalar, not an axis).  ``cache_relevant`` fields are part of
-    :meth:`FlowConfig.cache_key` and of every ``SweepPoint``.
+    :meth:`FlowConfig.cache_key` and of every ``SweepPoint.key()``; the
+    others (debug knobs) still reach the flow but never split the cache.
     """
 
     name: str

@@ -293,7 +293,6 @@ def add_observability_options(parser: argparse.ArgumentParser) -> None:
 def sweep_spec_from_args(
     args: argparse.Namespace,
     designs: Sequence[str],
-    constraints: Sequence = (),
 ):
     """Build a :class:`repro.explore.SweepSpec` from parsed explore args."""
     from repro.explore.spec import SweepSpec
@@ -310,4 +309,4 @@ def sweep_spec_from_args(
             if spec.kind == "names":
                 value = tuple(value)
             kwargs[spec.name] = value
-    return SweepSpec(designs=tuple(designs), constraints=tuple(constraints), **kwargs)
+    return SweepSpec(designs=tuple(designs), **kwargs)

@@ -81,12 +81,12 @@ POINT_HANG_ENV = "REPRO_POINT_HANG"
 def execute_point(point: SweepPoint) -> FlowResult:
     """Synthesize one sweep point, returning the full result.
 
-    The point's cache-relevant fields *are* a :class:`repro.api.FlowConfig`
-    (see ``SweepPoint.config()``), so this is just one staged
-    :class:`repro.api.Flow` run; the design and library are built from the
-    point's registry names.
+    A point is a design name plus its :class:`repro.api.FlowConfig`, so
+    this is just one staged :class:`repro.api.Flow` run of
+    ``point.config``; the design and library are built from their registry
+    names.
     """
-    return Flow(point.config()).run(point.design)
+    return Flow(point.config).run(point.design)
 
 
 def _run_one(task: Tuple[SweepPoint, float], attempt: int, heartbeat_s: float) -> Dict:

@@ -8,9 +8,9 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 from repro._version import __version__
+from repro.api.config import config_fields
 from repro.explore.analysis import DEFAULT_OBJECTIVES, pareto_front_by_design
 from repro.explore.engine import SweepResult
-from repro.explore.spec import point_field_names
 from repro.utils.tables import TextTable
 
 #: metric columns exported to CSV and shown in the text report, in order
@@ -26,9 +26,9 @@ _METRIC_COLUMNS = (
     "cts_skew_ns",
 )
 
-#: point columns identifying each row — derived from the FlowConfig schema
-#: (via SweepPoint), so new knobs appear in artifacts automatically
-_POINT_COLUMNS = point_field_names()
+#: point columns identifying each row: the design, then every FlowConfig
+#: field in schema order, so new knobs appear in artifacts automatically
+_POINT_COLUMNS = ("design",) + tuple(spec.name for spec in config_fields())
 
 
 def sweep_to_json_obj(sweep: SweepResult) -> Dict[str, object]:

@@ -24,7 +24,6 @@ crashes gets an error record of the same shape.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import random
 import time
@@ -102,7 +101,7 @@ def sample_points(
     seed: int,
     designs: Optional[Sequence[str]] = None,
     domain: Optional[Domain] = None,
-) -> List["SweepPoint"]:
+) -> List[SweepPoint]:
     """Sample ``n`` distinct fuzz cases, reproducibly from ``seed``.
 
     Cases are deduplicated on their canonical cache identity, so no two
@@ -118,7 +117,7 @@ def sample_points(
     while len(points) < n and attempts < 50 * max(1, n):
         attempts += 1
         design = names[rng.randrange(len(names))]
-        point = SweepPoint.from_config(design, sample_config(rng, domain))
+        point = SweepPoint(design, sample_config(rng, domain))
         key = point.canonical().key()
         if key in seen:
             continue
@@ -127,14 +126,14 @@ def sample_points(
     return points
 
 
-def case_seed(point: "SweepPoint") -> int:
+def case_seed(point: SweepPoint) -> int:
     """Deterministic stimulus seed for one case, derived from its identity."""
     digest = hashlib.sha256(point.key().encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
 
 
 def check_point(
-    point: "SweepPoint",
+    point: SweepPoint,
     mutation: Optional[RewritePass] = None,
     random_vector_count: int = 64,
     exhaustive_width_limit: int = 14,
@@ -149,22 +148,9 @@ def check_point(
     self-test: the differential check must flag the mutated netlist itself.
     """
     start = time.perf_counter()
-    record: Dict[str, object] = {
-        "label": "?",
-        "point": None,
-        "stimulus_seed": None,
-        "ok": False,
-        "validate_warnings": None,
-        "equivalence": None,
-        "error": None,
-        "elapsed_s": 0.0,
-    }
+    record = _case_record(point)
+    record["stimulus_seed"] = case_seed(point)
     try:
-        # the identity fields live inside the guard too: a point whose
-        # label/serialization raises must still yield a full error record
-        record["label"] = point.label()
-        record["point"] = point.to_dict()
-        record["stimulus_seed"] = case_seed(point)
         with obs.span("verify.case", case=record["label"]):
             record.update(_check_point_body(point, mutation,
                                             random_vector_count,
@@ -176,7 +162,7 @@ def check_point(
 
 
 def _check_point_body(
-    point: "SweepPoint",
+    point: SweepPoint,
     mutation: Optional[RewritePass],
     random_vector_count: int,
     exhaustive_width_limit: int,
@@ -184,7 +170,7 @@ def _check_point_body(
     """The raising core of one fuzz case: returns only the keys it computed."""
     record: Dict[str, object] = {}
     design = get_design(point.design)
-    result = Flow(point.config()).run(design)
+    result = Flow(point.config).run(design)
     if mutation is not None:
         PassManager(
             [mutation],
@@ -214,23 +200,32 @@ def _check_point_body(
     return record
 
 
-def _as_record(result: object, point: Optional["SweepPoint"] = None) -> Dict[str, object]:
-    """A case's record: a :class:`WorkerFailure` becomes an error record,
-    labelled from ``point`` when it has a label."""
-    if not isinstance(result, WorkerFailure):
-        return result
-    record: Dict[str, object] = {
-        "label": "?", "point": None, "stimulus_seed": None, "ok": False,
-        "validate_warnings": None, "equivalence": None,
-        "error": result.error, "elapsed_s": 0.0,
+def _case_record(
+    point: Optional[SweepPoint], error: Optional[str] = None
+) -> Dict[str, object]:
+    """A case's record before any check ran: failed, with ``error``, and
+    labelled ``"?"`` when the point is unknown."""
+    return {
+        "label": point.label() if point is not None else "?",
+        "point": point.to_dict() if point is not None else None,
+        "stimulus_seed": None,
+        "ok": False,
+        "validate_warnings": None,
+        "equivalence": None,
+        "error": error,
+        "elapsed_s": 0.0,
     }
-    with contextlib.suppress(Exception):
-        record["label"], record["point"] = point.label(), point.to_dict()
-    return record
+
+
+def _as_record(result: object, point: Optional[SweepPoint] = None) -> Dict[str, object]:
+    """A case's record: a :class:`WorkerFailure` becomes an error record."""
+    if isinstance(result, WorkerFailure):
+        return _case_record(point, result.error)
+    return result
 
 
 def run_fuzz(
-    points: Sequence["SweepPoint"],
+    points: Sequence[SweepPoint],
     jobs: int = 1,
     mutation: Optional[RewritePass] = None,
     progress: Optional[Callable[[Dict[str, object], int, int], None]] = None,

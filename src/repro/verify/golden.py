@@ -69,7 +69,7 @@ GOLDEN_DESIGNS = ("x2", "x2_plus_x_plus_y", "iir")
 GOLDEN_METHODS = ("conventional", "csa_opt", "fa_aot")
 
 
-def golden_points() -> List["SweepPoint"]:
+def golden_points() -> List[SweepPoint]:
     """The fixed configuration set pinned by the snapshot.
 
     Per design: the Table 1 method trio as built, plus ``fa_aot`` at
@@ -80,13 +80,9 @@ def golden_points() -> List["SweepPoint"]:
     points: List[SweepPoint] = []
     for design in GOLDEN_DESIGNS:
         for method in GOLDEN_METHODS:
-            points.append(SweepPoint.from_config(design, FlowConfig(method=method)))
-        points.append(
-            SweepPoint.from_config(design, FlowConfig(method="fa_aot", opt_level=2))
-        )
-        points.append(
-            SweepPoint.from_config(design, FlowConfig(method="fa_aot", place=True))
-        )
+            points.append(SweepPoint(design, FlowConfig(method=method)))
+        points.append(SweepPoint(design, FlowConfig(method="fa_aot", opt_level=2)))
+        points.append(SweepPoint(design, FlowConfig(method="fa_aot", place=True)))
     return points
 
 

@@ -39,7 +39,6 @@ in the returned record.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -53,6 +52,7 @@ from repro.designs.base import DatapathDesign
 from repro.designs.registry import get_design
 from repro.errors import VerificationError
 from repro.explore.engine import WorkerFailure, parallel_map
+from repro.explore.spec import SweepPoint
 from repro.netlist.core import Netlist
 from repro.netlist.serialize import netlist_from_dict, netlist_to_dict
 from repro.netlist.validate import validate_netlist
@@ -261,7 +261,24 @@ def _check_place_preserves_function(
 _BUILTIN_PROPERTIES = frozenset(METAMORPHIC_PROPERTIES)
 
 
-def check_property(name: str, point: "SweepPoint") -> Dict[str, object]:  # noqa: F821
+def _property_record(
+    name: str, point: Optional[SweepPoint], error: Optional[str] = None
+) -> Dict[str, object]:
+    """A check's record before it ran: failed, with ``error``, and
+    labelled ``"?"`` when the point is unknown."""
+    return {
+        "property": name,
+        "label": point.label() if point is not None else "?",
+        "point": point.to_dict() if point is not None else None,
+        "ok": False,
+        "skipped": False,
+        "detail": None,
+        "error": error,
+        "elapsed_s": 0.0,
+    }
+
+
+def check_property(name: str, point: SweepPoint) -> Dict[str, object]:
     """Run one metamorphic check; never raises.
 
     The record mirrors the fuzz-case shape: ``ok`` is True for both passing
@@ -269,16 +286,7 @@ def check_property(name: str, point: "SweepPoint") -> Dict[str, object]:  # noqa
     the violation or crash message.
     """
     start = time.perf_counter()
-    record: Dict[str, object] = {
-        "property": name,
-        "label": "?",
-        "point": None,
-        "ok": False,
-        "skipped": False,
-        "detail": None,
-        "error": None,
-        "elapsed_s": 0.0,
-    }
+    record = _property_record(name, point)
     try:
         fn = METAMORPHIC_PROPERTIES[name]
     except KeyError:
@@ -289,12 +297,8 @@ def check_property(name: str, point: "SweepPoint") -> Dict[str, object]:  # noqa
         record["elapsed_s"] = time.perf_counter() - start
         return record
     try:
-        # identity fields inside the guard: a point whose label or
-        # serialization raises still yields a full error record
-        record["label"] = point.label()
-        record["point"] = point.to_dict()
         with obs.span("verify.property", property=name, case=record["label"]):
-            record["detail"] = fn(get_design(point.design), point.config())
+            record["detail"] = fn(get_design(point.design), point.config)
         record["ok"] = True
     except _Skip as skip:
         record["ok"] = True
@@ -308,27 +312,22 @@ def check_property(name: str, point: "SweepPoint") -> Dict[str, object]:  # noqa
     return record
 
 
-def _meta_worker(task: Tuple[str, "SweepPoint"]) -> Dict[str, object]:  # noqa: F821
+def _meta_worker(task: Tuple[str, SweepPoint]) -> Dict[str, object]:
     """Picklable worker body for one (property, point) task."""
     return check_property(task[0], task[1])
 
 
-def _as_record(result: object, task: Tuple[str, object] = ("?", None)) -> Dict[str, object]:
-    """A task's record: a :class:`WorkerFailure` becomes an error record,
-    labelled from the task's point when it has a label."""
-    if not isinstance(result, WorkerFailure):
-        return result
-    record: Dict[str, object] = {
-        "property": task[0], "label": "?", "point": None, "ok": False,
-        "skipped": False, "detail": None, "error": result.error, "elapsed_s": 0.0,
-    }
-    with contextlib.suppress(Exception):
-        record["label"], record["point"] = task[1].label(), task[1].to_dict()
-    return record
+def _as_record(
+    result: object, task: Tuple[str, Optional[SweepPoint]] = ("?", None)
+) -> Dict[str, object]:
+    """A task's record: a :class:`WorkerFailure` becomes an error record."""
+    if isinstance(result, WorkerFailure):
+        return _property_record(task[0], task[1], result.error)
+    return result
 
 
 def run_metamorphic(
-    points: Sequence["SweepPoint"],  # noqa: F821
+    points: Sequence[SweepPoint],
     properties: Optional[Sequence[str]] = None,
     jobs: int = 1,
     progress: Optional[Callable[[Dict[str, object], int, int], None]] = None,

@@ -1,6 +1,7 @@
 """Tests for the unified FlowConfig schema and the staged Flow API."""
 
 import json
+import pickle
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.api import (
 from repro.designs.registry import get_design, list_designs
 from repro.errors import ConfigError, DesignError
 from repro.explore.cache import CACHE_SCHEMA_VERSION, ResultCache
-from repro.explore.spec import SweepPoint, SweepSpec, point_field_names
+from repro.explore.spec import SweepPoint, SweepSpec
 from repro.utils.metrics import improvement_pct
 
 
@@ -202,7 +203,7 @@ class TestStagedFlow:
             points = SweepSpec(
                 designs=("x2",), analyses=("timing", "cell_histogram")
             ).expand()
-            assert points[0].analyses == ("timing", "cell_histogram")
+            assert points[0].config.analyses == ("timing", "cell_histogram")
         finally:
             unregister_analysis("cell_histogram")
         with pytest.raises(ConfigError):
@@ -244,25 +245,28 @@ class TestStagedFlow:
 
 class TestSchemaDrivenSweep:
     def test_point_fields_cover_every_knob(self):
-        assert set(point_field_names()) == {"design"} | {
+        assert list(SweepPoint("x2").to_dict()) == ["design"] + [
             s.name for s in config_fields()
-        }
+        ]
 
     def test_non_cache_knobs_reach_the_flow_but_not_the_key(self):
         # --opt-validate must survive the SweepPoint boundary...
-        point = SweepPoint.from_config("x2", FlowConfig(opt_level=1, opt_validate=True))
-        assert point.opt_validate is True
-        assert point.config().opt_validate is True
+        point = SweepPoint("x2", FlowConfig(opt_level=1, opt_validate=True))
+        assert point.to_dict()["opt_validate"] is True
+        assert point.config.opt_validate is True
         assert SweepSpec(
             designs=("x2",), opt_validate=True
-        ).expand()[0].opt_validate is True
+        ).expand()[0].config.opt_validate is True
         # ...without fragmenting the result cache
-        assert point.key() == SweepPoint(design="x2", opt_level=1).key()
+        assert point.key() == SweepPoint("x2", FlowConfig(opt_level=1)).key()
 
     def test_point_config_roundtrip(self):
-        point = SweepPoint(design="iir", method="fa_random", seed=3, opt_level=1)
-        again = SweepPoint.from_config(point.design, point.config())
+        # points cross the worker-process boundary pickled
+        point = SweepPoint("iir", FlowConfig(method="fa_random", seed=3, opt_level=1))
+        again = pickle.loads(pickle.dumps(point))
         assert again == point
+        assert hash(again) == hash(point)
+        assert again.key() == point.key()
 
     def test_new_axes_are_sweepable(self):
         spec = SweepSpec(
@@ -271,14 +275,15 @@ class TestSchemaDrivenSweep:
             fold_square_options=(False, True),
         )
         points = spec.expand()
-        assert [p.fold_square_products for p in points] == [False, True]
+        assert [p.config.fold_square_products for p in points] == [False, True]
         assert points[0].key() != points[1].key()
 
     def test_analyses_in_cache_identity(self):
-        full = SweepPoint(design="x2")
-        fast = SweepPoint(design="x2", analyses=("timing",))
+        full = SweepPoint("x2")
+        fast = SweepPoint("x2", FlowConfig(analyses=("timing",)))
         assert full.key() != fast.key()
-        assert SweepPoint.from_dict(json.loads(json.dumps(fast.to_dict()))) == fast
+        data = json.loads(json.dumps(fast.to_dict()))
+        assert SweepPoint(data.pop("design"), FlowConfig.from_dict(data)) == fast
 
     def test_timing_only_sweep_records(self, tmp_path):
         from repro.explore.engine import run_sweep
@@ -300,7 +305,7 @@ class TestSchemaDrivenSweep:
 
     def test_old_schema_cache_entries_are_ignored(self, tmp_path):
         cache = ResultCache(tmp_path)
-        point = SweepPoint(design="x2")
+        point = SweepPoint("x2")
         # a v2-era entry at the exact path of this point must be a miss
         cache._path(point).write_text(
             json.dumps(

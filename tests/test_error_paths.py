@@ -75,7 +75,7 @@ class TestCorruptedCacheEntries:
 
     @pytest.fixture()
     def point(self):
-        return SweepPoint.from_config("x2", FlowConfig())
+        return SweepPoint("x2")
 
     @pytest.fixture()
     def cache(self, tmp_path):

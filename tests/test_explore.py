@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import FlowConfig
 from repro.cli import main
 from repro.errors import ExplorationError
 from repro.explore.analysis import (
@@ -55,17 +56,17 @@ class TestSweepSpec:
         assert len(points) == 8
         # designs are the outermost axis
         assert [p.design for p in points[:4]] == ["x2"] * 4
-        assert points[0] == SweepPoint(design="x2", method="fa_aot", final_adder="cla")
+        assert points[0] == SweepPoint("x2", FlowConfig(method="fa_aot", final_adder="cla"))
 
     def test_constraint_filtering(self):
         spec = SweepSpec(
             designs=["x2", "x3"],
             methods=["fa_aot", "wallace"],
-            constraints=[lambda p: p.method == "fa_aot"],
+            constraints=[lambda p: p.config.method == "fa_aot"],
         )
         points = spec.expand()
         assert len(points) == 2
-        assert all(p.method == "fa_aot" for p in points)
+        assert all(p.config.method == "fa_aot" for p in points)
 
     def test_conventional_points_deduplicated_across_matrix_axes(self):
         # 'conventional' ignores multiplication style and CSD, so the grid
@@ -77,8 +78,8 @@ class TestSweepSpec:
             csd_options=[False, True],
         )
         points = spec.expand()
-        conventional = [p for p in points if p.method == "conventional"]
-        matrix = [p for p in points if p.method == "fa_aot"]
+        conventional = [p for p in points if p.config.method == "conventional"]
+        matrix = [p for p in points if p.config.method == "fa_aot"]
         assert len(conventional) == 1
         assert len(matrix) == 4
 
@@ -91,36 +92,98 @@ class TestSweepSpec:
             SweepSpec(designs=[]).expand()
 
     def test_point_roundtrip_and_key_stability(self):
-        point = SweepPoint(design="iir", method="fa_alp", seed=7)
-        assert SweepPoint.from_dict(point.to_dict()) == point
-        assert point.key() == SweepPoint.from_dict(point.to_dict()).key()
-        assert point.digest() != SweepPoint(design="iir", method="fa_aot").digest()
+        point = SweepPoint("iir", FlowConfig(method="fa_alp", seed=7))
+        data = point.to_dict()
+        rebuilt = SweepPoint(data.pop("design"), FlowConfig.from_dict(data))
+        assert rebuilt == point
+        assert rebuilt.key() == point.key()
+        assert point.digest() != SweepPoint("iir", FlowConfig(method="fa_aot")).digest()
 
     def test_seed_reset_for_deterministic_methods(self):
         # fa_aot ignores the seed, so a multi-seed grid must not schedule
         # (or cache) the same deterministic synthesis three times
         spec = SweepSpec(designs=["x2"], methods=["fa_aot", "fa_random"], seeds=[1, 2, 3])
         points = spec.expand()
-        assert len([p for p in points if p.method == "fa_aot"]) == 1
-        assert len([p for p in points if p.method == "fa_random"]) == 3
+        assert len([p for p in points if p.config.method == "fa_aot"]) == 1
+        assert len([p for p in points if p.config.method == "fa_random"]) == 3
         # but the seed is kept when the random-probability protocol uses it
         randp = SweepSpec(
             designs=["x2"], methods=["fa_aot"], random_probabilities=True, seeds=[1, 2]
         ).expand()
-        assert sorted(p.seed for p in randp) == [1, 2]
+        assert sorted(p.config.seed for p in randp) == [1, 2]
 
     def test_table_presets(self):
         t1 = table1_spec(["x2"]).expand()
-        assert [p.method for p in t1] == ["conventional", "csa_opt", "fa_aot"]
+        assert [p.config.method for p in t1] == ["conventional", "csa_opt", "fa_aot"]
         t2 = table2_spec(["x2"], seed=5).expand()
-        assert [p.method for p in t2] == ["fa_random", "fa_alp"]
-        assert all(p.random_probabilities and p.seed == 5 for p in t2)
+        assert [p.config.method for p in t2] == ["fa_random", "fa_alp"]
+        assert all(p.config.random_probabilities and p.config.seed == 5 for p in t2)
+
+
+class TestCacheIdentity:
+    """Literal cache identities: on-disk caches are keyed by :meth:`digest`
+    and checked against :meth:`key`, so a change here orphans every
+    existing cache entry (bump ``CACHE_SCHEMA_VERSION`` if intended)."""
+
+    def test_default_point_key_and_digest(self):
+        point = SweepPoint("x2")
+        assert point.key() == (
+            '{"analyses":["timing","power","stats"],"design":"x2",'
+            '"fabric_cols":null,"fabric_rows":null,"final_adder":"cla",'
+            '"fold_square_products":false,"library":"generic_035",'
+            '"map_objective":"balanced","method":"fa_aot",'
+            '"multiplication_style":"and_array","multiplier_style":"wallace_cpa",'
+            '"opt_level":0,"place":false,"place_iters":2000,"place_seed":1,'
+            '"random_probabilities":false,"seed":2000,"target_lib":"generic",'
+            '"use_csd_coefficients":false}'
+        )
+        assert point.digest() == "ebadba026f1f76db43c183e56fe882a7"
+
+    def test_mapped_random_point_digest_and_label(self):
+        point = SweepPoint(
+            "iir",
+            FlowConfig(
+                method="fa_random",
+                seed=7,
+                opt_level=2,
+                target_lib="nand2_basis",
+                map_objective="delay",
+            ),
+        )
+        assert point.digest() == "32f117c54668ad6ac46ed044ba6e6bad"
+        assert point.label() == "iir/fa_random/cla/O2/nand2_basis:delay"
+
+    def test_every_label_part(self):
+        point = SweepPoint(
+            "x3",
+            FlowConfig(
+                method="fa_alp",
+                library="unit",
+                multiplication_style="booth",
+                use_csd_coefficients=True,
+                fold_square_products=True,
+                random_probabilities=True,
+                seed=3,
+                place=True,
+                fabric_rows=4,
+                place_seed=2,
+                place_iters=100,
+                analyses=("timing",),
+            ),
+        )
+        assert point.label() == (
+            "x3/fa_alp/cla/unit/booth/csd/foldsq/randp3/place4xauto:s2:i100/a:timing"
+        )
+        assert point.digest() == "50f777c77e776f67588db4288e84fe95"
+        conventional = SweepPoint("x2", FlowConfig(method="conventional", multiplier_style="array"))
+        assert conventional.label() == "x2/conventional/cla/array"
+        assert conventional.digest() == "778c8adf583aca3030a21a26ec2d61aa"
 
 
 class TestResultCache:
     def test_miss_then_hit_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        point = SweepPoint(design="x2")
+        point = SweepPoint("x2")
         assert cache.get(point) is None
         metrics = _record("x2", "fa_aot")
         cache.put(point, metrics)
@@ -130,7 +193,7 @@ class TestResultCache:
 
     def test_corrupt_and_mismatched_entries_are_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
-        point = SweepPoint(design="x2")
+        point = SweepPoint("x2")
         cache._path(point).write_text("not json", encoding="utf-8")
         assert cache.get(point) is None
         cache._path(point).write_text(
@@ -150,8 +213,8 @@ class TestEngine:
 
     def test_per_point_error_capture(self):
         # bypass expand() validation to inject a failing point
-        good = SweepPoint(design="x2", method="fa_aot")
-        bad = SweepPoint(design="does_not_exist", method="fa_aot")
+        good = SweepPoint("x2", FlowConfig(method="fa_aot"))
+        bad = SweepPoint("does_not_exist", FlowConfig(method="fa_aot"))
         sweep = run_sweep([good, bad])
         assert not sweep.ok
         assert len(sweep.outcomes) == 2
@@ -184,9 +247,9 @@ class TestEngine:
         assert seen == [(1, 2), (2, 2)]
 
     def test_execute_point_matches_flow_metrics(self):
-        from repro.api import Flow, FlowConfig
+        from repro.api import Flow
 
-        point = SweepPoint(design="x2", method="fa_aot")
+        point = SweepPoint("x2", FlowConfig(method="fa_aot"))
         direct = Flow(FlowConfig(method="fa_aot")).run(get_design("x2"))
         assert execute_point(point).to_dict() == direct.to_dict()
 
@@ -367,16 +430,16 @@ class TestOptAxis:
     def test_opt_levels_expand_and_label(self):
         spec = SweepSpec(designs=("x2",), methods=("fa_aot",), opt_levels=(0, 2))
         points = spec.expand()
-        assert [p.opt_level for p in points] == [0, 2]
+        assert [p.config.opt_level for p in points] == [0, 2]
         assert points[0].label() == "x2/fa_aot/cla"
         assert points[1].label().endswith("/O2")
 
     def test_opt_level_distinguishes_cache_keys(self):
-        base = SweepPoint(design="x2")
-        optimized = SweepPoint(design="x2", opt_level=2)
+        base = SweepPoint("x2")
+        optimized = SweepPoint("x2", FlowConfig(opt_level=2))
         assert base.key() != optimized.key()
         assert base.digest() != optimized.digest()
-        assert SweepPoint.from_dict(optimized.to_dict()) == optimized
+        assert optimized.to_dict()["opt_level"] == 2
 
     def test_unknown_opt_level_rejected(self):
         spec = SweepSpec(designs=("x2",), opt_levels=(9,))

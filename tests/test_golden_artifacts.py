@@ -66,11 +66,11 @@ class TestExploreArtifacts:
         assert_matches_golden("explore_sweep.csv", path.read_text(encoding="utf-8"))
 
     def test_csv_header_tracks_the_config_schema(self, tmp_path):
-        from repro.explore.spec import point_field_names
+        from repro.api.config import config_fields
 
         path = write_csv(_golden_sweep(), tmp_path / "sweep.csv")
         header = next(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
-        for name in point_field_names():
+        for name in ["design"] + [spec.name for spec in config_fields()]:
             assert name in header
 
 

@@ -515,12 +515,11 @@ class TestConfigAndSweep:
         assert "x2/fa_aot/cla/nand2_basis:delay" in labels
 
     def test_point_round_trips_the_mapping_fields(self):
-        point = SweepPoint.from_config(
-            "x2", FlowConfig(target_lib="aoi_rich", map_objective="area")
-        )
-        rebuilt = SweepPoint.from_dict(point.to_dict())
+        point = SweepPoint("x2", FlowConfig(target_lib="aoi_rich", map_objective="area"))
+        data = point.to_dict()
+        rebuilt = SweepPoint(data.pop("design"), FlowConfig.from_dict(data))
         assert rebuilt == point
-        assert rebuilt.config().target_lib == "aoi_rich"
+        assert rebuilt.config.target_lib == "aoi_rich"
 
 
 # ---------------------------------------------------- new cell types, libs

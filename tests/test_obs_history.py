@@ -27,7 +27,7 @@ from repro.api import Flow, FlowConfig
 from repro.api.flow import STAGE_DELAY_ENV
 from repro.cli import main
 from repro.explore.engine import run_sweep
-from repro.explore.spec import SweepSpec
+from repro.explore.spec import SweepPoint, SweepSpec
 from repro.obs.history import HISTORY_ENV, qor_entry, qor_label
 from repro.verify.fuzz import check_point, run_fuzz
 from repro.verify.metamorphic import check_property, run_metamorphic
@@ -714,24 +714,6 @@ class TestStageDelayHook:
         assert result.cell_count > 0
 
 
-class _BrokenPoint:
-    """A point whose identity methods raise (worker-hardening fixture)."""
-
-    design = "x2"
-
-    def label(self):
-        raise RuntimeError("label exploded")
-
-    def to_dict(self):
-        raise RuntimeError("to_dict exploded")
-
-    def key(self):
-        raise RuntimeError("key exploded")
-
-    def config(self):
-        raise RuntimeError("config exploded")
-
-
 class TestWorkerTelemetryHardening:
     def test_engine_partial_telemetry_on_error(self, monkeypatch):
         """A raising point ships the spans recorded up to the failure."""
@@ -769,31 +751,46 @@ class TestWorkerTelemetryHardening:
         names = set(tracer.span_names())
         assert "verify.doomed" in names and "verify.case" in names
 
-    def test_check_point_survives_broken_point(self):
-        record = check_point(_BrokenPoint())
+    def test_check_point_survives_crashing_case(self):
+        point = SweepPoint("nonexistent")
+        record = check_point(point)
         assert record["ok"] is False
-        assert "label exploded" in record["error"]
-        assert record["label"] == "?"
+        assert "nonexistent" in record["error"]
+        assert record["label"] == "nonexistent/fa_aot/cla"
+        assert record["point"] == point.to_dict()
 
-    def test_fuzz_worker_survives_broken_point(self):
+    def test_fuzz_worker_failure_is_a_labelled_record(self, monkeypatch):
+        def explode(point, mutation=None):
+            raise RuntimeError("worker exploded")
+
+        monkeypatch.setattr("repro.verify.fuzz.check_point", explode)
+        point = SweepPoint("x2")
         with obs.tracing(obs.Tracer()):
-            (record,), _ = run_fuzz([_BrokenPoint()])
+            (record,), _ = run_fuzz([point])
         assert record["ok"] is False
-        assert "label exploded" in record["error"]
+        assert "worker exploded" in record["error"]
+        assert record["label"] == point.label()
+        assert record["point"] == point.to_dict()
         assert "telemetry" not in record
 
-    def test_check_property_survives_broken_point(self):
-        record = check_property("opt_levels_equivalent", _BrokenPoint())
+    def test_check_property_survives_crashing_case(self):
+        record = check_property("opt_levels_equivalent", SweepPoint("nonexistent"))
         assert record["ok"] is False
-        assert "label exploded" in record["error"]
+        assert "nonexistent" in record["error"]
+        assert record["label"] == "nonexistent/fa_aot/cla"
 
-    def test_meta_worker_survives_broken_point(self):
+    def test_meta_worker_failure_is_a_labelled_record(self, monkeypatch):
+        def explode(name, point):
+            raise RuntimeError("worker exploded")
+
+        monkeypatch.setattr("repro.verify.metamorphic.check_property", explode)
+        point = SweepPoint("x2")
         with obs.tracing(obs.Tracer()):
-            (record,), _ = run_metamorphic(
-                [_BrokenPoint()], properties=["opt_levels_equivalent"]
-            )
+            (record,), _ = run_metamorphic([point], properties=["opt_levels_equivalent"])
         assert record["ok"] is False
-        assert "label exploded" in record["error"]
+        assert "worker exploded" in record["error"]
+        assert record["property"] == "opt_levels_equivalent"
+        assert record["label"] == point.label()
         assert "telemetry" not in record
 
 

@@ -341,19 +341,15 @@ class TestConfigKnobs:
         assert kept.canonical().place_seed == 9
 
     def test_place_knobs_fragment_the_cache_only_when_on(self):
-        base = SweepPoint.from_config("x2", FlowConfig(place=True))
-        reseeded = SweepPoint.from_config(
-            "x2", FlowConfig(place=True, place_seed=2)
-        )
-        off_a = SweepPoint.from_config("x2", FlowConfig(place_seed=1))
-        off_b = SweepPoint.from_config("x2", FlowConfig(place_seed=2))
+        base = SweepPoint("x2", FlowConfig(place=True))
+        reseeded = SweepPoint("x2", FlowConfig(place=True, place_seed=2))
+        off_a = SweepPoint("x2", FlowConfig(place_seed=1))
+        off_b = SweepPoint("x2", FlowConfig(place_seed=2))
         assert base.key() != reseeded.key()
         assert off_a.canonical().key() == off_b.canonical().key()
 
     def test_label_names_the_fabric_and_schedule(self):
-        point = SweepPoint.from_config(
-            "x2", FlowConfig(place=True, fabric_rows=12, place_seed=3)
-        )
+        point = SweepPoint("x2", FlowConfig(place=True, fabric_rows=12, place_seed=3))
         assert "place12xauto:s3:i2000" in point.label()
-        plain = SweepPoint.from_config("x2", FlowConfig())
+        plain = SweepPoint("x2")
         assert "place" not in plain.label()

@@ -47,7 +47,8 @@ class TestSampling:
 
     def test_points_are_valid_configs(self):
         for point in sample_points(20, seed=0):
-            config = point.config()  # validates on construction
+            config = FlowConfig.from_dict(point.config.to_dict())  # re-validates
+            assert config == point.config
             assert config.opt_validate is True
 
     def test_distinct_canonical_cases(self):
@@ -64,8 +65,8 @@ class TestSampling:
         domain["method"] = ("fa_aot",)
         domain["opt_level"] = (0,)
         for point in sample_points(10, seed=0, domain=domain):
-            assert point.method == "fa_aot"
-            assert point.opt_level == 0
+            assert point.config.method == "fa_aot"
+            assert point.config.opt_level == 0
 
     def test_domain_covers_every_unpinned_schema_field(self):
         domain = default_domain()
@@ -94,7 +95,7 @@ class TestSampling:
 
 class TestFuzzCase:
     def test_passing_case_record_shape(self):
-        point = SweepPoint.from_config("x2", FlowConfig())
+        point = SweepPoint("x2")
         record = check_point(point)
         assert record["ok"] is True
         assert record["error"] is None
@@ -112,9 +113,7 @@ class TestFuzzCase:
     def test_crash_is_captured_not_raised(self):
         # a hand-built point with an unknown design must produce an error
         # record, mirroring the sweep engine's per-point capture
-        point = SweepPoint.from_config("x2", FlowConfig())
-        broken = SweepPoint.from_dict({**point.to_dict(), "design": "nonexistent"})
-        record = check_point(broken)
+        record = check_point(SweepPoint("nonexistent"))
         assert record["ok"] is False
         assert "nonexistent" in record["error"]
 
@@ -135,7 +134,7 @@ class TestMutationDetection:
         # inject the broken rewrite through the ordinary PassManager API
         # (equivalence safety net off) and let the differential check judge
         result = Flow(FlowConfig(analyses=("stats",))).run("x2_plus_x_plus_y")
-        design_point = SweepPoint.from_config("x2_plus_x_plus_y", FlowConfig())
+        design_point = SweepPoint("x2_plus_x_plus_y")
         PassManager(
             [BrokenAndToOrPass()], max_iterations=1, check_equivalence=False
         ).run(result.netlist)
@@ -186,19 +185,19 @@ class TestMutationDetection:
 
 class TestMetamorphic:
     def test_all_properties_pass_on_default_case(self):
-        point = SweepPoint.from_config("x2_plus_x_plus_y", FlowConfig())
+        point = SweepPoint("x2_plus_x_plus_y")
         for name in property_names():
             record = check_property(name, point)
             assert record["ok"], record
             assert not record["skipped"]
 
     def test_fold_square_skipped_for_conventional(self):
-        point = SweepPoint.from_config("x2", FlowConfig(method="conventional"))
+        point = SweepPoint("x2", FlowConfig(method="conventional"))
         record = check_property("fold_square_invariant", point)
         assert record["ok"] and record["skipped"]
 
     def test_unknown_property_is_an_error_record(self):
-        point = SweepPoint.from_config("x2", FlowConfig())
+        point = SweepPoint("x2")
         record = check_property("no_such_property", point)
         assert record["ok"] is False
         assert "unknown metamorphic property" in record["error"]
@@ -219,7 +218,7 @@ class TestMetamorphic:
             raise VerificationError("synthetic violation")
 
         try:
-            point = SweepPoint.from_config("x2", FlowConfig())
+            point = SweepPoint("x2")
             record = check_property("always_broken_test_property", point)
             assert record["ok"] is False
             assert record["error"] == "synthetic violation"
@@ -437,9 +436,7 @@ class TestNightlyExhaustive:
     def test_metamorphic_across_all_methods(self):
         domain = default_domain()
         for method in domain["method"]:
-            point = SweepPoint.from_config(
-                "x2_plus_x_plus_y", FlowConfig(method=method)
-            )
+            point = SweepPoint("x2_plus_x_plus_y", FlowConfig(method=method))
             for name in property_names():
                 record = check_property(name, point)
                 assert record["ok"], record
