@@ -585,7 +585,7 @@ def parallel_map(
     worker: Worker,
     items: Sequence[object],
     jobs: int = 1,
-    progress: Optional[Callable[[object, int, int], None]] = None,
+    progress: Optional[Callable[[object, object, int, int], None]] = None,
 ) -> Tuple[List[object], bool]:
     """Map ``worker`` over ``items`` on the sweep dispatcher.
 
@@ -596,15 +596,15 @@ def parallel_map(
     worker process crashes twice, gets a :class:`WorkerFailure` in its
     result slot; the other items are unaffected.  ``used_fallback`` is
     True when a worker process could not be started and the rest ran in
-    the caller.  ``progress`` is invoked as ``(result, done_count, total)``
-    in completion order.
+    the caller.  ``progress`` is invoked as ``(item, result, done_count,
+    total)`` in completion order.
     """
     results: Dict[int, object] = {}
 
     def report(index: int, result: object, _elapsed: float, _spans) -> None:
         results[index] = result
         if progress is not None:
-            progress(result, len(results), len(items))
+            progress(items[index], result, len(results), len(items))
 
     monitor = _SweepMonitor([f"item {index}" for index in range(len(items))])
     used_fallback = _dispatch(

@@ -8,9 +8,9 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 from repro._version import __version__
-from repro.api.config import config_fields
 from repro.explore.analysis import DEFAULT_OBJECTIVES, pareto_front_by_design
 from repro.explore.engine import SweepResult
+from repro.explore.spec import POINT_COLUMNS
 from repro.utils.tables import TextTable
 
 #: metric columns exported to CSV and shown in the text report, in order
@@ -25,11 +25,6 @@ _METRIC_COLUMNS = (
     "place_hpwl",
     "cts_skew_ns",
 )
-
-#: point columns identifying each row: the design, then every FlowConfig
-#: field in schema order, so new knobs appear in artifacts automatically
-_POINT_COLUMNS = ("design",) + tuple(spec.name for spec in config_fields())
-
 
 def sweep_to_json_obj(sweep: SweepResult) -> Dict[str, object]:
     """JSON-able artifact: one record per sweep point plus a run summary.
@@ -76,7 +71,7 @@ def write_json(sweep: SweepResult, path: Union[str, Path]) -> Path:
 def write_csv(sweep: SweepResult, path: Union[str, Path]) -> Path:
     """Write one CSV row per sweep point (failed points get an error column)."""
     path = Path(path)
-    header = list(_POINT_COLUMNS) + list(_METRIC_COLUMNS) + ["cached", "error"]
+    header = list(POINT_COLUMNS) + list(_METRIC_COLUMNS) + ["cached", "error"]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -84,7 +79,7 @@ def write_csv(sweep: SweepResult, path: Union[str, Path]) -> Path:
             point = outcome.point.to_dict()
             row: List[object] = [
                 "+".join(str(v) for v in value) if isinstance(value, list) else value
-                for value in (point[name] for name in _POINT_COLUMNS)
+                for value in (point[name] for name in POINT_COLUMNS)
             ]
             if outcome.metrics is not None:
                 row += [outcome.metrics.get(name) for name in _METRIC_COLUMNS]

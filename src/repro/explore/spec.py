@@ -110,6 +110,11 @@ class SweepPoint:
         return "/".join(parts)
 
 
+#: a point's column layout in artifacts: exactly the keys of
+#: :meth:`SweepPoint.to_dict` (the design, then every FlowConfig field in
+#: schema order), so new knobs appear in the CSV automatically
+POINT_COLUMNS = tuple(SweepPoint("").to_dict())
+
 #: a constraint takes a point and returns True to keep it
 Constraint = Callable[[SweepPoint], bool]
 

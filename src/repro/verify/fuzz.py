@@ -200,14 +200,11 @@ def _check_point_body(
     return record
 
 
-def _case_record(
-    point: Optional[SweepPoint], error: Optional[str] = None
-) -> Dict[str, object]:
-    """A case's record before any check ran: failed, with ``error``, and
-    labelled ``"?"`` when the point is unknown."""
+def _case_record(point: SweepPoint, error: Optional[str] = None) -> Dict[str, object]:
+    """A case's record before any check ran: failed, with ``error``."""
     return {
-        "label": point.label() if point is not None else "?",
-        "point": point.to_dict() if point is not None else None,
+        "label": point.label(),
+        "point": point.to_dict(),
         "stimulus_seed": None,
         "ok": False,
         "validate_warnings": None,
@@ -217,7 +214,7 @@ def _case_record(
     }
 
 
-def _as_record(result: object, point: Optional[SweepPoint] = None) -> Dict[str, object]:
+def _as_record(result: object, point: SweepPoint) -> Dict[str, object]:
     """A case's record: a :class:`WorkerFailure` becomes an error record."""
     if isinstance(result, WorkerFailure):
         return _case_record(point, result.error)
@@ -237,8 +234,8 @@ def run_fuzz(
     assert on the very object they handed in).
     """
 
-    def callback(result: object, done: int, total: int) -> None:
-        progress(_as_record(result), done, total)
+    def callback(point: SweepPoint, result: object, done: int, total: int) -> None:
+        progress(_as_record(result, point), done, total)
 
     results, used_fallback = parallel_map(
         partial(check_point, mutation=mutation),

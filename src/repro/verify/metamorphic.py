@@ -262,14 +262,13 @@ _BUILTIN_PROPERTIES = frozenset(METAMORPHIC_PROPERTIES)
 
 
 def _property_record(
-    name: str, point: Optional[SweepPoint], error: Optional[str] = None
+    name: str, point: SweepPoint, error: Optional[str] = None
 ) -> Dict[str, object]:
-    """A check's record before it ran: failed, with ``error``, and
-    labelled ``"?"`` when the point is unknown."""
+    """A check's record before it ran: failed, with ``error``."""
     return {
         "property": name,
-        "label": point.label() if point is not None else "?",
-        "point": point.to_dict() if point is not None else None,
+        "label": point.label(),
+        "point": point.to_dict(),
         "ok": False,
         "skipped": False,
         "detail": None,
@@ -317,9 +316,7 @@ def _meta_worker(task: Tuple[str, SweepPoint]) -> Dict[str, object]:
     return check_property(task[0], task[1])
 
 
-def _as_record(
-    result: object, task: Tuple[str, Optional[SweepPoint]] = ("?", None)
-) -> Dict[str, object]:
+def _as_record(result: object, task: Tuple[str, SweepPoint]) -> Dict[str, object]:
     """A task's record: a :class:`WorkerFailure` becomes an error record."""
     if isinstance(result, WorkerFailure):
         return _property_record(task[0], task[1], result.error)
@@ -347,8 +344,10 @@ def run_metamorphic(
     if not set(names) <= _BUILTIN_PROPERTIES:
         jobs = 1
 
-    def callback(result: object, done: int, total: int) -> None:
-        progress(_as_record(result), done, total)
+    def callback(
+        task: Tuple[str, SweepPoint], result: object, done: int, total: int
+    ) -> None:
+        progress(_as_record(result, task), done, total)
 
     results, used_fallback = parallel_map(
         _meta_worker,

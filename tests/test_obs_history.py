@@ -765,8 +765,10 @@ class TestWorkerTelemetryHardening:
 
         monkeypatch.setattr("repro.verify.fuzz.check_point", explode)
         point = SweepPoint("x2")
+        live = []
         with obs.tracing(obs.Tracer()):
-            (record,), _ = run_fuzz([point])
+            (record,), _ = run_fuzz([point], progress=lambda r, d, t: live.append(r))
+        assert live == [record]
         assert record["ok"] is False
         assert "worker exploded" in record["error"]
         assert record["label"] == point.label()
@@ -785,8 +787,14 @@ class TestWorkerTelemetryHardening:
 
         monkeypatch.setattr("repro.verify.metamorphic.check_property", explode)
         point = SweepPoint("x2")
+        live = []
         with obs.tracing(obs.Tracer()):
-            (record,), _ = run_metamorphic([point], properties=["opt_levels_equivalent"])
+            (record,), _ = run_metamorphic(
+                [point],
+                properties=["opt_levels_equivalent"],
+                progress=lambda r, d, t: live.append(r),
+            )
+        assert live == [record]
         assert record["ok"] is False
         assert "worker exploded" in record["error"]
         assert record["property"] == "opt_levels_equivalent"

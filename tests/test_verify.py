@@ -394,11 +394,14 @@ class TestParallelMap:
     def test_orders_results_and_reports_progress(self):
         seen = []
         results, fallback = parallel_map(
-            _square, [3, 1, 2], jobs=1, progress=lambda r, d, t: seen.append((d, t))
+            _square,
+            [3, 1, 2],
+            jobs=1,
+            progress=lambda i, r, d, t: seen.append((i, r, d, t)),
         )
         assert results == [9, 1, 4]
         assert fallback is False
-        assert seen == [(1, 3), (2, 3), (3, 3)]
+        assert seen == [(3, 9, 1, 3), (1, 1, 2, 3), (2, 4, 3, 3)]
 
     def test_parallel_matches_serial(self):
         serial, _ = parallel_map(_square, list(range(6)), jobs=1)
