@@ -41,7 +41,7 @@ from repro.map.targets import (
     resolve_target_library,
 )
 from repro.map.templates import CompiledTemplate, compile_template, templates_for
-from repro.netlist.cells import cell_input_ports, cell_output_ports
+from repro.netlist.cells import cell_input_ports
 from repro.netlist.core import Net, Netlist
 from repro.netlist.stats import netlist_stats
 from repro.opt.base import RewritePass, retire_cell
@@ -72,8 +72,6 @@ class TechnologyMappingPass(RewritePass):
         #: against the library — they depend only on (cell type, library),
         #: so they are built once here instead of once per covered cell
         self._candidate_cache: Dict[object, List[CompiledTemplate]] = {}
-        #: per kept cell type: ``(output port, per-input-port arc delays)``
-        self._kept_arcs: Dict[object, Tuple[Tuple[str, Tuple[float, ...]], ...]] = {}
         #: (cell type, per-port input-arrival tuple) -> (winner, out arrivals);
         #: scoring is a pure function of that key for a fixed library and
         #: objective, and compressor trees present the same few arrival
@@ -99,16 +97,6 @@ class TechnologyMappingPass(RewritePass):
                 f"({', '.join(sorted(ct.value for ct in self.basis))})"
             )
         return candidates
-
-    def _kept_arcs_of(self, cell_type) -> Tuple[Tuple[str, Tuple[float, ...]], ...]:
-        arcs = self._kept_arcs.get(cell_type)
-        if arcs is None:
-            delay = self.library.delay
-            arcs = self._kept_arcs[cell_type] = tuple(
-                (out, tuple(delay(cell_type, port, out) for port in cell_input_ports(cell_type)))
-                for out in cell_output_ports(cell_type)
-            )
-        return arcs
 
     def _choose(
         self,
@@ -186,9 +174,9 @@ class TechnologyMappingPass(RewritePass):
             if cell_type in basis:
                 # kept cell: extend the arrival estimates and move on
                 outputs = cell.outputs
-                for out_port, delays in self._kept_arcs_of(cell_type):
+                for out_port, arcs in self.library.output_arcs(cell_type):
                     arrivals[outputs[out_port].name] = max(
-                        arrival + delay for arrival, delay in zip(profile, delays)
+                        arrival + delay for arrival, (_, delay) in zip(profile, arcs)
                     )
                 continue
             profile = tuple(profile)

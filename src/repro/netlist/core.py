@@ -10,7 +10,7 @@ engines (timing, power, simulation) treat them uniformly.
 
 from __future__ import annotations
 
-from collections import deque
+from operator import attrgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -229,13 +229,6 @@ class Netlist:
         return [c for c in self._cells.values() if c.cell_type is cell_type]
 
     # ------------------------------------------------------------- net create
-    def _unique_net_name(self, prefix: str) -> str:
-        while True:
-            self._net_counter += 1
-            name = f"{prefix}{self._net_counter}"
-            if name not in self._nets:
-                return name
-
     def add_net(self, name: Optional[str] = None, prefix: str = "n") -> Net:
         """Create a new internal net.
 
@@ -243,7 +236,11 @@ class Netlist:
         given prefix is generated.
         """
         if name is None:
-            name = self._unique_net_name(prefix)
+            while True:
+                self._net_counter += 1
+                name = f"{prefix}{self._net_counter}"
+                if name not in self._nets:
+                    break
         elif name in self._nets:
             raise NetlistError(f"net name {name!r} already exists in netlist {self.name!r}")
         net = Net(name)
@@ -280,13 +277,6 @@ class Netlist:
         return self._const_nets[value]
 
     # ------------------------------------------------------------ cell create
-    def _unique_cell_name(self, prefix: str) -> str:
-        while True:
-            self._cell_counter += 1
-            name = f"{prefix}{self._cell_counter}"
-            if name not in self._cells:
-                return name
-
     def add_cell(
         self,
         cell_type: CellType,
@@ -308,6 +298,7 @@ class Netlist:
             raise NetlistError(f"unknown cell type {cell_type!r}")
         expected, expected_set, output_ports, cell_prefix = table
         nets = self._nets
+        cells = self._cells
         if inputs.keys() != expected_set:
             missing = [p for p in expected if p not in inputs]
             extra = [p for p in inputs if p not in expected_set]
@@ -320,13 +311,12 @@ class Netlist:
                     f"net {net.name!r} bound to port {port!r} does not belong to "
                     f"netlist {self.name!r}"
                 )
-        bound_outputs = dict(outputs) if outputs else {}
-        if bound_outputs:
-            if len({id(net) for net in bound_outputs.values()}) != len(bound_outputs):
+        if outputs:
+            if len({id(net) for net in outputs.values()}) != len(outputs):
                 raise NetlistError(
                     f"the same net is bound to multiple output ports of {cell_type}"
                 )
-            for port, net in bound_outputs.items():
+            for port, net in outputs.items():
                 if port not in output_ports:
                     raise NetlistError(f"{cell_type} has no output port {port!r}")
                 if nets.get(net.name) is not net:
@@ -345,27 +335,38 @@ class Netlist:
                     )
 
         if name is None:
-            name = self._unique_cell_name(cell_prefix)
-        elif name in self._cells:
+            counter = self._cell_counter
+            while True:
+                counter += 1
+                name = f"{cell_prefix}{counter}"
+                if name not in cells:
+                    break
+            self._cell_counter = counter
+        elif name in cells:
             raise NetlistError(f"cell name {name!r} already exists in netlist {self.name!r}")
 
         # fresh output nets are created here, not through add_net, so the
         # whole cell is one mutation: one generation bump
         prefix = output_prefix or f"{name}_"
-        all_outputs: Dict[str, Net] = {}
+        cell = Cell(name, cell_type, inputs, {})
+        cell_outputs = cell.outputs
+        counter = self._net_counter
         for port in output_ports:
-            net = bound_outputs.get(port)
+            net = outputs.get(port) if outputs else None
             if net is None:
-                net_name = self._unique_net_name(f"{prefix}{port}_")
+                while True:
+                    counter += 1
+                    net_name = f"{prefix}{port}_{counter}"
+                    if net_name not in nets:
+                        break
                 net = nets[net_name] = Net(net_name)
-            all_outputs[port] = net
-        cell = Cell(name, cell_type, inputs, all_outputs)
-        self._cells[name] = cell
+            cell_outputs[port] = net
+            net.driver = (cell, port)
+        self._net_counter = counter
+        cells[name] = cell
         for port, net in inputs.items():
             net.loads.append((cell, port))
-        for port, net in all_outputs.items():
-            net.driver = (cell, port)
-        self._bump_generation()
+        self._generation += 1
         return cell
 
     # ------------------------------------------------------------- mutation
@@ -541,26 +542,30 @@ class Netlist:
         return order  # type: ignore[return-value]
 
     def _topological_sort(self) -> List[Cell]:
-        indegree: Dict[str, int] = {}
-        dependents: Dict[str, List[str]] = {name: [] for name in self._cells}
-        for name, cell in self._cells.items():
+        # keyed by cell object (identity hash), not by name; only the
+        # initial ready set is sorted, by name, which fixes the order
+        cells = self._cells.values()
+        indegree: Dict[Cell, int] = {}
+        dependents: Dict[Cell, List[Cell]] = {cell: [] for cell in cells}
+        for cell in cells:
             count = 0
             for net in cell.inputs.values():
-                if net.driver is not None:
-                    driver_name = net.driver[0].name
-                    dependents[driver_name].append(name)
+                driver = net.driver
+                if driver is not None:
+                    dependents[driver[0]].append(cell)
                     count += 1
-            indegree[name] = count
+            indegree[cell] = count
 
-        ready = deque(sorted(name for name, deg in indegree.items() if deg == 0))
-        order: List[Cell] = []
-        while ready:
-            name = ready.popleft()
-            order.append(self._cells[name])
-            for dependent in dependents[name]:
-                indegree[dependent] -= 1
-                if indegree[dependent] == 0:
-                    ready.append(dependent)
+        # a FIFO queue: the loop reaches every cell appended behind it
+        order = sorted(
+            (cell for cell, deg in indegree.items() if not deg), key=attrgetter("name")
+        )
+        for cell in order:
+            for dependent in dependents[cell]:
+                left = indegree[dependent] - 1
+                indegree[dependent] = left
+                if not left:
+                    order.append(dependent)
         if len(order) != len(self._cells):
             raise NetlistError(
                 f"netlist {self.name!r} contains a combinational cycle "

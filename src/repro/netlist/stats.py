@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.netlist.cells import CellType
-from repro.netlist.core import Netlist
+from repro.netlist.core import Cell, Netlist
 
 
 @dataclass
@@ -42,16 +42,20 @@ class NetlistStats:
 
 def logic_depth(netlist: Netlist) -> int:
     """Maximum number of cells on any input-to-output path."""
-    depth: Dict[str, int] = {}
+    depth: Dict[Cell, int] = {}
     best = 0
     for cell in netlist.topological_cells():
         level = 0
         for net in cell.inputs.values():
-            if net.driver is not None:
-                level = max(level, depth.get(net.driver[0].name, 0))
+            driver = net.driver
+            if driver is not None:
+                driver_level = depth.get(driver[0], 0)
+                if driver_level > level:
+                    level = driver_level
         level += 1
-        depth[cell.name] = level
-        best = max(best, level)
+        depth[cell] = level
+        if level > best:
+            best = level
     return best
 
 
@@ -79,9 +83,13 @@ def _area(netlist: Netlist, library: object) -> float:
     key = ("area", id(library))
     entry = views.get(key)
     if entry is None:
+        areas = library.cell_areas()  # type: ignore[attr-defined]
         area = 0.0
         for cell in netlist.cells.values():
-            area += library.area(cell.cell_type)  # type: ignore[attr-defined]
+            cell_area = areas.get(cell.cell_type)
+            if cell_area is None:  # not characterized: the library raises
+                cell_area = library.area(cell.cell_type)  # type: ignore[attr-defined]
+            area += cell_area
         entry = views[key] = (library, area)
     return entry[1]  # type: ignore[index]
 

@@ -83,8 +83,8 @@ def propagate_probabilities(netlist: Netlist) -> ProbabilityResult:
     """
     probabilities: Dict[str, float] = {}
     for net in netlist.nets.values():
-        if net.is_constant:
-            probabilities[net.name] = float(net.const_value or 0)
+        if net.const_value is not None:
+            probabilities[net.name] = float(net.const_value)
         elif net.is_primary_input:
             probability = net.attributes.get("probability", 0.5)
             probabilities[net.name] = float(probability)  # type: ignore[arg-type]
@@ -92,8 +92,13 @@ def propagate_probabilities(netlist: Netlist) -> ProbabilityResult:
     for cell in netlist.topological_cells():
         function, in_ports, out_ports = _CELL_PROBABILITY[cell.cell_type]
         inputs, outputs = cell.inputs, cell.outputs
-        values = function(*[probabilities[inputs[port].name] for port in in_ports])
+        args = []
+        for port in in_ports:
+            args.append(probabilities[inputs[port].name])
+        values = function(*args)
         for port, value in zip(out_ports, values):
-            probabilities[outputs[port].name] = min(1.0, max(0.0, value))
+            if not 0.0 < value <= 1.0:  # out of range, or NaN
+                value = min(1.0, max(0.0, value))
+            probabilities[outputs[port].name] = value
 
     return ProbabilityResult(netlist_name=netlist.name, probabilities=probabilities)

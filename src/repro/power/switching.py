@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from repro.core.power_model import FAPowerModel
-from repro.netlist.cells import CellType, cell_output_ports
+from repro.netlist.cells import CellType
 from repro.netlist.core import Cell, Netlist
 from repro.power.probability import ProbabilityResult, propagate_probabilities
 from repro.tech.library import TechLibrary
@@ -47,10 +47,17 @@ def compressor_tree_switching_energy(
     power_model: FAPowerModel,
 ) -> float:
     """E_switching(T) over the given FA/HA cells (the paper's power metric)."""
+    probs = probabilities.probabilities
     total = 0.0
     for cell in cells:
-        p_sum = probabilities.probability_of(cell.outputs["s"])
-        p_carry = probabilities.probability_of(cell.outputs["co"])
+        sum_net = cell.outputs["s"]
+        carry_net = cell.outputs["co"]
+        p_sum = probs.get(sum_net.name)
+        if p_sum is None:
+            p_sum = probabilities.probability_of(sum_net)  # raises: not recorded
+        p_carry = probs.get(carry_net.name)
+        if p_carry is None:
+            p_carry = probabilities.probability_of(carry_net)  # raises: not recorded
         if cell.cell_type is CellType.FA:
             total += power_model.fa_switching_energy(p_sum, p_carry)
         elif cell.cell_type is CellType.HA:
@@ -75,27 +82,31 @@ def estimate_power(
     if power_model is None:
         power_model = FAPowerModel.from_library(library)
 
+    probs = probabilities.probabilities
+    output_energies = library.output_energies
     total = 0.0
     total_switching = 0.0
     # tallied per enum member and named once at the end: the per-type sums
     # and their first-seen order are those of a by-name tally
     by_member: Dict[CellType, float] = {}
+    tree_cells = []
     for cell in netlist.cells.values():
         cell_type = cell.cell_type
+        outputs = cell.outputs
         cell_energy = 0.0
-        for port in cell_output_ports(cell_type):
-            activity = probabilities.switching_of(cell.outputs[port])
+        for port, energy in output_energies(cell_type):
+            net = outputs[port]
+            probability = probs.get(net.name)
+            if probability is None:
+                probability = probabilities.probability_of(net)  # raises: not recorded
+            activity = probability * (1.0 - probability)
             total_switching += activity
-            cell_energy += activity * library.energy(cell_type, port)
+            cell_energy += activity * energy
         total += cell_energy
         by_member[cell_type] = by_member.get(cell_type, 0.0) + cell_energy
+        if cell_type is CellType.FA or cell_type is CellType.HA:
+            tree_cells.append(cell)
     by_type = {cell_type.value: energy for cell_type, energy in by_member.items()}
-
-    tree_cells = [
-        cell
-        for cell in netlist.cells.values()
-        if cell.cell_type in (CellType.FA, CellType.HA)
-    ]
     tree_energy = compressor_tree_switching_energy(tree_cells, probabilities, power_model)
 
     return PowerResult(

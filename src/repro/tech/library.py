@@ -10,7 +10,7 @@ parameters ``Ds``/``Dc`` drive the timing algorithm, the FA output energies
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import LibraryError
 from repro.netlist.cells import CellType, cell_input_ports, cell_output_ports
@@ -57,14 +57,29 @@ class CellSpec:
                 )
 
 
+#: per output port in declared order: that port and, per input port in
+#: declared order, the input port and its arc delay
+OutputArcs = Tuple[Tuple[str, Tuple[Tuple[str, float], ...]], ...]
+
+
 class TechLibrary:
-    """A collection of :class:`CellSpec` objects addressed by cell type."""
+    """A collection of :class:`CellSpec` objects addressed by cell type.
+
+    The specs are read-only once the library is built: the per-cell-type
+    tables (:meth:`output_arcs`, :meth:`output_energies`,
+    :meth:`worst_delay`, :meth:`cell_areas`) are built from them on first
+    use and memoized, so a spec changed afterwards would not be seen.
+    """
 
     def __init__(self, name: str, cells: Mapping[CellType, CellSpec]) -> None:
         self.name = name
         self._cells: Dict[CellType, CellSpec] = dict(cells)
         for spec in self._cells.values():
             spec.validate()
+        self._arcs: Dict[CellType, OutputArcs] = {}
+        self._energies: Dict[CellType, Tuple[Tuple[str, float], ...]] = {}
+        self._worst: Dict[Tuple[CellType, str], float] = {}
+        self._areas: Optional[Dict[CellType, float]] = None
 
     # ----------------------------------------------------------------- access
     def has_cell(self, cell_type: CellType) -> bool:
@@ -104,14 +119,18 @@ class TechLibrary:
         )
 
     def worst_delay(self, cell_type: CellType, output_port: str) -> float:
-        """Worst pin-to-pin delay into ``output_port``."""
-        spec = self.spec(cell_type)
-        candidates = [d for (_, dst), d in spec.delays.items() if dst == output_port]
-        if not candidates:
-            raise LibraryError(
-                f"library {self.name!r}: no delay arcs into {cell_type}.{output_port}"
-            )
-        return max(candidates)
+        """Worst pin-to-pin delay into ``output_port`` (memoized)."""
+        key = (cell_type, output_port)
+        worst = self._worst.get(key)
+        if worst is None:
+            spec = self.spec(cell_type)
+            candidates = [d for (_, dst), d in spec.delays.items() if dst == output_port]
+            if not candidates:
+                raise LibraryError(
+                    f"library {self.name!r}: no delay arcs into {cell_type}.{output_port}"
+                )
+            worst = self._worst[key] = max(candidates)
+        return worst
 
     def energy(self, cell_type: CellType, output_port: str) -> float:
         """Energy per transition of ``output_port``."""
@@ -122,6 +141,43 @@ class TechLibrary:
             )
         return spec.output_energy[output_port]
 
+    # ------------------------------------------------- per-cell-type tables
+    def output_arcs(self, cell_type: CellType) -> OutputArcs:
+        """Every arc of ``cell_type``, output by output (memoized).
+
+        ``((out_port, ((in_port, delay), ...)), ...)`` with both port lists
+        in declared order; each delay is :meth:`delay` of that arc, worst-arc
+        fallback included, and a missing cell or an output with no arc at
+        all raises the same :class:`LibraryError` as :meth:`delay`.
+        """
+        arcs = self._arcs.get(cell_type)
+        if arcs is None:
+            in_ports = cell_input_ports(cell_type)
+            arcs = self._arcs[cell_type] = tuple(
+                (out, tuple((port, self.delay(cell_type, port, out)) for port in in_ports))
+                for out in cell_output_ports(cell_type)
+            )
+        return arcs
+
+    def output_energies(self, cell_type: CellType) -> Tuple[Tuple[str, float], ...]:
+        """``((out_port, energy), ...)`` in declared port order (memoized).
+
+        Each energy is :meth:`energy` of that port; a missing cell or port
+        raises the same :class:`LibraryError`.
+        """
+        energies = self._energies.get(cell_type)
+        if energies is None:
+            energies = self._energies[cell_type] = tuple(
+                (port, self.energy(cell_type, port)) for port in cell_output_ports(cell_type)
+            )
+        return energies
+
+    def cell_areas(self) -> Mapping[CellType, float]:
+        """Area of every characterized cell type (built once)."""
+        if self._areas is None:
+            self._areas = {cell_type: spec.area for cell_type, spec in self._cells.items()}
+        return self._areas
+
     # -------------------------------------------------- FA model convenience
     def fa_delay_model(self) -> "FADelayParameters":
         """The (Ds, Dc) pair of the FA cell plus the HA equivalents.
@@ -129,13 +185,12 @@ class TechLibrary:
         These parameters drive the allocation-time delay bookkeeping of the
         core algorithms; sign-off timing uses the full per-arc library data.
         """
-        fa = self.spec(CellType.FA)
-        ha = self.spec(CellType.HA) if self.has_cell(CellType.HA) else fa
+        ha = CellType.HA if self.has_cell(CellType.HA) else CellType.FA
         return FADelayParameters(
-            sum_delay=max(d for (_, dst), d in fa.delays.items() if dst == "s"),
-            carry_delay=max(d for (_, dst), d in fa.delays.items() if dst == "co"),
-            ha_sum_delay=max(d for (_, dst), d in ha.delays.items() if dst == "s"),
-            ha_carry_delay=max(d for (_, dst), d in ha.delays.items() if dst == "co"),
+            sum_delay=self.worst_delay(CellType.FA, "s"),
+            carry_delay=self.worst_delay(CellType.FA, "co"),
+            ha_sum_delay=self.worst_delay(ha, "s"),
+            ha_carry_delay=self.worst_delay(ha, "co"),
         )
 
     def fa_power_model(self) -> "FAPowerParameters":

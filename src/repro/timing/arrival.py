@@ -14,7 +14,6 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Union
 
 from repro.errors import NetlistError
-from repro.netlist.cells import cell_input_ports, cell_output_ports
 from repro.netlist.core import Net, Netlist
 from repro.tech.library import TechLibrary
 
@@ -93,7 +92,10 @@ def compute_arrival_times(
     negative input arrivals (early-mode analysis) propagate instead of
     being clamped at zero.  A cell input net with no arrival at all —
     undriven and not a primary input or constant — raises
-    :class:`NetlistError` naming the net and the consuming cell.
+    :class:`NetlistError` naming the net and the consuming cell.  Arcs come
+    from :meth:`TechLibrary.output_arcs`, so a cell type the library cannot
+    time raises its :class:`~repro.errors.LibraryError` before any input of
+    that cell is read.
 
     ``net_delays`` adds a per-net interconnect delay (keyed by net name, in
     ns) on top of the driving arrival — the lumped wire model the placement
@@ -119,31 +121,34 @@ def compute_arrival_times(
     wire = net_delays or {}
     arrivals: Dict[str, float] = {}
     for net in netlist.nets.values():
-        if net.is_constant:
+        if net.const_value is not None:
             arrivals[net.name] = 0.0
         elif net.is_primary_input:
             value = float(net.attributes.get("arrival", 0.0))  # type: ignore[arg-type]
             arrivals[net.name] = value + wire.get(net.name, 0.0)
 
+    arrival_of = arrivals.get
+    wire_of = wire.get
+    output_arcs = library.output_arcs
     for cell in netlist.topological_cells():
-        for out_port in cell_output_ports(cell.cell_type):
+        inputs = cell.inputs
+        outputs = cell.outputs
+        for out_port, arcs in output_arcs(cell.cell_type):
             worst: Optional[float] = None
-            for in_port in cell_input_ports(cell.cell_type):
-                in_net = cell.inputs[in_port]
-                in_arrival = arrivals.get(in_net.name)
+            for in_port, delay in arcs:
+                in_net = inputs[in_port]
+                in_arrival = arrival_of(in_net.name)
                 if in_arrival is None:
                     raise NetlistError(
                         f"net {in_net.name!r} read by input {in_port!r} of "
                         f"cell {cell.name!r} is undriven (not a primary "
                         f"input, constant, or cell output)"
                     )
-                arc = in_arrival + library.delay(cell.cell_type, in_port, out_port)
+                arc = in_arrival + delay
                 if worst is None or arc > worst:
                     worst = arc
-            out_name = cell.outputs[out_port].name
-            arrivals[out_name] = (0.0 if worst is None else worst) + wire.get(
-                out_name, 0.0
-            )
+            out_name = outputs[out_port].name
+            arrivals[out_name] = (0.0 if worst is None else worst) + wire_of(out_name, 0.0)
 
     result = _finalize(netlist, arrivals, wire)
     if memo_key is not None:

@@ -16,7 +16,8 @@ import pytest
 
 from repro import obs
 from repro.api import Flow, FlowConfig
-from repro.designs.registry import get_design
+from repro.designs.registry import get_design, list_designs
+from repro.errors import NetlistError
 from repro.netlist import stats as netlist_stats_module
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
@@ -29,6 +30,30 @@ from repro.sim.program import cached_program
 from repro.tech.default_libs import generic_035, unit_library
 from repro.timing import arrival as timing_arrival
 from repro.timing.arrival import compute_arrival_times
+
+
+def _name_keyed_kahn(netlist: Netlist):
+    """Reference order: Kahn's algorithm over cell names, FIFO from the
+    name-sorted sources, dependents in cell-creation order."""
+    indegree = {}
+    dependents = {name: [] for name in netlist.cells}
+    for name, cell in netlist.cells.items():
+        count = 0
+        for net in cell.inputs.values():
+            if net.driver is not None:
+                dependents[net.driver[0].name].append(name)
+                count += 1
+        indegree[name] = count
+    ready = sorted(name for name, degree in indegree.items() if degree == 0)
+    order = []
+    while ready:
+        name = ready.pop(0)
+        order.append(name)
+        for dependent in dependents[name]:
+            indegree[dependent] -= 1
+            if indegree[dependent] == 0:
+                ready.append(dependent)
+    return order
 
 
 def _x2_netlist() -> Netlist:
@@ -243,3 +268,38 @@ class TestPinTable:
                 assert k in table.cell_nets[i]
         for nets in table.cell_nets:
             assert list(nets) == sorted(set(nets))
+
+
+class TestTopologicalOrder:
+    """The object-keyed sort gives exactly the name-keyed Kahn order."""
+
+    @pytest.mark.parametrize("design", list_designs())
+    def test_registry_design_at_o0(self, design):
+        netlist = Flow(FlowConfig(method="fa_aot")).run(design).netlist
+        order = [cell.name for cell in netlist.topological_cells()]
+        assert order == _name_keyed_kahn(netlist)
+
+    def test_mapped_o2_netlist(self):
+        config = FlowConfig(opt_level=2, target_lib="nand2_basis", map_objective="delay")
+        netlist = Flow(config).run("x2_plus_x_plus_y").netlist
+        order = [cell.name for cell in netlist.topological_cells()]
+        assert order == _name_keyed_kahn(netlist)
+
+    def test_cell_reading_one_driver_twice(self):
+        netlist = Netlist("twice")
+        a = netlist.add_input("a")
+        inverted = netlist.add_cell(CellType.NOT, {"a": a}, name="z_inv").outputs["y"]
+        netlist.add_cell(CellType.AND2, {"a": inverted, "b": inverted}, name="a_and")
+        netlist.add_cell(CellType.NOT, {"a": a}, name="m_inv")
+        order = [cell.name for cell in netlist.topological_cells()]
+        assert order == _name_keyed_kahn(netlist) == ["m_inv", "z_inv", "a_and"]
+
+    def test_cycle_raises_with_the_unreachable_count(self):
+        netlist = Netlist("loop")
+        a = netlist.add_input("a")
+        netlist.add_cell(CellType.NOT, {"a": a}, name="feeder")
+        back = netlist.add_net("back")
+        first = netlist.add_cell(CellType.AND2, {"a": a, "b": back}, name="first")
+        netlist.add_cell(CellType.NOT, {"a": first.outputs["y"]}, outputs={"y": back})
+        with pytest.raises(NetlistError, match=r"combinational cycle \(2 cells unreachable\)"):
+            netlist.topological_cells()

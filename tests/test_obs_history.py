@@ -11,6 +11,7 @@ series), the ``repro obs`` CLI family end to end, and the partial-telemetry
 guarantees of the sweep and verify workers.
 """
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import types
 from html.parser import HTMLParser
 
 import pytest
@@ -527,6 +529,24 @@ class TestDashboard:
         assert obs.render_dashboard(store) == obs.render_dashboard(store)
 
 
+@pytest.fixture
+def fake_span_clock(monkeypatch):
+    """Span durations from a clock that advances 1 ms per reading.
+
+    Only the tracer's ``perf_counter`` is replaced, so a span lasts 1 ms per
+    clock reading taken inside it: two runs with the same span tree record
+    the same durations, whatever the host is doing.
+    """
+    from repro.obs import tracer
+
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        tracer,
+        "time",
+        types.SimpleNamespace(perf_counter=lambda: next(ticks) * 1e-3, time=time.time),
+    )
+
+
 class TestCLIHistory:
     def _synth(self, history, extra=()):
         return main(
@@ -534,7 +554,7 @@ class TestCLIHistory:
              "--log-level", "error", *extra]
         )
 
-    def test_two_runs_then_check_passes(self, tmp_path, capsys):
+    def test_two_runs_then_check_passes(self, tmp_path, capsys, fake_span_clock):
         history = tmp_path / "h"
         assert self._synth(history) == 0
         assert self._synth(history) == 0
@@ -544,6 +564,8 @@ class TestCLIHistory:
         assert records[0]["key"] == records[1]["key"]
         assert records[0]["qor"]  # QoR metrics joined in
         assert records[0]["span_summary"]  # --history implies span collection
+        # the fake clock makes the two runs' span durations equal
+        assert records[0]["span_summary"] == records[1]["span_summary"]
         assert records[0]["manifest"]["config_cache_key"]
         assert store.check() == []
         assert main(["obs", "check", "--history", str(history)]) == 0
@@ -580,7 +602,7 @@ class TestCLIHistory:
         # the QoR collected before the failure still made it in
         assert records[0]["qor"]
 
-    def test_explore_history_grouping(self, tmp_path):
+    def test_explore_history_grouping(self, tmp_path, fake_span_clock):
         history = tmp_path / "h"
         argv = [
             "explore", "--designs", "x2", "--methods", "fa_aot", "wallace",
@@ -594,6 +616,7 @@ class TestCLIHistory:
         assert records[0]["key"] == records[1]["key"]
         assert records[0]["key"].startswith("explore:")
         assert len(records[0]["qor"]) == 2  # one series per sweep point
+        assert records[0]["span_summary"] == records[1]["span_summary"]
         assert main(["obs", "check", "--history", str(history), "--all"]) == 0
 
     def test_evented_history_carries_the_sweep_summary(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for probability propagation, switching activity and power estimation."""
 
 import itertools
+import math
 
 import pytest
 
@@ -87,6 +88,27 @@ class TestProbabilityPropagation:
         result = propagate_probabilities(netlist)
         assert result.probability_of(a) == 0.5
         assert result.probability_of(b) == 0.25
+
+
+class TestProbabilityClamp:
+    """Propagated values keep ``min(1.0, max(0.0, v))``, NaN and -0.0 included."""
+
+    @pytest.mark.parametrize(
+        "p_a, p_b",
+        [(2.0, 0.75), (-0.25, 0.5), (-0.0, 0.5), (float("nan"), 0.5), (0.0, 0.3),
+         (1.0, 1.0), (1.0, 0.5), (0.6, 0.5)],
+    )
+    def test_and_output_is_clamped_like_min_max(self, p_a, p_b):
+        netlist = Netlist("clamp")
+        a = netlist.add_input("a")
+        b = netlist.add_input("b")
+        netlist.annotate(a, probability=p_a)
+        netlist.annotate(b, probability=p_b)
+        gate = netlist.add_cell(CellType.AND2, {"a": a, "b": b})
+        got = propagate_probabilities(netlist).probability_of(gate.outputs["y"])
+        expected = min(1.0, max(0.0, p_a * p_b))
+        assert got == expected
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
 
 
 class TestPowerEstimation:

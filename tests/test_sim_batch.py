@@ -86,20 +86,28 @@ class TestPackedReplay:
     def test_faster_than_per_vector_at_64(self):
         # the acceptance bar: measurably faster at >= 64 vectors; use a
         # conservative 2x margin so the test is robust on loaded machines
-        # (observed speedups are an order of magnitude or more)
+        # (observed speedups are an order of magnitude or more).  The program
+        # is compiled before timing, and each side is timed as the best of
+        # five runs, so one stall on a busy host cannot decide the outcome.
         import time
 
         design = get_design("iir")
         result = Flow(FlowConfig(method="fa_aot")).run(design)
         words, count = _stimulus(result.netlist, False, 64, seed=9)
+        cached_program(result.netlist)
 
-        start = time.perf_counter()
-        expected = _reference_outputs(result, words, count)
-        per_vector_time = time.perf_counter() - start
+        def best_of_5(run):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                outputs = run()
+                times.append(time.perf_counter() - start)
+            return outputs, min(times)
 
-        start = time.perf_counter()
-        produced = _packed_outputs(result, words, count)
-        packed_time = time.perf_counter() - start
+        expected, per_vector_time = best_of_5(
+            lambda: _reference_outputs(result, words, count)
+        )
+        produced, packed_time = best_of_5(lambda: _packed_outputs(result, words, count))
 
         assert produced == expected
         assert packed_time < per_vector_time / 2
