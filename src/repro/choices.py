@@ -4,10 +4,30 @@
 lists them in ``--help``, so checking a config or building the parser must
 not import the layers that implement the names.  Each tuple is defined here
 once; the registry behind it (the final-adder factory, the multiplier
-builder, the ``-O`` pipeline, the library resolvers, the mapper) imports it
-and validates against it, and the name-keyed registries assert that their
-keys match.
+builder, the ``-O`` pipeline, the library resolvers, the mapper, the design
+registry) imports it and validates against it, and the name-keyed
+registries assert that their keys match.
 """
+
+#: every registered benchmark design (:mod:`repro.designs.registry`)
+DESIGN_NAMES = (
+    "x2",
+    "x3",
+    "x2_plus_x_plus_y",
+    "square_of_sum",
+    "mixed_products",
+    "iir",
+    "kalman",
+    "idct",
+    "complex",
+    "serial_adapter",
+)
+
+#: Table 1 rows of the paper, in its order: every registered design
+TABLE1_DESIGN_NAMES = DESIGN_NAMES
+
+#: Table 2 rows of the paper, in its order
+TABLE2_DESIGN_NAMES = ("iir", "kalman", "idct", "complex", "serial_adapter")
 
 #: final carry-propagate adder architectures (:mod:`repro.adders.factory`)
 FINAL_ADDER_KINDS = ("carry_select", "cla", "kogge_stone", "ripple")

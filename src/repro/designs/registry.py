@@ -1,8 +1,10 @@
 """Design registry: all benchmark designs, addressable by name.
 
-``TABLE1_DESIGN_NAMES`` and ``TABLE2_DESIGN_NAMES`` list the designs in the
-order the paper's tables report them, so ``repro table1`` / ``table2`` print
-rows that line up with the published tables.
+The names live in :mod:`repro.choices` (``DESIGN_NAMES``,
+``TABLE1_DESIGN_NAMES``, ``TABLE2_DESIGN_NAMES``), so the CLI lists them
+without importing a design; this module re-exports them.  The table tuples
+list the designs in the order the paper's tables report them, so ``repro
+table1`` / ``table2`` print rows that line up with the published tables.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List
 
+from repro.choices import (  # noqa: F401  (the table tuples are re-exported)
+    DESIGN_NAMES,
+    TABLE1_DESIGN_NAMES,
+    TABLE2_DESIGN_NAMES,
+)
 from repro.designs.base import DatapathDesign
 from repro.designs.complex_mult import complex_mac_real
 from repro.designs.idct import idct_dot_product
@@ -39,27 +46,14 @@ _FACTORIES: Dict[str, Callable[[], DatapathDesign]] = {
     "serial_adapter": serial_adapter,
 }
 
-#: Table 1 rows, in the paper's order.
-TABLE1_DESIGN_NAMES: List[str] = [
-    "x2",
-    "x3",
-    "x2_plus_x_plus_y",
-    "square_of_sum",
-    "mixed_products",
-    "iir",
-    "kalman",
-    "idct",
-    "complex",
-    "serial_adapter",
-]
-
-#: Table 2 rows, in the paper's order.
-TABLE2_DESIGN_NAMES: List[str] = ["iir", "kalman", "idct", "complex", "serial_adapter"]
+#: every design is registered under exactly the names
+#: :data:`repro.choices.DESIGN_NAMES` lists, in its order
+assert tuple(_FACTORIES) == DESIGN_NAMES, "repro.choices.DESIGN_NAMES is stale"
 
 
 def list_designs() -> List[str]:
     """Names of all registered designs."""
-    return list(_FACTORIES)
+    return list(DESIGN_NAMES)
 
 
 def get_design(name: str) -> DatapathDesign:

@@ -91,7 +91,7 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
+                handle.write(json.dumps(entry, sort_keys=True))
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, make_dataclass
 from typing import Callable, Dict, List, Sequence
 
 from repro.api.config import FlowConfig, config_fields
+from repro.choices import DESIGN_NAMES
 from repro.errors import ConfigError, ExplorationError
 
 #: resolved field specs, split by role (computed once at import time)
@@ -125,8 +126,6 @@ Constraint = Callable[[SweepPoint], bool]
 
 
 def _spec_validate(self) -> None:
-    from repro.designs.registry import list_designs
-
     if not self.designs:
         raise ExplorationError("sweep spec has no designs")
 
@@ -137,7 +136,7 @@ def _spec_validate(self) -> None:
                 f"unknown {label} {unknown!r}; expected values from {tuple(allowed)}"
             )
 
-    check("design(s)", self.designs, list_designs())
+    check("design(s)", self.designs, DESIGN_NAMES)
     # choices are re-resolved here (not taken from the import-time snapshot)
     # so analyses registered after import are immediately sweepable
     fresh = {s.name: s for s in config_fields()}

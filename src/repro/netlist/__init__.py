@@ -5,21 +5,34 @@ bit-level cells (full adders, half adders, simple gates and constants).  The
 netlist is the common currency between the allocation algorithms, the static
 timing analyzer, the power estimator, the functional simulator and the Verilog
 emitter.
+
+Each name loads its submodule on first access (PEP 562), so a layer that
+needs only the cell semantics (the technology libraries read
+:mod:`repro.netlist.cells`) does not import the netlist core, its
+serializer, statistics, validator or Verilog emitter.
 """
 
-from repro.netlist.cells import (
-    CELL_DEFS,
-    CellDef,
-    CellType,
-    cell_input_ports,
-    cell_output_ports,
-    evaluate_cell,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.netlist.cells": (
+            "CELL_DEFS",
+            "CellDef",
+            "CellType",
+            "cell_input_ports",
+            "cell_output_ports",
+            "evaluate_cell",
+        ),
+        "repro.netlist.core": ("Bus", "Cell", "Net", "Netlist"),
+        "repro.netlist.serialize": ("netlist_from_dict", "netlist_to_dict"),
+        "repro.netlist.stats": ("NetlistStats", "netlist_stats"),
+        "repro.netlist.validate": ("validate_netlist",),
+        "repro.netlist.verilog": ("to_verilog",),
+    },
 )
-from repro.netlist.core import Bus, Cell, Net, Netlist
-from repro.netlist.serialize import netlist_from_dict, netlist_to_dict
-from repro.netlist.stats import NetlistStats, netlist_stats
-from repro.netlist.validate import validate_netlist
-from repro.netlist.verilog import to_verilog
 
 __all__ = [
     "CELL_DEFS",

@@ -186,13 +186,14 @@ class Netlist:
         own key — the topological order, the compiled sim program
         (:func:`repro.sim.program.cached_program`), structural stats and
         per-library area (:func:`repro.netlist.stats.netlist_stats`), full
-        STA results (:func:`repro.timing.arrival.compute_arrival_times`) and
-        the placement pin table (:func:`repro.place.placer.pin_table`).  A
-        key must cover every input of its view beyond the structure; an
-        entry that depends on another object (a library, a net-delay map)
-        holds a reference to it, so the ``id()`` in its key cannot be
-        recycled while the entry lives.  Views are shared, not copied:
-        treat them as read-only.
+        STA results (:func:`repro.timing.arrival.compute_arrival_times`),
+        the placement pin table (:func:`repro.place.placer.pin_table`) and
+        the dead-cell-free marker of
+        :class:`repro.opt.dce.DeadCellEliminationPass`.  A key must cover
+        every input of its view beyond the structure; an entry that depends
+        on another object (a library, a net-delay map) holds a reference to
+        it, so the ``id()`` in its key cannot be recycled while the entry
+        lives.  Views are shared, not copied: treat them as read-only.
         """
         if self._views_generation != self._generation:
             self._views = {}

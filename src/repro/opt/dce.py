@@ -6,6 +6,10 @@ loose by constant folding or CSE — is deleted.  Cells are removed in reverse
 topological order so every removal sees load-free outputs, and nets that end
 up fully disconnected (no driver, no readers, no interface role) are swept
 away afterwards.
+
+A run leaves the netlist free of dead cells and nets, and says so in
+:meth:`Netlist.derived_views`; until the next mutation clears that marker,
+a run returns at once (the pipeline runs the pass on every iteration).
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ class DeadCellEliminationPass(RewritePass):
     name = "dce"
 
     def run(self, netlist: Netlist) -> int:
+        if netlist.derived_views().get("dce_clean"):
+            return 0
         live = {cell.name for cell in netlist.transitive_fanin(netlist.primary_outputs)}
         changed = 0
         for cell in reversed(netlist.topological_cells()):
@@ -30,4 +36,5 @@ class DeadCellEliminationPass(RewritePass):
         # net removal cannot enable further cell-level work)
         for net in list(netlist.nets.values()):
             netlist.discard_net_if_disconnected(net)
+        netlist.derived_views()["dce_clean"] = True
         return changed

@@ -2,8 +2,11 @@
 
 Every check runs in a fresh interpreter and reads ``sys.modules`` after the
 command, so it is deterministic where a timer would not be.  ``import
-repro.cli`` must not load the flow stages or any backend layer, and
-``--help`` and ``list-designs`` load nothing more than the import; ``--help``,
+repro.cli``, alone or followed by building every technology library (the
+benchmark's cold-start path), must not load the flow stages, any backend
+layer, the designs, the expression frontend, the netlist core or the
+command bodies; ``--help`` loads nothing more than the import, and
+``list-designs`` only its handler and the design layer.  ``--help``,
 ``list-designs`` and a plain ``synth`` must not load the sweep engine, the
 verifier, the placer, the map templates or the history / event-bus
 modules.  The positive control asks for mapping and placement and checks
@@ -31,8 +34,30 @@ NOT_ON_PLAIN_RUNS = (
     "repro.map.templates",
 )
 
-#: additionally never loaded by ``import repro.cli`` alone
-NOT_ON_IMPORT = NOT_ON_PLAIN_RUNS + ("repro.api.stages", "repro.opt", "repro.baselines")
+#: additionally never loaded by ``import repro.cli`` alone, nor by building
+#: the technology libraries after it
+NOT_ON_IMPORT = NOT_ON_PLAIN_RUNS + (
+    "repro.api.stages",
+    "repro.opt",
+    "repro.baselines",
+    "repro.designs",
+    "repro.expr",
+    "repro.netlist.core",
+    "repro.netlist.serialize",
+    "repro.netlist.stats",
+    "repro.netlist.validate",
+    "repro.netlist.verilog",
+    "repro.commands.flow",
+    "repro.commands.obs",
+)
+
+#: the only layers ``list-designs`` may load beyond the import: its
+#: handler and the designs it instantiates
+LIST_DESIGNS_LAYERS = ("repro.commands.flow", "repro.designs", "repro.expr")
+
+#: argv that stands for "import the CLI, then build every technology
+#: library" (the benchmark's cold-start path) instead of a command
+LIBRARIES = ["<libraries>"]
 
 #: child script: run ``argv`` (or only import the CLI when it is empty),
 #: optionally after importing every module of the package first, then
@@ -45,7 +70,15 @@ if eager:
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         importlib.import_module(info.name)
 import repro.cli
-if argv:
+if argv == ["<libraries>"]:
+    from repro.choices import LIBRARY_NAMES, TARGET_LIBRARY_NAMES
+    from repro.tech.default_libs import resolve_library
+    from repro.tech.target_libs import resolve_target_library
+    for name in LIBRARY_NAMES:
+        resolve_library(name)
+    for name in TARGET_LIBRARY_NAMES:
+        resolve_target_library(name)
+elif argv:
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             repro.cli.main(argv)
@@ -81,6 +114,12 @@ def test_import_loads_no_layer():
     assert _offenders(loaded, NOT_ON_IMPORT) == []
 
 
+def test_import_then_every_library_loads_only_the_cell_semantics():
+    loaded = _loaded(LIBRARIES)
+    assert {"repro.tech.default_libs", "repro.tech.target_libs", "repro.netlist.cells"} <= loaded
+    assert _offenders(loaded, NOT_ON_IMPORT) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--help"], ["list-designs"], ["synth", "--design", "x2"]],
@@ -90,13 +129,22 @@ def test_plain_commands_load_only_what_they_run(argv):
     assert _offenders(_loaded(argv), NOT_ON_PLAIN_RUNS) == []
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["list-designs"]], ids=["help", "list-designs"])
-def test_parser_commands_load_no_more_than_the_import(argv):
+def test_help_loads_no_more_than_the_import():
     # building the parser resolves the ``analyses`` choices from the light
     # registry in repro.api.config, so it must not pull in the flow stages
-    loaded = _loaded(argv)
+    loaded = _loaded(["--help"])
     assert "repro.api.stages" not in loaded
     assert loaded == _loaded([])
+
+
+def test_list_designs_loads_only_its_handler_and_the_designs():
+    # it prints every design's summary, so it builds every design
+    loaded = _loaded(["list-designs"])
+    beyond = loaded - _loaded([])
+    assert beyond
+    assert sorted(beyond) == _offenders(beyond, LIST_DESIGNS_LAYERS)
+    assert "repro.api.stages" not in loaded
+    assert _offenders(loaded, NOT_ON_PLAIN_RUNS) == []
 
 
 def _flow_dict(tmp_path, eager):

@@ -13,7 +13,7 @@ from repro.explore.analysis import (
     pareto_front,
     pareto_front_by_design,
 )
-from repro.explore.cache import ResultCache
+from repro.explore.cache import CACHE_SCHEMA_VERSION, ResultCache
 from repro.explore.engine import execute_point, run_sweep
 from repro.explore.spec import SweepPoint, SweepSpec, table1_spec, table2_spec
 from repro.designs.registry import get_design
@@ -190,6 +190,20 @@ class TestResultCache:
         assert cache.get(point) == metrics
         assert cache.hits == 1 and cache.misses == 1
         assert len(cache) == 1
+
+    def test_entry_is_one_sorted_json_document(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        point = SweepPoint("x2")
+        metrics = _record("x2", "fa_aot")
+        path = cache.put(point, metrics, telemetry={"wall_s": 0.5})
+        entry = {
+            "schema_version": CACHE_SCHEMA_VERSION,
+            "key": point.key(),
+            "point": point.to_dict(),
+            "metrics": metrics,
+            "telemetry": {"wall_s": 0.5},
+        }
+        assert path.read_bytes() == json.dumps(entry, sort_keys=True).encode("utf-8")
 
     def test_corrupt_and_mismatched_entries_are_misses(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -3,10 +3,10 @@
 The lower layers — the netlist model, the technology libraries, the
 expression frontend, the addend matrix, the reduction algorithms, the final
 adders, the analyses, the simulator and the designs — must not import an
-upper layer at module level: not the API, the CLI, the sweep engine, the
-verifier, the placer, the mapper or the optimizer, and of the
-observability package only the tracer helpers.  A function-local import
-is allowed; it runs only when that function does.
+upper layer at module level: not the API, the CLI or its command bodies,
+the sweep engine, the verifier, the placer, the mapper or the optimizer,
+and of the observability package only the tracer helpers.  A
+function-local import is allowed; it runs only when that function does.
 
 The choice tuples ``FlowConfig`` validates against live in
 :mod:`repro.choices`; each registry behind one imports it and must agree
@@ -30,7 +30,7 @@ LOWER_LAYERS = (
     "netlist", "tech", "expr", "bitmatrix", "core", "adders", "timing", "power", "sim", "designs",
 )
 
-UPPER_LAYERS = ("api", "cli", "explore", "verify", "place", "map", "opt")
+UPPER_LAYERS = ("api", "cli", "commands", "explore", "verify", "place", "map", "opt")
 
 
 def _module_level_imports(tree):
@@ -110,6 +110,10 @@ def test_scan_sees_imports():
 
 
 def test_dict_registries_match_their_names():
+    from repro.designs import registry
+
+    assert tuple(registry._FACTORIES) == choices.DESIGN_NAMES
+    assert registry.list_designs() == list(choices.DESIGN_NAMES)
     assert tuple(sorted(factory._BUILDERS)) == choices.FINAL_ADDER_KINDS
     assert tuple(default_libs._LIBRARY_BUILDERS) == choices.LIBRARY_NAMES
     assert tuple(target_libs._TARGET_BUILDERS) == choices.TARGET_LIBRARY_NAMES
@@ -118,8 +122,13 @@ def test_dict_registries_match_their_names():
 
 def test_registries_reexport_the_light_tuples():
     from repro.baselines import multipliers
+    from repro.designs import registry
     from repro.map import targets
     from repro.opt import manager
+
+    for name in ("DESIGN_NAMES", "TABLE1_DESIGN_NAMES", "TABLE2_DESIGN_NAMES"):
+        assert getattr(registry, name) is getattr(choices, name)
+    assert set(choices.TABLE2_DESIGN_NAMES) <= set(choices.TABLE1_DESIGN_NAMES)
 
     assert factory.FINAL_ADDER_KINDS is choices.FINAL_ADDER_KINDS
     assert multipliers.MULTIPLIER_STYLES is choices.MULTIPLIER_STYLES

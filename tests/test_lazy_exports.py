@@ -20,6 +20,7 @@ PACKAGES = (
     "repro.baselines",
     "repro.explore",
     "repro.map",
+    "repro.netlist",
     "repro.obs",
     "repro.opt",
     "repro.place",

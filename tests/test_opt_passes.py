@@ -343,3 +343,29 @@ class TestDce:
         DeadCellEliminationPass().run(netlist)
         assert "stray" not in netlist.nets
         assert "a" in netlist.nets
+
+    def test_clean_netlist_is_not_walked_again_until_it_changes(self, monkeypatch):
+        netlist = Netlist("rerun")
+        a = netlist.add_input("a")
+        b = netlist.add_input("b")
+        live = netlist.add_cell(CellType.AND2, {"a": a, "b": b})
+        netlist.add_cell(CellType.OR2, {"a": a, "b": b})
+        netlist.set_output(live.outputs["y"])
+        walks = []
+        fanin = netlist.transitive_fanin
+
+        def counting_fanin(nets):
+            walks.append(nets)
+            return fanin(nets)
+
+        monkeypatch.setattr(netlist, "transitive_fanin", counting_fanin)
+        dce = DeadCellEliminationPass()
+        assert dce.run(netlist) == 1
+        assert dce.run(netlist) == 0
+        assert len(walks) == 1  # the second run saw the marker and did not walk
+        dead = netlist.add_cell(CellType.XOR2, {"a": a, "b": b})
+        assert dce.run(netlist) == 1  # the mutation re-armed the pass
+        assert len(walks) == 2
+        assert dead.name not in netlist.cells
+        assert dce.run(netlist) == 0
+        assert len(walks) == 2
