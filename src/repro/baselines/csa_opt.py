@@ -27,12 +27,11 @@ from typing import Dict, List, Optional
 
 from repro.bitmatrix.addend import Addend
 from repro.bitmatrix.matrix import AddendMatrix
-from repro.core.column import ColumnReduction, allocate_fa, allocate_ha
 from repro.core.delay_model import FADelayModel
 from repro.core.power_model import FAPowerModel
-from repro.core.result import CompressionResult
-from repro.core.tree_builder import final_rows_from_matrix
-from repro.baselines.wallace import wallace_reduce
+from repro.core.result import CompressionResult, final_rows
+from repro.core.tree import CompressorTree
+from repro.baselines.wallace import wallace_stages
 from repro.errors import AllocationError
 from repro.netlist.core import Netlist
 
@@ -65,13 +64,7 @@ class _Word:
         return [self.bits[c] for c in self.columns()]
 
 
-def _rows_to_words(
-    netlist: Netlist,
-    matrix: AddendMatrix,
-    delay_model: FADelayModel,
-    power_model: FAPowerModel,
-    per_column: List[ColumnReduction],
-) -> List[_Word]:
+def _rows_to_words(tree: CompressorTree, matrix: AddendMatrix) -> List[_Word]:
     """Group matrix addends into word operands, pre-reducing multiplier rows."""
     groups: Dict[int, List[Addend]] = {}
     singles: List[Addend] = []
@@ -83,28 +76,18 @@ def _rows_to_words(
                 groups.setdefault(addend.row, []).append(addend)
 
     words: List[_Word] = []
-    total_energy = 0.0
     for row_id in sorted(groups):
         addends = groups[row_id]
-        columns_seen: Dict[int, int] = {}
+        columns: List[List[Addend]] = [[] for _ in range(tree.width)]
         for addend in addends:
-            columns_seen[addend.column] = columns_seen.get(addend.column, 0) + 1
-        if max(columns_seen.values()) == 1:
+            columns[addend.column].append(addend)
+        if max(map(len, columns)) == 1:
             words.append(_Word(addends))
             continue
         # Multiplication partial products: reduce internally (arrival-blind
         # Wallace, as a conventional multiplier macro would) and keep the
         # carry-save output as two words.
-        sub_matrix = AddendMatrix(matrix.width, name=f"word_row_{row_id}")
-        for addend in addends:
-            sub_matrix.add(addend)
-        reduction = wallace_reduce(netlist, sub_matrix, delay_model, power_model)
-        total_energy += reduction.tree_switching_energy
-        for column_index, record in enumerate(reduction.column_reductions):
-            per_column[column_index].fa_cells.extend(record.fa_cells)
-            per_column[column_index].ha_cells.extend(record.ha_cells)
-            per_column[column_index].switching_energy += record.switching_energy
-        for row in reduction.rows:
+        for row in final_rows(wallace_stages(tree, columns)):
             row_addends = [a for a in row if a is not None]
             if row_addends:
                 words.append(_Word(row_addends))
@@ -120,15 +103,8 @@ def csa_opt_reduce(
     power_model: Optional[FAPowerModel] = None,
 ) -> CompressionResult:
     """Reduce the matrix with word-level CSA allocation (the CSA_OPT baseline)."""
-    delay_model = delay_model or FADelayModel()
-    power_model = power_model or FAPowerModel()
-    width = matrix.width
-    per_column = [
-        ColumnReduction(column=index, remaining=[], carries=[]) for index in range(width)
-    ]
-
-    words = _rows_to_words(netlist, matrix, delay_model, power_model, per_column)
-    total_energy = sum(record.switching_energy for record in per_column)
+    tree = CompressorTree(netlist, matrix.width, delay_model, power_model)
+    words = _rows_to_words(tree, matrix)
 
     while len(words) > 2:
         words.sort(key=lambda w: (w.arrival, min(w.bits, default=0)))
@@ -144,47 +120,20 @@ def csa_opt_reduce(
                 for word in (first, second, third)
                 if column in word.bits
             ]
-            if len(present) == 3:
-                sum_addend, carry_addend, cell, energy = allocate_fa(
-                    netlist, present, column, delay_model, power_model
-                )
-                per_column[column].fa_cells.append(cell)
-            elif len(present) == 2:
-                sum_addend, carry_addend, cell, energy = allocate_ha(
-                    netlist, present, column, delay_model, power_model
-                )
-                per_column[column].ha_cells.append(cell)
-            else:
+            if len(present) == 1:
                 sum_bits.append(present[0])
                 continue
-            per_column[column].switching_energy += energy
-            total_energy += energy
-            sum_bits.append(sum_addend)
-            if carry_addend.column < width:
-                carry_bits.append(carry_addend)
+            total, carry = tree.allocate(present, column)
+            sum_bits.append(total)
+            if carry is not None:
+                carry_bits.append(carry)
 
         words.append(_Word(sum_bits))
         if carry_bits:
             words.append(_Word(carry_bits))
 
-    final = AddendMatrix(width, name=matrix.name)
+    final: List[List[Addend]] = [[] for _ in range(tree.width)]
     for word in words:
         for addend in word.addends():
-            final.add(addend)
-    for column_index in range(width):
-        per_column[column_index].remaining = list(final.column(column_index))
-
-    rows = final_rows_from_matrix(final, width)
-    final_addends = [a for row in rows for a in row if a is not None]
-    max_arrival = max((a.arrival for a in final_addends), default=0.0)
-
-    return CompressionResult(
-        netlist=netlist,
-        width=width,
-        rows=rows,
-        column_reductions=per_column,
-        policy_name="csa_opt",
-        ha_style="word_level",
-        tree_switching_energy=total_energy,
-        max_final_arrival=max_arrival,
-    )
+            final[addend.column].append(addend)
+    return tree.result("csa_opt", "word_level", final)

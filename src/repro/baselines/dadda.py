@@ -10,15 +10,14 @@ benchmarks.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional
 
-from repro.bitmatrix.addend import Addend
 from repro.bitmatrix.matrix import AddendMatrix
-from repro.core.column import ColumnReduction, allocate_fa, allocate_ha
 from repro.core.delay_model import FADelayModel
 from repro.core.power_model import FAPowerModel
 from repro.core.result import CompressionResult
-from repro.core.tree_builder import final_rows_from_matrix
+from repro.core.tree import CompressorTree
 from repro.netlist.core import Netlist
 
 
@@ -37,17 +36,8 @@ def dadda_reduce(
     power_model: Optional[FAPowerModel] = None,
 ) -> CompressionResult:
     """Reduce the matrix with Dadda's minimal-stage-count scheme."""
-    delay_model = delay_model or FADelayModel()
-    power_model = power_model or FAPowerModel()
-    width = matrix.width
-
-    columns: List[List[Addend]] = [
-        sorted(column, key=lambda a: a.sequence) for column in matrix.copy().columns()
-    ]
-    per_column = [
-        ColumnReduction(column=index, remaining=[], carries=[]) for index in range(width)
-    ]
-    total_energy = 0.0
+    tree = CompressorTree(netlist, matrix.width, delay_model, power_model)
+    columns = [sorted(column, key=attrgetter("sequence")) for column in matrix.columns()]
 
     max_height = max((len(column) for column in columns), default=0)
     targets = [t for t in reversed(dadda_height_sequence(max(2, max_height))) if t < max_height]
@@ -55,47 +45,13 @@ def dadda_reduce(
         targets = targets + [2] if 2 not in targets else targets
 
     for target in targets:
-        for column_index in range(width):
-            column = columns[column_index]
-            record = per_column[column_index]
+        for index, column in enumerate(columns):
             while len(column) > target:
-                if len(column) == target + 1:
-                    chosen = column[:2]
-                    del column[:2]
-                    sum_addend, carry_addend, cell, energy = allocate_ha(
-                        netlist, chosen, column_index, delay_model, power_model
-                    )
-                    record.ha_cells.append(cell)
-                else:
-                    chosen = column[:3]
-                    del column[:3]
-                    sum_addend, carry_addend, cell, energy = allocate_fa(
-                        netlist, chosen, column_index, delay_model, power_model
-                    )
-                    record.fa_cells.append(cell)
-                record.switching_energy += energy
-                total_energy += energy
-                column.append(sum_addend)
-                if carry_addend.column < width:
-                    columns[carry_addend.column].append(carry_addend)
-
-    final = AddendMatrix(width, name=matrix.name)
-    for column_index in range(width):
-        per_column[column_index].remaining = list(columns[column_index])
-        for addend in columns[column_index]:
-            final.add(addend)
-
-    rows = final_rows_from_matrix(final, width)
-    final_addends = [a for row in rows for a in row if a is not None]
-    max_arrival = max((a.arrival for a in final_addends), default=0.0)
-
-    return CompressionResult(
-        netlist=netlist,
-        width=width,
-        rows=rows,
-        column_reductions=per_column,
-        policy_name="dadda",
-        ha_style="dadda_stage",
-        tree_switching_energy=total_energy,
-        max_final_arrival=max_arrival,
-    )
+                count = 2 if len(column) == target + 1 else 3
+                chosen = column[:count]
+                del column[:count]
+                total, carry = tree.allocate(chosen, index)
+                column.append(total)
+                if carry is not None:
+                    columns[index + 1].append(carry)
+    return tree.result("dadda", "dadda_stage", columns)

@@ -59,8 +59,6 @@ def unsigned_multiplier(
     if style == "array":
         return _array_multiplier(netlist, operand_a, operand_b, result_width, name)
 
-    delay_model = delay_model or FADelayModel()
-    power_model = power_model or FAPowerModel()
     matrix = AddendMatrix(result_width, name=f"{name}_pp")
     for i, bit_a in enumerate(operand_a.nets):
         for j, bit_b in enumerate(operand_b.nets):

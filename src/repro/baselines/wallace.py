@@ -10,16 +10,45 @@ exactly what FA_AOT / FA_ALP improve upon.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from operator import attrgetter
+from typing import List, Optional, Sequence
 
 from repro.bitmatrix.addend import Addend
 from repro.bitmatrix.matrix import AddendMatrix
-from repro.core.column import ColumnReduction, allocate_fa, allocate_ha
 from repro.core.delay_model import FADelayModel
 from repro.core.power_model import FAPowerModel
 from repro.core.result import CompressionResult
-from repro.core.tree_builder import final_rows_from_matrix
+from repro.core.tree import CompressorTree
 from repro.netlist.core import Netlist
+
+
+def wallace_stages(
+    tree: CompressorTree, columns: Sequence[List[Addend]]
+) -> Sequence[List[Addend]]:
+    """Run Wallace stages in ``tree`` until no column holds more than two addends.
+
+    Returns the final columns, LSB first; ``columns`` is not mutated.
+    """
+    while max(map(len, columns), default=0) > 2:
+        # Everything produced in this stage only becomes available in the
+        # next stage (classic Wallace staging).
+        staged: List[List[Addend]] = [[] for _ in columns]
+        for index, column in enumerate(columns):
+            addends = sorted(column, key=attrgetter("sequence"))
+            cut = len(addends) - len(addends) % 3
+            groups = [addends[start : start + 3] for start in range(0, cut, 3)]
+            leftovers = addends[cut:]
+            if len(leftovers) == 2 and len(addends) > 2:
+                groups.append(leftovers)
+                leftovers = []
+            for chosen in groups:
+                total, carry = tree.allocate(chosen, index)
+                staged[index].append(total)
+                if carry is not None:
+                    staged[index + 1].append(carry)
+            staged[index].extend(leftovers)
+        columns = staged
+    return columns
 
 
 def wallace_reduce(
@@ -27,81 +56,7 @@ def wallace_reduce(
     matrix: AddendMatrix,
     delay_model: Optional[FADelayModel] = None,
     power_model: Optional[FAPowerModel] = None,
-    use_ha: bool = True,
 ) -> CompressionResult:
-    """Reduce the matrix with the classic stage-based Wallace scheme.
-
-    ``use_ha=False`` gives the pure 3:2-only variant (columns with two
-    leftovers are simply carried to the next stage), which reduces slightly
-    more slowly but with fewer cells.
-    """
-    delay_model = delay_model or FADelayModel()
-    power_model = power_model or FAPowerModel()
-    width = matrix.width
-    working = matrix.copy()
-
-    per_column = [
-        ColumnReduction(column=index, remaining=[], carries=[]) for index in range(width)
-    ]
-    total_energy = 0.0
-
-    while working.max_height() > 2:
-        # Snapshot all columns: everything produced in this stage only becomes
-        # available in the next stage (classic Wallace staging).
-        snapshot: List[List[Addend]] = [list(column) for column in working.columns()]
-        next_columns: List[List[Addend]] = [[] for _ in range(width)]
-
-        for column_index in range(width):
-            addends = sorted(snapshot[column_index], key=lambda a: a.sequence)
-            record = per_column[column_index]
-            index = 0
-            height = len(addends)
-            while height - index >= 3:
-                chosen = addends[index : index + 3]
-                index += 3
-                sum_addend, carry_addend, cell, energy = allocate_fa(
-                    netlist, chosen, column_index, delay_model, power_model
-                )
-                record.fa_cells.append(cell)
-                record.switching_energy += energy
-                total_energy += energy
-                next_columns[column_index].append(sum_addend)
-                if carry_addend.column < width:
-                    next_columns[carry_addend.column].append(carry_addend)
-            leftovers = addends[index:]
-            if use_ha and len(leftovers) == 2 and len(addends) > 2:
-                sum_addend, carry_addend, cell, energy = allocate_ha(
-                    netlist, leftovers, column_index, delay_model, power_model
-                )
-                record.ha_cells.append(cell)
-                record.switching_energy += energy
-                total_energy += energy
-                next_columns[column_index].append(sum_addend)
-                if carry_addend.column < width:
-                    next_columns[carry_addend.column].append(carry_addend)
-            else:
-                next_columns[column_index].extend(leftovers)
-
-        fresh = AddendMatrix(width, name=working.name)
-        for column_index in range(width):
-            for addend in next_columns[column_index]:
-                fresh.add(addend)
-        working = fresh
-
-    for column_index in range(width):
-        per_column[column_index].remaining = list(working.column(column_index))
-
-    rows = final_rows_from_matrix(working, width)
-    final_addends = [a for row in rows for a in row if a is not None]
-    max_arrival = max((a.arrival for a in final_addends), default=0.0)
-
-    return CompressionResult(
-        netlist=netlist,
-        width=width,
-        rows=rows,
-        column_reductions=per_column,
-        policy_name="wallace",
-        ha_style="wallace_stage",
-        tree_switching_energy=total_energy,
-        max_final_arrival=max_arrival,
-    )
+    """Reduce the matrix with the classic stage-based Wallace scheme."""
+    tree = CompressorTree(netlist, matrix.width, delay_model, power_model)
+    return tree.result("wallace", "wallace_stage", wallace_stages(tree, matrix.columns()))

@@ -57,9 +57,6 @@ class MatrixBuildResult:
     dropped_addends: int = 0
     notes: List[str] = field(default_factory=list)
 
-    def initial_heights(self) -> List[int]:
-        """Per-column addend counts of the freshly built matrix."""
-        return self.matrix.heights()
 
 
 def _folded_square_product(

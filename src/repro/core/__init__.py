@@ -7,6 +7,10 @@
 * :func:`fa_random` — random input selection, the power baseline of Table 2.
 * :class:`CompressorTreeBuilder` — the shared engine that reduces an addend
   matrix column by column with a pluggable selection policy.
+* :class:`CompressorTree` — the tree record every reducer (these and the
+  Wallace, Dadda and CSA_OPT baselines) builds cells in: its one
+  :meth:`~CompressorTree.allocate` is the FA/HA step, with the Ds/Dc
+  arrivals, output probabilities and Ws/Wc energy of each cell.
 """
 
 from repro.core.delay_model import FADelayModel
@@ -24,10 +28,11 @@ from repro.core.policies import (
     RowOrderPolicy,
     SelectionPolicy,
 )
-from repro.core.column import ColumnReduction, reduce_column
+from repro.core.result import ColumnReduction, CompressionResult
+from repro.core.tree import CompressorTree
+from repro.core.column import reduce_column
 from repro.core.sc_t import sc_t
 from repro.core.sc_lp import sc_lp
-from repro.core.result import CompressionResult
 from repro.core.tree_builder import CompressorTreeBuilder
 from repro.core.fa_aot import fa_aot
 from repro.core.fa_alp import fa_alp
@@ -50,6 +55,7 @@ __all__ = [
     "sc_t",
     "sc_lp",
     "CompressionResult",
+    "CompressorTree",
     "CompressorTreeBuilder",
     "fa_aot",
     "fa_alp",

@@ -12,27 +12,26 @@ end the column with exactly two addends is modelled:
   addends until two remain, and an FA that consumes the pseudo zero is
   realised as an HA.
 
-Both are expressed here by :func:`reduce_column` with an ``ha_style`` switch.
-Carries produced for the next column are returned to the caller (the tree
-builder), which is what lets column *j*'s carries participate in column
-*j+1*'s reduction — the "column interaction" that distinguishes the paper's
-algorithm from per-column-isolated reduction (Figure 2(b) vs 2(c)).
+Both are expressed here by :func:`reduce_column` with an ``ha_style`` switch;
+this module only decides which addends feed each cell, and
+:meth:`repro.core.tree.CompressorTree.allocate` builds it.  The carries a
+column produces are returned to the caller (the tree builder), which is what
+lets column *j*'s carries participate in column *j+1*'s reduction — the
+"column interaction" that distinguishes the paper's algorithm from
+per-column-isolated reduction (Figure 2(b) vs 2(c)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.bitmatrix.addend import Addend
-from repro.core.delay_model import FADelayModel
 from repro.core.policies import SelectionPolicy
-from repro.core.power_model import FAPowerModel
+from repro.core.result import ColumnReduction
+from repro.core.tree import CompressorTree
 from repro.errors import AllocationError
-from repro.netlist.cells import CellType
-from repro.netlist.core import Cell, Netlist
 
 #: ha_style value for the SC_T behaviour (HA on the last pair of three)
 HA_STYLE_LAST_PAIR = "last_pair"
@@ -42,95 +41,15 @@ HA_STYLE_PSEUDO_ZERO = "pseudo_zero"
 _VALID_HA_STYLES = (HA_STYLE_LAST_PAIR, HA_STYLE_PSEUDO_ZERO)
 
 
-@dataclass
-class ColumnReduction:
-    """Result of reducing one column to at most two addends."""
-
-    column: int
-    remaining: List[Addend]
-    carries: List[Addend]
-    fa_cells: List[Cell] = field(default_factory=list)
-    ha_cells: List[Cell] = field(default_factory=list)
-    switching_energy: float = 0.0
-
-    @property
-    def fa_count(self) -> int:
-        """Number of full adders allocated for this column."""
-        return len(self.fa_cells)
-
-    @property
-    def ha_count(self) -> int:
-        """Number of half adders allocated for this column."""
-        return len(self.ha_cells)
-
-
-def allocate_fa(
-    netlist: Netlist,
-    chosen: Sequence[Addend],
-    column: int,
-    delay_model: FADelayModel,
-    power_model: FAPowerModel,
-) -> tuple:
-    """Instantiate an FA over three addends; return (sum, carry, cell, energy).
-
-    Shared by the column reducer and by the baseline reducers (Wallace, Dadda,
-    word-level CSA) so that every method pays for FAs with the same delay and
-    power bookkeeping.
-    """
-    cell = netlist.add_cell(
-        CellType.FA,
-        {"a": chosen[0].net, "b": chosen[1].net, "cin": chosen[2].net},
-    )
-    arrivals = [a.arrival for a in chosen]
-    sum_arrival, carry_arrival = delay_model.fa_arrivals(arrivals)
-    p_sum, p_carry = power_model.fa_probabilities(
-        chosen[0].probability, chosen[1].probability, chosen[2].probability
-    )
-    sum_net = cell.outputs["s"]
-    carry_net = cell.outputs["co"]
-    netlist.annotate(sum_net, arrival=sum_arrival, probability=p_sum)
-    netlist.annotate(carry_net, arrival=carry_arrival, probability=p_carry)
-    sum_addend = Addend(sum_net, column, sum_arrival, p_sum, origin="sum")
-    carry_addend = Addend(carry_net, column + 1, carry_arrival, p_carry, origin="carry")
-    energy = power_model.fa_switching_energy(p_sum, p_carry)
-    return sum_addend, carry_addend, cell, energy
-
-
-def allocate_ha(
-    netlist: Netlist,
-    chosen: Sequence[Addend],
-    column: int,
-    delay_model: FADelayModel,
-    power_model: FAPowerModel,
-) -> tuple:
-    """Instantiate an HA over two addends; return (sum, carry, cell, energy)."""
-    cell = netlist.add_cell(CellType.HA, {"a": chosen[0].net, "b": chosen[1].net})
-    arrivals = [a.arrival for a in chosen]
-    sum_arrival, carry_arrival = delay_model.ha_arrivals(arrivals)
-    p_sum, p_carry = power_model.ha_probabilities(
-        chosen[0].probability, chosen[1].probability
-    )
-    sum_net = cell.outputs["s"]
-    carry_net = cell.outputs["co"]
-    netlist.annotate(sum_net, arrival=sum_arrival, probability=p_sum)
-    netlist.annotate(carry_net, arrival=carry_arrival, probability=p_carry)
-    sum_addend = Addend(sum_net, column, sum_arrival, p_sum, origin="sum")
-    carry_addend = Addend(carry_net, column + 1, carry_arrival, p_carry, origin="carry")
-    energy = power_model.ha_switching_energy(p_sum, p_carry)
-    return sum_addend, carry_addend, cell, energy
-
-
 def reduce_column(
-    netlist: Netlist,
+    tree: CompressorTree,
     addends: Sequence[Addend],
     column: int,
     policy: SelectionPolicy,
-    delay_model: FADelayModel,
-    power_model: FAPowerModel,
     ha_style: str = HA_STYLE_LAST_PAIR,
     exclude_origins: Optional[FrozenSet[str]] = None,
 ) -> ColumnReduction:
-    """Reduce one column's addends to at most two, allocating FAs/HAs.
+    """Reduce one column's addends to at most two, allocating FAs/HAs in ``tree``.
 
     Parameters
     ----------
@@ -148,6 +67,9 @@ def reduce_column(
         ``frozenset({"carry"})`` yields the column-isolation baseline of
         Figure 2(b).
 
+    Returns ``tree``'s record of the column, with ``remaining`` and
+    ``carries`` filled in.
+
     A ranked policy (one with a :attr:`~SelectionPolicy.sort_key`) keeps the
     working set in a heap, so each FA/HA step costs O(log n) and each key is
     computed once; any other policy is asked to select from the working list
@@ -160,38 +82,22 @@ def reduce_column(
         )
 
     working: List[Addend] = list(addends)
-    reduction = ColumnReduction(column=column, remaining=[], carries=[])
-
-    if ha_style == HA_STYLE_PSEUDO_ZERO and len(working) >= 3 and len(working) % 2 == 1:
-        pseudo = Addend(
-            net=netlist.const(0),
-            column=column,
-            arrival=0.0,
-            probability=0.0,
-            origin="pseudo_zero",
+    reduction = tree.columns[column]
+    pseudo_zero = ha_style == HA_STYLE_PSEUDO_ZERO
+    if pseudo_zero and len(working) >= 3 and len(working) % 2 == 1:
+        working.append(
+            Addend(tree.netlist.const(0), column, 0.0, 0.0, origin="pseudo_zero")
         )
-        working.append(pseudo)
 
     def allocate(chosen: List[Addend]) -> Addend:
         """Add the FA or HA over ``chosen``; return its sum addend."""
-        if ha_style == HA_STYLE_PSEUDO_ZERO:
+        if pseudo_zero:
             # an FA that consumes the pseudo logic-0 is realised as an HA
-            inputs = [a for a in chosen if a.origin != "pseudo_zero"]
-        else:
-            inputs = chosen
-        if len(inputs) == 3:
-            sum_addend, carry_addend, cell, energy = allocate_fa(
-                netlist, inputs, column, delay_model, power_model
-            )
-            reduction.fa_cells.append(cell)
-        else:
-            sum_addend, carry_addend, cell, energy = allocate_ha(
-                netlist, inputs, column, delay_model, power_model
-            )
-            reduction.ha_cells.append(cell)
-        reduction.carries.append(carry_addend)
-        reduction.switching_energy += energy
-        return sum_addend
+            chosen = [a for a in chosen if a.origin != "pseudo_zero"]
+        total, carry = tree.allocate(chosen, column)
+        # a carry past the width is still listed as one this column produced
+        reduction.carries.append(carry if carry is not None else reduction.dropped[-1])
+        return total
 
     # SC_T ends a column of three with an HA on two of them
     pair_at_three = ha_style == HA_STYLE_LAST_PAIR

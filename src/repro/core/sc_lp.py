@@ -12,10 +12,12 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.bitmatrix.addend import Addend
-from repro.core.column import HA_STYLE_PSEUDO_ZERO, ColumnReduction, reduce_column
+from repro.core.column import HA_STYLE_PSEUDO_ZERO, reduce_column
 from repro.core.delay_model import FADelayModel
 from repro.core.policies import LargestQPolicy
 from repro.core.power_model import FAPowerModel
+from repro.core.result import ColumnReduction
+from repro.core.tree import CompressorTree
 from repro.netlist.core import Netlist
 
 
@@ -27,12 +29,6 @@ def sc_lp(
     power_model: Optional[FAPowerModel] = None,
 ) -> ColumnReduction:
     """Reduce one column of addends with the paper's SC_LP procedure."""
-    return reduce_column(
-        netlist=netlist,
-        addends=addends,
-        column=column,
-        policy=LargestQPolicy(),
-        delay_model=delay_model or FADelayModel(),
-        power_model=power_model or FAPowerModel(),
-        ha_style=HA_STYLE_PSEUDO_ZERO,
-    )
+    # wide enough to keep the carries, which land in column + 1
+    tree = CompressorTree(netlist, column + 2, delay_model, power_model)
+    return reduce_column(tree, addends, column, LargestQPolicy(), HA_STYLE_PSEUDO_ZERO)

@@ -14,10 +14,12 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.bitmatrix.addend import Addend
-from repro.core.column import HA_STYLE_LAST_PAIR, ColumnReduction, reduce_column
+from repro.core.column import HA_STYLE_LAST_PAIR, reduce_column
 from repro.core.delay_model import FADelayModel
 from repro.core.policies import EarliestArrivalPolicy
 from repro.core.power_model import FAPowerModel
+from repro.core.result import ColumnReduction
+from repro.core.tree import CompressorTree
 from repro.netlist.core import Netlist
 
 
@@ -33,12 +35,6 @@ def sc_t(
     Returns the :class:`ColumnReduction` holding the two remaining addends,
     the carry addends produced for the next column and the allocated cells.
     """
-    return reduce_column(
-        netlist=netlist,
-        addends=addends,
-        column=column,
-        policy=EarliestArrivalPolicy(),
-        delay_model=delay_model or FADelayModel(),
-        power_model=power_model or FAPowerModel(),
-        ha_style=HA_STYLE_LAST_PAIR,
-    )
+    # wide enough to keep the carries, which land in column + 1
+    tree = CompressorTree(netlist, column + 2, delay_model, power_model)
+    return reduce_column(tree, addends, column, EarliestArrivalPolicy(), HA_STYLE_LAST_PAIR)

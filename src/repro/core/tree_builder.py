@@ -4,27 +4,23 @@
 ``FA_AOT`` and ``FA_ALP`` algorithms (and by the baselines that reuse the same
 machinery): starting at the least-significant column, each column — including
 any carries received from the column below — is reduced to at most two addends
-by :func:`repro.core.column.reduce_column`, and the carries it produces are
-inserted into the next column before that column is processed.  Carries that
-would fall outside the output width are dropped (modulo-2**W semantics).
+by :func:`repro.core.column.reduce_column`, and the carries it produces join
+the next column before that column is processed.  Carries that would fall
+outside the output width are dropped (modulo-2**W semantics).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 from repro.bitmatrix.addend import Addend
 from repro.bitmatrix.matrix import AddendMatrix
-from repro.core.column import (
-    HA_STYLE_LAST_PAIR,
-    ColumnReduction,
-    reduce_column,
-)
+from repro.core.column import HA_STYLE_LAST_PAIR, reduce_column
 from repro.core.delay_model import FADelayModel
 from repro.core.policies import SelectionPolicy
 from repro.core.power_model import FAPowerModel
 from repro.core.result import CompressionResult
-from repro.errors import AllocationError
+from repro.core.tree import CompressorTree
 from repro.netlist.core import Netlist
 
 
@@ -40,8 +36,8 @@ class CompressorTreeBuilder:
     ) -> None:
         self.netlist = netlist
         self.matrix = matrix
-        self.delay_model = delay_model or FADelayModel()
-        self.power_model = power_model or FAPowerModel()
+        self.delay_model = delay_model
+        self.power_model = power_model
 
     def run(
         self,
@@ -54,77 +50,10 @@ class CompressorTreeBuilder:
         The input matrix is not mutated; the netlist *is* extended with the
         allocated FA/HA cells.
         """
-        width = self.matrix.width
-        working = self.matrix.copy()
-        reductions: List[ColumnReduction] = []
-        dropped_carries = 0
-        total_energy = 0.0
-
-        for column_index in range(width):
-            column_addends = working.column(column_index)
-            reduction = reduce_column(
-                netlist=self.netlist,
-                addends=column_addends,
-                column=column_index,
-                policy=policy,
-                delay_model=self.delay_model,
-                power_model=self.power_model,
-                ha_style=ha_style,
-                exclude_origins=exclude_origins,
-            )
-            reductions.append(reduction)
-            total_energy += reduction.switching_energy
-            working.columns()[column_index][:] = reduction.remaining
-            for carry in reduction.carries:
-                if not working.add(carry):
-                    dropped_carries += 1
-
-        if not working.is_reduced():  # pragma: no cover - structural guarantee
-            raise AllocationError("matrix reduction left a column with more than two addends")
-
-        rows = final_rows_from_matrix(working, width)
-        final_addends = [a for row in rows for a in row if a is not None]
-        max_arrival = max((a.arrival for a in final_addends), default=0.0)
-
-        notes: List[str] = []
-        if dropped_carries:
-            notes.append(
-                f"{dropped_carries} carries beyond column {width - 1} were dropped "
-                f"(modulo-2**{width} semantics)"
-            )
-
-        return CompressionResult(
-            netlist=self.netlist,
-            width=width,
-            rows=rows,
-            column_reductions=reductions,
-            policy_name=policy.name,
-            ha_style=ha_style,
-            tree_switching_energy=total_energy,
-            max_final_arrival=max_arrival,
-            notes=notes,
-        )
-
-
-def final_rows_from_matrix(
-    matrix: AddendMatrix, width: int
-) -> Tuple[List[Optional[Addend]], List[Optional[Addend]]]:
-    """Split the reduced matrix into the two operand rows of the final adder.
-
-    Within each column the earlier-arriving addend is placed in row 0; the
-    choice does not affect correctness (the final adder sums both rows) but it
-    makes reports stable and readable.
-    """
-    row_a: List[Optional[Addend]] = [None] * width
-    row_b: List[Optional[Addend]] = [None] * width
-    for column in range(width):
-        addends = sorted(
-            matrix.column(column), key=lambda a: (a.arrival, a.sequence)
-        )
-        if len(addends) > 2:  # pragma: no cover - guarded by is_reduced()
-            raise AllocationError(f"column {column} still has {len(addends)} addends")
-        if addends:
-            row_a[column] = addends[0]
-        if len(addends) > 1:
-            row_b[column] = addends[1]
-    return row_a, row_b
+        tree = CompressorTree(self.netlist, self.matrix.width, self.delay_model, self.power_model)
+        carries: List[Addend] = []
+        for index, addends in enumerate(self.matrix.columns()):
+            carries = reduce_column(
+                tree, addends + carries, index, policy, ha_style, exclude_origins
+            ).carries
+        return tree.result(policy.name, ha_style)

@@ -55,10 +55,6 @@ class DatapathDesign:
         """Variable names used by the expression, in first-appearance order."""
         return self.expression.variables()
 
-    def total_input_bits(self) -> int:
-        """Total number of primary-input bits."""
-        return sum(self.signals[v].width for v in self.variables())
-
     def with_signals(self, signals: Dict[str, SignalSpec]) -> "DatapathDesign":
         """Copy of the design with different signal specifications."""
         return replace(self, signals=signals)

@@ -11,7 +11,7 @@ expressions read naturally::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Union
+from typing import Dict, List, Mapping, Union
 
 from repro.errors import ExpressionError
 
@@ -229,15 +229,3 @@ class Neg(Expression):
 
     def __hash__(self) -> int:
         return hash(("Neg", self.operand))
-
-
-def sum_of(terms: Iterable[Number]) -> Expression:
-    """Convenience: fold an iterable of expressions/ints into nested adds."""
-    iterator = iter(terms)
-    try:
-        result = _coerce(next(iterator))
-    except StopIteration:
-        return Const(0)
-    for term in iterator:
-        result = Add(result, _coerce(term))
-    return result

@@ -123,24 +123,3 @@ def combine_terms(terms: List[Term]) -> List[Term]:
         for key in order
         if combined[key] != 0
     ]
-
-
-def evaluate_terms(terms: List[Term], env: Mapping[str, int]) -> int:
-    """Sum of all term values under ``env`` — used to cross-check lowering."""
-    return sum(term.evaluate(env) for term in terms)
-
-
-def terms_to_string(terms: List[Term]) -> str:
-    """Human-readable rendering of a term list (for reports and debugging)."""
-    if not terms:
-        return "0"
-    parts: List[str] = []
-    for index, term in enumerate(terms):
-        text = str(term)
-        if index == 0:
-            parts.append(text)
-        elif text.startswith("-"):
-            parts.append(f"- {text[1:]}")
-        else:
-            parts.append(f"+ {text}")
-    return " ".join(parts)

@@ -80,10 +80,6 @@ class SignalSpec:
         self._check_bit(bit)
         return self._probability_bits[bit]
 
-    def arrival_profile(self) -> List[float]:
-        """Per-bit arrival times, LSB first."""
-        return list(self._arrival_bits)
-
     def probability_profile(self) -> List[float]:
         """Per-bit signal probabilities, LSB first."""
         return list(self._probability_bits)
@@ -97,11 +93,3 @@ class SignalSpec:
             raise DesignError(
                 f"signal {self.name!r}: bit index {bit} outside width {self.width}"
             )
-
-    def with_probability(self, probability: Profile) -> "SignalSpec":
-        """Copy of this spec with a different probability profile."""
-        return SignalSpec(self.name, self.width, self.arrival, probability)
-
-    def with_arrival(self, arrival: Profile) -> "SignalSpec":
-        """Copy of this spec with a different arrival profile."""
-        return SignalSpec(self.name, self.width, arrival, self.probability)

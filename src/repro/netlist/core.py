@@ -25,7 +25,7 @@ from typing import (
 )
 
 from repro.errors import NetlistError
-from repro.netlist.cells import CELL_DEFS, CellType, cell_input_ports, cell_output_ports
+from repro.netlist.cells import CELL_DEFS, CellType
 
 
 class Net:
@@ -88,14 +88,6 @@ class Cell:
         self.inputs: Dict[str, Net] = dict(inputs)
         self.outputs: Dict[str, Net] = dict(outputs)
         self.attributes: Dict[str, object] = {}
-
-    def input_nets(self) -> List[Net]:
-        """Input nets in declared port order."""
-        return [self.inputs[p] for p in cell_input_ports(self.cell_type)]
-
-    def output_nets(self) -> List[Net]:
-        """Output nets in declared port order."""
-        return [self.outputs[p] for p in cell_output_ports(self.cell_type)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cell({self.name!r}, {self.cell_type})"

@@ -36,10 +36,6 @@ class ProbabilityResult:
             raise NetlistError(f"no probability recorded for net {name!r}")
         return self.probabilities[name]
 
-    def switching_of(self, net: Union[str, Net]) -> float:
-        """Switching activity p(1-p) of the net."""
-        probability = self.probability_of(net)
-        return probability * (1.0 - probability)
 
 
 #: probability of each node kind's output given independent children

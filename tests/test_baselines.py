@@ -43,7 +43,7 @@ class TestWallace:
     def test_reduces_and_is_equivalent(self):
         expression, signals, build = _build("x*y + z + 3", {"x": 3, "y": 3, "z": 4}, 7)
         result = wallace_reduce(build.netlist, build.matrix)
-        assert all(h <= 2 for h in result.final_heights())
+        assert all(h <= 2 for h in [sum(a is not None for a in pair) for pair in zip(*result.rows)])
         _finish_and_check(expression, signals, build, result, 7)
 
     def test_arrival_blind_selection(self):
@@ -60,12 +60,6 @@ class TestWallace:
         aot = fa_aot(build_b.netlist, build_b.matrix, model)
         assert aot.max_final_arrival <= wallace.max_final_arrival + 1e-9
 
-    def test_no_ha_variant(self):
-        _, _, build = _build("x + y + z + w + v", {c: 2 for c in "xyzwv"}, 4)
-        result = wallace_reduce(build.netlist, build.matrix, use_ha=False)
-        assert result.ha_count == 0
-        assert all(h <= 2 for h in result.final_heights())
-
 
 class TestDadda:
     def test_height_sequence(self):
@@ -75,7 +69,7 @@ class TestDadda:
     def test_reduces_and_is_equivalent(self):
         expression, signals, build = _build("x*y + x + y", {"x": 4, "y": 3}, 7)
         result = dadda_reduce(build.netlist, build.matrix)
-        assert all(h <= 2 for h in result.final_heights())
+        assert all(h <= 2 for h in [sum(a is not None for a in pair) for pair in zip(*result.rows)])
         _finish_and_check(expression, signals, build, result, 7)
 
     def test_dadda_uses_no_more_cells_than_wallace(self):
@@ -94,7 +88,7 @@ class TestCsaOpt:
             "x*y + z + w + 6", {"x": 3, "y": 3, "z": 4, "w": 4}, 8
         )
         result = csa_opt_reduce(build.netlist, build.matrix)
-        assert all(h <= 2 for h in result.final_heights())
+        assert all(h <= 2 for h in [sum(a is not None for a in pair) for pair in zip(*result.rows)])
         _finish_and_check(expression, signals, build, result, 8)
 
     def test_word_level_never_beats_bit_level(self):

@@ -140,9 +140,3 @@ class TestBuilderStructure:
         expression = parse_expression("13")
         build = build_addend_matrix(expression, {}, 5)
         assert build.matrix.heights() == [1, 0, 1, 1, 0]
-
-    def test_initial_heights_helper(self):
-        expression = parse_expression("x + y")
-        signals = {"x": SignalSpec("x", 2), "y": SignalSpec("y", 2)}
-        build = build_addend_matrix(expression, signals, 3)
-        assert build.initial_heights() == build.matrix.heights()

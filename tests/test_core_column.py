@@ -5,14 +5,7 @@ import random
 import pytest
 
 from repro.bitmatrix.addend import Addend
-from repro.core.column import (
-    HA_STYLE_LAST_PAIR,
-    HA_STYLE_PSEUDO_ZERO,
-    ColumnReduction,
-    allocate_fa,
-    allocate_ha,
-    reduce_column,
-)
+from repro.core.column import HA_STYLE_LAST_PAIR, HA_STYLE_PSEUDO_ZERO, reduce_column
 from repro.core.delay_model import FADelayModel
 from repro.core.policies import (
     EarliestArrivalPolicy,
@@ -23,6 +16,7 @@ from repro.core.policies import (
 from repro.core.power_model import FAPowerModel
 from repro.core.sc_lp import sc_lp
 from repro.core.sc_t import sc_t
+from repro.core.tree import CompressorTree
 from repro.errors import AllocationError, NetlistError
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
@@ -127,12 +121,10 @@ class TestReduceColumnOptions:
         netlist = Netlist("t")
         with pytest.raises(AllocationError):
             reduce_column(
-                netlist,
+                CompressorTree(netlist, 2),
                 _column(netlist, [0, 0, 0]),
                 0,
                 EarliestArrivalPolicy(),
-                FADelayModel(),
-                FAPowerModel(),
                 ha_style="bogus",
             )
 
@@ -142,12 +134,10 @@ class TestReduceColumnOptions:
         late_carry = Addend(netlist.add_net(), 0, 0.0, 0.5, origin="carry")
         working = addends + [late_carry]
         reduction = reduce_column(
-            netlist,
+            CompressorTree(netlist, 2),
             working,
             0,
             EarliestArrivalPolicy(),
-            FADelayModel(),
-            FAPowerModel(),
             ha_style=HA_STYLE_LAST_PAIR,
             exclude_origins=frozenset({"carry"}),
         )
@@ -163,12 +153,10 @@ class TestReduceColumnOptions:
             Addend(netlist.add_net(), 0, float(i), 0.5, origin="carry") for i in range(3)
         ]
         reduction = reduce_column(
-            netlist,
+            CompressorTree(netlist, 2),
             addends + carries,
             0,
             EarliestArrivalPolicy(),
-            FADelayModel(),
-            FAPowerModel(),
             ha_style=HA_STYLE_LAST_PAIR,
             exclude_origins=frozenset({"carry"}),
         )
@@ -177,12 +165,10 @@ class TestReduceColumnOptions:
     def test_pseudo_zero_style_via_policy(self):
         netlist = Netlist("t")
         reduction = reduce_column(
-            netlist,
+            CompressorTree(netlist, 2),
             _column(netlist, [0] * 3, [0.2, 0.4, 0.5]),
             0,
             LargestQPolicy(),
-            FADelayModel(),
-            FAPowerModel(),
             ha_style=HA_STYLE_PSEUDO_ZERO,
         )
         assert len(reduction.remaining) == 2
@@ -190,10 +176,14 @@ class TestReduceColumnOptions:
 
 
 def _sort_and_remove(netlist, addends, column, policy, ha_style, exclude_origins):
-    """Reference reducer: ask the policy to select from the whole list every step."""
-    delay_model, power_model = FADelayModel(), FAPowerModel()
+    """Reference reducer: ask the policy to select from the whole list every step.
+
+    Each step is one :meth:`CompressorTree.allocate`, whose cell must read
+    the selected addends in selection order on its ports ``a``, ``b``, ``cin``.
+    """
+    tree = CompressorTree(netlist, column + 2)
+    reduction = tree.columns[column]
     working = list(addends)
-    reduction = ColumnReduction(column=column, remaining=[], carries=[])
     if ha_style == HA_STYLE_PSEUDO_ZERO and len(working) >= 3 and len(working) % 2 == 1:
         working.append(
             Addend(netlist.const(0), column, 0.0, 0.0, origin="pseudo_zero")
@@ -206,21 +196,14 @@ def _sort_and_remove(netlist, addends, column, policy, ha_style, exclude_origins
             pool = preferred if len(preferred) >= count else working
         chosen = policy.select(pool, count)
         inputs = [a for a in chosen if a.origin != "pseudo_zero"]
-        if len(inputs) == 3:
-            total, carry, cell, energy = allocate_fa(
-                netlist, inputs, column, delay_model, power_model
-            )
-            reduction.fa_cells.append(cell)
-        else:
-            total, carry, cell, energy = allocate_ha(
-                netlist, inputs, column, delay_model, power_model
-            )
-            reduction.ha_cells.append(cell)
+        total, carry = tree.allocate(inputs, column)
+        cell = (reduction.fa_cells if len(inputs) == 3 else reduction.ha_cells)[-1]
+        ports = ("a", "b", "cin")[: len(inputs)]
+        assert [cell.inputs[port] for port in ports] == [a.net for a in inputs]
         for used in chosen:
             working.remove(used)
         working.append(total)
         reduction.carries.append(carry)
-        reduction.switching_energy += energy
     reduction.remaining = [a for a in working if a.origin != "pseudo_zero"]
     return reduction
 
@@ -287,7 +270,7 @@ class TestHeapReducerMatchesSortAndRemove:
             )
             netlist, column = _random_column(seed)
             actual = reduce_column(
-                netlist, column, 3, policy, FADelayModel(), FAPowerModel(),
+                CompressorTree(netlist, 5), column, 3, policy,
                 ha_style=ha_style, exclude_origins=exclude_origins,
             )
             assert _shape(netlist, actual) == _shape(reference_netlist, expected), seed
@@ -301,7 +284,7 @@ class TestHeapReducerMatchesSortAndRemove:
             netlist, column = _random_column(seed)
             keyed.clear()
             reduction = reduce_column(
-                netlist, column, 3, policy, FADelayModel(), FAPowerModel(),
+                CompressorTree(netlist, 5), column, 3, policy,
                 ha_style=ha_style, exclude_origins=frozenset({"carry"}),
             )
             pseudo = int(ha_style == HA_STYLE_PSEUDO_ZERO and len(column) >= 3 and len(column) % 2)
@@ -344,8 +327,9 @@ class TestCellConstruction:
         before = netlist.generation
         cell = netlist.add_cell(CellType.FA, {"a": a, "b": b, "cin": c})
         assert netlist.generation == before + 1
-        assert [net.name for net in cell.output_nets()] == ["fa_1_s_4", "fa_1_co_5"]
-        assert all(netlist.nets[net.name] is net for net in cell.output_nets())
+        outputs = [cell.outputs[port] for port in ("s", "co")]
+        assert [net.name for net in outputs] == ["fa_1_s_4", "fa_1_co_5"]
+        assert all(netlist.nets[net.name] is net for net in outputs)
 
     def test_bad_port_binding_names_missing_and_extra_ports(self):
         netlist = Netlist("t")

@@ -1,7 +1,11 @@
 """Tests for the full-matrix compressor-tree builder."""
 
+import re
+
 import pytest
 
+from repro.api import Flow, FlowConfig
+from repro.api.config import MATRIX_METHODS
 from repro.bitmatrix.builder import build_addend_matrix
 from repro.core.delay_model import FADelayModel
 from repro.core.fa_alp import fa_alp
@@ -12,6 +16,8 @@ from repro.core.tree_builder import CompressorTreeBuilder
 from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec
 from repro.netlist.cells import CellType
+from repro.power.probability import propagate_probabilities
+from repro.power.switching import compressor_tree_switching_energy
 
 
 def _build(expression_text, widths, output_width, **signal_kwargs):
@@ -27,7 +33,7 @@ class TestCompressionInvariants:
     def test_every_column_reduced(self):
         build = _build("x*y + x + y + 9", {"x": 4, "y": 4}, 9)
         result = fa_aot(build.netlist, build.matrix)
-        assert all(height <= 2 for height in result.final_heights())
+        assert all(height <= 2 for height in [sum(a is not None for a in pair) for pair in zip(*result.rows)])
         assert result.width == 9
 
     def test_input_matrix_not_mutated(self):
@@ -63,8 +69,8 @@ class TestCompressionInvariants:
         result = fa_aot(build.netlist, build.matrix, FADelayModel(2.0, 1.0))
         arrivals = [a.arrival for a in result.final_addends()]
         assert result.max_final_arrival == pytest.approx(max(arrivals))
-        per_column = result.final_arrivals()
-        assert max(max(v) for v in per_column.values() if v) == pytest.approx(
+        per_column = [[a.arrival for a in pair if a is not None] for pair in zip(*result.rows)]
+        assert max(max(v) for v in per_column if v) == pytest.approx(
             result.max_final_arrival
         )
 
@@ -81,13 +87,13 @@ class TestCompressionInvariants:
         builder = CompressorTreeBuilder(build.netlist, build.matrix)
         result = builder.run(EarliestArrivalPolicy())
         assert result.policy_name == "earliest_arrival"
-        assert all(h <= 2 for h in result.final_heights())
+        assert all(h <= 2 for h in [sum(a is not None for a in pair) for pair in zip(*result.rows)])
 
     def test_empty_matrix(self):
         build = _build("0", {}, 4)
         result = fa_aot(build.netlist, build.matrix)
         assert result.fa_count == 0
-        assert result.final_heights() == [0, 0, 0, 0]
+        assert [sum(a is not None for a in pair) for pair in zip(*result.rows)] == [0, 0, 0, 0]
         assert result.max_final_arrival == 0.0
 
 
@@ -113,3 +119,32 @@ class TestColumnInteraction:
             build_isolation.netlist, build_isolation.matrix, model, column_interaction=False
         )
         assert interaction.max_final_arrival <= isolation.max_final_arrival + 1e-9
+
+
+DROPPED = re.compile(r"(\d+) carries beyond column \d+ were dropped")
+
+
+class TestEveryReducerAccountsForItsTree:
+    """One FA/HA step serves every matrix method, so every method reports
+    the carries it drops and charges every cell's energy to its tree."""
+
+    @pytest.mark.parametrize("design", ["iir", "kalman", "serial_adapter"])
+    @pytest.mark.parametrize("method", MATRIX_METHODS)
+    def test_dropped_carries_noted_and_tree_energy_summed(self, method, design):
+        result = Flow(FlowConfig(method=method, opt_level=0)).run(design)
+        compression, netlist = result.compression, result.netlist
+        unread = sum(
+            1
+            for cell in compression.fa_cells + compression.ha_cells
+            if not cell.outputs["co"].loads
+            and not netlist.is_primary_output(cell.outputs["co"])
+        )
+        noted = [int(match.group(1)) for match in map(DROPPED.match, result.notes) if match]
+        assert noted == ([unread] if unread else [])
+
+        expected = compressor_tree_switching_energy(
+            compression.fa_cells + compression.ha_cells,
+            propagate_probabilities(netlist),
+            result.power_model,
+        )
+        assert compression.tree_switching_energy == pytest.approx(expected, rel=1e-9)

@@ -22,7 +22,7 @@ class TestRegistry:
             assert design.name == name
             assert design.output_width > 0
             assert design.variables()
-            assert design.total_input_bits() > 0
+            assert sum(design.signals[v].width for v in design.variables()) > 0
             assert design.summary()
 
     def test_table_lists_are_registered(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExpressionError
-from repro.expr.ast import Add, Const, Mul, Neg, Sub, Var, sum_of
+from repro.expr.ast import Add, Const, Mul, Neg, Sub, Var
 
 
 class TestConstruction:
@@ -90,15 +90,7 @@ class TestEqualityAndHash:
         assert len(seen) == 2
 
 
-class TestSumOf:
-    def test_sum_of_expressions(self):
-        x, y = Var("x"), Var("y")
-        expr = sum_of([x, y, 3])
-        assert expr.evaluate({"x": 1, "y": 2}) == 6
-
-    def test_sum_of_empty(self):
-        assert sum_of([]).evaluate({}) == 0
-
+class TestNodeTypes:
     def test_node_types(self):
         x = Var("x")
         assert isinstance(x + x, Add)

@@ -9,7 +9,7 @@ from repro.expr.signals import SignalSpec
 class TestBroadcasting:
     def test_scalar_arrival_broadcasts(self):
         spec = SignalSpec("x", 4, arrival=0.7)
-        assert spec.arrival_profile() == [0.7, 0.7, 0.7, 0.7]
+        assert [spec.arrival_of(bit) for bit in range(4)] == [0.7, 0.7, 0.7, 0.7]
         assert spec.arrival_of(3) == 0.7
         assert spec.max_arrival() == 0.7
 
@@ -47,18 +47,3 @@ class TestValidation:
             spec.arrival_of(2)
         with pytest.raises(DesignError):
             spec.probability_of(-1)
-
-
-class TestCopies:
-    def test_with_probability(self):
-        spec = SignalSpec("x", 2, arrival=0.5)
-        modified = spec.with_probability(0.8)
-        assert modified.probability_of(0) == 0.8
-        assert modified.arrival_of(0) == 0.5
-        assert spec.probability_of(0) == 0.5
-
-    def test_with_arrival(self):
-        spec = SignalSpec("x", 2, probability=0.8)
-        modified = spec.with_arrival([0.1, 0.3])
-        assert modified.arrival_of(1) == 0.3
-        assert modified.probability_of(1) == 0.8

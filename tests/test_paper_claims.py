@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import functools
 import gc
+import operator
 
 import pytest
 
 from repro.api import Flow, FlowConfig
 from repro.designs.base import DatapathDesign
 from repro.designs.registry import TABLE1_DESIGN_NAMES, TABLE2_DESIGN_NAMES, get_design
-from repro.expr.ast import Const, Var, sum_of
+from repro.expr.ast import Const, Var
 from repro.expr.signals import SignalSpec
 from repro.sim.equivalence import check_equivalence
 from repro.tech.default_libs import scaled_library
@@ -177,7 +178,7 @@ def _sum_design(operands: int, width: int = 16) -> DatapathDesign:
     return DatapathDesign(
         name=f"sum_{operands}x{width}",
         title=f"sum of {operands} operands ({width}-bit)",
-        expression=sum_of(Var(name) for name in names),
+        expression=functools.reduce(operator.add, map(Var, names)),
         signals={name: SignalSpec(name, width) for name in names},
         output_width=width + operands.bit_length(),
         description="Synthetic scaling design.",

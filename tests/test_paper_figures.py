@@ -63,7 +63,7 @@ class TestFigure1:
         # The paper's Figure 1 uses two FAs (one per column) and ends with a
         # reduced matrix of at most two addends per column.
         assert result.fa_count == 2
-        assert result.final_heights() == [2, 2, 1]
+        assert [sum(a is not None for a in pair) for pair in zip(*result.rows)] == [2, 2, 1]
 
 
 class TestFigure2:
@@ -91,7 +91,7 @@ class TestFigure2:
         result = fa_aot(netlist, matrix, PAPER_MODEL)
         column1_fas = result.column_reductions[1].fa_cells
         assert len(column1_fas) == 1
-        input_names = {net.name for net in column1_fas[0].input_nets()}
+        input_names = {net.name for net in column1_fas[0].inputs.values()}
         # The FA of column 1 consumes the carry produced by column 0 instead of
         # the late-arriving x1 — this is exactly Figure 2(c).
         assert "x1" not in input_names
