@@ -215,7 +215,8 @@ class FlowConfig:
     final_adder: str = field(
         default="cla",
         metadata=_meta(
-            "final carry-propagate adder architecture",
+            "final carry-propagate adder architecture (conventional: of every "
+            "addition and multiplier; its subtractions stay cla, for the carry-in)",
             choices=FINAL_ADDER_KINDS,
             flag="--final-adder",
             axis="final_adders",

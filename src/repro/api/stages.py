@@ -52,7 +52,7 @@ below register themselves on import.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro import obs
 from repro.adders.factory import build_final_adder
@@ -70,6 +70,13 @@ from repro.netlist.stats import netlist_stats
 from repro.power.probability import propagate_probabilities
 from repro.power.switching import estimate_power
 from repro.timing.arrival import compute_arrival_times
+
+if TYPE_CHECKING:
+    from repro.api.config import FlowConfig
+    from repro.bitmatrix.matrix import AddendMatrix
+    from repro.core.delay_model import FADelayModel
+    from repro.core.power_model import FAPowerModel
+    from repro.netlist.core import Netlist
 
 StageFn = Callable[[FlowResult], None]
 
@@ -113,11 +120,15 @@ def stage(name: str) -> StageFn:
         )
 
 
-def _reduce_matrix(result: FlowResult) -> CompressionResult:
-    """Dispatch to the configured compressor-tree allocation method."""
-    config = result.config
-    netlist, matrix = result.matrix_build.netlist, result.matrix_build.matrix
-    delay_model, power_model = result.delay_model, result.power_model
+def reduce_matrix(
+    config: FlowConfig,
+    netlist: Optional[Netlist],
+    matrix: AddendMatrix,
+    delay_model: FADelayModel,
+    power_model: FAPowerModel,
+) -> CompressionResult:
+    """The configured method's tree over ``matrix``, built into ``netlist``
+    — or its plan alone, on the column model, when ``netlist`` is ``None``."""
     method = config.method
     if method == "fa_aot":
         return fa_aot(netlist, matrix, delay_model, power_model)
@@ -185,7 +196,10 @@ def reduce_stage(result: FlowResult) -> None:
     """Compress the addend matrix down to two rows (matrix methods only)."""
     if result.matrix_build is None:
         return
-    compression = _reduce_matrix(result)
+    build = result.matrix_build
+    compression = reduce_matrix(
+        result.config, build.netlist, build.matrix, result.delay_model, result.power_model
+    )
     result.notes.extend(compression.notes)
     result.fa_count = compression.fa_count
     result.ha_count = compression.ha_count

@@ -12,8 +12,11 @@ This module reproduces that structure:
 
 * operands and intermediate results are ordinary binary words (no carry-save
   signals cross operator boundaries);
-* ``+``/``-`` become carry-lookahead adders, ``*`` becomes a multiplier macro
-  (Wallace tree + CLA by default — see :mod:`repro.baselines.multipliers`);
+* ``+`` becomes the configured adder (carry-lookahead by default), ``*`` a
+  multiplier macro (Wallace tree + the configured final adder — see
+  :mod:`repro.baselines.multipliers`), and ``-`` a carry-lookahead adder
+  whatever the configured kind, since it takes a carry-in and Kogge-Stone
+  has none;
 * addition/subtraction chains are flattened and rebuilt as balanced operator
   trees, the standard RTL-level timing optimization;
 * intermediate widths follow the natural growth of the operation
@@ -164,6 +167,7 @@ class _ConventionalBuilder:
             bus_b,
             width,
             style=self.multiplier_style,
+            final_adder=self.adder_kind,
             name=self._fresh_name("mul"),
         )
         return _Operand(result, signed)

@@ -97,13 +97,13 @@ def _rows_to_words(tree: CompressorTree, matrix: AddendMatrix) -> List[_Word]:
 
 
 def csa_opt_reduce(
-    netlist: Netlist,
+    netlist: Optional[Netlist],
     matrix: AddendMatrix,
     delay_model: Optional[FADelayModel] = None,
     power_model: Optional[FAPowerModel] = None,
 ) -> CompressionResult:
     """Reduce the matrix with word-level CSA allocation (the CSA_OPT baseline)."""
-    tree = CompressorTree(netlist, matrix.width, delay_model, power_model)
+    tree = CompressorTree(matrix.width, delay_model, power_model)
     words = _rows_to_words(tree, matrix)
 
     while len(words) > 2:
@@ -136,4 +136,4 @@ def csa_opt_reduce(
     for word in words:
         for addend in word.addends():
             final[addend.column].append(addend)
-    return tree.result("csa_opt", "word_level", final)
+    return tree.result(netlist, "csa_opt", "word_level", final)

@@ -30,13 +30,13 @@ def dadda_height_sequence(limit: int) -> List[int]:
 
 
 def dadda_reduce(
-    netlist: Netlist,
+    netlist: Optional[Netlist],
     matrix: AddendMatrix,
     delay_model: Optional[FADelayModel] = None,
     power_model: Optional[FAPowerModel] = None,
 ) -> CompressionResult:
     """Reduce the matrix with Dadda's minimal-stage-count scheme."""
-    tree = CompressorTree(netlist, matrix.width, delay_model, power_model)
+    tree = CompressorTree(matrix.width, delay_model, power_model)
     columns = [sorted(column, key=attrgetter("sequence")) for column in matrix.columns()]
 
     max_height = max((len(column) for column in columns), default=0)
@@ -54,4 +54,4 @@ def dadda_reduce(
                 column.append(total)
                 if carry is not None:
                     columns[index + 1].append(carry)
-    return tree.result("dadda", "dadda_stage", columns)
+    return tree.result(netlist, "dadda", "dadda_stage", columns)

@@ -25,7 +25,7 @@ from repro.netlist.core import Netlist
 def wallace_stages(
     tree: CompressorTree, columns: Sequence[List[Addend]]
 ) -> Sequence[List[Addend]]:
-    """Run Wallace stages in ``tree`` until no column holds more than two addends.
+    """Plan Wallace stages in ``tree`` until no column holds more than two addends.
 
     Returns the final columns, LSB first; ``columns`` is not mutated.
     """
@@ -52,11 +52,13 @@ def wallace_stages(
 
 
 def wallace_reduce(
-    netlist: Netlist,
+    netlist: Optional[Netlist],
     matrix: AddendMatrix,
     delay_model: Optional[FADelayModel] = None,
     power_model: Optional[FAPowerModel] = None,
 ) -> CompressionResult:
     """Reduce the matrix with the classic stage-based Wallace scheme."""
-    tree = CompressorTree(netlist, matrix.width, delay_model, power_model)
-    return tree.result("wallace", "wallace_stage", wallace_stages(tree, matrix.columns()))
+    tree = CompressorTree(matrix.width, delay_model, power_model)
+    return tree.result(
+        netlist, "wallace", "wallace_stage", wallace_stages(tree, matrix.columns())
+    )

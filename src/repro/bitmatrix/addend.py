@@ -4,20 +4,22 @@ An addend couples a netlist net with the data the allocation algorithms need:
 its bit column (weight), its arrival time (for FA_AOT) and its signal
 probability (for FA_ALP).  Addends are created by the matrix builder for
 primary-input bits, partial-product bits, inverted bits and constants, and by
-the compressor-tree builder for FA/HA sum and carry outputs.
+the compressor-tree column model for FA/HA sum and carry outputs, which get
+their net when the tree is materialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
+from typing import Optional
 
 from repro.netlist.core import Net
 
 _addend_ids = count()
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Addend:
     """A single-bit addend of the matrix.
 
@@ -28,7 +30,8 @@ class Addend:
     Attributes
     ----------
     net:
-        The netlist net carrying the bit.
+        The netlist net carrying the bit; ``None`` for an FA/HA output the
+        column model has planned but not yet materialized.
     column:
         Bit weight: the addend contributes ``bit * 2**column`` to the result.
     arrival:
@@ -49,12 +52,12 @@ class Addend:
         rather than per bit; -1 when the addend belongs to no word.
     """
 
-    net: Net
+    net: Optional[Net]
     column: int
     arrival: float = 0.0
     probability: float = 0.5
     origin: str = "input"
-    sequence: int = field(default_factory=lambda: next(_addend_ids))
+    sequence: int = field(default_factory=_addend_ids.__next__)
     row: int = -1
 
     @property

@@ -247,6 +247,7 @@ def build_addend_matrix(
         next_row += 1
         matrix.extend(const_bits)
 
+    netlist.touch()  # the factory's gates
     if dropped:
         notes.append(
             f"{dropped} partial-product bits fell outside the {output_width}-bit "

@@ -39,59 +39,72 @@ class ProductBit(NamedTuple):
 
 
 class ProductBitFactory:
-    """Creates AND-tree product bits in a netlist, with gate sharing."""
+    """Creates AND-tree product bits in a netlist, with gate sharing.
+
+    Its signals are the netlist's own nets — the input bits and the gates
+    it built — so gates are built with the unchecked
+    :meth:`~repro.netlist.core.Netlist.build_cell`; the factory's owner
+    calls :meth:`~repro.netlist.core.Netlist.touch` once when it is done.
+    """
 
     def __init__(self, netlist: Netlist, library: TechLibrary) -> None:
         self.netlist = netlist
         self.library = library
-        self._and_cache: Dict[frozenset, BitSignal] = {}
-        self._not_cache: Dict[str, BitSignal] = {}
+        #: AND results by the ordered id pair of their input nets
+        self._and_cache: Dict[Tuple[int, int], BitSignal] = {}
+        self._not_cache: Dict[int, BitSignal] = {}
         self.and_gates_created = 0
         self.not_gates_created = 0
 
     # ----------------------------------------------------------------- gates
+    def _gate(
+        self,
+        cell_type: CellType,
+        prefix: str,
+        inputs: Dict[str, Net],
+        arrival: float,
+        probability: float,
+    ) -> BitSignal:
+        """A new gate over ``inputs``, whose latest arrives at ``arrival``."""
+        cell = self.netlist.build_cell(cell_type, inputs, output_prefix=prefix)
+        delay = self.library.worst_delay(cell_type, "y")
+        return BitSignal(cell.outputs["y"], arrival + delay, probability)
+
     def and_of(self, first: BitSignal, second: BitSignal) -> BitSignal:
         """AND of two bit signals (cached, commutative, idempotent)."""
-        if first.net is second.net:
+        a, b = first.net, second.net
+        if a is b:
             return first
         # Constant folding keeps the matrix free of degenerate gates.
-        if first.net.is_constant:
-            return second if first.net.const_value == 1 else self.constant(0)
-        if second.net.is_constant:
-            return first if second.net.const_value == 1 else self.constant(0)
+        if a.is_constant:
+            return second if a.const_value == 1 else self.constant(0)
+        if b.is_constant:
+            return first if b.const_value == 1 else self.constant(0)
 
-        key = frozenset((first.net.name, second.net.name))
-        if key in self._and_cache:
-            return self._and_cache[key]
-
-        cell = self.netlist.add_cell(
-            CellType.AND2, {"a": first.net, "b": second.net}, output_prefix="pp_"
-        )
-        delay = self.library.worst_delay(CellType.AND2, "y")
-        signal = BitSignal(
-            net=cell.outputs["y"],
-            arrival=max(first.arrival, second.arrival) + delay,
-            probability=first.probability * second.probability,
-        )
-        self._and_cache[key] = signal
-        self.and_gates_created += 1
+        key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
+        signal = self._and_cache.get(key)
+        if signal is None:
+            signal = self._and_cache[key] = self._gate(
+                CellType.AND2,
+                "pp_",
+                {"a": a, "b": b},
+                max(first.arrival, second.arrival),
+                first.probability * second.probability,
+            )
+            self.and_gates_created += 1
         return signal
 
     def not_of(self, signal: BitSignal) -> BitSignal:
         """NOT of a bit signal (cached); used for subtracted terms."""
-        if signal.net.is_constant:
-            return self.constant(1 - (signal.net.const_value or 0))
-        if signal.net.name in self._not_cache:
-            return self._not_cache[signal.net.name]
-        cell = self.netlist.add_cell(CellType.NOT, {"a": signal.net}, output_prefix="inv_")
-        delay = self.library.worst_delay(CellType.NOT, "y")
-        inverted = BitSignal(
-            net=cell.outputs["y"],
-            arrival=signal.arrival + delay,
-            probability=1.0 - signal.probability,
-        )
-        self._not_cache[signal.net.name] = inverted
-        self.not_gates_created += 1
+        net = signal.net
+        if net.is_constant:
+            return self.constant(1 - (net.const_value or 0))
+        inverted = self._not_cache.get(id(net))
+        if inverted is None:
+            inverted = self._not_cache[id(net)] = self._gate(
+                CellType.NOT, "inv_", {"a": net}, signal.arrival, 1.0 - signal.probability
+            )
+            self.not_gates_created += 1
         return inverted
 
     def or_of(self, first: BitSignal, second: BitSignal) -> BitSignal:
@@ -102,15 +115,13 @@ class ProductBitFactory:
             return self.constant(1) if first.net.const_value == 1 else second
         if second.net.is_constant:
             return self.constant(1) if second.net.const_value == 1 else first
-        cell = self.netlist.add_cell(
-            CellType.OR2, {"a": first.net, "b": second.net}, output_prefix="pp_or_"
-        )
-        delay = self.library.worst_delay(CellType.OR2, "y")
         p_or = first.probability + second.probability - first.probability * second.probability
-        return BitSignal(
-            net=cell.outputs["y"],
-            arrival=max(first.arrival, second.arrival) + delay,
-            probability=p_or,
+        return self._gate(
+            CellType.OR2,
+            "pp_or_",
+            {"a": first.net, "b": second.net},
+            max(first.arrival, second.arrival),
+            p_or,
         )
 
     def xor_of(self, first: BitSignal, second: BitSignal) -> BitSignal:
@@ -121,19 +132,17 @@ class ProductBitFactory:
             return second if first.net.const_value == 0 else self.not_of(second)
         if second.net.is_constant:
             return first if second.net.const_value == 0 else self.not_of(first)
-        cell = self.netlist.add_cell(
-            CellType.XOR2, {"a": first.net, "b": second.net}, output_prefix="pp_xor_"
-        )
-        delay = self.library.worst_delay(CellType.XOR2, "y")
         p_xor = (
             first.probability
             + second.probability
             - 2.0 * first.probability * second.probability
         )
-        return BitSignal(
-            net=cell.outputs["y"],
-            arrival=max(first.arrival, second.arrival) + delay,
-            probability=p_xor,
+        return self._gate(
+            CellType.XOR2,
+            "pp_xor_",
+            {"a": first.net, "b": second.net},
+            max(first.arrival, second.arrival),
+            p_xor,
         )
 
     def constant(self, value: int) -> BitSignal:

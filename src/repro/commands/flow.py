@@ -61,7 +61,6 @@ def _record_sweep(args: argparse.Namespace, sweep: SweepResult) -> None:
 
 def synth(args: argparse.Namespace) -> int:
     from repro.api.flow import Flow
-    from repro.netlist.verilog import to_verilog
     from repro.power.report import power_report
     from repro.tech.default_libs import resolve_library
     from repro.timing.report import timing_report
@@ -91,6 +90,8 @@ def synth(args: argparse.Namespace) -> int:
         print()
         print(power_report(result.netlist, result.power))
     if args.verilog:
+        from repro.netlist.verilog import to_verilog
+
         with open(args.verilog, "w", encoding="utf-8") as handle:
             handle.write(
                 to_verilog(

@@ -14,7 +14,8 @@ end the column with exactly two addends is modelled:
 
 Both are expressed here by :func:`reduce_column` with an ``ha_style`` switch;
 this module only decides which addends feed each cell, and
-:meth:`repro.core.tree.CompressorTree.allocate` builds it.  The carries a
+:meth:`repro.core.tree.CompressorTree.allocate` plans it on the column model
+(no netlist is touched until the tree is materialized).  The carries a
 column produces are returned to the caller (the tree builder), which is what
 lets column *j*'s carries participate in column *j+1*'s reduction — the
 "column interaction" that distinguishes the paper's algorithm from
@@ -49,7 +50,7 @@ def reduce_column(
     ha_style: str = HA_STYLE_LAST_PAIR,
     exclude_origins: Optional[FrozenSet[str]] = None,
 ) -> ColumnReduction:
-    """Reduce one column's addends to at most two, allocating FAs/HAs in ``tree``.
+    """Reduce one column's addends to at most two, planning FAs/HAs in ``tree``.
 
     Parameters
     ----------
@@ -85,9 +86,7 @@ def reduce_column(
     reduction = tree.columns[column]
     pseudo_zero = ha_style == HA_STYLE_PSEUDO_ZERO
     if pseudo_zero and len(working) >= 3 and len(working) % 2 == 1:
-        working.append(
-            Addend(tree.netlist.const(0), column, 0.0, 0.0, origin="pseudo_zero")
-        )
+        working.append(tree.zero(column))
 
     def allocate(chosen: List[Addend]) -> Addend:
         """Add the FA or HA over ``chosen``; return its sum addend."""

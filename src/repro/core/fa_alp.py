@@ -20,7 +20,7 @@ from repro.netlist.core import Netlist
 
 
 def fa_alp(
-    netlist: Netlist,
+    netlist: Optional[Netlist],
     matrix: AddendMatrix,
     delay_model: Optional[FADelayModel] = None,
     power_model: Optional[FAPowerModel] = None,

@@ -23,13 +23,16 @@ from repro.netlist.core import Netlist
 
 
 def fa_aot(
-    netlist: Netlist,
+    netlist: Optional[Netlist],
     matrix: AddendMatrix,
     delay_model: Optional[FADelayModel] = None,
     power_model: Optional[FAPowerModel] = None,
     column_interaction: bool = True,
 ) -> CompressionResult:
     """Allocate a delay-optimal FA-tree for the given addend matrix.
+
+    With ``netlist=None`` the tree is planned on the column model only
+    (see :func:`repro.core.tree.materialize`).
 
     Parameters
     ----------

@@ -17,10 +17,11 @@ Rows = Tuple[List[Optional[Addend]], List[Optional[Addend]]]
 class ColumnReduction:
     """One column's share of a compressor tree.
 
-    ``fa_cells``, ``ha_cells``, ``switching_energy`` and ``dropped`` (carries
-    that fell past the output width) are filled by
-    :meth:`~repro.core.tree.CompressorTree.allocate`.  ``remaining`` holds the
-    column's final addends (at most two).  ``carries`` lists the carries the
+    ``switching_energy`` and ``dropped`` (carries that fell past the output
+    width) are filled by :meth:`~repro.core.tree.CompressorTree.allocate`
+    as the tree is planned, ``fa_cells`` and ``ha_cells`` by
+    :func:`~repro.core.tree.materialize`.  ``remaining`` holds the column's
+    final addends (at most two).  ``carries`` lists the carries the
     column reducer produced for the next column, past-the-width ones
     included; the stage-based baselines hand theirs to the next stage and
     leave it empty.
@@ -67,28 +68,37 @@ def final_rows(columns: Iterable[Sequence[Addend]]) -> Rows:
 class CompressionResult:
     """Everything produced by reducing an addend matrix to two rows.
 
+    Until :func:`~repro.core.tree.materialize` builds it into a netlist,
+    the result is the tree's *plan*: its ``steps`` and column records
+    already give the cell counts, the arrivals, the probabilities and the
+    energy, but no cell or net exists.
+
     Attributes
     ----------
     netlist:
         The netlist the FA/HA cells were added to (shared with the matrix
-        builder's netlist).
+        builder's netlist); ``None`` for a plan.
     width:
         Number of columns (the output width W).
     column_reductions:
         Per-column :class:`ColumnReduction` records, LSB first.
     policy_name / ha_style:
         How the allocation was made (for reports).
+    steps:
+        The :class:`~repro.core.tree.CompressorTree` steps
+        ``(column, inputs, sum, carry)`` in creation order.
 
     The final-adder ``rows``, the paper's ``tree_switching_energy`` and the
     ``max_final_arrival`` are derived from the column records.
     """
 
-    netlist: Netlist
+    netlist: Optional[Netlist]
     width: int
     column_reductions: List[ColumnReduction]
     policy_name: str
     ha_style: str
     notes: List[str] = field(default_factory=list)
+    steps: List[Tuple] = field(default_factory=list)
 
     # ------------------------------------------------------------------ cells
     @property
@@ -103,13 +113,13 @@ class CompressionResult:
 
     @property
     def fa_count(self) -> int:
-        """Number of full adders in the tree."""
-        return sum(reduction.fa_count for reduction in self.column_reductions)
+        """Number of full adders in the tree (planned or built)."""
+        return sum(len(step[1]) == 3 for step in self.steps)
 
     @property
     def ha_count(self) -> int:
-        """Number of half adders in the tree."""
-        return sum(reduction.ha_count for reduction in self.column_reductions)
+        """Number of half adders in the tree (planned or built)."""
+        return sum(len(step[1]) == 2 for step in self.steps)
 
     @property
     def tree_switching_energy(self) -> float:

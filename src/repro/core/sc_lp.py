@@ -22,13 +22,16 @@ from repro.netlist.core import Netlist
 
 
 def sc_lp(
-    netlist: Netlist,
+    netlist: Optional[Netlist],
     addends: Sequence[Addend],
     column: int = 0,
     delay_model: Optional[FADelayModel] = None,
     power_model: Optional[FAPowerModel] = None,
 ) -> ColumnReduction:
-    """Reduce one column of addends with the paper's SC_LP procedure."""
+    """Reduce one column of addends with the paper's SC_LP procedure (its
+    plan alone, with no cells, when ``netlist`` is ``None``)."""
     # wide enough to keep the carries, which land in column + 1
-    tree = CompressorTree(netlist, column + 2, delay_model, power_model)
-    return reduce_column(tree, addends, column, LargestQPolicy(), HA_STYLE_PSEUDO_ZERO)
+    tree = CompressorTree(column + 2, delay_model, power_model)
+    reduction = reduce_column(tree, addends, column, LargestQPolicy(), HA_STYLE_PSEUDO_ZERO)
+    tree.result(netlist, LargestQPolicy.name, HA_STYLE_PSEUDO_ZERO)  # builds the cells into netlist
+    return reduction

@@ -24,7 +24,7 @@ from repro.netlist.core import Netlist
 
 
 def sc_t(
-    netlist: Netlist,
+    netlist: Optional[Netlist],
     addends: Sequence[Addend],
     column: int = 0,
     delay_model: Optional[FADelayModel] = None,
@@ -33,8 +33,11 @@ def sc_t(
     """Reduce one column of addends with the paper's SC_T procedure.
 
     Returns the :class:`ColumnReduction` holding the two remaining addends,
-    the carry addends produced for the next column and the allocated cells.
+    the carry addends produced for the next column and the allocated cells;
+    with ``netlist=None`` it is the column's plan, with no cells.
     """
     # wide enough to keep the carries, which land in column + 1
-    tree = CompressorTree(netlist, column + 2, delay_model, power_model)
-    return reduce_column(tree, addends, column, EarliestArrivalPolicy(), HA_STYLE_LAST_PAIR)
+    tree = CompressorTree(column + 2, delay_model, power_model)
+    reduction = reduce_column(tree, addends, column, EarliestArrivalPolicy(), HA_STYLE_LAST_PAIR)
+    tree.result(netlist, EarliestArrivalPolicy.name, HA_STYLE_LAST_PAIR)  # builds the cells into netlist
+    return reduction

@@ -1,13 +1,21 @@
-"""The compressor-tree record and its one FA/HA step.
+"""The compressor-tree column model, its one FA/HA step, and materialization.
 
 Every reducer — FA_AOT, FA_ALP, FA_random and column isolation through
 :func:`repro.core.column.reduce_column`, and the Wallace, Dadda and CSA_OPT
-baselines — differs only in *which* addends feed each cell.  The cell itself
-is built here, by :meth:`CompressorTree.allocate`: the Ds/Dc output
+baselines — differs only in *which* addends feed each cell, and chooses
+them from arrival, probability, origin and creation order alone.  So the
+reducers run on a column model with no netlist: :class:`CompressorTree`
+plans each step with :meth:`~CompressorTree.allocate` — the Ds/Dc output
 arrivals, the output probabilities and the Ws/Wc switching energy, charged
-to the column's :class:`~repro.core.result.ColumnReduction`.  A carry that
-falls past the output width is dropped (modulo-2**W semantics) and noted in
-the :class:`~repro.core.result.CompressionResult`.
+to the column's :class:`~repro.core.result.ColumnReduction` — and its
+outputs are :class:`~repro.bitmatrix.addend.Addend` records whose net is
+still ``None``.  A carry that falls past the output width is dropped
+(modulo-2**W semantics) and noted in the plan.
+
+The plan is a :class:`~repro.core.result.CompressionResult` without a
+netlist.  :func:`materialize` builds its cells in plan order, with the cell
+and net names the netlist gives them, checking the plan's input nets once
+and writing each output net's annotations once.
 """
 
 from __future__ import annotations
@@ -16,79 +24,88 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.bitmatrix.addend import Addend
 from repro.core.delay_model import FADelayModel
-from repro.core.power_model import FAPowerModel
+from repro.core.power_model import (
+    FAPowerModel,
+    fa_output_probabilities,
+    ha_output_probabilities,
+)
 from repro.core.result import ColumnReduction, CompressionResult
+from repro.errors import NetlistError
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
 
 
 class CompressorTree:
-    """FA/HA cells added to ``netlist`` over ``width`` columns, with their records."""
+    """The FA/HA steps of one tree over ``width`` columns, with their records."""
 
     def __init__(
         self,
-        netlist: Netlist,
         width: int,
         delay_model: Optional[FADelayModel] = None,
         power_model: Optional[FAPowerModel] = None,
     ) -> None:
-        self.netlist = netlist
         self.width = width
-        self.delay_model = delay_model or FADelayModel()
-        self.power_model = power_model or FAPowerModel()
+        self.delay_model = delay_model = delay_model or FADelayModel()
+        self.power_model = power_model = power_model or FAPowerModel()
         self.columns = [ColumnReduction(column=index) for index in range(width)]
+        #: ``(column, inputs, sum, carry)`` in creation order; a step without
+        #: inputs is SC_LP's pseudo logic-0, which is no cell
+        self.steps: List[Tuple] = []
+        # the models' formulas, bound once per tree
+        self._fa_arrivals, self._ha_arrivals = delay_model.fa_arrivals, delay_model.ha_arrivals
+        self._fa_energy = power_model.fa_switching_energy
+        self._ha_energy = power_model.ha_switching_energy
 
     def allocate(
         self, chosen: Sequence[Addend], column: int
     ) -> Tuple[Addend, Optional[Addend]]:
-        """Add an FA over three addends or an HA over two; return ``(sum, carry)``.
+        """Plan an FA over three addends or an HA over two; return ``(sum, carry)``.
 
-        Both outputs are annotated with their arrival and probability, and
-        the cell and its switching energy are charged to ``column``'s record.
-        ``carry`` is ``None`` when it falls past the width; the record keeps
-        it in ``dropped``.
+        Both outputs carry their arrival and probability, and the step's
+        switching energy is charged to ``column``'s record.  ``carry`` is
+        ``None`` when it falls past the width; the record keeps it in
+        ``dropped``.
         """
         record = self.columns[column]
-        arrivals = [addend.arrival for addend in chosen]
         if len(chosen) == 3:
             first, second, third = chosen
-            cell = self.netlist.add_cell(
-                CellType.FA, {"a": first.net, "b": second.net, "cin": third.net}
+            sum_arrival, carry_arrival = self._fa_arrivals(
+                (first.arrival, second.arrival, third.arrival)
             )
-            sum_arrival, carry_arrival = self.delay_model.fa_arrivals(arrivals)
-            p_sum, p_carry = self.power_model.fa_probabilities(
+            p_sum, p_carry = fa_output_probabilities(
                 first.probability, second.probability, third.probability
             )
-            energy = self.power_model.fa_switching_energy(p_sum, p_carry)
-            record.fa_cells.append(cell)
+            record.switching_energy += self._fa_energy(p_sum, p_carry)
         else:
             first, second = chosen
-            cell = self.netlist.add_cell(CellType.HA, {"a": first.net, "b": second.net})
-            sum_arrival, carry_arrival = self.delay_model.ha_arrivals(arrivals)
-            p_sum, p_carry = self.power_model.ha_probabilities(
-                first.probability, second.probability
-            )
-            energy = self.power_model.ha_switching_energy(p_sum, p_carry)
-            record.ha_cells.append(cell)
-        record.switching_energy += energy
-        sum_net, carry_net = cell.outputs["s"], cell.outputs["co"]
-        self.netlist.annotate(sum_net, arrival=sum_arrival, probability=p_sum)
-        self.netlist.annotate(carry_net, arrival=carry_arrival, probability=p_carry)
-        total = Addend(sum_net, column, sum_arrival, p_sum, origin="sum")
-        carry = Addend(carry_net, column + 1, carry_arrival, p_carry, origin="carry")
-        if carry.column < self.width:
+            sum_arrival, carry_arrival = self._ha_arrivals((first.arrival, second.arrival))
+            p_sum, p_carry = ha_output_probabilities(first.probability, second.probability)
+            record.switching_energy += self._ha_energy(p_sum, p_carry)
+        total = Addend(None, column, sum_arrival, p_sum, "sum")
+        carry = Addend(None, column + 1, carry_arrival, p_carry, "carry")
+        self.steps.append((column, chosen, total, carry))
+        if column + 1 < self.width:
             return total, carry
         record.dropped.append(carry)
         return total, None
 
+    def zero(self, column: int) -> Addend:
+        """SC_LP's pseudo logic-0 addend for ``column`` (the netlist's ``const0``)."""
+        zero = Addend(None, column, 0.0, 0.0, origin="pseudo_zero")
+        self.steps.append((column, (), zero, None))
+        return zero
+
     def result(
         self,
+        netlist: Optional[Netlist],
         policy_name: str,
         ha_style: str,
         remaining: Optional[Sequence[List[Addend]]] = None,
     ) -> CompressionResult:
-        """The finished tree; ``remaining`` gives each column's final addends,
-        LSB first, when the reducer has not stored them in the records."""
+        """The finished tree, materialized into ``netlist`` — or the plan
+        alone when ``netlist`` is ``None``.  ``remaining`` gives each
+        column's final addends, LSB first, when the reducer has not stored
+        them in the records."""
         if remaining is not None:
             for record, addends in zip(self.columns, remaining):
                 record.remaining = list(addends)
@@ -99,11 +116,65 @@ class CompressorTree:
                 f"{dropped} carries beyond column {self.width - 1} were dropped "
                 f"(modulo-2**{self.width} semantics)"
             )
-        return CompressionResult(
-            netlist=self.netlist,
+        plan = CompressionResult(
+            netlist=None,
             width=self.width,
             column_reductions=self.columns,
             policy_name=policy_name,
             ha_style=ha_style,
             notes=notes,
+            steps=self.steps,
         )
+        return plan if netlist is None else materialize(plan, netlist)
+
+
+def materialize(plan: CompressionResult, netlist: Netlist) -> CompressionResult:
+    """Build ``plan``'s cells in ``netlist``, in plan order; return the tree.
+
+    Every input net the plan takes from outside must belong to ``netlist``
+    (checked once, before any cell is built).  Each cell is named and
+    numbered as :meth:`~repro.netlist.core.Netlist.add_cell` would, its
+    output nets get their arrival and probability at creation, every
+    planned output addend gets its net, and the generation is bumped once.
+    """
+    produced = set()
+    for _, inputs, total, carry in plan.steps:
+        for addend in inputs:
+            if id(addend) not in produced and (
+                addend.net is None or not netlist.owns(addend.net)
+            ):
+                name = addend.net.name if addend.net else None
+                raise NetlistError(
+                    f"net {name!r} of a column-{addend.column} addend does not belong "
+                    f"to netlist {netlist.name!r} and is no output of the plan"
+                )
+        produced.add(id(total))
+        produced.add(id(carry))
+
+    build = netlist.build_cell
+    records = plan.column_reductions
+    for column, inputs, total, carry in plan.steps:
+        if not inputs:
+            total.net = netlist.const(0)
+            continue
+        annotations = (
+            {"arrival": total.arrival, "probability": total.probability},
+            {"arrival": carry.arrival, "probability": carry.probability},
+        )
+        if len(inputs) == 3:
+            first, second, third = inputs
+            cell = build(
+                CellType.FA,
+                {"a": first.net, "b": second.net, "cin": third.net},
+                annotations=annotations,
+            )
+            records[column].fa_cells.append(cell)
+        else:
+            first, second = inputs
+            cell = build(CellType.HA, {"a": first.net, "b": second.net}, annotations=annotations)
+            records[column].ha_cells.append(cell)
+        outputs = cell.outputs
+        total.net, carry.net = outputs["s"], outputs["co"]
+    netlist.touch()
+    plan.netlist = netlist
+    return plan

@@ -25,11 +25,12 @@ from repro.netlist.core import Netlist
 
 
 class CompressorTreeBuilder:
-    """Reduces an :class:`AddendMatrix` to two rows inside a netlist."""
+    """Reduces an :class:`AddendMatrix` to two rows inside a netlist (or, with
+    ``netlist=None``, to the plan of that tree)."""
 
     def __init__(
         self,
-        netlist: Netlist,
+        netlist: Optional[Netlist],
         matrix: AddendMatrix,
         delay_model: Optional[FADelayModel] = None,
         power_model: Optional[FAPowerModel] = None,
@@ -50,10 +51,10 @@ class CompressorTreeBuilder:
         The input matrix is not mutated; the netlist *is* extended with the
         allocated FA/HA cells.
         """
-        tree = CompressorTree(self.netlist, self.matrix.width, self.delay_model, self.power_model)
+        tree = CompressorTree(self.matrix.width, self.delay_model, self.power_model)
         carries: List[Addend] = []
         for index, addends in enumerate(self.matrix.columns()):
             carries = reduce_column(
                 tree, addends + carries, index, policy, ha_style, exclude_origins
             ).carries
-        return tree.result(policy.name, ha_style)
+        return tree.result(self.netlist, policy.name, ha_style)

@@ -72,7 +72,10 @@ class Net:
 
 
 class Cell:
-    """An instance of a combinational cell bound to input and output nets."""
+    """An instance of a combinational cell bound to input and output nets.
+
+    The cell keeps the port-to-net dicts it is given as its own.
+    """
 
     __slots__ = ("name", "cell_type", "inputs", "outputs", "attributes")
 
@@ -80,13 +83,13 @@ class Cell:
         self,
         name: str,
         cell_type: CellType,
-        inputs: Mapping[str, Net],
-        outputs: Mapping[str, Net],
+        inputs: Dict[str, Net],
+        outputs: Dict[str, Net],
     ) -> None:
         self.name = name
         self.cell_type = cell_type
-        self.inputs: Dict[str, Net] = dict(inputs)
-        self.outputs: Dict[str, Net] = dict(outputs)
+        self.inputs = inputs
+        self.outputs = outputs
         self.attributes: Dict[str, object] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -289,9 +292,8 @@ class Netlist:
         table = _PORT_TABLES.get(cell_type)
         if table is None:
             raise NetlistError(f"unknown cell type {cell_type!r}")
-        expected, expected_set, output_ports, cell_prefix = table
+        expected, expected_set, output_ports, _ = table
         nets = self._nets
-        cells = self._cells
         if inputs.keys() != expected_set:
             missing = [p for p in expected if p not in inputs]
             extra = [p for p in inputs if p not in expected_set]
@@ -326,7 +328,36 @@ class Netlist:
                         f"net {net.name!r} is a primary input/constant and cannot be "
                         f"a cell output"
                     )
+        if name is not None and name in self._cells:
+            raise NetlistError(f"cell name {name!r} already exists in netlist {self.name!r}")
 
+        cell = self.build_cell(cell_type, dict(inputs), name, output_prefix, outputs)
+        self.touch()
+        return cell
+
+    def build_cell(
+        self,
+        cell_type: CellType,
+        inputs: Dict[str, Net],
+        name: Optional[str] = None,
+        output_prefix: Optional[str] = None,
+        outputs: Optional[Mapping[str, Net]] = None,
+        annotations: Sequence[Dict[str, object]] = (),
+    ) -> Cell:
+        """:meth:`add_cell` without its checks and without a generation bump.
+
+        For generators that build many cells over nets they have already
+        checked (with :meth:`owns`) or built themselves: the port binding,
+        the ownership of every input and output net and a given ``name`` are
+        trusted, and the cell keeps ``inputs`` as its own dict.
+        ``annotations`` gives the fresh output nets' attribute dicts in port
+        order, written at creation instead of through :meth:`annotate`.  The
+        caller calls :meth:`touch` once after its batch, so views derived
+        before it are not served after.
+        """
+        _, _, output_ports, cell_prefix = _PORT_TABLES[cell_type]
+        nets = self._nets
+        cells = self._cells
         if name is None:
             counter = self._cell_counter
             while True:
@@ -335,14 +366,12 @@ class Netlist:
                 if name not in cells:
                     break
             self._cell_counter = counter
-        elif name in cells:
-            raise NetlistError(f"cell name {name!r} already exists in netlist {self.name!r}")
 
-        # fresh output nets are created here, not through add_net, so the
-        # whole cell is one mutation: one generation bump
+        # fresh output nets are created here, not through add_net, which
+        # would bump the generation once per net
         prefix = output_prefix or f"{name}_"
-        cell = Cell(name, cell_type, inputs, {})
-        cell_outputs = cell.outputs
+        cell_outputs: Dict[str, Net] = {}
+        cell = Cell(name, cell_type, inputs, cell_outputs)
         counter = self._net_counter
         for port in output_ports:
             net = outputs.get(port) if outputs else None
@@ -356,11 +385,20 @@ class Netlist:
             cell_outputs[port] = net
             net.driver = (cell, port)
         self._net_counter = counter
+        for net, attributes in zip(cell_outputs.values(), annotations):
+            net.attributes = attributes
         cells[name] = cell
         for port, net in inputs.items():
             net.loads.append((cell, port))
-        self._generation += 1
         return cell
+
+    def owns(self, net: Net) -> bool:
+        """True when ``net`` is this netlist's net of that name."""
+        return self._nets.get(net.name) is net
+
+    def touch(self) -> None:
+        """Record a mutation made through :meth:`build_cell` (one per batch)."""
+        self._generation += 1
 
     # ------------------------------------------------------------- mutation
     def annotate(self, net: Net, **attributes: object) -> None:

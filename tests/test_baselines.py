@@ -148,3 +148,37 @@ class TestMultipliers:
         a = netlist.add_input_bus("a", 2)
         with pytest.raises(NetlistError):
             unsigned_multiplier(netlist, a, a, 0)
+
+
+class TestConventionalFinalAdder:
+    """``--final-adder`` reaches every addition and multiplier of the
+    conventional baseline; its subtractions stay carry-lookahead, the one
+    kind that takes a carry-in."""
+
+    @pytest.mark.parametrize("kind", ["kogge_stone", "cla"])
+    def test_adder_kind_per_operator(self, kind, monkeypatch):
+        from repro.api import Flow, FlowConfig
+        from repro.baselines import conventional, multipliers
+
+        built = []
+
+        def spy(module, attribute, record):
+            real = getattr(module, attribute)
+
+            def wrapper(*args, **kwargs):
+                built.append(record(kwargs))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, attribute, wrapper)
+
+        spy(conventional, "build_final_adder", lambda kw: (kw["name"][:3], kw["kind"]))
+        spy(multipliers, "build_final_adder", lambda kw: ("mul", kw["kind"]))
+        spy(conventional, "carry_lookahead_adder", lambda kw: (kw["name"][:3], "cla"))
+        result = Flow(FlowConfig(method="conventional", final_adder=kind)).run("iir")
+        counts = result.stage_artifacts["frontend"].operator_count
+        assert sorted(built) == sorted(
+            [("add", kind)] * counts["add"]
+            + [("mul", kind)] * counts["mul"]
+            + [("sub", "cla")] * counts["sub"]
+        )
+        assert min(counts.values()) > 0

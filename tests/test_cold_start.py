@@ -32,6 +32,7 @@ NOT_ON_PLAIN_RUNS = (
     "repro.obs.history",
     "repro.obs.events",
     "repro.map.templates",
+    "repro.netlist.verilog",
 )
 
 #: additionally never loaded by ``import repro.cli`` alone, nor by building
@@ -46,7 +47,6 @@ NOT_ON_IMPORT = NOT_ON_PLAIN_RUNS + (
     "repro.netlist.serialize",
     "repro.netlist.stats",
     "repro.netlist.validate",
-    "repro.netlist.verilog",
     "repro.commands.flow",
     "repro.commands.obs",
 )

@@ -22,6 +22,14 @@ from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist
 
 
+def _reduce(netlist, addends, column, width, policy, **options):
+    """:func:`reduce_column` on a fresh tree, materialized into ``netlist``."""
+    tree = CompressorTree(width)
+    reduction = reduce_column(tree, addends, column, policy, **options)
+    tree.result(netlist, policy.name, options.get("ha_style", HA_STYLE_LAST_PAIR))
+    return reduction
+
+
 def _column(netlist, arrivals, probabilities=None):
     probabilities = probabilities or [0.5] * len(arrivals)
     return [
@@ -121,7 +129,7 @@ class TestReduceColumnOptions:
         netlist = Netlist("t")
         with pytest.raises(AllocationError):
             reduce_column(
-                CompressorTree(netlist, 2),
+                CompressorTree(2),
                 _column(netlist, [0, 0, 0]),
                 0,
                 EarliestArrivalPolicy(),
@@ -133,10 +141,11 @@ class TestReduceColumnOptions:
         addends = _column(netlist, [7, 5, 4])
         late_carry = Addend(netlist.add_net(), 0, 0.0, 0.5, origin="carry")
         working = addends + [late_carry]
-        reduction = reduce_column(
-            CompressorTree(netlist, 2),
+        reduction = _reduce(
+            netlist,
             working,
             0,
+            2,
             EarliestArrivalPolicy(),
             ha_style=HA_STYLE_LAST_PAIR,
             exclude_origins=frozenset({"carry"}),
@@ -152,10 +161,11 @@ class TestReduceColumnOptions:
         carries = [
             Addend(netlist.add_net(), 0, float(i), 0.5, origin="carry") for i in range(3)
         ]
-        reduction = reduce_column(
-            CompressorTree(netlist, 2),
+        reduction = _reduce(
+            netlist,
             addends + carries,
             0,
+            2,
             EarliestArrivalPolicy(),
             ha_style=HA_STYLE_LAST_PAIR,
             exclude_origins=frozenset({"carry"}),
@@ -164,10 +174,11 @@ class TestReduceColumnOptions:
 
     def test_pseudo_zero_style_via_policy(self):
         netlist = Netlist("t")
-        reduction = reduce_column(
-            CompressorTree(netlist, 2),
+        reduction = _reduce(
+            netlist,
             _column(netlist, [0] * 3, [0.2, 0.4, 0.5]),
             0,
+            2,
             LargestQPolicy(),
             ha_style=HA_STYLE_PSEUDO_ZERO,
         )
@@ -178,16 +189,16 @@ class TestReduceColumnOptions:
 def _sort_and_remove(netlist, addends, column, policy, ha_style, exclude_origins):
     """Reference reducer: ask the policy to select from the whole list every step.
 
-    Each step is one :meth:`CompressorTree.allocate`, whose cell must read
-    the selected addends in selection order on its ports ``a``, ``b``, ``cin``.
+    Each step is one :meth:`CompressorTree.allocate`, whose materialized
+    cell must read the selected addends in selection order on its ports
+    ``a``, ``b``, ``cin``.
     """
-    tree = CompressorTree(netlist, column + 2)
+    tree = CompressorTree(column + 2)
     reduction = tree.columns[column]
     working = list(addends)
     if ha_style == HA_STYLE_PSEUDO_ZERO and len(working) >= 3 and len(working) % 2 == 1:
-        working.append(
-            Addend(netlist.const(0), column, 0.0, 0.0, origin="pseudo_zero")
-        )
+        working.append(tree.zero(column))
+    selections = []
     while len(working) >= 3:
         count = 2 if ha_style == HA_STYLE_LAST_PAIR and len(working) == 3 else 3
         pool = working
@@ -196,15 +207,19 @@ def _sort_and_remove(netlist, addends, column, policy, ha_style, exclude_origins
             pool = preferred if len(preferred) >= count else working
         chosen = policy.select(pool, count)
         inputs = [a for a in chosen if a.origin != "pseudo_zero"]
+        selections.append(inputs)
         total, carry = tree.allocate(inputs, column)
-        cell = (reduction.fa_cells if len(inputs) == 3 else reduction.ha_cells)[-1]
-        ports = ("a", "b", "cin")[: len(inputs)]
-        assert [cell.inputs[port] for port in ports] == [a.net for a in inputs]
         for used in chosen:
             working.remove(used)
         working.append(total)
         reduction.carries.append(carry)
     reduction.remaining = [a for a in working if a.origin != "pseudo_zero"]
+    tree.result(netlist, policy.name, ha_style)
+    cells = list(netlist.cells.values())
+    assert len(cells) == len(selections)
+    for cell, inputs in zip(cells, selections):
+        ports = ("a", "b", "cin")[: len(inputs)]
+        assert [cell.inputs[port] for port in ports] == [a.net for a in inputs]
     return reduction
 
 
@@ -269,8 +284,8 @@ class TestHeapReducerMatchesSortAndRemove:
                 exclude_origins,
             )
             netlist, column = _random_column(seed)
-            actual = reduce_column(
-                CompressorTree(netlist, 5), column, 3, policy,
+            actual = _reduce(
+                netlist, column, 3, 5, policy,
                 ha_style=ha_style, exclude_origins=exclude_origins,
             )
             assert _shape(netlist, actual) == _shape(reference_netlist, expected), seed
@@ -283,8 +298,8 @@ class TestHeapReducerMatchesSortAndRemove:
         for seed in range(30):
             netlist, column = _random_column(seed)
             keyed.clear()
-            reduction = reduce_column(
-                CompressorTree(netlist, 5), column, 3, policy,
+            reduction = _reduce(
+                netlist, column, 3, 5, policy,
                 ha_style=ha_style, exclude_origins=frozenset({"carry"}),
             )
             pseudo = int(ha_style == HA_STYLE_PSEUDO_ZERO and len(column) >= 3 and len(column) % 2)

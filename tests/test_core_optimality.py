@@ -1,10 +1,12 @@
 """Optimality properties of SC_T / FA_AOT (Lemmas 1-2, Theorem 1).
 
 The brute-force reference enumerates *every* possible FA/HA allocation of a
-small instance using the same abstract delay model (an FA turns three arrival
-times into ``max+Ds`` staying in the column and ``max+Dc`` going to the next
-column; an HA does the same for two arrival times when exactly three addends
-remain).  The paper's claims are then checked against the exhaustive set:
+small instance on the column model the reducers themselves run on: each
+step is one :meth:`~repro.core.tree.CompressorTree.allocate`, so an FA turns
+three addends into a sum at ``max+Ds`` staying in the column and a carry at
+``max+Dc`` going to the next, and an HA does the same for two addends when
+exactly three remain.  No netlist is built, by the reference or by SC_T and
+FA_AOT.  The paper's claims are then checked against the exhaustive set:
 
 * Lemma 1 — for a single column, SC_T's sorted sum and carry arrival lists are
   element-wise no larger than those of any allocation.
@@ -17,7 +19,7 @@ remain).  The paper's claims are then checked against the exhaustive set:
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,47 +29,69 @@ from repro.bitmatrix.matrix import AddendMatrix
 from repro.core.delay_model import FADelayModel
 from repro.core.fa_aot import fa_aot
 from repro.core.sc_t import sc_t
+from repro.core.tree import CompressorTree
 from repro.netlist.core import Netlist
 
-DS, DC = 2.0, 1.0
-MODEL = FADelayModel(DS, DC)
+MODEL = FADelayModel(2.0, 1.0)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _no_netlist():
+    """The column model needs no netlist: constructing one fails the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the column model built a Netlist")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Netlist, "__init__", refuse)
+        yield
+
+
+def _addends(arrivals: Sequence[float], column: int = 0) -> List[Addend]:
+    return [Addend(None, column, arrival) for arrival in arrivals]
+
+
+def _column_allocations(
+    tree: CompressorTree, working: List[Addend], column: int
+) -> Iterator[Tuple[List[Addend], List[Addend]]]:
+    """(final addends, carries kept) of every allocation of one column.
+
+    While more than three addends remain any three may feed an FA; when
+    exactly three remain any two feed an HA.
+    """
+    if len(working) <= 2:
+        yield working, []
+        return
+    count = 3 if len(working) > 3 else 2
+    for combo in itertools.combinations(range(len(working)), count):
+        chosen = [working[i] for i in combo]
+        rest = [addend for i, addend in enumerate(working) if i not in combo]
+        total, carry = tree.allocate(chosen, column)
+        kept = [] if carry is None else [carry]
+        for final, carries in _column_allocations(tree, rest + [total], column):
+            yield final, kept + carries
+
+
+def _arrivals(addends: Sequence[Addend]) -> Tuple[float, ...]:
+    return tuple(sorted(addend.arrival for addend in addends))
 
 
 def _enumerate_single_column(
     arrivals: Tuple[float, ...]
 ) -> List[Tuple[Tuple[float, ...], Tuple[float, ...]]]:
     """All (sorted sums, sorted carries) reachable by any single-column allocation."""
-    outcomes = set()
-
-    def recurse(working: Tuple[float, ...], carries: Tuple[float, ...]) -> None:
-        if len(working) <= 2:
-            outcomes.add((tuple(sorted(working)), tuple(sorted(carries))))
-            return
-        if len(working) > 3:
-            for combo in itertools.combinations(range(len(working)), 3):
-                chosen = [working[i] for i in combo]
-                rest = tuple(v for i, v in enumerate(working) if i not in combo)
-                latest = max(chosen)
-                recurse(rest + (latest + DS,), carries + (latest + DC,))
-        else:
-            for combo in itertools.combinations(range(3), 2):
-                chosen = [working[i] for i in combo]
-                rest = tuple(v for i, v in enumerate(working) if i not in combo)
-                latest = max(chosen)
-                recurse(rest + (latest + DS,), carries + (latest + DC,))
-
-    recurse(tuple(arrivals), ())
+    tree = CompressorTree(2, MODEL)
+    outcomes = {
+        (_arrivals(final), _arrivals(carries))
+        for final, carries in _column_allocations(tree, _addends(arrivals), 0)
+    }
     return sorted(outcomes)
 
 
 def _sc_t_outcome(arrivals: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Run the real SC_T implementation and report (sorted sums, sorted carries)."""
-    netlist = Netlist("lemma1")
-    addends = [Addend(netlist.add_net(), 0, arrival) for arrival in arrivals]
-    reduction = sc_t(netlist, addends, delay_model=MODEL)
-    remaining = tuple(sorted(a.arrival for a in reduction.remaining))
-    carries = tuple(sorted(a.arrival for a in reduction.carries))
-    return remaining, carries
+    reduction = sc_t(None, _addends(arrivals), delay_model=MODEL)
+    return _arrivals(reduction.remaining), _arrivals(reduction.carries)
 
 
 def _dominates(ours: Sequence[float], other: Sequence[float]) -> bool:
@@ -144,49 +168,26 @@ def _enumerate_matrix_worst_final(columns: List[List[float]]) -> List[float]:
     MSB, carries of column j available to column j+1) but may pick *any* three
     (or two) addends at each step.
     """
+    tree = CompressorTree(len(columns), MODEL)
     worst_values: List[float] = []
 
-    def reduce_columns(col_index: int, columns_state: Tuple[Tuple[float, ...], ...]) -> None:
-        if col_index == len(columns_state):
-            finals = [value for column in columns_state for value in column]
-            worst_values.append(max(finals) if finals else 0.0)
+    def reduce_from(index: int, carried: List[Addend], finals: List[Addend]) -> None:
+        if index == len(columns):
+            worst_values.append(max((a.arrival for a in finals), default=0.0))
             return
+        working = _addends(columns[index], index) + carried
+        for final, carries in _column_allocations(tree, working, index):
+            reduce_from(index + 1, carries, finals + final)
 
-        def reduce_one(working: Tuple[float, ...], carries: Tuple[float, ...]) -> None:
-            if len(working) <= 2:
-                state = list(columns_state)
-                state[col_index] = working
-                if col_index + 1 < len(state):
-                    state[col_index + 1] = state[col_index + 1] + carries
-                reduce_columns(col_index + 1, tuple(state))
-                return
-            if len(working) > 3:
-                for combo in itertools.combinations(range(len(working)), 3):
-                    chosen = [working[i] for i in combo]
-                    rest = tuple(v for i, v in enumerate(working) if i not in combo)
-                    latest = max(chosen)
-                    reduce_one(rest + (latest + DS,), carries + (latest + DC,))
-            else:
-                for combo in itertools.combinations(range(3), 2):
-                    chosen = [working[i] for i in combo]
-                    rest = tuple(v for i, v in enumerate(working) if i not in combo)
-                    latest = max(chosen)
-                    reduce_one(rest + (latest + DS,), carries + (latest + DC,))
-
-        reduce_one(columns_state[col_index], ())
-
-    reduce_columns(0, tuple(tuple(column) for column in columns))
+    reduce_from(0, [], [])
     return worst_values
 
 
 def _fa_aot_worst_final(columns: List[List[float]]) -> float:
-    netlist = Netlist("lemma2")
     matrix = AddendMatrix(len(columns))
     for column_index, arrivals in enumerate(columns):
-        for arrival in arrivals:
-            matrix.add(Addend(netlist.add_net(), column_index, arrival))
-    result = fa_aot(netlist, matrix, MODEL)
-    return result.max_final_arrival
+        matrix.extend(_addends(arrivals, column_index))
+    return fa_aot(None, matrix, MODEL).max_final_arrival
 
 
 class TestLemma2AndTheorem1:

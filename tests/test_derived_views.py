@@ -204,14 +204,28 @@ class TestMemoKeys:
         assert after is not before and after.delay > 100.0
 
     def test_reducers_annotate_through_the_netlist(self, monkeypatch):
-        annotated = set()
-        original = Netlist.annotate
+        """Adder outputs are annotated by the netlist as it builds them, and
+        every batch of unchecked cells ends in a generation bump."""
+        annotated, untouched = set(), []
+        annotate, build_cell, touch = Netlist.annotate, Netlist.build_cell, Netlist.touch
 
-        def recording(self, net, **attributes):
+        def recording_annotate(self, net, **attributes):
             annotated.add(net.name)
-            return original(self, net, **attributes)
+            return annotate(self, net, **attributes)
 
-        monkeypatch.setattr(Netlist, "annotate", recording)
+        def recording_build_cell(self, *args, annotations=(), **kwargs):
+            cell = build_cell(self, *args, annotations=annotations, **kwargs)
+            annotated.update(net.name for net, _ in zip(cell.outputs.values(), annotations))
+            untouched.append(cell)
+            return cell
+
+        def recording_touch(self):
+            untouched.clear()
+            return touch(self)
+
+        monkeypatch.setattr(Netlist, "annotate", recording_annotate)
+        monkeypatch.setattr(Netlist, "build_cell", recording_build_cell)
+        monkeypatch.setattr(Netlist, "touch", recording_touch)
         netlist = _x2_netlist()
         adders = [
             cell for cell in netlist.cells.values()
@@ -221,6 +235,7 @@ class TestMemoKeys:
         for cell in adders:
             assert {net.name for net in cell.outputs.values()} <= annotated
         assert {net.name for net in netlist.primary_inputs} <= annotated
+        assert not untouched
 
     def test_area_is_keyed_on_the_library(self):
         netlist = _x2_netlist()
