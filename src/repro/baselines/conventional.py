@@ -85,6 +85,7 @@ class _ConventionalBuilder:
         self.balance = balance_operator_trees
         self.input_buses: Dict[str, Bus] = {}
         self.operator_count: Dict[str, int] = {"add": 0, "sub": 0, "mul": 0}
+        self.notes: List[str] = []
         self._name_counter = 0
 
     # ------------------------------------------------------------ primitives
@@ -169,6 +170,7 @@ class _ConventionalBuilder:
             style=self.multiplier_style,
             final_adder=self.adder_kind,
             name=self._fresh_name("mul"),
+            notes=self.notes,
         )
         return _Operand(result, signed)
 
@@ -279,5 +281,5 @@ def conventional_synthesis(
         adder_kind=adder_kind,
         multiplier_style=multiplier_style,
         operator_count=dict(builder.operator_count),
-        notes=[],
+        notes=builder.notes,
     )

@@ -47,8 +47,13 @@ def unsigned_multiplier(
     name: str = "prod",
     delay_model: Optional[FADelayModel] = None,
     power_model: Optional[FAPowerModel] = None,
+    notes: Optional[List[str]] = None,
 ) -> Bus:
-    """Multiply two unsigned buses, truncating the result to ``result_width``."""
+    """Multiply two unsigned buses, truncating the result to ``result_width``.
+
+    ``notes``, when given, receives the Wallace tree's notes: how many
+    carries it dropped past ``result_width``.
+    """
     if style not in MULTIPLIER_STYLES:
         raise NetlistError(
             f"unknown multiplier style {style!r}; expected one of {MULTIPLIER_STYLES}"
@@ -70,6 +75,8 @@ def unsigned_multiplier(
                 continue
             matrix.add(Addend(product, column, origin="pp"))
     reduction = wallace_reduce(netlist, matrix, delay_model, power_model)
+    if notes is not None:
+        notes.extend(reduction.notes)
     row_nets = [[a.net if a is not None else None for a in row] for row in reduction.rows]
     return build_final_adder(
         netlist, row_nets[0], row_nets[1], result_width, kind=final_adder, name=name

@@ -125,26 +125,34 @@ DROPPED = re.compile(r"(\d+) carries beyond column \d+ were dropped")
 
 
 class TestEveryReducerAccountsForItsTree:
-    """One FA/HA step serves every matrix method, so every method reports
-    the carries it drops and charges every cell's energy to its tree."""
+    """One FA/HA step serves every matrix method and the conventional
+    baseline's Wallace multipliers, so every method reports the carries it
+    drops and charges every cell's energy to its tree."""
 
-    @pytest.mark.parametrize("design", ["iir", "kalman", "serial_adapter"])
-    @pytest.mark.parametrize("method", MATRIX_METHODS)
+    @pytest.mark.parametrize("design", ["iir", "kalman", "serial_adapter", "square_of_sum"])
+    @pytest.mark.parametrize("method", MATRIX_METHODS + ("conventional",))
     def test_dropped_carries_noted_and_tree_energy_summed(self, method, design):
         result = Flow(FlowConfig(method=method, opt_level=0)).run(design)
         compression, netlist = result.compression, result.netlist
+        adders = (
+            netlist.cells_of_type(CellType.FA) + netlist.cells_of_type(CellType.HA)
+            if compression is None
+            else compression.fa_cells + compression.ha_cells
+        )
         unread = sum(
             1
-            for cell in compression.fa_cells + compression.ha_cells
+            for cell in adders
             if not cell.outputs["co"].loads
             and not netlist.is_primary_output(cell.outputs["co"])
         )
         noted = [int(match.group(1)) for match in map(DROPPED.match, result.notes) if match]
-        assert noted == ([unread] if unread else [])
+        # one note per tree: a conventional design has one per multiplier
+        assert sum(noted) == unread and all(noted)
+        if compression is None:
+            return
+        assert len(noted) <= 1
 
         expected = compressor_tree_switching_energy(
-            compression.fa_cells + compression.ha_cells,
-            propagate_probabilities(netlist),
-            result.power_model,
+            adders, propagate_probabilities(netlist), result.power_model
         )
         assert compression.tree_switching_energy == pytest.approx(expected, rel=1e-9)
