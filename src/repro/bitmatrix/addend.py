@@ -4,8 +4,7 @@ An addend couples a netlist net with the data the allocation algorithms need:
 its bit column (weight), its arrival time (for FA_AOT) and its signal
 probability (for FA_ALP).  Addends are created by the matrix builder for
 primary-input bits, partial-product bits, inverted bits and constants, and by
-the compressor-tree column model for FA/HA sum and carry outputs, which get
-their net when the tree is materialized.
+the compressor-tree column model for FA/HA sum and carry outputs.
 """
 
 from __future__ import annotations

@@ -212,30 +212,15 @@ def build_addend_matrix(
                     dropped += 1
                     continue
                 signal = product.signal
-                if effective_sign > 0:
-                    added = matrix.add(
-                        Addend(
-                            net=signal.net,
-                            column=column,
-                            arrival=signal.arrival,
-                            probability=signal.probability,
-                            origin="pp" if len(term.factors) > 1 else "input",
-                            row=row_id,
-                        )
-                    )
-                else:
-                    inverted = factory.not_of(signal)
-                    added = matrix.add(
-                        Addend(
-                            net=inverted.net,
-                            column=column,
-                            arrival=inverted.arrival,
-                            probability=inverted.probability,
-                            origin="not",
-                            row=row_id,
-                        )
-                    )
+                origin = "pp" if len(term.factors) > 1 else "input"
+                if effective_sign < 0:
+                    signal, origin = factory.not_of(signal), "not"
                     constant_total -= 1 << column
+                added = matrix.add(
+                    Addend(
+                        signal.net, column, signal.arrival, signal.probability, origin, row=row_id
+                    )
+                )
                 if not added:
                     dropped += 1
 

@@ -15,7 +15,7 @@ correct per-addend data.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import AllocationError
 from repro.netlist.cells import CellType
@@ -61,11 +61,16 @@ class ProductBitFactory:
         self,
         cell_type: CellType,
         prefix: str,
-        inputs: Dict[str, Net],
-        arrival: float,
         probability: float,
+        first: BitSignal,
+        second: Optional[BitSignal] = None,
     ) -> BitSignal:
-        """A new gate over ``inputs``, whose latest arrives at ``arrival``."""
+        """A new gate over ``first`` (and ``second``) as an annotated bit."""
+        if second is None:
+            inputs, arrival = {"a": first.net}, first.arrival
+        else:
+            inputs = {"a": first.net, "b": second.net}
+            arrival = max(first.arrival, second.arrival)
         cell = self.netlist.build_cell(cell_type, inputs, output_prefix=prefix)
         delay = self.library.worst_delay(cell_type, "y")
         return BitSignal(cell.outputs["y"], arrival + delay, probability)
@@ -84,12 +89,9 @@ class ProductBitFactory:
         key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
         signal = self._and_cache.get(key)
         if signal is None:
+            probability = first.probability * second.probability
             signal = self._and_cache[key] = self._gate(
-                CellType.AND2,
-                "pp_",
-                {"a": a, "b": b},
-                max(first.arrival, second.arrival),
-                first.probability * second.probability,
+                CellType.AND2, "pp_", probability, first, second
             )
             self.and_gates_created += 1
         return signal
@@ -102,7 +104,7 @@ class ProductBitFactory:
         inverted = self._not_cache.get(id(net))
         if inverted is None:
             inverted = self._not_cache[id(net)] = self._gate(
-                CellType.NOT, "inv_", {"a": net}, signal.arrival, 1.0 - signal.probability
+                CellType.NOT, "inv_", 1.0 - signal.probability, signal
             )
             self.not_gates_created += 1
         return inverted
@@ -115,14 +117,8 @@ class ProductBitFactory:
             return self.constant(1) if first.net.const_value == 1 else second
         if second.net.is_constant:
             return self.constant(1) if second.net.const_value == 1 else first
-        p_or = first.probability + second.probability - first.probability * second.probability
-        return self._gate(
-            CellType.OR2,
-            "pp_or_",
-            {"a": first.net, "b": second.net},
-            max(first.arrival, second.arrival),
-            p_or,
-        )
+        px, py = first.probability, second.probability
+        return self._gate(CellType.OR2, "pp_or_", px + py - px * py, first, second)
 
     def xor_of(self, first: BitSignal, second: BitSignal) -> BitSignal:
         """XOR of two bit signals (with constant folding); used by Booth encoding."""
@@ -132,18 +128,8 @@ class ProductBitFactory:
             return second if first.net.const_value == 0 else self.not_of(second)
         if second.net.is_constant:
             return first if second.net.const_value == 0 else self.not_of(first)
-        p_xor = (
-            first.probability
-            + second.probability
-            - 2.0 * first.probability * second.probability
-        )
-        return self._gate(
-            CellType.XOR2,
-            "pp_xor_",
-            {"a": first.net, "b": second.net},
-            max(first.arrival, second.arrival),
-            p_xor,
-        )
+        px, py = first.probability, second.probability
+        return self._gate(CellType.XOR2, "pp_xor_", px + py - 2.0 * px * py, first, second)
 
     def constant(self, value: int) -> BitSignal:
         """Constant 0/1 as a bit signal."""

@@ -5,12 +5,13 @@
 * :func:`fa_alp` — power-driven allocation (paper Section 4, algorithm
   ``FA_ALP`` built on ``SC_LP``), minimises switching activity.
 * :func:`fa_random` — random input selection, the power baseline of Table 2.
-* :class:`CompressorTreeBuilder` — the shared engine that reduces an addend
-  matrix column by column with a pluggable selection policy.
-* :class:`CompressorTree` — the tree record every reducer (these and the
-  Wallace, Dadda and CSA_OPT baselines) builds cells in: its one
-  :meth:`~CompressorTree.allocate` is the FA/HA step, with the Ds/Dc
-  arrivals, output probabilities and Ws/Wc energy of each cell.
+* :func:`reduce_columns` — the shared engine that reduces an addend matrix
+  column by column with a pluggable selection policy.
+* :class:`CompressorTree` — the column model every reducer (these and the
+  Wallace, Dadda and CSA_OPT baselines) plans its tree on, with no netlist:
+  its one :meth:`~CompressorTree.allocate` is the FA/HA step, with the Ds/Dc
+  arrivals, output probabilities and Ws/Wc energy of each cell, and
+  :func:`materialize` builds the planned cells into a netlist.
 """
 
 from repro.core.delay_model import FADelayModel
@@ -29,11 +30,10 @@ from repro.core.policies import (
     SelectionPolicy,
 )
 from repro.core.result import ColumnReduction, CompressionResult
-from repro.core.tree import CompressorTree
-from repro.core.column import reduce_column
+from repro.core.tree import CompressorTree, materialize
+from repro.core.column import reduce_column, reduce_columns
 from repro.core.sc_t import sc_t
 from repro.core.sc_lp import sc_lp
-from repro.core.tree_builder import CompressorTreeBuilder
 from repro.core.fa_aot import fa_aot
 from repro.core.fa_alp import fa_alp
 from repro.core.fa_random import fa_random
@@ -52,11 +52,12 @@ __all__ = [
     "SelectionPolicy",
     "ColumnReduction",
     "reduce_column",
+    "reduce_columns",
     "sc_t",
     "sc_lp",
     "CompressionResult",
     "CompressorTree",
-    "CompressorTreeBuilder",
+    "materialize",
     "fa_aot",
     "fa_alp",
     "fa_random",

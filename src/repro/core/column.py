@@ -16,8 +16,7 @@ Both are expressed here by :func:`reduce_column` with an ``ha_style`` switch;
 this module only decides which addends feed each cell, and
 :meth:`repro.core.tree.CompressorTree.allocate` plans it on the column model
 (no netlist is touched until the tree is materialized).  The carries a
-column produces are returned to the caller (the tree builder), which is what
-lets column *j*'s carries participate in column *j+1*'s reduction — the
+column produces join the next column in :func:`reduce_columns` — the
 "column interaction" that distinguishes the paper's algorithm from
 per-column-isolated reduction (Figure 2(b) vs 2(c)).
 """
@@ -29,10 +28,14 @@ from operator import itemgetter
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.bitmatrix.addend import Addend
+from repro.bitmatrix.matrix import AddendMatrix
+from repro.core.delay_model import FADelayModel
 from repro.core.policies import SelectionPolicy
-from repro.core.result import ColumnReduction
+from repro.core.power_model import FAPowerModel
+from repro.core.result import ColumnReduction, CompressionResult
 from repro.core.tree import CompressorTree
 from repro.errors import AllocationError
+from repro.netlist.core import Netlist
 
 #: ha_style value for the SC_T behaviour (HA on the last pair of three)
 HA_STYLE_LAST_PAIR = "last_pair"
@@ -110,6 +113,27 @@ def reduce_column(
     # rows: it carries no value and would only waste a final-adder input.
     reduction.remaining = [a for a in remaining if a.origin != "pseudo_zero"]
     return reduction
+
+
+def reduce_columns(
+    netlist: Optional[Netlist],
+    matrix: AddendMatrix,
+    policy: SelectionPolicy,
+    ha_style: str = HA_STYLE_LAST_PAIR,
+    exclude_origins: Optional[FrozenSet[str]] = None,
+    delay_model: Optional[FADelayModel] = None,
+    power_model: Optional[FAPowerModel] = None,
+) -> CompressionResult:
+    """Reduce ``matrix`` column by column, LSB first, each column's carries
+    joining the next (FA_AOT, FA_ALP, FA_random); the tree is built into
+    ``netlist``, or planned alone when that is ``None``."""
+    tree = CompressorTree(matrix.width, delay_model, power_model)
+    carries: List[Addend] = []
+    for index, addends in enumerate(matrix.columns()):
+        carries = reduce_column(
+            tree, addends + carries, index, policy, ha_style, exclude_origins
+        ).carries
+    return tree.result(netlist, policy.name, ha_style)
 
 
 def _reduce_ranked(

@@ -10,12 +10,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.bitmatrix.matrix import AddendMatrix
-from repro.core.column import HA_STYLE_PSEUDO_ZERO
+from repro.core.column import HA_STYLE_PSEUDO_ZERO, reduce_columns
 from repro.core.delay_model import FADelayModel
 from repro.core.policies import LargestQPolicy
 from repro.core.power_model import FAPowerModel
 from repro.core.result import CompressionResult
-from repro.core.tree_builder import CompressorTreeBuilder
 from repro.netlist.core import Netlist
 
 
@@ -26,5 +25,6 @@ def fa_alp(
     power_model: Optional[FAPowerModel] = None,
 ) -> CompressionResult:
     """Allocate a low-power FA-tree for the given addend matrix."""
-    builder = CompressorTreeBuilder(netlist, matrix, delay_model, power_model)
-    return builder.run(LargestQPolicy(), ha_style=HA_STYLE_PSEUDO_ZERO)
+    return reduce_columns(
+        netlist, matrix, LargestQPolicy(), HA_STYLE_PSEUDO_ZERO, None, delay_model, power_model
+    )

@@ -17,8 +17,7 @@ from repro.core.delay_model import FADelayModel
 from repro.core.policies import EarliestArrivalPolicy
 from repro.core.power_model import FAPowerModel
 from repro.core.result import CompressionResult
-from repro.core.tree_builder import CompressorTreeBuilder
-from repro.core.column import HA_STYLE_LAST_PAIR
+from repro.core.column import HA_STYLE_LAST_PAIR, reduce_columns
 from repro.netlist.core import Netlist
 
 
@@ -42,10 +41,8 @@ def fa_aot(
         the carries only join the final rows — this is the weaker
         "column isolation" scheme of Figure 2(b), kept for comparison.
     """
-    builder = CompressorTreeBuilder(netlist, matrix, delay_model, power_model)
     exclude = None if column_interaction else frozenset({"carry"})
-    return builder.run(
-        EarliestArrivalPolicy(),
-        ha_style=HA_STYLE_LAST_PAIR,
-        exclude_origins=exclude,
+    return reduce_columns(
+        netlist, matrix, EarliestArrivalPolicy(), HA_STYLE_LAST_PAIR, exclude,
+        delay_model, power_model,
     )

@@ -11,12 +11,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.bitmatrix.matrix import AddendMatrix
-from repro.core.column import HA_STYLE_LAST_PAIR
+from repro.core.column import HA_STYLE_LAST_PAIR, reduce_columns
 from repro.core.delay_model import FADelayModel
 from repro.core.policies import RandomPolicy
 from repro.core.power_model import FAPowerModel
 from repro.core.result import CompressionResult
-from repro.core.tree_builder import CompressorTreeBuilder
 from repro.netlist.core import Netlist
 
 
@@ -28,5 +27,7 @@ def fa_random(
     seed: Optional[int] = None,
 ) -> CompressionResult:
     """Allocate an FA-tree with uniformly random FA input selection."""
-    builder = CompressorTreeBuilder(netlist, matrix, delay_model, power_model)
-    return builder.run(RandomPolicy(seed=seed), ha_style=HA_STYLE_LAST_PAIR)
+    return reduce_columns(
+        netlist, matrix, RandomPolicy(seed=seed), HA_STYLE_LAST_PAIR, None,
+        delay_model, power_model,
+    )

@@ -80,15 +80,7 @@ class FAPowerModel:
         if self.ha_carry_energy is None:
             object.__setattr__(self, "ha_carry_energy", self.carry_energy)
 
-    # ----------------------------------------------------------- propagation
-    def fa_probabilities(self, px: float, py: float, pz: float) -> Tuple[float, float]:
-        """(sum, carry) probabilities of an FA (independence assumption)."""
-        return fa_output_probabilities(px, py, pz)
-
-    def ha_probabilities(self, px: float, py: float) -> Tuple[float, float]:
-        """(sum, carry) probabilities of an HA (independence assumption)."""
-        return ha_output_probabilities(px, py)
-
+    # ----------------------------------------------------------------- energy
     def fa_switching_energy(self, p_sum: float, p_carry: float) -> float:
         """Ws*p_s(1-p_s) + Wc*p_c(1-p_c) of one FA."""
         return self.sum_energy * switching_activity(p_sum) + self.carry_energy * (

@@ -68,10 +68,8 @@ def final_rows(columns: Iterable[Sequence[Addend]]) -> Rows:
 class CompressionResult:
     """Everything produced by reducing an addend matrix to two rows.
 
-    Until :func:`~repro.core.tree.materialize` builds it into a netlist,
-    the result is the tree's *plan*: its ``steps`` and column records
-    already give the cell counts, the arrivals, the probabilities and the
-    energy, but no cell or net exists.
+    Until :func:`~repro.core.tree.materialize` builds it, it is the tree's
+    *plan*: counts, arrivals and energy are known, but no cell or net exists.
 
     Attributes
     ----------
@@ -85,8 +83,7 @@ class CompressionResult:
     policy_name / ha_style:
         How the allocation was made (for reports).
     steps:
-        The :class:`~repro.core.tree.CompressorTree` steps
-        ``(column, inputs, sum, carry)`` in creation order.
+        ``(column, inputs, sum, carry)`` per FA/HA step, in creation order.
 
     The final-adder ``rows``, the paper's ``tree_switching_energy`` and the
     ``max_final_arrival`` are derived from the column records.

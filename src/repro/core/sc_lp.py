@@ -32,6 +32,6 @@ def sc_lp(
     plan alone, with no cells, when ``netlist`` is ``None``)."""
     # wide enough to keep the carries, which land in column + 1
     tree = CompressorTree(column + 2, delay_model, power_model)
-    reduction = reduce_column(tree, addends, column, LargestQPolicy(), HA_STYLE_PSEUDO_ZERO)
-    tree.result(netlist, LargestQPolicy.name, HA_STYLE_PSEUDO_ZERO)  # builds the cells into netlist
-    return reduction
+    policy = LargestQPolicy()
+    reduce_column(tree, addends, column, policy, HA_STYLE_PSEUDO_ZERO)
+    return tree.result(netlist, policy.name, HA_STYLE_PSEUDO_ZERO).column_reductions[column]

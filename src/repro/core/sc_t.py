@@ -6,7 +6,7 @@ the two earliest when exactly three remain), until the column holds two
 addends.  :func:`sc_t` exposes it directly on a list of addends so the
 Lemma 1 / Lemma 2 optimality properties can be exercised in isolation; the
 full multi-column algorithm ``FA_AOT`` applies it column by column via
-:class:`~repro.core.tree_builder.CompressorTreeBuilder`.
+:func:`~repro.core.column.reduce_columns`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,6 @@ def sc_t(
     """
     # wide enough to keep the carries, which land in column + 1
     tree = CompressorTree(column + 2, delay_model, power_model)
-    reduction = reduce_column(tree, addends, column, EarliestArrivalPolicy(), HA_STYLE_LAST_PAIR)
-    tree.result(netlist, EarliestArrivalPolicy.name, HA_STYLE_LAST_PAIR)  # builds the cells into netlist
-    return reduction
+    policy = EarliestArrivalPolicy()
+    reduce_column(tree, addends, column, policy, HA_STYLE_LAST_PAIR)
+    return tree.result(netlist, policy.name, HA_STYLE_LAST_PAIR).column_reductions[column]

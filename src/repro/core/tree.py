@@ -1,21 +1,13 @@
 """The compressor-tree column model, its one FA/HA step, and materialization.
 
 Every reducer — FA_AOT, FA_ALP, FA_random and column isolation through
-:func:`repro.core.column.reduce_column`, and the Wallace, Dadda and CSA_OPT
-baselines — differs only in *which* addends feed each cell, and chooses
-them from arrival, probability, origin and creation order alone.  So the
-reducers run on a column model with no netlist: :class:`CompressorTree`
-plans each step with :meth:`~CompressorTree.allocate` — the Ds/Dc output
-arrivals, the output probabilities and the Ws/Wc switching energy, charged
-to the column's :class:`~repro.core.result.ColumnReduction` — and its
-outputs are :class:`~repro.bitmatrix.addend.Addend` records whose net is
-still ``None``.  A carry that falls past the output width is dropped
-(modulo-2**W semantics) and noted in the plan.
-
-The plan is a :class:`~repro.core.result.CompressionResult` without a
-netlist.  :func:`materialize` builds its cells in plan order, with the cell
-and net names the netlist gives them, checking the plan's input nets once
-and writing each output net's annotations once.
+:mod:`repro.core.column`, and the Wallace, Dadda and CSA_OPT baselines —
+differs only in *which* addends feed each cell, chosen from arrival,
+probability, origin and creation order alone.  So the reducers plan on
+:class:`CompressorTree`, which needs no netlist: its outputs are addends
+whose net is still ``None``, and the plan is a
+:class:`~repro.core.result.CompressionResult` without a netlist until
+:func:`materialize` builds its cells.
 """
 
 from __future__ import annotations
@@ -24,11 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.bitmatrix.addend import Addend
 from repro.core.delay_model import FADelayModel
-from repro.core.power_model import (
-    FAPowerModel,
-    fa_output_probabilities,
-    ha_output_probabilities,
-)
+from repro.core.power_model import FAPowerModel, fa_output_probabilities, ha_output_probabilities
 from repro.core.result import ColumnReduction, CompressionResult
 from repro.errors import NetlistError
 from repro.netlist.cells import CellType
@@ -45,26 +33,23 @@ class CompressorTree:
         power_model: Optional[FAPowerModel] = None,
     ) -> None:
         self.width = width
-        self.delay_model = delay_model = delay_model or FADelayModel()
-        self.power_model = power_model = power_model or FAPowerModel()
         self.columns = [ColumnReduction(column=index) for index in range(width)]
         #: ``(column, inputs, sum, carry)`` in creation order; a step without
         #: inputs is SC_LP's pseudo logic-0, which is no cell
         self.steps: List[Tuple] = []
         # the models' formulas, bound once per tree
-        self._fa_arrivals, self._ha_arrivals = delay_model.fa_arrivals, delay_model.ha_arrivals
-        self._fa_energy = power_model.fa_switching_energy
-        self._ha_energy = power_model.ha_switching_energy
+        delay, power = delay_model or FADelayModel(), power_model or FAPowerModel()
+        self._fa_arrivals, self._ha_arrivals = delay.fa_arrivals, delay.ha_arrivals
+        self._fa_energy, self._ha_energy = power.fa_switching_energy, power.ha_switching_energy
 
     def allocate(
         self, chosen: Sequence[Addend], column: int
     ) -> Tuple[Addend, Optional[Addend]]:
         """Plan an FA over three addends or an HA over two; return ``(sum, carry)``.
 
-        Both outputs carry their arrival and probability, and the step's
-        switching energy is charged to ``column``'s record.  ``carry`` is
-        ``None`` when it falls past the width; the record keeps it in
-        ``dropped``.
+        The outputs carry their arrival and probability, and the switching
+        energy is charged to ``column``'s record.  ``carry`` is ``None`` when
+        it falls past the width (the record keeps it in ``dropped``).
         """
         record = self.columns[column]
         if len(chosen) == 3:
@@ -102,10 +87,9 @@ class CompressorTree:
         ha_style: str,
         remaining: Optional[Sequence[List[Addend]]] = None,
     ) -> CompressionResult:
-        """The finished tree, materialized into ``netlist`` — or the plan
-        alone when ``netlist`` is ``None``.  ``remaining`` gives each
-        column's final addends, LSB first, when the reducer has not stored
-        them in the records."""
+        """The tree built into ``netlist``, or its plan when that is ``None``;
+        ``remaining`` gives each column's final addends, LSB first, when the
+        reducer has not stored them in the records."""
         if remaining is not None:
             for record, addends in zip(self.columns, remaining):
                 record.remaining = list(addends)
@@ -129,30 +113,25 @@ class CompressorTree:
 
 
 def materialize(plan: CompressionResult, netlist: Netlist) -> CompressionResult:
-    """Build ``plan``'s cells in ``netlist``, in plan order; return the tree.
+    """Build ``plan``'s cells into ``netlist``, in plan order; return the tree.
 
-    Every input net the plan takes from outside must belong to ``netlist``
-    (checked once, before any cell is built).  Each cell is named and
-    numbered as :meth:`~repro.netlist.core.Netlist.add_cell` would, its
-    output nets get their arrival and probability at creation, every
-    planned output addend gets its net, and the generation is bumped once.
+    The input nets the plan takes from outside are checked once, before any
+    cell is built.  Cells and nets get the names :meth:`Netlist.add_cell`
+    would give them, output nets their arrival and probability at creation,
+    planned addends their nets, and the netlist one generation bump.
     """
     produced = set()
     for _, inputs, total, carry in plan.steps:
         for addend in inputs:
-            if id(addend) not in produced and (
-                addend.net is None or not netlist.owns(addend.net)
-            ):
+            if id(addend) not in produced and not (addend.net and netlist.owns(addend.net)):
                 name = addend.net.name if addend.net else None
                 raise NetlistError(
                     f"net {name!r} of a column-{addend.column} addend does not belong "
                     f"to netlist {netlist.name!r} and is no output of the plan"
                 )
-        produced.add(id(total))
-        produced.add(id(carry))
+        produced.update((id(total), id(carry)))
 
-    build = netlist.build_cell
-    records = plan.column_reductions
+    build, records = netlist.build_cell, plan.column_reductions
     for column, inputs, total, carry in plan.steps:
         if not inputs:
             total.net = netlist.const(0)
@@ -163,18 +142,14 @@ def materialize(plan: CompressionResult, netlist: Netlist) -> CompressionResult:
         )
         if len(inputs) == 3:
             first, second, third = inputs
-            cell = build(
-                CellType.FA,
-                {"a": first.net, "b": second.net, "cin": third.net},
-                annotations=annotations,
-            )
+            ports = {"a": first.net, "b": second.net, "cin": third.net}
+            cell = build(CellType.FA, ports, annotations=annotations)
             records[column].fa_cells.append(cell)
         else:
             first, second = inputs
             cell = build(CellType.HA, {"a": first.net, "b": second.net}, annotations=annotations)
             records[column].ha_cells.append(cell)
-        outputs = cell.outputs
-        total.net, carry.net = outputs["s"], outputs["co"]
+        total.net, carry.net = cell.outputs["s"], cell.outputs["co"]
     netlist.touch()
     plan.netlist = netlist
     return plan

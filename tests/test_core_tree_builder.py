@@ -1,4 +1,4 @@
-"""Tests for the full-matrix compressor-tree builder."""
+"""Tests for the full-matrix compressor-tree reduction."""
 
 import re
 
@@ -10,9 +10,9 @@ from repro.bitmatrix.builder import build_addend_matrix
 from repro.core.delay_model import FADelayModel
 from repro.core.fa_alp import fa_alp
 from repro.core.fa_aot import fa_aot
+from repro.core.column import reduce_columns
 from repro.core.fa_random import fa_random
 from repro.core.policies import EarliestArrivalPolicy
-from repro.core.tree_builder import CompressorTreeBuilder
 from repro.expr.parser import parse_expression
 from repro.expr.signals import SignalSpec
 from repro.netlist.cells import CellType
@@ -84,8 +84,7 @@ class TestCompressionInvariants:
 
     def test_builder_direct_use(self):
         build = _build("x + y", {"x": 3, "y": 3}, 4)
-        builder = CompressorTreeBuilder(build.netlist, build.matrix)
-        result = builder.run(EarliestArrivalPolicy())
+        result = reduce_columns(build.netlist, build.matrix, EarliestArrivalPolicy())
         assert result.policy_name == "earliest_arrival"
         assert all(h <= 2 for h in [sum(a is not None for a in pair) for pair in zip(*result.rows)])
 
