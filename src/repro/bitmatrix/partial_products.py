@@ -142,12 +142,8 @@ class ProductBitFactory:
             raise AllocationError("cannot take the product of zero bits")
         level: List[BitSignal] = list(bits)
         while len(level) > 1:
-            next_level: List[BitSignal] = []
-            for index in range(0, len(level) - 1, 2):
-                next_level.append(self.and_of(level[index], level[index + 1]))
-            if len(level) % 2:
-                next_level.append(level[-1])
-            level = next_level
+            pairs = [self.and_of(a, b) for a, b in zip(level[::2], level[1::2])]
+            level = pairs + level[len(pairs) * 2 :]
         return level[0]
 
 
@@ -165,6 +161,12 @@ def and_array_product(
     """
     if not operand_bits:
         raise AllocationError("and_array_product requires at least one operand")
+    if len(operand_bits) == 2:  # the common case, in the recursion's order
+        first, second = operand_bits
+        return [
+            ProductBit(i + j, factory.and_of(x, y))
+            for i, x in enumerate(first) for j, y in enumerate(second) if i + j < max_column
+        ]
 
     products: List[ProductBit] = []
 

@@ -87,15 +87,16 @@ def reduce_column(
 
     working: List[Addend] = list(addends)
     reduction = tree.columns[column]
-    pseudo_zero = ha_style == HA_STYLE_PSEUDO_ZERO
-    if pseudo_zero and len(working) >= 3 and len(working) % 2 == 1:
-        working.append(tree.zero(column))
+    zero = None
+    if ha_style == HA_STYLE_PSEUDO_ZERO and len(working) >= 3 and len(working) % 2 == 1:
+        zero = tree.zero(column)
+        working.append(zero)
 
     def allocate(chosen: List[Addend]) -> Addend:
         """Add the FA or HA over ``chosen``; return its sum addend."""
-        if pseudo_zero:
+        if zero is not None and zero in chosen:
             # an FA that consumes the pseudo logic-0 is realised as an HA
-            chosen = [a for a in chosen if a.origin != "pseudo_zero"]
+            chosen = [a for a in chosen if a is not zero]
         total, carry = tree.allocate(chosen, column)
         # a carry past the width is still listed as one this column produced
         reduction.carries.append(carry if carry is not None else reduction.dropped[-1])
@@ -164,7 +165,9 @@ def _reduce_ranked(
     while size >= 3:
         count = 2 if pair_at_three and size == 3 else 3
         if len(preferred) >= count:
-            chosen = [heappop(preferred)[2] for _ in range(count)]
+            chosen = [heappop(preferred)[2], heappop(preferred)[2]]
+            if count == 3:
+                chosen.append(heappop(preferred)[2])
         else:
             chosen = [
                 heappop(

@@ -93,13 +93,9 @@ class CompressorTree:
         if remaining is not None:
             for record, addends in zip(self.columns, remaining):
                 record.remaining = list(addends)
-        notes = []
         dropped = sum(len(record.dropped) for record in self.columns)
-        if dropped:
-            notes.append(
-                f"{dropped} carries beyond column {self.width - 1} were dropped "
-                f"(modulo-2**{self.width} semantics)"
-            )
+        note = f"{dropped} carries beyond column {self.width - 1} were dropped"
+        notes = [f"{note} (modulo-2**{self.width} semantics)"] if dropped else []
         plan = CompressionResult(
             netlist=None,
             width=self.width,
