@@ -81,9 +81,9 @@ class ProductBitFactory:
         if a is b:
             return first
         # Constant folding keeps the matrix free of degenerate gates.
-        if a.is_constant:
+        if a.const_value is not None:
             return second if a.const_value == 1 else self.constant(0)
-        if b.is_constant:
+        if b.const_value is not None:
             return first if b.const_value == 1 else self.constant(0)
 
         key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))

@@ -48,13 +48,13 @@ class Net:
 
     __slots__ = ("name", "driver", "loads", "is_primary_input", "const_value", "attributes")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, attributes: Optional[Dict[str, object]] = None) -> None:
         self.name = name
         self.driver: Optional[Tuple["Cell", str]] = None
         self.loads: List[Tuple["Cell", str]] = []
         self.is_primary_input = False
         self.const_value: Optional[int] = None
-        self.attributes: Dict[str, object] = {}
+        self.attributes: Dict[str, object] = {} if attributes is None else attributes
 
     @property
     def is_constant(self) -> bool:
@@ -356,15 +356,13 @@ class Netlist:
         before it are not served after.
         """
         _, _, output_ports, cell_prefix = _PORT_TABLES[cell_type]
-        nets = self._nets
-        cells = self._cells
+        nets, cells = self._nets, self._cells
         if name is None:
-            counter = self._cell_counter
-            while True:
+            counter = self._cell_counter + 1
+            name = f"{cell_prefix}{counter}"
+            while name in cells:
                 counter += 1
                 name = f"{cell_prefix}{counter}"
-                if name not in cells:
-                    break
             self._cell_counter = counter
 
         # fresh output nets are created here, not through add_net, which
@@ -373,20 +371,19 @@ class Netlist:
         cell_outputs: Dict[str, Net] = {}
         cell = Cell(name, cell_type, inputs, cell_outputs)
         counter = self._net_counter
-        for port in output_ports:
+        for index, port in enumerate(output_ports):
             net = outputs.get(port) if outputs else None
             if net is None:
-                while True:
+                counter += 1
+                net_name = f"{prefix}{port}_{counter}"
+                while net_name in nets:
                     counter += 1
                     net_name = f"{prefix}{port}_{counter}"
-                    if net_name not in nets:
-                        break
-                net = nets[net_name] = Net(net_name)
+                attributes = annotations[index] if annotations else None
+                net = nets[net_name] = Net(net_name, attributes)
             cell_outputs[port] = net
             net.driver = (cell, port)
         self._net_counter = counter
-        for net, attributes in zip(cell_outputs.values(), annotations):
-            net.attributes = attributes
         cells[name] = cell
         for port, net in inputs.items():
             net.loads.append((cell, port))
