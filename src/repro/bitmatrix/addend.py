@@ -9,7 +9,6 @@ the compressor-tree column model for FA/HA sum and carry outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Optional
 
@@ -18,7 +17,6 @@ from repro.netlist.core import Net
 _addend_ids = count()
 
 
-@dataclass(eq=False, slots=True)
 class Addend:
     """A single-bit addend of the matrix.
 
@@ -51,13 +49,25 @@ class Addend:
         rather than per bit; -1 when the addend belongs to no word.
     """
 
-    net: Optional[Net]
-    column: int
-    arrival: float = 0.0
-    probability: float = 0.5
-    origin: str = "input"
-    sequence: int = field(default_factory=_addend_ids.__next__)
-    row: int = -1
+    __slots__ = ("net", "column", "arrival", "probability", "origin", "sequence", "row")
+
+    def __init__(
+        self,
+        net: Optional[Net],
+        column: int,
+        arrival: float = 0.0,
+        probability: float = 0.5,
+        origin: str = "input",
+        sequence: Optional[int] = None,
+        row: int = -1,
+    ) -> None:
+        self.net = net
+        self.column = column
+        self.arrival = arrival
+        self.probability = probability
+        self.origin = origin
+        self.sequence = next(_addend_ids) if sequence is None else sequence
+        self.row = row
 
     @property
     def q_value(self) -> float:
