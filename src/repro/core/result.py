@@ -17,10 +17,10 @@ Rows = Tuple[List[Optional[Addend]], List[Optional[Addend]]]
 class ColumnReduction:
     """One column's share of a compressor tree.
 
-    ``switching_energy`` and ``dropped`` (carries that fell past the output
-    width) are filled by :meth:`~repro.core.tree.CompressorTree.allocate`
-    as the tree is planned, ``fa_cells`` and ``ha_cells`` by
-    :func:`~repro.core.tree.materialize`.  ``remaining`` holds the column's
+    ``fa_count``, ``ha_count``, ``switching_energy`` and ``dropped``
+    (carries that fell past the output width) are filled by
+    :meth:`~repro.core.tree.CompressorTree.allocate` as the tree is planned,
+    ``fa_cells`` and ``ha_cells`` by :func:`~repro.core.tree.materialize`.  ``remaining`` holds the column's
     final addends (at most two).  ``carries`` lists the carries the
     column reducer produced for the next column, past-the-width ones
     included; the stage-based baselines hand theirs to the next stage and
@@ -32,18 +32,10 @@ class ColumnReduction:
     carries: List[Addend] = field(default_factory=list)
     fa_cells: List[Cell] = field(default_factory=list)
     ha_cells: List[Cell] = field(default_factory=list)
+    fa_count: int = 0
+    ha_count: int = 0
     switching_energy: float = 0.0
     dropped: List[Addend] = field(default_factory=list)
-
-    @property
-    def fa_count(self) -> int:
-        """Number of full adders allocated for this column."""
-        return len(self.fa_cells)
-
-    @property
-    def ha_count(self) -> int:
-        """Number of half adders allocated for this column."""
-        return len(self.ha_cells)
 
 
 def final_rows(columns: Iterable[Sequence[Addend]]) -> Rows:
@@ -111,12 +103,12 @@ class CompressionResult:
     @property
     def fa_count(self) -> int:
         """Number of full adders in the tree (planned or built)."""
-        return sum(len(step[1]) == 3 for step in self.steps)
+        return sum(reduction.fa_count for reduction in self.column_reductions)
 
     @property
     def ha_count(self) -> int:
         """Number of half adders in the tree (planned or built)."""
-        return sum(len(step[1]) == 2 for step in self.steps)
+        return sum(reduction.ha_count for reduction in self.column_reductions)
 
     @property
     def tree_switching_energy(self) -> float:

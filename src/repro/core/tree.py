@@ -61,11 +61,13 @@ class CompressorTree:
                 first.probability, second.probability, third.probability
             )
             record.switching_energy += self._fa_energy(p_sum, p_carry)
+            record.fa_count += 1
         else:
             first, second = chosen
             sum_arrival, carry_arrival = self._ha_arrivals((first.arrival, second.arrival))
             p_sum, p_carry = ha_output_probabilities(first.probability, second.probability)
             record.switching_energy += self._ha_energy(p_sum, p_carry)
+            record.ha_count += 1
         total = Addend(None, column, sum_arrival, p_sum, "sum")
         carry = Addend(None, column + 1, carry_arrival, p_carry, "carry")
         self.steps.append((column, chosen, total, carry))

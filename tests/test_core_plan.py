@@ -16,6 +16,7 @@ from repro.api.stages import reduce_matrix
 from repro.bitmatrix.addend import Addend
 from repro.bitmatrix.matrix import AddendMatrix
 from repro.core.fa_aot import fa_aot
+from repro.core.sc_t import sc_t
 from repro.core.tree import materialize
 from repro.errors import NetlistError
 from repro.netlist.cells import CellType
@@ -42,11 +43,22 @@ def test_plan_predicts_the_materialized_tree(method, design):
     assert len(build.netlist.cells) == cells_before
 
     built = result.compression
+    assert [(r.fa_count, r.ha_count) for r in plan.column_reductions] == [
+        (len(r.fa_cells), len(r.ha_cells)) for r in built.column_reductions
+    ]
     assert (plan.fa_count, plan.ha_count) == (len(built.fa_cells), len(built.ha_cells))
     assert plan.fa_count == len(result.netlist.cells_of_type(CellType.FA))
     assert plan.tree_switching_energy == built.tree_switching_energy
     assert _final_arrivals(plan) == _final_arrivals(built)
     assert plan.notes == built.notes
+
+
+def test_a_column_plan_counts_its_adders():
+    netlist = Netlist("column")
+    addends = [Addend(netlist.add_net(), 0, float(t)) for t in range(6)]
+    plan = sc_t(None, addends)
+    assert (plan.fa_count, plan.ha_count) == (2, 0) and not plan.fa_cells
+    assert len(plan.carries) == 2 and not netlist.cells
 
 
 def test_materialize_rejects_a_net_of_another_netlist():
