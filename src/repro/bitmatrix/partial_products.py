@@ -161,12 +161,6 @@ def and_array_product(
     """
     if not operand_bits:
         raise AllocationError("and_array_product requires at least one operand")
-    if len(operand_bits) == 2:  # the common case, in the recursion's order
-        first, second = operand_bits
-        return [
-            ProductBit(i + j, factory.and_of(x, y))
-            for i, x in enumerate(first) for j, y in enumerate(second) if i + j < max_column
-        ]
 
     products: List[ProductBit] = []
 
